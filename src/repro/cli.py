@@ -7,7 +7,6 @@ Usage::
     python -m repro run fig9 --quick --seed 7
     python -m repro run all --export results/
     python -m repro run fig7 --jobs 4 --cache-dir .repro-cache
-    python -m repro run fig7 --fastpath
     python -m repro run fig5 --quick --telemetry=jsonl
     python -m repro telemetry fig5 --limit 20
     python -m repro serve --port 8080 --jobs 4 --cache-dir .repro-cache
@@ -134,23 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_p.add_argument(
-        "--fastpath",
-        action="store_true",
-        help=(
-            "run through the repro.fastpath step compiler "
-            "(byte-identical results, roughly half the wall time)"
-        ),
-    )
-    run_p.add_argument(
-        "--batch",
-        action="store_true",
-        help=(
-            "run batchable sweep groups in lockstep through the batched "
-            "fastpath (implies --fastpath; per-run results stay "
-            "byte-identical)"
-        ),
-    )
-    run_p.add_argument(
         "--platform",
         choices=sorted(PLATFORM_REGISTRY),
         default=None,
@@ -237,19 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="content-addressed result cache directory (default: no cache)",
     )
     series_p.add_argument(
-        "--fastpath",
-        action="store_true",
-        help="run through the repro.fastpath step compiler",
-    )
-    series_p.add_argument(
-        "--batch",
-        action="store_true",
-        help=(
-            "run batchable sweep groups in lockstep through the batched "
-            "fastpath (implies --fastpath)"
-        ),
-    )
-    series_p.add_argument(
         "--platform",
         choices=sorted(PLATFORM_REGISTRY),
         default=None,
@@ -304,11 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="coalescing window before dispatching queued runs, so "
         "compatible sweep traffic batches through the lockstep stepper "
         "(default 0.05)",
-    )
-    serve_p.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="never group queued fastpath specs into lockstep batches",
     )
 
     fleet_p = sub.add_parser(
@@ -497,7 +461,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             cache_dir=args.cache_dir,
             queue_depth=args.queue_depth,
             batch_window=args.batch_window,
-            batch=not args.no_batch,
         )
         try:
             asyncio.run(serve_forever(config))
@@ -574,8 +537,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         executor = RunExecutor(
             jobs=args.jobs,
             cache_dir=args.cache_dir,
-            fastpath=args.fastpath,
-            batch=args.batch,
             platform=args.platform,
         )
         curves = SERIES_REGISTRY[args.figure](
@@ -597,8 +558,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         telemetry=args.telemetry is not None,
-        fastpath=args.fastpath,
-        batch=args.batch,
         platform=args.platform,
     )
     names = list(REGISTRY) if args.experiment == "all" else [args.experiment]

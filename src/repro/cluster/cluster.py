@@ -125,11 +125,6 @@ class Cluster:
         :class:`RunResult` carries a frozen snapshot.  Default: the
         shared :data:`~repro.telemetry.registry.NULL_REGISTRY` (true
         no-op).
-    fastpath:
-        When True, the engine runs through the :mod:`repro.fastpath`
-        step compiler and the sensor task records through pre-resolved
-        trace handles and block writers.  Results (traces, events,
-        telemetry) are byte-identical to the reference path.
     platform:
         Optional :class:`~repro.platform.spec.PlatformSpec` this
         cluster's node config was derived from.  Carried so rigging
@@ -142,16 +137,14 @@ class Cluster:
         config: Optional[ClusterConfig] = None,
         ambient_factory=None,
         telemetry: Optional[MetricsRegistry] = None,
-        fastpath: bool = False,
         platform=None,
     ) -> None:
         self.config = config if config is not None else ClusterConfig()
         self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
-        self.fastpath = bool(fastpath)
         self.platform = platform
         self._writers: list = []
         self.rngs = RngStreams(self.config.seed)
-        self.engine = SimulationEngine(dt=self.config.dt, fastpath=self.fastpath)
+        self.engine = SimulationEngine(dt=self.config.dt)
         self.events: EventLog = self.engine.events
         self.traces: TraceSet = self.engine.traces
         self.nodes: List[Node] = []
@@ -227,28 +220,9 @@ class Cluster:
         sensor_samples = self.telemetry.counter("sim.samples")
         n_nodes = float(len(self.nodes))
 
-        if self.fastpath:
-            sample_and_record = self._compile_sampler(
-                sensor_rounds, sensor_samples, n_nodes
-            )
-        else:
-
-            def sample_and_record(t: float) -> None:
-                sensor_rounds.inc()
-                sensor_samples.inc(n_nodes)
-                for node in self.nodes:
-                    temp = node.sensor.sample(t)
-                    self.traces.record(f"{node.name}.temp", t, temp)
-                    self.traces.record(f"{node.name}.duty", t, node.fan_duty)
-                    self.traces.record(f"{node.name}.rpm", t, node.fan_rpm)
-                    self.traces.record(
-                        f"{node.name}.freq_ghz", t, node.dvfs.pstate.frequency_ghz
-                    )
-                    self.traces.record(f"{node.name}.power", t, node.wall_power)
-                    self.traces.record(f"{node.name}.util", t, node.core.utilization)
-                    for governor in self._governors[node.name]:
-                        governor.on_sample(t, temp)
-
+        sample_and_record = self._compile_sampler(
+            sensor_rounds, sensor_samples, n_nodes
+        )
         self.engine.every(self.config.node.sensor_period, sample_and_record)
 
         for node in self.nodes:
@@ -265,15 +239,15 @@ class Cluster:
                 governor.start(self.engine.clock.now)
 
     def _compile_sampler(self, sensor_rounds, sensor_samples, n_nodes: float):
-        """Fastpath sensor task: pre-resolved handles, block-buffered traces.
+        """The sensor task: pre-resolved handles, block-buffered traces.
 
-        Creates the standard per-node traces up front (same insertion
-        order as the reference path's first sampling round) and binds
-        one :class:`~repro.fastpath.recording.TraceBlockWriter` pair of
-        appenders per trace, so the per-sample cost is list appends
-        instead of f-string keys, dict lookups and numpy scalar writes.
-        Sample values are read from the same state the reference
-        properties expose.
+        Creates the standard per-node traces up front (in the order a
+        first sampling round would create them) and binds one
+        :class:`~repro.fastpath.recording.TraceBlockWriter` appender per
+        trace, so the per-sample cost is list appends instead of
+        f-string keys, dict lookups and numpy scalar writes.  Sample
+        values are read from the same state the public node properties
+        expose.  Buffers flush into the traces around every engine run.
         """
         from ..fastpath.recording import TraceBlockWriter
 
@@ -314,7 +288,7 @@ class Cluster:
         return sample_and_record
 
     def _flush_traces(self) -> None:
-        """Flush any fastpath block writers into their traces."""
+        """Flush the sampler's block writers into their traces."""
         for writer in self._writers:
             writer.flush()
 

@@ -22,11 +22,12 @@ class's current P-state and that core's own temperature (per-core
 leakage feedback), under the node-wide utilization of the bound rank —
 the job spans the node, so all cores share its duty cycle.
 
-The fastpath treats this node as a reference-path component: the step
-compiler compiles the package's RC network (generic, byte-identical by
-the compiler's contract) but keeps this class's own ``step`` logic;
-the batched fastpath refuses the node entirely and falls back to
-serial execution (see :mod:`repro.fastpath.batch`).
+The engine runs this class's own ``step`` logic (the fused node closure
+hard-assumes the 2-node die/sink package); :meth:`compiled_step` only
+compiles the floorplan's RC network first, which is generic over
+network shape and byte-identical by the compiler's contract.  Specs on
+a multicore platform never form lockstep batch groups (see
+:meth:`repro.runtime.executor.RunExecutor._batch_key`).
 """
 
 from __future__ import annotations
@@ -152,3 +153,10 @@ class MulticoreNode(Node):
         else:
             self._wall_power = cfg.baseboard_power + self._cpu_power + fan_power
         self.meter.record(self._wall_power, dt)
+
+    def compiled_step(self):
+        """The bound :meth:`step`, with the N-core RC network compiled."""
+        from ..fastpath.rc import compile_network
+
+        compile_network(self.package._net)
+        return self.step

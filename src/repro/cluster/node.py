@@ -261,3 +261,14 @@ class Node(Component):
         else:
             self._wall_power = cfg.baseboard_power + self._cpu_power + fan_power
         self.meter.record(self._wall_power, dt)
+
+    def compiled_step(self):
+        """The fused per-tick closure of :mod:`repro.fastpath.node`.
+
+        Byte-identical to :meth:`step` (the equivalence suite pins it);
+        the closure pre-binds every sub-model and steps the package's
+        RC network through its compiled stepper.
+        """
+        from ..fastpath.node import compile_node_step
+
+        return compile_node_step(self)

@@ -16,9 +16,8 @@ asserts:
    rounds vs during sudden-classified rounds.
 
 The three specs differ only in rig parameters (P_p), so the sweep is a
-batchable group: ``RunExecutor(batch=True)`` advances all three runs in
-lockstep through :mod:`repro.fastpath.batch` with byte-identical
-results.
+lockstep group: ``RunExecutor.map`` advances all three runs together
+through :mod:`repro.fastpath.batch` with byte-identical results.
 """
 
 from __future__ import annotations

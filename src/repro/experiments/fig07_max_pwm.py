@@ -13,10 +13,9 @@ Findings reproduced:
    ceiling anyway — i.e. a cheaper fan run well matches a stronger fan.
 
 The four specs differ only in rig parameters (the PWM cap), so the
-sweep is a batchable group: ``RunExecutor(batch=True)`` (or ``repro run
-fig7 --batch``) advances all four runs in lockstep through
-:mod:`repro.fastpath.batch` with byte-identical results — this sweep is
-the exemplar ``benchmarks/bench_batch.py`` gates on.
+sweep is one lockstep group: ``RunExecutor.map`` advances all four runs
+together through :mod:`repro.fastpath.batch` with byte-identical
+results.
 """
 
 from __future__ import annotations

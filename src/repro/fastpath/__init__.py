@@ -1,8 +1,8 @@
-"""The step compiler: a fused, cache-friendly inner loop for the engine.
+"""Compiled steppers behind the engine's per-tick hot loop.
 
-Every experiment funnels through the same per-tick hot loop — component
+Every experiment funnels through the same per-tick work — component
 dispatch, RC re-assembly, per-sample trace writes.  This package
-compiles that loop structurally at engine start instead of interpreting
+compiles that work structurally at run start instead of interpreting
 it tick by tick:
 
 * :mod:`repro.fastpath.rc` flattens an :class:`~repro.thermal.rc.RCNetwork`
@@ -10,43 +10,39 @@ it tick by tick:
   writes, so the common case (only the convective link moved) refreshes
   two matrix rows instead of re-walking the graph.
 * :mod:`repro.fastpath.node` fuses one :class:`~repro.cluster.node.Node`'s
-  per-tick sequence into a single closure over pre-bound sub-models.
-* :mod:`repro.fastpath.loop` batches physics microticks between task
-  boundaries — tasks fire at ≥ 1 s periods while physics runs at
-  dt = 0.05 s, so up to 20 ticks run back to back with no task scan.
+  per-tick sequence into a single closure over pre-bound sub-models
+  (what :meth:`Node.compiled_step <repro.cluster.node.Node.compiled_step>`
+  hands the engine).
 * :mod:`repro.fastpath.recording` buffers trace samples and flushes
   them through :meth:`~repro.sim.trace.Trace.extend`.
 * :mod:`repro.fastpath.batch` stacks N independent runs into one
   structure-of-arrays stepper advanced in lockstep — one ``(N, m, m)``
   thermal solve per tick across a whole parameter sweep — with each
-  run's results still bitwise identical to its own serial fastpath
-  execution.
+  run's results still bitwise identical to its own serial execution.
+  :class:`~repro.runtime.executor.RunExecutor` groups every sweep this
+  way by default.
 
-The contract is **byte-identical equivalence**: the compiled loop
-performs the same IEEE-754 operations in the same order as the
-reference engine, so traces, events and telemetry match bit for bit
-(enforced by ``tests/test_fastpath_equivalence.py``,
-``tests/test_fastpath_batch.py`` and CI).  Opt in via
-``SimulationEngine(fastpath=True)``, ``RunSpec(fastpath=True)`` or
-``repro run --fastpath``; batched sweeps via ``RunExecutor(batch=True)``
-or ``repro run --batch``.
+The contract is **byte-identical equivalence**: the compiled steppers
+perform the same IEEE-754 operations in the same order as the plain
+``step`` methods, so traces, events and telemetry match bit for bit
+(enforced against the tick-by-tick reference oracle in
+``tests/reference_engine.py`` by ``tests/test_fastpath_equivalence.py``
+and ``tests/test_fastpath_batch.py``).
 
-:mod:`~repro.fastpath.loop`, :mod:`~repro.fastpath.node` and
-:mod:`~repro.fastpath.batch` are imported lazily (by
-``SimulationEngine.run`` / ``repro.runtime.execute``) because they
-reach back into :mod:`repro.cluster`; import them by submodule path.
+:mod:`~repro.fastpath.node` and :mod:`~repro.fastpath.batch` are
+imported lazily (by :meth:`Node.compiled_step
+<repro.cluster.node.Node.compiled_step>` and
+:mod:`repro.runtime.execute`) because they reach back into
+:mod:`repro.cluster`; import them by submodule path.
 """
 
 from __future__ import annotations
 
-from .marker import coldpath, hotpath
 from .rc import CompiledRC, compile_network
 from .recording import TraceBlockWriter
 
 __all__ = [
     "CompiledRC",
     "TraceBlockWriter",
-    "coldpath",
     "compile_network",
-    "hotpath",
 ]

@@ -1,6 +1,6 @@
-"""Batched fastpath v2: N independent runs stepped in lockstep.
+"""Lockstep batching: N independent runs stepped as one.
 
-:mod:`repro.fastpath` amortizes interpreter overhead *within* one run;
+The compiled engine loop amortizes interpreter overhead *within* one run;
 this module amortizes it *across* runs.  Parameter sweeps (fig07's
 max-PWM ladder, the governor comparisons) re-run the same 4-node
 cluster with different knob settings — structurally identical RC
@@ -25,13 +25,13 @@ Three layers, each independently testable:
   persist in the stack between ticks (the per-tick writeback keeps the
   node objects current, and nothing else writes them mid-run).
 * :func:`run_fused_batch` / :func:`run_jobs_batch` — the lockstep run
-  loop (mirroring :func:`repro.fastpath.loop.run_fused`'s boundary
-  arithmetic per engine) and the ``Cluster.run_job`` protocol
-  replicated across members.
+  loop (mirroring :meth:`SimulationEngine.run
+  <repro.sim.engine.SimulationEngine.run>`'s boundary arithmetic per
+  engine) and the ``Cluster.run_job`` protocol replicated across
+  members.
 
-The equivalence contract is unchanged: every run's traces, events and
-telemetry come out bitwise identical to its own serial fastpath
-execution.  Stacked ``np.matmul`` over ``(N, m, m) @ (N, m, 1)``
+The equivalence contract: every run's traces, events and telemetry
+come out bitwise identical to its own serial execution.  Stacked ``np.matmul`` over ``(N, m, m) @ (N, m, 1)``
 produces the same bits as the per-slice products (einsum does **not**,
 and is not used), elementwise ufuncs are per-element exact, and
 gather/scatter copies are exact — so sub-batching and stacking are
@@ -49,7 +49,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import SimulationError
-from .marker import coldpath, hotpath
+from ..sim.engine import task_schedule
+from ..sim.marker import coldpath, hotpath
 from .rc import CompiledRC, compile_network
 
 __all__ = [
@@ -537,7 +538,8 @@ def run_fused_batch(
 ) -> List[int]:
     """Advance ``engines`` in lockstep until at least one ``until`` fires.
 
-    Mirrors :func:`repro.fastpath.loop.run_fused` per engine — the same
+    Mirrors :meth:`SimulationEngine.run
+    <repro.sim.engine.SimulationEngine.run>` per engine — the same
     arithmetically computed task-firing ticks, the same microtick
     batching between boundaries, ``until`` evaluated after **every**
     tick — but with one shared physics step: per tick, every engine's
@@ -562,20 +564,12 @@ def run_fused_batch(
     for clock in clocks:
         if clock.dt != dt or clock.ticks != ticks:
             raise Unbatchable("engines disagree on dt or tick count")
-    # Next firing tick per task per engine — run_fused's arithmetic.
+    # Next firing tick per task per engine — the engine's own schedule.
     fires: List[List[int]] = []
     periods: List[List[int]] = []
     tasklists = []
     for engine in engines:
-        efires: List[int] = []
-        eperiods: List[int] = []
-        for task in engine._tasks:
-            period = task._period_ticks
-            phase = task._phase_ticks
-            base = ticks + 1
-            k = (base - phase + period - 1) // period if base > phase else 0
-            efires.append(phase + k * period)
-            eperiods.append(period)
+        efires, eperiods = task_schedule(engine._tasks, ticks)
         fires.append(efires)
         periods.append(eperiods)
         tasklists.append(engine._tasks)
@@ -713,7 +707,7 @@ def run_jobs_batch(
     into one :class:`PackageBatch`.  When a lane's job finishes the
     batch is released (members' caches invalidated, observers
     restored), the lane is finalized serially (its tail, if any, runs
-    through the ordinary fastpath loop), and the remaining lanes
+    through the ordinary engine loop), and the remaining lanes
     re-stack and continue — re-attachment is bitwise-neutral because
     the stack is rebuilt from the always-current node objects.
 
@@ -740,7 +734,7 @@ def run_jobs_batch(
                 # Covers foreign components and MulticoreNode alike:
                 # the trusted package lane hard-assumes the 2-node
                 # die/sink CpuPackage, so N-core floorplans take the
-                # serial fastpath fallback instead.
+                # serial fallback instead.
                 raise Unbatchable(
                     "engine has non-node components "
                     f"({type(component).__name__})"

@@ -1,147 +1,13 @@
-"""The fused engine run loop: tick batches between task boundaries.
+"""The fused run loop's historical import path.
 
-The reference :meth:`~repro.sim.engine.SimulationEngine.run` loop pays,
-every physics tick, for a Python method frame per component plus a
-``maybe_fire`` modulo test per periodic task — even though tasks fire
-at ≥ 1 s periods while physics runs at dt = 0.05 s.  :func:`run_fused`
-computes each task's next firing tick arithmetically (from the same
-integer tick counts ``maybe_fire`` uses) and runs the physics
-microticks between boundaries in a tight inner loop over pre-compiled
-per-component step callables.
-
-Semantics are replicated exactly: components step in registration
-order; due tasks fire in registration order after the components of
-their tick; ``until`` and ``stop`` are evaluated after **every** tick
-(a workload can finish on any tick); the deadline / ``max_ticks``
-checks keep the reference's check order and raise the reference's
-error.  Tick counts, task ``fire_count`` values and the clock state
-come out identical to the reference loop.
+The compiled loop is :meth:`repro.sim.engine.SimulationEngine.run`
+itself; :func:`~repro.sim.engine.run_fused` lives beside it.  This
+module re-exports it so ``repro.fastpath.loop.run_fused`` keeps naming
+the same function.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from ..sim.engine import run_fused
 
-from ..errors import SimulationError
-from ..sim.engine import SimulationEngine
-
-__all__ = ["compile_steps", "run_fused"]
-
-
-def compile_steps(engine: SimulationEngine) -> List[Callable[[float, float], None]]:
-    """Per-component step callables, fused where the structure is known.
-
-    :class:`~repro.cluster.node.Node` components get the fully fused
-    closure from :func:`repro.fastpath.node.compile_node_step`.  A
-    :class:`~repro.cluster.multicore_node.MulticoreNode` keeps its own
-    reference ``step`` logic — the fused closure hard-assumes the
-    2-node die/sink package — but its floorplan's RC network is
-    compiled through :func:`repro.fastpath.rc.compile_network` (which
-    is generic over network shape and byte-identical by the compiler's
-    contract), so the N-core thermal solve still runs on the fast
-    arrays.  Any other component falls back to its bound ``step``
-    method (still saving the dispatch indirection of the reference
-    loop).
-    """
-    from ..cluster.multicore_node import MulticoreNode
-    from ..cluster.node import Node
-    from .node import compile_node_step
-    from .rc import compile_network
-
-    steps: List[Callable[[float, float], None]] = []
-    for component in engine._components:
-        if type(component) is Node:
-            steps.append(compile_node_step(component))
-        else:
-            if type(component) is MulticoreNode:
-                compile_network(component.package._net)
-            steps.append(component.step)
-    return steps
-
-
-def run_fused(
-    engine: SimulationEngine,
-    deadline_tick: Optional[int],
-    budget: Optional[int],
-    until: Optional[Callable[[], bool]],
-) -> int:
-    """Run the fused loop; returns the number of ticks executed.
-
-    Mirrors the reference ``SimulationEngine.run`` loop body —
-    including its stop semantics and its ``max_ticks`` error — and
-    leaves the engine's clock and tasks in the identical state.
-    """
-    clock = engine.clock
-    dt = clock.dt
-    steps = compile_steps(engine)
-    tasks = engine._tasks
-
-    # Next firing tick per task: smallest T > current tick with
-    # T >= phase and (T - phase) % period == 0 — the same set of ticks
-    # PeriodicTask.maybe_fire fires on.
-    ticks = clock.ticks
-    fires: List[int] = []
-    periods: List[int] = []
-    for task in tasks:
-        period = task._period_ticks
-        phase = task._phase_ticks
-        base = ticks + 1
-        k = (base - phase + period - 1) // period if base > phase else 0
-        fires.append(phase + k * period)
-        periods.append(period)
-    n_tasks = len(tasks)
-    no_boundary = 1 << 62
-
-    ticks_done = 0
-    stop_now = False
-    while True:
-        if deadline_tick is not None and ticks >= deadline_tick:
-            break
-        if budget is not None and ticks_done >= budget:
-            if deadline_tick is not None or until is not None:
-                raise SimulationError(
-                    f"max_ticks={budget} exhausted before the stop "
-                    "condition was reached"
-                )
-            break
-        # Boundary of this batch: the earliest of the next task firing,
-        # the deadline and the tick budget.  All ticks up to (and
-        # including) the boundary may execute without re-checking.
-        boundary = min(fires) if fires else no_boundary
-        if deadline_tick is not None and deadline_tick < boundary:
-            boundary = deadline_tick
-        if budget is not None and ticks + (budget - ticks_done) < boundary:
-            boundary = ticks + (budget - ticks_done)
-        # Microticks strictly before the boundary: no task can fire.
-        last = boundary - 1
-        while ticks < last:
-            ticks += 1
-            clock._ticks = ticks
-            t = ticks * dt
-            for f in steps:
-                f(t, dt)
-            ticks_done += 1
-            if engine._stop_requested or (until is not None and until()):
-                stop_now = True
-                break
-        if stop_now:
-            break
-        # The boundary tick: components, then any due tasks, in
-        # registration order — exactly the reference step().
-        ticks += 1
-        clock._ticks = ticks
-        t = ticks * dt
-        for f in steps:
-            f(t, dt)
-        ticks_done += 1
-        for i in range(n_tasks):
-            if fires[i] == ticks:
-                task = tasks[i]
-                task.callback(t)
-                task.fire_count += 1
-                fires[i] = ticks + periods[i]
-        if engine._stop_requested:
-            break
-        if until is not None and until():
-            break
-    return ticks_done
+__all__ = ["run_fused"]

@@ -30,7 +30,7 @@ from typing import Callable
 
 from ..cluster.node import Node
 from ..thermal.ambient import ConstantAmbient
-from .marker import hotpath
+from ..sim.marker import hotpath
 from .rc import compile_network
 
 __all__ = ["compile_node_step", "compile_node_step_split"]

@@ -41,7 +41,7 @@ import numpy as np
 from ..errors import SimulationError
 from ..thermal.rc import RCNetwork
 from ..units import require_positive
-from .marker import coldpath, hotpath
+from ..sim.marker import coldpath, hotpath
 
 __all__ = ["CompiledRC", "compile_network"]
 

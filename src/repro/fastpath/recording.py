@@ -1,17 +1,17 @@
-"""Buffered trace recording for the fused loop.
+"""Buffered trace recording for the cluster's sensor task.
 
-The reference path records each sample with
-:meth:`~repro.sim.trace.TraceSet.record`: an f-string key build, a dict
-lookup and two numpy scalar stores per sample.  Under the fast path the
-cluster resolves each :class:`~repro.sim.trace.Trace` once at wire time
-and routes samples through a :class:`TraceBlockWriter` — plain Python
-list appends per sample, flushed in blocks through
+:meth:`~repro.sim.trace.TraceSet.record` costs an f-string key build,
+a dict lookup and two numpy scalar stores per sample.  The cluster
+instead resolves each :class:`~repro.sim.trace.Trace` once at wire
+time and routes samples through a :class:`TraceBlockWriter` — plain
+Python list appends per sample, flushed in blocks through
 :meth:`~repro.sim.trace.Trace.extend` at run boundaries.
 
-The values, sample times and trace creation order are identical to the
-reference path; only the write batching differs.  Flushing is the
-cluster's responsibility (it flushes in a ``finally`` around every
-engine run, so traces are coherent even when a run raises).
+The values, sample times and trace creation order are those
+per-sample recording would produce; only the write batching differs.
+Flushing is the cluster's responsibility (it flushes in a ``finally``
+around every engine run, so traces are coherent even when a run
+raises).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, List, Tuple
 
 from ..sim.trace import Trace
-from .marker import hotpath
+from ..sim.marker import hotpath
 
 __all__ = ["TraceBlockWriter"]
 

@@ -1,21 +1,20 @@
 """RPR009 — no per-tick allocation inside ``@hotpath`` functions.
 
-The :mod:`repro.fastpath` step compiler exists to make the per-tick
-inner loop cheap; its contract (``docs/performance.md``) is that the
-compiled step functions do no avoidable allocation.  Everything a step
-needs — buffers, handles, label strings — is built once at compile
-time and closed over, so the tick path is attribute loads, arithmetic
-and pre-bound calls.
+The engine's microtick loop (:mod:`repro.sim.engine`) and the compiled
+steppers under :mod:`repro.fastpath` run every physics tick; their
+contract (``docs/performance.md``) is that they do no avoidable
+allocation.  Everything a step needs — buffers, handles, label
+strings — is built once at compile time and closed over, so the tick
+path is attribute loads, arithmetic and pre-bound calls.
 
 A ``dict``/``list``/``set``/``str`` construction, a comprehension, an
 f-string or a nested function definition inside a tick function
 allocates on **every physics tick** (tens of thousands of times per
 run), and such regressions are invisible to the equivalence suite —
 the results stay byte-identical while the speedup quietly erodes.
-Fastpath code marks its tick functions with
-:func:`repro.fastpath.marker.hotpath`; this rule flags allocating
-constructs inside any function so marked, within any ``fastpath/``
-directory.
+Tick functions are marked with :func:`repro.sim.marker.hotpath`; this
+rule flags allocating constructs inside any function so marked,
+wherever it lives.
 
 Cold paths reachable from hot code (error raises, flushes) belong in
 plain helper functions — see ``_raise_diverged`` in
@@ -62,14 +61,12 @@ class HotpathAllocationRule(Rule):
     code = "RPR009"
     name = "hotpath-allocation"
     description = (
-        "fastpath/ functions marked @hotpath must not build dicts, "
-        "lists, sets, strings, f-strings, comprehensions or closures "
-        "per tick (hoist them to compile time)"
+        "functions marked @hotpath must not build dicts, lists, sets, "
+        "strings, f-strings, comprehensions or closures per tick "
+        "(hoist them to compile time)"
     )
 
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
-        if not ctx.path_has_part("fastpath"):
-            return
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if any(_is_hotpath_decorator(d) for d in node.decorator_list):

@@ -9,7 +9,7 @@ the same allocation bans.
 
 Two sanctioned stops keep the rule honest about cold paths:
 
-* functions marked ``@coldpath`` (:mod:`repro.fastpath.marker`) are the
+* functions marked ``@coldpath`` (:mod:`repro.sim.marker`) are the
   explicit contract that a callee runs rarely (divergence bailouts,
   telemetry flushes) — reachability does not propagate through them;
 * raise-only helpers (every statement a ``raise``) are cold by

@@ -20,8 +20,9 @@ regeneration, tests — flows through this package:
 * :mod:`repro.runtime.spec` — :class:`RunSpec`: a frozen, hashable
   name for one run (platform, seed, workload, rigging, fault).
 * :mod:`repro.runtime.execute` — the spec → simulation bridge.
-* :mod:`repro.runtime.executor` — :class:`RunExecutor`: serial or
-  process-pool fan-out plus a content-addressed on-disk result cache.
+* :mod:`repro.runtime.executor` — :class:`RunExecutor`: lockstep
+  grouping of sweeps, serial or process-pool fan-out and a
+  content-addressed on-disk result cache.
 * :mod:`repro.runtime.measure` — :class:`Measure`: the shared
   trace-window reductions experiment rows are built from.
 
@@ -31,7 +32,7 @@ lint`` rule RPR007 keeps experiments on this path by banning direct
 ``Cluster``/``run_job`` use outside the platform/runtime layers.
 """
 
-from .executor import ExecutorStats, RunExecutor, timed_execute_spec
+from .executor import ExecutorStats, RunExecutor, timed_execute_specs
 from .execute import execute_spec
 from .measure import Measure, first_rise_delay, late_quarter_slope
 from .spec import (
@@ -58,5 +59,5 @@ __all__ = [
     "freeze_params",
     "late_quarter_slope",
     "specs_table",
-    "timed_execute_spec",
+    "timed_execute_specs",
 ]

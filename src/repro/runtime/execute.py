@@ -74,7 +74,6 @@ def _build_run(spec: RunSpec):
         config,
         ambient_factory=ambient_factory,
         telemetry=MetricsRegistry() if spec.telemetry else None,
-        fastpath=spec.fastpath,
         platform=platform_spec,
     )
     for rig in spec.rigs:
@@ -95,15 +94,14 @@ def execute_spec(spec: RunSpec) -> RunResult:
 
 
 def execute_specs_batch(specs: Sequence[RunSpec]) -> List[RunResult]:
-    """Run several specs in lockstep through the batched fastpath.
+    """Run several specs in lockstep through :mod:`repro.fastpath.batch`.
 
     Each spec gets its own cluster, job and telemetry registry exactly
     as :func:`execute_spec` would build them; only the per-tick thermal
     integration is shared (one stacked solve across every node of every
-    run — see :mod:`repro.fastpath.batch`).  Results are bitwise
-    identical to running each spec through :func:`execute_spec` with
-    ``fastpath=True``, which is what makes it legal for the executor to
-    populate the per-spec content-addressed cache from a batched run.
+    run).  Results are bitwise identical to running each spec through
+    :func:`execute_spec`, which is what makes it legal for the executor
+    to populate the per-spec content-addressed cache from a batched run.
 
     Callers are expected to pass specs that group (same workload shape
     and tick schedule, no fault protocol); anything the lockstep path

@@ -8,7 +8,7 @@ invocation runs simulations:
     executor = RunExecutor(jobs=4, cache_dir=".repro-cache")
     results = executor.map(specs)        # order matches specs
 
-Three properties the rest of the repo builds on:
+Four properties the rest of the repo builds on:
 
 * **Determinism** — a spec's result is identical whether it ran
   serially, in a worker process, or came out of the cache (the
@@ -29,6 +29,14 @@ Three properties the rest of the repo builds on:
   content hash of (spec, package version), so re-running the same
   configuration across the CLI, tests and benchmarks simulates once.
   Off by default.  Version bumps invalidate every entry.
+
+* **Lockstep grouping** — uncached specs that differ only in seeds and
+  rig parameters (fig07's max-PWM ladder is the exemplar) advance
+  together through :mod:`repro.fastpath.batch`, one stacked thermal
+  solve per tick for the whole group.  Every run's result, and the
+  per-spec cache entry written from it, is bitwise identical to its
+  own serial execution; anything the lockstep path cannot guarantee
+  falls back to per-spec execution.
 
 Identical specs inside one ``map`` call are also deduplicated: the run
 happens once and the same result object is returned at each position.
@@ -61,10 +69,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..cluster.cluster import RunResult
 from ..telemetry.registry import MetricsRegistry, SECONDS_BUCKETS
 from ..telemetry.snapshot import TelemetrySnapshot
-from .execute import execute_spec, execute_specs_batch
+from .execute import execute_specs_batch
 from .spec import RunSpec
 
-__all__ = ["ExecutorStats", "RunExecutor", "timed_execute_spec"]
+__all__ = ["ExecutorStats", "RunExecutor", "timed_execute_specs"]
 
 #: Distinguishes executors that share one metrics registry: each gets an
 #: ``executor=<ordinal>`` label on its host-side instruments so two
@@ -79,16 +87,18 @@ _EXECUTOR_IDS = itertools.count()
 _TMP_IDS = itertools.count()
 
 
-def timed_execute_spec(spec: RunSpec) -> Tuple[RunResult, float]:
-    """:func:`execute_spec` plus the worker-side wall time, seconds.
+def timed_execute_specs(specs: Sequence[RunSpec]) -> Tuple[List[RunResult], float]:
+    """:func:`execute_specs_batch` plus the worker-side wall time, s.
 
-    Module-level (picklable) so the measurement happens *inside* the
-    worker process — the parent would otherwise attribute pool queueing
-    delays to the simulation.
+    One execution unit: a lone spec runs through
+    :func:`~repro.runtime.execute.execute_spec`, a larger unit in
+    lockstep.  Module-level (picklable) so the measurement happens
+    *inside* the worker process — the parent would otherwise attribute
+    pool queueing delays to the simulation.
     """
     started = time.perf_counter()
-    result = execute_spec(spec)
-    return result, time.perf_counter() - started
+    results = execute_specs_batch(specs)
+    return results, time.perf_counter() - started
 
 
 class ExecutorStats:
@@ -196,23 +206,6 @@ class RunExecutor:
         snapshots are folded into the executor registry under a
         ``run=<digest>`` label, and the ``(spec, result)`` pairs are
         kept in :attr:`collected` for the exporters.
-    fastpath:
-        When True, every mapped spec runs through the
-        :mod:`repro.fastpath` step compiler
-        (``dataclasses.replace(spec, fastpath=True)``).  Results are
-        byte-identical to the reference path, but the flag changes the
-        digest, so fastpath runs keep their own cache entries.
-    batch:
-        When True, uncached specs that form batchable groups (same
-        workload shape and tick schedule, differing parameters, no
-        fault protocol — fig07's max-PWM ladder is the exemplar) run
-        in lockstep through :mod:`repro.fastpath.batch` instead of one
-        at a time.  Implies ``fastpath``; every run's result — and the
-        per-spec cache entry written from it — is bitwise identical to
-        its own serial fastpath execution, so the flag affects wall
-        clock only, never results or digests beyond what ``fastpath``
-        already changes.  Groups that cannot batch (singletons, fault
-        specs) fall back to the ordinary per-spec path.
     platform:
         Optional platform registry key.  When set, every mapped spec
         that does not already name a platform is retargeted to this
@@ -233,16 +226,12 @@ class RunExecutor:
     cache_dir: Optional[Union[str, Path]] = None
     cache_version: Optional[str] = None
     telemetry: bool = False
-    fastpath: bool = False
-    batch: bool = False
     platform: Optional[str] = None
     registry: Optional[MetricsRegistry] = None
 
     def __post_init__(self) -> None:
         self.jobs = max(1, int(self.jobs))
         self.effective_jobs = min(self.jobs, os.cpu_count() or 1)
-        if self.batch:
-            self.fastpath = True
         if self.cache_dir is not None:
             self.cache_dir = Path(self.cache_dir)
         if self.cache_version is None:
@@ -289,18 +278,15 @@ class RunExecutor:
         """
         return self._cache_load(spec)
 
-    def map(
-        self, specs: Sequence[RunSpec], batch: Optional[bool] = None
-    ) -> List[RunResult]:
+    def map(self, specs: Sequence[RunSpec]) -> List[RunResult]:
         """Run every spec, returning results in spec order.
 
-        Cached results are loaded first; the remaining specs run
-        serially (``jobs=1``), across a process pool, or — with
-        ``batch`` (argument overrides the constructor flag) — in
-        lockstep groups through the batched fastpath.  Either way they
-        then populate the cache.  Duplicate specs execute once.
+        Cached results are loaded first.  The remaining specs form
+        execution units — lockstep groups of specs sharing a
+        :meth:`_batch_key`, and singletons — which run serially
+        (``jobs=1``) or across the process pool, then populate the
+        cache.  Duplicate specs execute once.
         """
-        use_batch = self.batch if batch is None else batch
         specs = list(specs)
         if self.platform is not None:
             specs = [
@@ -312,11 +298,6 @@ class RunExecutor:
         if self.telemetry:
             specs = [
                 s if s.telemetry else dataclasses.replace(s, telemetry=True)
-                for s in specs
-            ]
-        if self.fastpath or use_batch:
-            specs = [
-                s if s.fastpath else dataclasses.replace(s, fastpath=True)
                 for s in specs
             ]
         results: List[Optional[RunResult]] = [None] * len(specs)
@@ -337,11 +318,7 @@ class RunExecutor:
                 pending.append(i)
 
         if pending:
-            pending_specs = [specs[i] for i in pending]
-            if use_batch:
-                fresh = self._execute_batched(pending_specs)
-            else:
-                fresh = self._execute_all(pending_specs)
+            fresh = self._execute([specs[i] for i in pending])
             for i, (result, wall_seconds) in zip(pending, fresh):
                 results[i] = result
                 self._wall_hist.observe(wall_seconds)
@@ -405,42 +382,27 @@ class RunExecutor:
             ).inc()
         return self._pool
 
-    def _execute_all(
-        self, specs: List[RunSpec]
-    ) -> List[Tuple[RunResult, float]]:
-        """Run specs serially or across the (persistent) process pool."""
-        workers = min(self.effective_jobs, len(specs))
-        self.registry.gauge("host.exec.workers", **self._labels).set(
-            float(workers)
-        )
-        if workers <= 1:
-            return [timed_execute_spec(spec) for spec in specs]
-        self.registry.counter("host.exec.pool_batches", **self._labels).inc()
-        pool = self._ensure_pool()
-        try:
-            return list(pool.map(timed_execute_spec, specs))
-        except BrokenProcessPool:
-            # A dead worker poisons the whole pool; dispose of it so the
-            # next map() starts from a fresh one instead of failing
-            # forever on the corpse.
-            self._pool = None
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-
     @staticmethod
     def _batch_key(spec: RunSpec):
-        """The identity batchable specs must share, or ``None``.
+        """The identity specs must share to run in lockstep, or ``None``.
 
         Lockstep runs must advance on the same tick schedule with the
         same run protocol — workload shape, node count, rig families,
-        ambient model, timeout/tail and telemetry mode — while seeds
-        and rig *parameters* are free to differ (that is the whole
-        point of a sweep).  Fault specs never batch (their protocol is
-        not a single ``run_job``), and non-fastpath specs never batch
-        (batching is defined as lockstep *fastpath* execution).
+        ambient model, timeout/tail, telemetry mode and platform — while
+        seeds and rig *parameters* are free to differ (that is the whole
+        point of a sweep).  Fault specs never group (their protocol is
+        not a single ``run_job``), and neither do specs on a multicore
+        platform: the lockstep package lane only stacks the 2-node
+        die/sink package, so grouping them would only build, refuse and
+        rebuild every cluster.
         """
-        if spec.fault is not None or not spec.fastpath:
+        if spec.fault is not None:
             return None
+        if spec.platform is not None:
+            from ..platform import resolve_platform
+
+            if resolve_platform(spec.platform).is_multicore:
+                return None
         return (
             spec.workload,
             spec.workload_params,
@@ -453,47 +415,69 @@ class RunExecutor:
             spec.platform,
         )
 
-    def _execute_batched(
-        self, specs: List[RunSpec]
-    ) -> List[Tuple[RunResult, float]]:
-        """Run specs in lockstep groups; leftovers take the normal path.
+    def _units(self, specs: Sequence[RunSpec]) -> List[List[int]]:
+        """Spec indices split into execution units, in first-index order.
 
-        Per-spec wall time inside a lockstep group is not individually
-        observable (the runs interleave at tick granularity), so each
-        member is attributed an equal share of its group's wall clock —
-        the histogram's count stays one observation per executed spec
-        and its sum stays the true total.
+        Specs sharing a :meth:`_batch_key` group together; the rest are
+        singletons.  Each group is dealt round-robin into at most
+        ``effective_jobs`` chunks, so a parallel map spreads one sweep
+        over every worker instead of running it in the parent.
         """
         groups: Dict[tuple, List[int]] = {}
-        singles: List[int] = []
+        units: List[List[int]] = []
         for i, spec in enumerate(specs):
             key = self._batch_key(spec)
             if key is None:
-                singles.append(i)
+                units.append([i])
             else:
                 groups.setdefault(key, []).append(i)
-        out: List[Optional[Tuple[RunResult, float]]] = [None] * len(specs)
         for members in groups.values():
-            if len(members) < 2:
-                singles.extend(members)
-                continue
-            started = time.perf_counter()
-            results = execute_specs_batch([specs[i] for i in members])
-            share = (time.perf_counter() - started) / len(members)
-            for i, result in zip(members, results):
+            chunks = min(self.effective_jobs, len(members))
+            units.extend(members[k::chunks] for k in range(chunks))
+        units.sort()
+        return units
+
+    def _execute(self, specs: List[RunSpec]) -> List[Tuple[RunResult, float]]:
+        """Run specs unit by unit, serially or across the process pool.
+
+        Per-spec wall time inside a lockstep unit is not individually
+        observable (the runs interleave at tick granularity), so each
+        member is attributed an equal share of its unit's wall clock —
+        the histogram's count stays one observation per executed spec
+        and its sum stays the true total.
+        """
+        units = self._units(specs)
+        batches = [[specs[i] for i in unit] for unit in units]
+        workers = min(self.effective_jobs, len(units))
+        self.registry.gauge("host.exec.workers", **self._labels).set(
+            float(workers)
+        )
+        if workers <= 1:
+            outcomes = [timed_execute_specs(batch) for batch in batches]
+        else:
+            self.registry.counter("host.exec.pool_batches", **self._labels).inc()
+            pool = self._ensure_pool()
+            try:
+                outcomes = list(pool.map(timed_execute_specs, batches))
+            except BrokenProcessPool:
+                # A dead worker poisons the whole pool; dispose of it so
+                # the next map() starts from a fresh one instead of
+                # failing forever on the corpse.
+                self._pool = None
+                pool.shutdown(wait=False, cancel_futures=True)
+                raise
+        out: List[Optional[Tuple[RunResult, float]]] = [None] * len(specs)
+        for unit, (results, seconds) in zip(units, outcomes):
+            share = seconds / len(unit)
+            for i, result in zip(unit, results):
                 out[i] = (result, share)
-            self.registry.counter(
-                "host.exec.batch_groups", **self._labels
-            ).inc()
-            self.registry.counter(
-                "host.exec.batched_specs", **self._labels
-            ).inc(len(members))
-        singles.sort()
-        if singles:
-            for i, pair in zip(singles, self._execute_all(
-                [specs[i] for i in singles]
-            )):
-                out[i] = pair
+            if len(unit) > 1:
+                self.registry.counter(
+                    "host.exec.batch_groups", **self._labels
+                ).inc()
+                self.registry.counter(
+                    "host.exec.batched_specs", **self._labels
+                ).inc(len(unit))
         return out
 
     # -- cache -----------------------------------------------------------

@@ -304,12 +304,6 @@ class RunSpec:
         share cache entries — even though the *simulated physics* are
         identical (telemetry is observation-only, which the tests
         assert).
-    fastpath:
-        Run through the :mod:`repro.fastpath` step compiler instead of
-        the reference engine loop.  The compiled loop is byte-identical
-        to the reference (the equivalence suite enforces it), but the
-        flag is still part of the spec — and hence the digest — so a
-        cache can never silently mix the two execution paths.
     platform:
         Optional platform registry key (see
         :data:`repro.platform.PLATFORM_REGISTRY`) naming the silicon
@@ -332,7 +326,6 @@ class RunSpec:
     tail: float = 0.0
     quick: bool = False
     telemetry: bool = False
-    fastpath: bool = False
     platform: Optional[str] = None
 
     @classmethod
@@ -350,7 +343,6 @@ class RunSpec:
         tail: float = 0.0,
         quick: bool = False,
         telemetry: bool = False,
-        fastpath: bool = False,
         platform: Optional[str] = None,
     ) -> "RunSpec":
         """Ergonomic constructor taking plain dicts for all parameters."""
@@ -366,7 +358,6 @@ class RunSpec:
             tail=tail,
             quick=quick,
             telemetry=telemetry,
-            fastpath=fastpath,
             platform=platform,
         )
 
@@ -397,7 +388,9 @@ class RunSpec:
         form, round-trips get exactness.  Numeric protocol fields
         (``timeout``, ``tail``, fault ``at``/``horizon``) are coerced
         to float so ``3600`` and ``3600.0`` name the same spec (and
-        hence the same digest).
+        hence the same digest).  A boolean ``fastpath`` key — the wire
+        form of an engine-path flag that no longer exists — is accepted
+        and ignored.
         """
         if isinstance(payload, bytes):
             try:
@@ -417,7 +410,7 @@ class RunSpec:
                 "spec payload must be a JSON object, got "
                 f"{type(data).__name__}"
             )
-        known = {f.name for f in dataclasses.fields(cls)}
+        known = {f.name for f in dataclasses.fields(cls)} | {"fastpath"}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ConfigurationError(
@@ -431,6 +424,8 @@ class RunSpec:
             raise ConfigurationError(
                 f"spec 'workload' must be a non-empty string, got {workload!r}"
             )
+        # The retired engine-path flag: either value names the same run.
+        _bool_field(data, "fastpath")
         try:
             return cls(
                 workload=workload,
@@ -455,7 +450,6 @@ class RunSpec:
                 tail=_float_field(data, "tail", default=0.0),
                 quick=_bool_field(data, "quick"),
                 telemetry=_bool_field(data, "telemetry"),
-                fastpath=_bool_field(data, "fastpath"),
                 platform=_optional_str_field(data, "platform"),
             )
         except ConfigurationError:
@@ -470,11 +464,15 @@ class RunSpec:
         was added after digests of platform-less specs were already
         populating on-disk caches, and ``platform=None`` means "the
         exact pre-platform behaviour", so those specs must keep their
-        historical canonical form byte-for-byte.
+        historical canonical form byte-for-byte.  For the same reason
+        the rendering keeps ``"fastpath": false``: the field is gone
+        (there is one engine path), but every digest minted while it
+        existed — cache keys, served digests — names the same run.
         """
         data = dataclasses.asdict(self)
         if data["platform"] is None:
             del data["platform"]
+        data["fastpath"] = False
         return json.dumps(data, sort_keys=True)
 
     def digest(self, version: Optional[str] = None) -> str:

@@ -17,11 +17,11 @@ summary exists":
   separately (so duplicates also cannot trip admission control).
 * **Batch coalescing.**  Queued jobs are dispatched in windows: the
   dispatcher sleeps ``batch_window`` seconds after work arrives, then
-  takes *everything* queued in one sweep and hands it to
-  :meth:`RunExecutor.map`, which groups compatible fastpath specs
-  (same ``_batch_key``) through the lockstep batch stepper — so
-  sweep-shaped traffic (fig07's cap ladder POSTed as four requests)
-  executes exactly like ``repro run fig7 --batch`` would run it.
+  takes *everything* queued in one sweep and hands it to one
+  :meth:`RunExecutor.map` call, which groups compatible specs (same
+  ``_batch_key``) through the lockstep batch stepper — so sweep-shaped
+  traffic (fig07's cap ladder POSTed as four requests) executes exactly
+  like ``repro run fig7`` runs it.
 
 Determinism: none of this machinery touches result *content*.  Batched,
 deduplicated, cached and cold executions of one spec all produce the
@@ -105,12 +105,6 @@ class JobManager:
         sweeping the queue, so near-simultaneous compatible specs
         coalesce into one lockstep batch group.  ``0`` dispatches
         immediately (whatever is queued by then still groups).
-    batch:
-        Whether swept queues are mapped with ``batch=True``.  Only
-        specs that already carry ``fastpath=True`` are eligible either
-        way: the server never flips spec flags, because flags are part
-        of the digest the client addressed — so non-fastpath specs are
-        mapped separately with batching off, exactly as POSTed.
     """
 
     def __init__(
@@ -119,12 +113,10 @@ class JobManager:
         registry: MetricsRegistry,
         queue_depth: int = 64,
         batch_window: float = 0.05,
-        batch: bool = True,
     ) -> None:
         self.executor = executor
         self.queue_depth = max(1, int(queue_depth))
         self.batch_window = max(0.0, float(batch_window))
-        self.batch = batch
         self._jobs: Dict[str, Job] = {}
         self._queued: List[Job] = []
         self._wakeup = asyncio.Event()
@@ -239,35 +231,26 @@ class JobManager:
     ) -> List[Tuple[Optional[bytes], Optional[str]]]:
         """Execute one swept window on the executor (worker thread).
 
-        Fastpath specs go through one ``map(batch=...)`` call so
-        compatible groups hit the lockstep stepper; everything else
-        maps with batching off (``map(batch=True)`` would flip
-        ``fastpath`` on and change the digests the clients addressed).
-        A failing spec only fails itself: on a window-level error the
-        window re-runs spec by spec so errors attribute precisely.
+        The whole window is one :meth:`RunExecutor.map` call, so
+        compatible specs group through the lockstep stepper.  A failing
+        spec only fails itself: on a window-level error the window
+        re-runs spec by spec so errors attribute precisely.
         """
-        fast = [i for i, s in enumerate(specs) if s.fastpath]
-        rest = [i for i, s in enumerate(specs) if not s.fastpath]
-        out: List[Tuple[Optional[bytes], Optional[str]]] = [
-            (None, None)
-        ] * len(specs)
-        for indexes, use_batch in ((fast, self.batch), (rest, False)):
-            if not indexes:
-                continue
-            group = [specs[i] for i in indexes]
+        try:
+            results = self.executor.map(specs)
+        except Exception:
+            results = None
+        if results is not None:
+            return [
+                (summary_bytes(spec, result), None)
+                for spec, result in zip(specs, results)
+            ]
+        out: List[Tuple[Optional[bytes], Optional[str]]] = []
+        for spec in specs:
             try:
-                results = self.executor.map(group, batch=use_batch)
-            except Exception:
-                results = None
-            if results is not None:
-                for i, result in zip(indexes, results):
-                    out[i] = (summary_bytes(specs[i], result), None)
-                continue
-            for i in indexes:
-                try:
-                    result = self.executor.run(specs[i])
-                except Exception as exc:  # surface per-spec, keep serving
-                    out[i] = (None, f"{type(exc).__name__}: {exc}")
-                else:
-                    out[i] = (summary_bytes(specs[i], result), None)
+                result = self.executor.run(spec)
+            except Exception as exc:  # surface per-spec, keep serving
+                out.append((None, f"{type(exc).__name__}: {exc}"))
+            else:
+                out.append((summary_bytes(spec, result), None))
         return out

@@ -77,9 +77,6 @@ class ServeConfig:
         Admission-control bound on jobs awaiting dispatch.
     batch_window:
         Coalescing window, seconds (see :class:`JobManager`).
-    batch:
-        Route compatible queued fastpath specs through the lockstep
-        batch stepper (``repro serve --no-batch`` disables).
     max_body:
         Largest request body accepted, bytes.
     """
@@ -90,7 +87,6 @@ class ServeConfig:
     cache_dir: Optional[str] = None
     queue_depth: int = 64
     batch_window: float = 0.05
-    batch: bool = True
     max_body: int = DEFAULT_MAX_BODY
 
 
@@ -110,7 +106,6 @@ class ReproServer:
             registry=self.registry,
             queue_depth=config.queue_depth,
             batch_window=config.batch_window,
-            batch=config.batch,
         )
         self._server: Optional["asyncio.base_events.Server"] = None
         self._requests = self.registry.counter

@@ -13,18 +13,34 @@ The engine owns a :class:`~repro.sim.clock.SimClock`, a list of
 Runs terminate on a time horizon, on a stop predicate (e.g. "workload
 finished"), or on an explicit :meth:`SimulationEngine.stop` from inside
 a callback — whichever comes first.
+
+:meth:`SimulationEngine.run` executes those semantics through a
+compiled loop.  Each component contributes a pre-bound per-tick
+callable (:meth:`Component.compiled_step`; cluster nodes hand back a
+fused closure), each task's next firing tick is computed arithmetically
+from the same integer tick counts
+:meth:`~repro.sim.clock.PeriodicTask.maybe_fire` uses, and the physics
+microticks between task boundaries run back to back with no task scan
+— tasks fire at ≥ 1 s periods while physics runs at dt = 0.05 s.
+``until`` and ``stop`` are still evaluated after **every** tick, and
+the deadline / ``max_ticks`` checks keep the one-tick-at-a-time order
+and error, so tick counts, task ``fire_count`` values and the clock
+state come out exactly as a tick-by-tick loop leaves them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from .clock import PeriodicTask, SimClock
 from .events import EventLog
+from .marker import hotpath
 from .trace import TraceSet
 
-__all__ = ["Component", "SimulationEngine"]
+__all__ = ["Component", "SimulationEngine", "run_fused", "task_schedule"]
+
+_StepFn = Callable[[float, float], None]
 
 
 class Component:
@@ -47,8 +63,122 @@ class Component:
         """
         raise NotImplementedError
 
+    def compiled_step(self) -> _StepFn:
+        """The per-tick callable :meth:`SimulationEngine.run` invokes.
+
+        Called once per run, before the first tick.  The default is the
+        bound :meth:`step`.  A subclass may return a pre-bound closure
+        instead, provided it performs exactly the floating-point
+        operations, branches and event emissions :meth:`step` would, in
+        the same order.
+        """
+        return self.step
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r})"
+
+
+def task_schedule(
+    tasks: Sequence[PeriodicTask], ticks: int
+) -> Tuple[List[int], List[int]]:
+    """Next firing tick and period, per task, after tick ``ticks``.
+
+    The next firing tick is the smallest ``T > ticks`` with
+    ``T >= phase`` and ``(T - phase) % period == 0`` — the same set of
+    ticks :meth:`~repro.sim.clock.PeriodicTask.maybe_fire` fires on.
+    """
+    fires: List[int] = []
+    periods: List[int] = []
+    base = ticks + 1
+    for task in tasks:
+        period = task._period_ticks
+        phase = task._phase_ticks
+        k = (base - phase + period - 1) // period if base > phase else 0
+        fires.append(phase + k * period)
+        periods.append(period)
+    return fires, periods
+
+
+def _raise_budget_exhausted(budget: int) -> None:
+    raise SimulationError(
+        f"max_ticks={budget} exhausted before the stop condition was reached"
+    )
+
+
+def run_fused(
+    engine: "SimulationEngine",
+    deadline_tick: Optional[int],
+    budget: Optional[int],
+    until: Optional[Callable[[], bool]],
+) -> int:
+    """Run ``engine``'s compiled loop; returns the number of ticks executed."""
+    steps = tuple(component.compiled_step() for component in engine._components)
+    fires, periods = task_schedule(engine._tasks, engine.clock.ticks)
+    return _tick_loop(engine, steps, fires, periods, deadline_tick, budget, until)
+
+
+@hotpath
+def _tick_loop(
+    engine: "SimulationEngine",
+    steps: Tuple[_StepFn, ...],
+    fires: List[int],
+    periods: List[int],
+    deadline_tick: Optional[int],
+    budget: Optional[int],
+    until: Optional[Callable[[], bool]],
+) -> int:
+    """Tick batches between task boundaries (see the module docstring)."""
+    clock = engine.clock
+    dt = clock.dt
+    tasks = engine._tasks
+    n_tasks = len(tasks)
+    no_boundary = 1 << 62
+    ticks = clock.ticks
+    ticks_done = 0
+    while True:
+        if deadline_tick is not None and ticks >= deadline_tick:
+            break
+        if budget is not None and ticks_done >= budget:
+            if deadline_tick is not None or until is not None:
+                _raise_budget_exhausted(budget)
+            break
+        # Boundary of this batch: the earliest of the next task firing,
+        # the deadline and the tick budget.  Every tick before the
+        # boundary runs without a task scan.
+        boundary = min(fires) if n_tasks else no_boundary
+        if deadline_tick is not None and deadline_tick < boundary:
+            boundary = deadline_tick
+        if budget is not None and ticks + (budget - ticks_done) < boundary:
+            boundary = ticks + (budget - ticks_done)
+        last = boundary - 1
+        while ticks < last:
+            ticks += 1
+            clock._ticks = ticks
+            t = ticks * dt
+            for f in steps:
+                f(t, dt)
+            ticks_done += 1
+            if engine._stop_requested or (until is not None and until()):
+                return ticks_done
+        # The boundary tick: components, then any due tasks, in
+        # registration order.
+        ticks += 1
+        clock._ticks = ticks
+        t = ticks * dt
+        for f in steps:
+            f(t, dt)
+        ticks_done += 1
+        for i in range(n_tasks):
+            if fires[i] == ticks:
+                task = tasks[i]
+                task.callback(t)
+                task.fire_count += 1
+                fires[i] = ticks + periods[i]
+        if engine._stop_requested:
+            break
+        if until is not None and until():
+            break
+    return ticks_done
 
 
 class SimulationEngine:
@@ -62,15 +192,6 @@ class SimulationEngine:
         Optional shared :class:`TraceSet`; created if omitted.
     events:
         Optional shared :class:`EventLog`; created if omitted.
-    fastpath:
-        When True, :meth:`run` executes through the
-        :mod:`repro.fastpath` step compiler: components are fused into
-        pre-bound step callables and physics microticks are batched
-        between periodic-task boundaries.  The compiled loop is
-        byte-identical to the reference loop (same floating-point
-        operations in the same order); it is opt-in because it relies
-        on the structural compiler recognising the registered
-        components.
     """
 
     def __init__(
@@ -78,12 +199,10 @@ class SimulationEngine:
         dt: float = 0.05,
         traces: Optional[TraceSet] = None,
         events: Optional[EventLog] = None,
-        fastpath: bool = False,
     ) -> None:
         self.clock = SimClock(dt)
         self.traces = traces if traces is not None else TraceSet()
         self.events = events if events is not None else EventLog()
-        self.fastpath = bool(fastpath)
         self._components: List[Component] = []
         self._tasks: List[PeriodicTask] = []
         self._running = False
@@ -134,13 +253,7 @@ class SimulationEngine:
 
     def step(self) -> float:
         """Advance the simulation by exactly one tick; returns new time."""
-        t = self.clock.advance()
-        dt = self.clock.dt
-        for component in self._components:
-            component.step(t, dt)
-        for task in self._tasks:
-            task.maybe_fire(self.clock)
-        return t
+        return self.run(max_ticks=1)
 
     def run(
         self,
@@ -183,35 +296,11 @@ class SimulationEngine:
             if duration < 0:
                 raise ConfigurationError(f"duration must be >= 0, got {duration!r}")
             deadline_tick = self.clock.ticks + self.clock.ticks_for(duration)
-        budget = max_ticks if max_ticks is not None else None
 
         self._running = True
         self._stop_requested = False
-        ticks_done = 0
         try:
-            if self.fastpath:
-                # Deferred import: the step compiler reaches back into
-                # repro.cluster for the fused node step.
-                from ..fastpath.loop import run_fused
-
-                run_fused(self, deadline_tick, budget, until)
-            else:
-                while True:
-                    if deadline_tick is not None and self.clock.ticks >= deadline_tick:
-                        break
-                    if budget is not None and ticks_done >= budget:
-                        if deadline_tick is not None or until is not None:
-                            raise SimulationError(
-                                f"max_ticks={budget} exhausted before the stop "
-                                "condition was reached"
-                            )
-                        break
-                    self.step()
-                    ticks_done += 1
-                    if self._stop_requested:
-                        break
-                    if until is not None and until():
-                        break
+            run_fused(self, deadline_tick, max_ticks, until)
         finally:
             self._running = False
         return self.clock.now

@@ -2,12 +2,11 @@
 
 Every construct below is legal Python that RPR001–RPR008 accept; the
 hotpath-allocation rule must flag each one because the enclosing
-functions are ``@hotpath``-marked tick code in a ``fastpath/``
-directory.  The undecorated ``compile_step`` helper allocates freely
-and must NOT be flagged.
+functions are ``@hotpath``-marked tick code.  The undecorated
+``compile_step`` helper allocates freely and must NOT be flagged.
 """
 
-from repro.fastpath.marker import hotpath
+from repro.sim.marker import hotpath
 
 __all__ = ["compile_step", "step_all", "step_one"]
 

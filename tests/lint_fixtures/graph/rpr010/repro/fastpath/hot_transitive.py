@@ -7,7 +7,7 @@ must follow the call edge and flag the helper's list comprehension.
 propagation stop — and must NOT be flagged.
 """
 
-from repro.fastpath.marker import coldpath, hotpath
+from repro.sim.marker import coldpath, hotpath
 
 __all__ = ["build_labels", "refresh_cache", "step"]
 

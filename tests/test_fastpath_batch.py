@@ -1,4 +1,4 @@
-"""Batched fastpath equivalence: lockstep runs == serial fastpath, bitwise.
+"""Lockstep grouping equivalence: grouped runs == serial engine, bitwise.
 
 Three layers of the batch stack, each pinned against its serial
 counterpart:
@@ -7,25 +7,23 @@ counterpart:
   :class:`repro.fastpath.rc.CompiledRC` stepping — randomized networks,
   mid-run mutations, heterogeneous ``n_sub`` sub-batching, and the
   release-then-continue-serially contract;
-* :func:`repro.runtime.execute.execute_specs_batch` /
-  ``RunExecutor(batch=True)`` against the serial fastpath executor —
-  full sweep results (tables, curves, traces, cache entries, telemetry
-  bytes);
-* the :func:`repro.fastpath.loop.run_fused` edge cases the batch loop
-  shares semantics with (budget landing exactly on a task boundary,
-  zero-task engines, far task phases), pinned against the reference
-  engine loop.
+* :func:`repro.runtime.execute.execute_specs_batch` and the grouping
+  :class:`~repro.runtime.RunExecutor` against the serial engine — full
+  sweep results (tables, curves, traces, cache entries, telemetry
+  bytes), at ``jobs=1`` and dealt over a ``jobs=2`` pool;
+* the run-loop edge cases the lockstep loop shares semantics with
+  (budget landing exactly on a task boundary, zero-task engines, far
+  task phases), pinned against the tick-by-tick reference loop.
 
-The serial fastpath is itself pinned byte-identical to the reference
-path by ``tests/test_fastpath_equivalence.py``, so equality against the
-serial fastpath here is transitively equality against the reference.
+The serial engine is itself pinned byte-identical to the reference
+oracle by ``tests/test_fastpath_equivalence.py``, so equality against
+the serial engine here is transitively equality against the reference.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-import json
+import os
 import random
 
 import numpy as np
@@ -41,6 +39,7 @@ from repro.runtime.spec import FaultSpec
 from repro.runtime.execute import execute_spec, execute_specs_batch
 from repro.sim.engine import Component, SimulationEngine
 from repro.thermal.rc import RCNetwork, ThermalLink, ThermalNode
+from tests.reference_engine import UngroupedExecutor, reference_run
 
 SEED = 7
 
@@ -164,7 +163,7 @@ def test_batched_rc_rejects_structural_mismatch() -> None:
         BatchedRC([compile_network(matching), compile_network(different)])
 
 
-# --------------------------------------------- run_fused edge cases (loop)
+# ------------------------------------------------- run-loop edge cases
 
 
 class Accumulator(Component):
@@ -179,19 +178,23 @@ class Accumulator(Component):
 
 
 def engines_pair():
-    return SimulationEngine(dt=0.05), SimulationEngine(dt=0.05, fastpath=True)
+    """``(engine, run)`` pairs: the reference loop, then the engine's own."""
+    return (
+        (SimulationEngine(dt=0.05), reference_run),
+        (SimulationEngine(dt=0.05), SimulationEngine.run),
+    )
 
 
 def test_fused_budget_expires_exactly_on_task_boundary() -> None:
     """max_ticks landing on a firing tick: the task fires, then the
     budget error raises — identically on both loops."""
     results = []
-    for engine in engines_pair():
+    for engine, run in engines_pair():
         comp = engine.add_component(Accumulator("a"))
         fires = []
         engine.every(0.5, fires.append)  # fires every 10 ticks
         with pytest.raises(SimulationError, match="max_ticks=10 exhausted"):
-            engine.run(duration=100.0, max_ticks=10)
+            run(engine, duration=100.0, max_ticks=10)
         results.append(
             (comp.calls, fires, engine.clock.ticks, engine._tasks[0].fire_count)
         )
@@ -203,9 +206,9 @@ def test_fused_zero_task_engine_runs_to_deadline() -> None:
     """No tasks: the fused loop's no-boundary sentinel still honors the
     deadline and leaves the clock identical to the reference."""
     results = []
-    for engine in engines_pair():
+    for engine, run in engines_pair():
         comp = engine.add_component(Accumulator("a"))
-        engine.run(duration=2.0)
+        run(engine, duration=2.0)
         results.append((comp.calls, engine.clock.ticks))
     assert results[0] == results[1]
     assert results[0][1] == 40
@@ -214,9 +217,9 @@ def test_fused_zero_task_engine_runs_to_deadline() -> None:
 def test_fused_zero_task_engine_until_only() -> None:
     """No tasks, until-only: both loops stop on the same tick."""
     results = []
-    for engine in engines_pair():
+    for engine, run in engines_pair():
         comp = engine.add_component(Accumulator("a"))
-        engine.run(until=lambda: len(comp.calls) >= 23, max_ticks=1000)
+        run(engine, until=lambda: len(comp.calls) >= 23, max_ticks=1000)
         results.append((comp.calls, engine.clock.ticks))
     assert results[0] == results[1]
     assert results[0][1] == 23
@@ -226,12 +229,12 @@ def test_fused_task_phase_beyond_first_batch_boundary() -> None:
     """A phase larger than another task's period: firings interleave
     across batch boundaries identically on both loops."""
     results = []
-    for engine in engines_pair():
+    for engine, run in engines_pair():
         comp = engine.add_component(Accumulator("a"))
         early, late = [], []
         engine.every(0.25, early.append)  # every 5 ticks
         engine.every(1.0, late.append, phase=2.35)  # first fires at tick 47
-        engine.run(duration=5.0)
+        run(engine, duration=5.0)
         results.append(
             (
                 comp.calls,
@@ -244,7 +247,7 @@ def test_fused_task_phase_beyond_first_batch_boundary() -> None:
     assert results[0][2][0] == pytest.approx(2.35)
 
 
-# -------------------------------------------------- executor batch path
+# ------------------------------------------------- executor grouping
 
 
 def fig07_specs():
@@ -274,10 +277,8 @@ def assert_results_identical(a, b) -> None:
 
 def test_execute_specs_batch_bitwise_identical_fig07() -> None:
     """The exemplar sweep: every run out of the lockstep batch equals
-    its own serial fastpath execution down to trace bytes."""
-    specs = [
-        dataclasses.replace(spec, fastpath=True) for spec in fig07_specs()
-    ]
+    its own serial execution down to trace bytes."""
+    specs = fig07_specs()
     serial = [execute_spec(spec) for spec in specs]
     batched = execute_specs_batch(specs)
     for a, b in zip(serial, batched):
@@ -285,29 +286,27 @@ def test_execute_specs_batch_bitwise_identical_fig07() -> None:
 
 
 def test_execute_specs_batch_single_spec_falls_back() -> None:
-    spec = dataclasses.replace(fig07_specs()[0], fastpath=True)
+    spec = fig07_specs()[0]
     (result,) = execute_specs_batch([spec])
     assert_results_identical(execute_spec(spec), result)
 
 
 def test_batch_executor_counts_groups_and_populates_cache(tmp_path) -> None:
     specs = fig07_specs()
-    executor = RunExecutor(batch=True, cache_dir=tmp_path)
+    executor = RunExecutor(cache_dir=tmp_path)
     executor.map(specs)
-    assert executor.fastpath  # batch implies fastpath
     assert executor.stats.executed == len(specs)
     assert executor.stats.cache_misses == len(specs)
     assert executor.registry.counter("host.exec.batch_groups").value == 1.0
     assert executor.registry.counter("host.exec.batched_specs").value == float(
         len(specs)
     )
-    # Each spec got its own cache entry, readable by a plain fastpath
-    # executor — and bitwise equal to a fresh serial run.
-    serial = RunExecutor(fastpath=True, cache_dir=tmp_path)
+    # Each spec got its own cache entry, readable spec by spec — and
+    # bitwise equal to a fresh serial run.
+    serial = UngroupedExecutor(cache_dir=tmp_path)
     cached = serial.map(specs)
     assert serial.stats.cache_hits == len(specs)
-    fresh = RunExecutor(fastpath=True)
-    for a, b in zip(fresh.map(specs), cached):
+    for a, b in zip(UngroupedExecutor().map(specs), cached):
         assert_results_identical(a, b)
 
 
@@ -332,49 +331,69 @@ def test_batch_executor_mixed_group_sizes(tmp_path) -> None:
         fault=FaultSpec(kind="fan_fail", node=0, at=5.0, horizon=15.0),
     )
     mixed = [specs[0], singleton, specs[1], fault, specs[2], specs[3]]
-    batch_exec = RunExecutor(batch=True)
-    serial_exec = RunExecutor(fastpath=True)
-    batched = batch_exec.map(mixed)
-    serial = serial_exec.map(mixed)
-    for a, b in zip(serial, batched):
+    grouped_exec = RunExecutor()
+    grouped = grouped_exec.map(mixed)
+    serial = UngroupedExecutor().map(mixed)
+    for a, b in zip(serial, grouped):
         assert_results_identical(a, b)
     # Only the four fig07 specs formed a group; the rest ran solo.
     assert (
-        batch_exec.registry.counter("host.exec.batched_specs").value == 4.0
+        grouped_exec.registry.counter("host.exec.batched_specs").value == 4.0
     )
-    assert batch_exec.stats.executed == len(mixed)
+    assert grouped_exec.stats.executed == len(mixed)
 
 
-def test_map_batch_argument_overrides_constructor() -> None:
+def test_parallel_map_deals_groups_over_the_pool(monkeypatch) -> None:
+    """At jobs=2 a fig07 group splits into two lockstep chunks, one per
+    worker, and the bytes equal the jobs=1 run's."""
+    from repro.serve.payloads import summary_bytes
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     specs = fig07_specs()
-    executor = RunExecutor(fastpath=True)
-    executor.map(specs, batch=True)
-    assert executor.registry.counter("host.exec.batch_groups").value == 1.0
+    serial = RunExecutor(jobs=1).map(specs)
+    with RunExecutor(jobs=2) as executor:
+        parallel = executor.map(specs)
+        snapshot = executor.registry.snapshot()
+    assert [summary_bytes(s, r) for s, r in zip(specs, parallel)] == [
+        summary_bytes(s, r) for s, r in zip(specs, serial)
+    ]
+    assert snapshot.value("host.exec.batch_groups") == 2.0
+    assert snapshot.value("host.exec.batched_specs") == float(len(specs))
+    assert snapshot.value("host.exec.pool_batches") == 1.0
 
 
-# ------------------------------------- full sweep gates through the batch
+def test_units_deal_round_robin() -> None:
+    executor = RunExecutor(jobs=1)
+    executor.effective_jobs = 3
+    specs = fig07_specs()
+    fault = RunSpec.of(
+        "bt_b_4", fault=FaultSpec(kind="fan_fail", node=0, at=5.0, horizon=15.0)
+    )
+    units = executor._units([specs[0], fault, specs[1], specs[2], specs[3]])
+    assert units == [[0, 4], [1], [2], [3]]
+
+
+# ------------------------------------- full sweep gates through grouping
 
 
 @pytest.fixture(scope="module")
 def executors():
-    return RunExecutor(jobs=1, fastpath=True), RunExecutor(jobs=1, batch=True)
+    return UngroupedExecutor(jobs=1), RunExecutor(jobs=1)
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_quick_tables_match_through_batch(name: str, executors) -> None:
     """Every experiment renders the identical quick-mode table whether
-    its specs ran serially or through lockstep batch groups.  (The
-    serial fastpath table equals the reference table per
-    test_fastpath_equivalence.py, so this pin is transitive.)"""
-    serial, batched = executors
+    its specs ran one by one or through lockstep groups."""
+    serial, grouped = executors
     module, _ = REGISTRY[name]
     serial_table = module.render(
         module.run(seed=SEED, quick=True, executor=serial)
     )
-    batch_table = module.render(
-        module.run(seed=SEED, quick=True, executor=batched)
+    grouped_table = module.render(
+        module.run(seed=SEED, quick=True, executor=grouped)
     )
-    assert batch_table == serial_table
+    assert grouped_table == serial_table
 
 
 def _curve_hashes(curves) -> dict:
@@ -389,27 +408,28 @@ def _curve_hashes(curves) -> dict:
 
 @pytest.mark.parametrize("figure", sorted(SERIES_REGISTRY))
 def test_series_curve_hashes_match_through_batch(figure, executors) -> None:
-    """Every figure's raw curves hash identically through the batch."""
-    serial, batched = executors
+    """Every figure's raw curves hash identically through grouping."""
+    serial, grouped = executors
     make = SERIES_REGISTRY[figure]
     serial_hashes = _curve_hashes(make(seed=SEED, quick=True, executor=serial))
-    batch_hashes = _curve_hashes(
-        make(seed=SEED, quick=True, executor=batched)
+    grouped_hashes = _curve_hashes(
+        make(seed=SEED, quick=True, executor=grouped)
     )
-    assert batch_hashes == serial_hashes
+    assert grouped_hashes == serial_hashes
 
 
 def test_telemetry_jsonl_byte_identical_through_batch() -> None:
-    """Per-run telemetry exported from a batched sweep is byte-equal to
-    the serial fastpath export (same digests — batch is not spec-level)."""
+    """Per-run telemetry exported from a grouped sweep is byte-equal to
+    the serial export (grouping is not part of the spec)."""
     from repro.telemetry import export_jsonl
 
     specs = fig07_specs()
-    serial = RunExecutor(telemetry=True, fastpath=True)
-    batched = RunExecutor(telemetry=True, batch=True)
+    serial = UngroupedExecutor(telemetry=True)
+    grouped = RunExecutor(telemetry=True)
     serial.map(specs)
-    batched.map(specs)
-    assert export_jsonl(batched.collected) == export_jsonl(serial.collected)
+    grouped.map(specs)
+    assert grouped.registry.counter("host.exec.batch_groups").value == 1.0
+    assert export_jsonl(grouped.collected) == export_jsonl(serial.collected)
 
 
 def test_unbatchable_is_internal() -> None:

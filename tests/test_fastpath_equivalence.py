@@ -1,26 +1,27 @@
-"""The fastpath equivalence gate: compiled == reference, byte for byte.
+"""The engine equivalence gate: engine == reference oracle, byte for byte.
 
-The step compiler (:mod:`repro.fastpath`) promises *exact* equivalence
-with the reference engine — the same IEEE-754 operations in the same
-order — so every comparison here is bitwise (``==`` on float arrays),
+The simulator has one engine path — compiled component closures, tick
+batches between task boundaries, block-buffered trace writes — and it
+promises *exact* equivalence with the tick-by-tick reference kept in
+``tests/reference_engine.py``: the same IEEE-754 operations in the same
+order.  Every comparison here is bitwise (``==`` on float arrays),
 never approximate:
 
 * randomized RC networks (mixed boundary/interior nodes, link
   resistances mutated mid-run) stepped compiled vs. reference;
-* the fused run loop's control semantics (task fire counts, ``until``/
-  ``stop``/``max_ticks``) against ``SimulationEngine.step()``;
+* the run loop's control semantics (task fire counts, ``until``/
+  ``stop``/``max_ticks``) against the reference loop;
 * every registered experiment's quick-mode table;
 * every figure's regenerated series curves, compared by content hash;
-* the telemetry JSONL export, byte-identical per ``(spec, seed)`` —
-  only the run-header digest may differ, because the ``fastpath`` flag
-  is spec-level (deliberately: cache entries must not mix paths).
+* the telemetry JSONL export, byte-identical per ``(spec, seed)``.
+
+Lockstep grouping is held equal to this serial engine by
+``tests/test_fastpath_batch.py``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-import json
 import random
 
 import numpy as np
@@ -30,9 +31,10 @@ from repro.errors import SimulationError
 from repro.experiments import REGISTRY
 from repro.experiments.series import SERIES_REGISTRY
 from repro.fastpath import compile_network
-from repro.runtime import RunExecutor, RunSpec
+from repro.runtime import RunSpec
 from repro.sim.engine import Component, SimulationEngine
 from repro.thermal.rc import RCNetwork, ThermalLink, ThermalNode
+from tests.reference_engine import UngroupedExecutor, reference_path, reference_run
 
 SEED = 7
 
@@ -149,73 +151,75 @@ class Accumulator(Component):
 
 
 def engines_pair():
-    return SimulationEngine(dt=0.05), SimulationEngine(dt=0.05, fastpath=True)
+    """``(engine, run)`` pairs: the reference loop, then the engine's own."""
+    return (
+        (SimulationEngine(dt=0.05), reference_run),
+        (SimulationEngine(dt=0.05), SimulationEngine.run),
+    )
 
 
 def test_fused_duration_run_matches_reference() -> None:
-    ref, fast = engines_pair()
     results = []
-    for engine in (ref, fast):
+    for engine, run in engines_pair():
         comp = engine.add_component(Accumulator("a"))
         fires = []
         engine.every(1.0, fires.append)
         engine.every(0.25, lambda t: None, phase=0.1)
-        engine.run(duration=3.0)
+        run(engine, duration=3.0)
         results.append((comp.calls, fires, engine.clock.ticks,
                         [task.fire_count for task in engine._tasks]))
     assert results[0] == results[1]
 
 
 def test_fused_until_and_second_run_continue_identically() -> None:
-    for engine in engines_pair():
+    for engine, run in engines_pair():
         comp = engine.add_component(Accumulator("a"))
-        engine.run(until=lambda: len(comp.calls) >= 7, max_ticks=100)
+        run(engine, until=lambda: len(comp.calls) >= 7, max_ticks=100)
         assert len(comp.calls) == 7
-        engine.run(duration=0.5)  # continues from the stop tick
+        run(engine, duration=0.5)  # continues from the stop tick
         assert engine.clock.ticks == 17
 
 
 def test_fused_stop_request_mid_batch() -> None:
-    for engine in engines_pair():
+    for engine, run in engines_pair():
         comp = Accumulator("a", engine=engine, stop_at=5)
         engine.add_component(comp)
         engine.every(10.0, lambda t: None)  # far boundary: stop is mid-batch
-        engine.run(duration=100.0)
+        run(engine, duration=100.0)
         assert len(comp.calls) == 5
         assert engine.clock.ticks == 5
 
 
 def test_fused_budget_exhaustion_raises_reference_error() -> None:
-    for engine in engines_pair():
+    for engine, run in engines_pair():
         engine.add_component(Accumulator("a"))
         with pytest.raises(SimulationError, match="max_ticks=10 exhausted"):
-            engine.run(duration=5.0, max_ticks=10)
+            run(engine, duration=5.0, max_ticks=10)
         assert engine.clock.ticks == 10
 
 
 def test_fused_max_ticks_only_run() -> None:
-    for engine in engines_pair():
+    for engine, run in engines_pair():
         comp = engine.add_component(Accumulator("a"))
-        engine.run(max_ticks=37)  # no deadline/until: budget stop is clean
+        run(engine, max_ticks=37)  # no deadline/until: budget stop is clean
         assert len(comp.calls) == 37
 
 
 # ------------------------------------------------ experiment / series gates
 
 
-@pytest.fixture(scope="module")
-def executors():
-    return RunExecutor(jobs=1), RunExecutor(jobs=1, fastpath=True)
-
-
 @pytest.mark.parametrize("name", sorted(REGISTRY))
-def test_quick_tables_match(name: str, executors) -> None:
+def test_quick_tables_match(name: str) -> None:
     """Every experiment renders the identical quick-mode table."""
-    reference, fastpath = executors
     module, _ = REGISTRY[name]
-    ref_table = module.render(module.run(seed=SEED, quick=True, executor=reference))
-    fast_table = module.render(module.run(seed=SEED, quick=True, executor=fastpath))
-    assert fast_table == ref_table
+    with reference_path():
+        ref_table = module.render(
+            module.run(seed=SEED, quick=True, executor=UngroupedExecutor())
+        )
+    table = module.render(
+        module.run(seed=SEED, quick=True, executor=UngroupedExecutor())
+    )
+    assert table == ref_table
 
 
 def _curve_hashes(curves) -> dict:
@@ -229,34 +233,23 @@ def _curve_hashes(curves) -> dict:
 
 
 @pytest.mark.parametrize("figure", sorted(SERIES_REGISTRY))
-def test_series_curve_hashes_match(figure: str, executors) -> None:
-    """Every figure's raw curves hash identically under the fastpath."""
-    reference, fastpath = executors
+def test_series_curve_hashes_match(figure: str) -> None:
+    """Every figure's raw curves hash identically on the engine."""
     make = SERIES_REGISTRY[figure]
-    ref_hashes = _curve_hashes(make(seed=SEED, quick=True, executor=reference))
-    fast_hashes = _curve_hashes(make(seed=SEED, quick=True, executor=fastpath))
-    assert fast_hashes == ref_hashes
+    with reference_path():
+        ref_hashes = _curve_hashes(
+            make(seed=SEED, quick=True, executor=UngroupedExecutor())
+        )
+    hashes = _curve_hashes(make(seed=SEED, quick=True, executor=UngroupedExecutor()))
+    assert hashes == ref_hashes
 
 
 # -------------------------------------------------- telemetry JSONL bytes
 
 
-def _jsonl_lines_sans_digest(executor: RunExecutor) -> list:
+def test_telemetry_jsonl_byte_identical() -> None:
     from repro.telemetry import export_jsonl
 
-    lines = []
-    for line in export_jsonl(executor.collected).splitlines():
-        record = json.loads(line)
-        if record.get("kind") == "run":
-            # The digest names the spec, and the fastpath flag is
-            # spec-level by design; all data lines must match exactly.
-            del record["digest"]
-            line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        lines.append(line)
-    return lines
-
-
-def test_telemetry_jsonl_byte_identical() -> None:
     spec = RunSpec.of(
         "mixed_thermal_profile",
         {"duration": 30.0},
@@ -265,16 +258,11 @@ def test_telemetry_jsonl_byte_identical() -> None:
         seed=SEED,
         timeout=120.0,
     )
-    reference = RunExecutor(telemetry=True)
-    fastpath = RunExecutor(telemetry=True, fastpath=True)
-    reference.map([spec])
-    fastpath.map([spec])
-    # The executor flipped the flag on, and a pre-flagged spec
-    # deduplicates against it rather than running twice.
-    assert fastpath.collected[0][0] == dataclasses.replace(
-        spec, telemetry=True, fastpath=True
-    )
-    ref_lines = _jsonl_lines_sans_digest(reference)
-    fast_lines = _jsonl_lines_sans_digest(fastpath)
-    assert len(ref_lines) > 1
-    assert ref_lines == fast_lines
+    with reference_path():
+        reference = UngroupedExecutor(telemetry=True)
+        reference.map([spec])
+    engine = UngroupedExecutor(telemetry=True)
+    engine.map([spec])
+    ref_text = export_jsonl(reference.collected)
+    assert len(ref_text.splitlines()) > 1
+    assert export_jsonl(engine.collected) == ref_text

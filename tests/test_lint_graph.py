@@ -100,7 +100,7 @@ def test_relative_import_resolution() -> None:
 def test_function_table_markers_and_raises_only() -> None:
     summary = summarize(
         """
-        from repro.fastpath.marker import coldpath, hotpath
+        from repro.sim.marker import coldpath, hotpath
 
         @hotpath
         def hot(x):

@@ -4,9 +4,10 @@ The tentpole's acceptance story in executable form: registered
 platforms run the same governor/controller stack the Athlon testbed
 does, the per-package sensor tracks the hottest core of an N-core
 floorplan, the ganged DVFS maps heterogeneous ladders onto the paper's
-single-ladder actuation model, and every performance path (fastpath,
-batched fastpath, process fan-out) stays bitwise identical to the
-serial reference on platform-bearing specs — or provably falls back.
+single-ladder actuation model, and every performance path (the
+compiled engine, lockstep grouping, process fan-out) stays bitwise
+identical to the serial reference on platform-bearing specs — or
+provably falls back.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.fastpath.batch import Unbatchable, run_jobs_batch
 from repro.platform import PLATFORM_REGISTRY, resolve_platform
 from repro.runtime import RunExecutor, RunSpec
 from repro.runtime.execute import execute_spec
+from tests.reference_engine import reference_path
 
 
 def assert_results_equal(a, b) -> None:
@@ -211,23 +213,26 @@ def test_control_array_accepts_any_ladder_length() -> None:
 
 @pytest.mark.parametrize("name", MULTICORE_PLATFORMS)
 def test_fastpath_bitwise_identical_on_platform(name) -> None:
+    """The engine (compiled N-core RC network) equals the reference."""
     spec = platform_spec_of(name)
-    assert_results_equal(
-        RunExecutor().run(spec), RunExecutor(fastpath=True).run(spec)
-    )
+    with reference_path():
+        reference = RunExecutor().run(spec)
+    assert_results_equal(reference, RunExecutor().run(spec))
 
 
 def test_batched_fastpath_falls_back_identically() -> None:
-    """The batched stepper cannot stack N-core nodes; the executor must
-    detect that and serve serial-fastpath results, bit for bit."""
+    """The lockstep stepper cannot stack N-core nodes: multicore specs
+    never form a group, and run exactly as they do one by one."""
     specs = [
         platform_spec_of("biglittle_4p4e"),
+        platform_spec_of("biglittle_4p4e", params={"iterations": 30}),
         platform_spec_of("multicore_8c_45nm"),
     ]
-    serial = RunExecutor().map(specs)
-    batched = RunExecutor(batch=True).map(specs)
-    for a, b in zip(serial, batched):
-        assert_results_equal(a, b)
+    executor = RunExecutor()
+    grouped = executor.map(specs)
+    assert executor.registry.snapshot().value("host.exec.batch_groups") == 0.0
+    for spec, result in zip(specs, grouped):
+        assert_results_equal(execute_spec(spec), result)
 
 
 def test_run_jobs_batch_refuses_multicore_nodes() -> None:

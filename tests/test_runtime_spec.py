@@ -280,7 +280,7 @@ def test_to_json_round_trips_exactly() -> None:
     specs = [
         cheap_spec(),
         cheap_spec(seed=3, tail=12.5, quick=True, telemetry=True),
-        cheap_spec(fastpath=True, platform="dell_poweredge_1855"),
+        cheap_spec(platform="dell_poweredge_1855"),
         cheap_spec(
             ambient=("sinusoid_ambient", {"mean": 298.0}),
             fault=FaultSpec(kind="fan_fail", node=0, at=40.0, horizon=90.0),
@@ -293,6 +293,40 @@ def test_to_json_round_trips_exactly() -> None:
         # to_json is the canonical form, so round-tripping is bytewise
         # stable: the wire form of the recovered spec is identical.
         assert recovered.to_json() == spec.to_json()
+
+
+def test_spec_has_no_engine_path_field() -> None:
+    """There is one engine path, so no spec field selects one."""
+    import dataclasses as _dc
+
+    assert "fastpath" not in {f.name for f in _dc.fields(RunSpec)}
+    with pytest.raises(TypeError):
+        cheap_spec(fastpath=True)
+
+
+def test_canonical_keeps_the_retired_fastpath_key() -> None:
+    """Digest stability: the canonical form still carries
+    ``"fastpath": false``, so every digest, cache key and served digest
+    minted while the field existed names the same run."""
+    import json as _json
+
+    wire = _json.loads(cheap_spec().canonical())
+    assert wire["fastpath"] is False
+    assert list(wire) == sorted(wire)
+
+
+@pytest.mark.parametrize("value", [False, True])
+def test_from_json_accepts_boolean_fastpath(value) -> None:
+    """A boolean ``fastpath`` key names the same run either way."""
+    import json as _json
+
+    wire = _json.loads(cheap_spec().to_json())
+    wire["fastpath"] = value
+    recovered = RunSpec.from_json(_json.dumps(wire))
+    assert recovered == cheap_spec()
+    assert recovered.digest() == cheap_spec().digest()
+    del wire["fastpath"]
+    assert RunSpec.from_json(_json.dumps(wire)) == cheap_spec()
 
 
 def test_from_json_accepts_plain_object_params() -> None:
@@ -348,6 +382,8 @@ def test_from_json_coerces_protocol_floats() -> None:
         ('{"workload": "x", "fault": 3}', "fault"),
         ('{"workload": "x", "fault": {"node": "zero"}}', "fault"),
         ('{"workload": "x", "platform": 9}', "platform"),
+        ('{"workload": "x", "fastpath": 1}', "fastpath"),
+        ('{"workload": "x", "fastpath": "yes"}', "fastpath"),
     ],
 )
 def test_from_json_malformed_payloads_are_config_errors(

@@ -198,12 +198,7 @@ def test_hot_cache_path_is_byte_identical(tmp_path) -> None:
 
 def test_batch_coalescing_on_and_off_are_byte_identical() -> None:
     """Acceptance pin: the coalescing window never changes result bytes."""
-    import dataclasses
-
-    specs = [
-        dataclasses.replace(s, fastpath=True)
-        for s in fig07_max_pwm.specs(quick=True)
-    ]
+    specs = fig07_max_pwm.specs(quick=True)
 
     async def sweep(server, client):
         digests = []
@@ -220,14 +215,15 @@ def test_batch_coalescing_on_and_off_are_byte_identical() -> None:
         return collected, server.registry.snapshot()
 
     batched, batched_snapshot = run_with_server(
-        ServeConfig(port=0, batch_window=0.25, batch=True), sweep
+        ServeConfig(port=0, batch_window=0.25), sweep
     )
     # The four compatible specs landed in one window and actually went
     # through the lockstep stepper, not just one-by-one.
     assert batched_snapshot.total("host.exec.batch_groups") >= 1
+    assert batched_snapshot.total("host.exec.batched_specs") > 0
 
     unbatched, _ = run_with_server(
-        ServeConfig(port=0, batch_window=0.0, batch=False), sweep
+        ServeConfig(port=0, batch_window=0.0), sweep
     )
     assert batched == unbatched
     for spec in specs:
@@ -383,8 +379,8 @@ def test_cli_serve_parser_defaults() -> None:
     assert args.jobs == 1
     assert args.queue_depth == 64
     assert args.batch_window == pytest.approx(0.05)
-    assert args.no_batch is False
     assert args.cache_dir is None
+    assert not hasattr(args, "no_batch")
 
 
 def test_cli_serve_parser_overrides() -> None:
@@ -397,7 +393,6 @@ def test_cli_serve_parser_overrides() -> None:
             "--cache-dir", "/tmp/cache",
             "--queue-depth", "2",
             "--batch-window", "0.5",
-            "--no-batch",
         ]
     )
     assert args.host == "0.0.0.0"
@@ -406,7 +401,6 @@ def test_cli_serve_parser_overrides() -> None:
     assert args.cache_dir == "/tmp/cache"
     assert args.queue_depth == 2
     assert args.batch_window == pytest.approx(0.5)
-    assert args.no_batch is True
 
 
 def test_envelope_is_canonical_json() -> None:
