@@ -22,11 +22,11 @@ class's current P-state and that core's own temperature (per-core
 leakage feedback), under the node-wide utilization of the bound rank —
 the job spans the node, so all cores share its duty cycle.
 
-The engine runs this class's own ``step`` logic (the fused node closure
-hard-assumes the 2-node die/sink package); :meth:`compiled_step` only
-compiles the floorplan's RC network first, which is generic over
-network shape and byte-identical by the compiler's contract.  Specs on
-a multicore platform never form lockstep batch groups (see
+The engine runs this class's own bound ``step`` (the node's hoisted
+pre/post pair hard-assumes the 2-node die/sink package); the
+floorplan's RC network steps through the same cached stepper as every
+other :class:`~repro.thermal.rc.RCNetwork`.  Specs on a multicore
+platform never form lockstep batch groups (see
 :meth:`repro.runtime.executor.RunExecutor._batch_key`).
 """
 
@@ -39,6 +39,7 @@ from ..cpu.core import CpuCore
 from ..cpu.dvfs import Dvfs, GangedDvfs
 from ..cpu.power import CpuPowerModel
 from ..errors import ConfigurationError
+from ..sim.engine import Component
 from ..thermal.multicore import MulticorePackage
 from .node import Node
 
@@ -51,6 +52,9 @@ class MulticoreNode(Node):
     Construction requires ``config.floorplan``; the constructor
     signature is identical to :class:`~repro.cluster.node.Node`.
     """
+
+    #: The engine calls this class's own :meth:`step`, bound.
+    compiled_step = Component.compiled_step
 
     def _build_compute(self, cfg: NodeConfig, name: str, events) -> None:
         floorplan = cfg.floorplan
@@ -154,9 +158,3 @@ class MulticoreNode(Node):
             self._wall_power = cfg.baseboard_power + self._cpu_power + fan_power
         self.meter.record(self._wall_power, dt)
 
-    def compiled_step(self):
-        """The bound :meth:`step`, with the N-core RC network compiled."""
-        from ..fastpath.rc import compile_network
-
-        compile_network(self.package._net)
-        return self.step

@@ -1,18 +1,11 @@
-"""Compiled steppers behind the engine's per-tick hot loop.
+"""Trace buffering and lockstep batching behind the engine's hot loop.
 
-Every experiment funnels through the same per-tick work — component
-dispatch, RC re-assembly, per-sample trace writes.  This package
-compiles that work structurally at run start instead of interpreting
-it tick by tick:
+The per-tick work itself lives with the models: an
+:class:`~repro.thermal.rc.RCNetwork` steps from a flattened, cached
+form, and a :class:`~repro.cluster.node.Node` hoists its tick once per
+run (:meth:`~repro.cluster.node.Node.tick_pair`).  This package adds
+what spans runs and samples:
 
-* :mod:`repro.fastpath.rc` flattens an :class:`~repro.thermal.rc.RCNetwork`
-  into parallel arrays with coefficient caching keyed on link-resistance
-  writes, so the common case (only the convective link moved) refreshes
-  two matrix rows instead of re-walking the graph.
-* :mod:`repro.fastpath.node` fuses one :class:`~repro.cluster.node.Node`'s
-  per-tick sequence into a single closure over pre-bound sub-models
-  (what :meth:`Node.compiled_step <repro.cluster.node.Node.compiled_step>`
-  hands the engine).
 * :mod:`repro.fastpath.recording` buffers trace samples and flushes
   them through :meth:`~repro.sim.trace.Trace.extend`.
 * :mod:`repro.fastpath.batch` stacks N independent runs into one
@@ -21,28 +14,21 @@ it tick by tick:
   run's results still bitwise identical to its own serial execution.
   :class:`~repro.runtime.executor.RunExecutor` groups every sweep this
   way by default.
+* :mod:`repro.fastpath.loop` is the historical import path of
+  :func:`~repro.sim.engine.run_fused`.
 
-The contract is **byte-identical equivalence**: the compiled steppers
-perform the same IEEE-754 operations in the same order as the plain
-``step`` methods, so traces, events and telemetry match bit for bit
-(enforced against the tick-by-tick reference oracle in
-``tests/reference_engine.py`` by ``tests/test_fastpath_equivalence.py``
-and ``tests/test_fastpath_batch.py``).
+The contract is **byte-identical equivalence** with the tick-by-tick
+reference oracle in ``tests/reference_engine.py``, enforced by
+``tests/test_fastpath_equivalence.py`` and
+``tests/test_fastpath_batch.py``.
 
-:mod:`~repro.fastpath.node` and :mod:`~repro.fastpath.batch` are
-imported lazily (by :meth:`Node.compiled_step
-<repro.cluster.node.Node.compiled_step>` and
-:mod:`repro.runtime.execute`) because they reach back into
-:mod:`repro.cluster`; import them by submodule path.
+:mod:`~repro.fastpath.batch` is imported lazily (by
+:mod:`repro.runtime.execute`) because it reaches back into
+:mod:`repro.cluster`; import it by submodule path.
 """
 
 from __future__ import annotations
 
-from .rc import CompiledRC, compile_network
 from .recording import TraceBlockWriter
 
-__all__ = [
-    "CompiledRC",
-    "TraceBlockWriter",
-    "compile_network",
-]
+__all__ = ["TraceBlockWriter"]

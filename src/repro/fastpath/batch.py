@@ -12,8 +12,8 @@ makes when one controller services many cores in lockstep.
 Three layers, each independently testable:
 
 * :class:`BatchedRC` — the general structure-of-arrays stepper over any
-  set of structurally identical :class:`~repro.fastpath.rc.CompiledRC`
-  networks.  Each member keeps its own dirty bookkeeping (its ``_G``
+  set of structurally identical :class:`~repro.thermal.rc.RCNetwork`
+  members.  Each member keeps its own dirty bookkeeping (its ``_G``
   becomes a *view* into the ``(N, m, m)`` stack, so its ``_refresh``
   writes straight through), and members whose stability sub-step count
   ``n_sub`` disagrees integrate in per-``n_sub`` sub-batches rather
@@ -51,7 +51,7 @@ import numpy as np
 from ..errors import SimulationError
 from ..sim.engine import task_schedule
 from ..sim.marker import coldpath, hotpath
-from .rc import CompiledRC, compile_network
+from ..thermal.rc import RCNetwork
 
 __all__ = [
     "BatchedRC",
@@ -73,7 +73,7 @@ class Unbatchable(Exception):
     """
 
 
-def batch_signature(crc: CompiledRC) -> tuple:
+def batch_signature(net: RCNetwork) -> tuple:
     """The structural identity two networks must share to batch.
 
     Covers everything that shapes the integration: free-node count,
@@ -82,9 +82,15 @@ def batch_signature(crc: CompiledRC) -> tuple:
     (capacitances, resistances, temperatures, powers) are free to
     differ — they live in the stacked arrays.
     """
-    bterm_ids = tuple((i, slot) for i, slot, _ in crc._bterms)
-    rows = tuple(tuple(row) for row in crc._rows)
-    return (crc._m, len(crc._links), rows, bterm_ids, tuple(crc._link_ends))
+    if net._stale:
+        net._flatten()
+    bterm_ids = tuple((i, slot) for i, slot, _ in net._bterms)
+    rows = tuple(tuple(row) for row in net._rows)
+    return (net._m, len(net._links), rows, bterm_ids, tuple(net._link_ends))
+
+
+def _raise_restructured() -> None:
+    raise SimulationError("a batched network changed structure")
 
 
 def _raise_diverged_member(k: int) -> None:
@@ -100,8 +106,10 @@ class BatchedRC:
     the shared ``(N, m, m)`` stack, so the member's own coefficient
     cache — per-link dirty sets, row rebuilds, the ``n_sub`` stability
     cache — keeps operating unchanged and writes through to the stack.
-    :meth:`step` then performs the reference ufunc sequence once across
-    all members instead of once per member.
+    :meth:`step` then performs :meth:`RCNetwork.step
+    <repro.thermal.rc.RCNetwork.step>`'s ufunc sequence once across all
+    members instead of once per member.  A member's structure must not
+    change while it is batched.
 
     Use :meth:`release` to detach: members get private copies of their
     (current) matrix slices back, so serial stepping resumes bitwise
@@ -121,7 +129,7 @@ class BatchedRC:
         "_dTs",
     )
 
-    def __init__(self, members: Sequence[CompiledRC]) -> None:
+    def __init__(self, members: Sequence[RCNetwork]) -> None:
         members = list(members)
         if not members:
             raise SimulationError("BatchedRC needs at least one member")
@@ -153,8 +161,8 @@ class BatchedRC:
             member._G = self._Gs[k]
 
     @property
-    def members(self) -> Tuple[CompiledRC, ...]:
-        """The attached per-network steppers, in stack order."""
+    def members(self) -> Tuple[RCNetwork, ...]:
+        """The batched networks, in stack order."""
         return tuple(self._members)
 
     def release(self) -> None:
@@ -172,11 +180,9 @@ class BatchedRC:
         """Advance every member by ``dt`` — bitwise as if stepped alone."""
         members = self._members
         for member in members:
-            if (
-                dt != member._cached_dt
-                or member._dirty_slots
-                or member._all_dirty
-            ):
+            if dt != member._cached_dt or member._dirty:
+                if member._stale:
+                    _raise_restructured()
                 member._refresh(dt)
         m = self._m
         if m == 0:
@@ -285,11 +291,17 @@ class BatchedRC:
 #: Serial ``_refresh`` treats diagonals at or below this as degenerate.
 _DIAG_FLOOR = 1e-300
 
-#: CpuPackage structure as CompiledRC flattens it: free nodes are
-#: [die, sink]; link 0 (die↔sink) is the fixed junction/sink
-#: resistance, link 1 (sink↔ambient) is the per-tick convective hop.
-_PACK_ROWS = (((0, 1),), ((0, 0), (1, -1)))
-_PACK_ENDS = ((0, 1), (1, -1))
+#: CpuPackage structure as RCNetwork flattens it (see batch_signature):
+#: free nodes are [die, sink]; link 0 (die↔sink) is the fixed
+#: junction/sink resistance, link 1 (sink↔ambient) the per-tick
+#: convective hop, the one boundary term.
+_PACK_SIGNATURE = (
+    2,
+    2,
+    (((0, 1),), ((0, 0), (1, -1))),
+    ((1, 1),),
+    ((0, 1), (1, -1)),
+)
 
 
 class _DirtyTrap:
@@ -328,34 +340,34 @@ class PackageBatch:
     """Vectorized lockstep stepper over N cluster-node CPU packages.
 
     Where :class:`BatchedRC` loops over members for fill and refresh,
-    this lane exploits the fixed die/sink/ambient shape: the per-tick
-    inputs (die power, convective resistance, boundary temperature) are
-    written directly into ``(N,)`` columns by the split node closures
-    (:func:`repro.fastpath.node.compile_node_step_split`), the
-    convective conductance and matrix diagonal are recomputed
-    unconditionally each tick (idempotent — recomputing an unchanged
-    ``1/r`` yields the same bits the serial dirty-refresh would have
-    kept), and free-node temperatures persist in the stack between
-    ticks (writeback keeps the node objects current; nothing else
-    writes them mid-run).
+    this lane exploits the fixed die/sink/ambient shape.  Each tick it
+    gathers the three inputs every node's
+    :meth:`~repro.cluster.node.Node.tick_pair` pre-half wrote into the
+    live network — die power, convective resistance, boundary
+    temperature — into ``(N,)`` columns; the convective conductance
+    and matrix diagonal are recomputed unconditionally (idempotent —
+    recomputing an unchanged ``1/r`` yields the same bits the serial
+    dirty-refresh would have kept), and free-node temperatures persist
+    in the stack between ticks (writeback keeps the node objects
+    current; nothing else writes them mid-run).
 
     Equivalence guards, enforced every tick, downgrade to
     :class:`Unbatchable` instead of silently diverging: a resistance
     write through the public setter (the :class:`_DirtyTrap` observer
-    adopted via :meth:`CompiledRC.adopt_observer`), a matrix diagonal
-    at the degenerate floor, or a stability limit demanding sub-steps
+    installed on every member link), a matrix diagonal at the
+    degenerate floor, or a stability limit demanding sub-steps
     (``0.5 · min C/G_ii < dt`` — with the cluster's constants the limit
     sits ~37x above the 0.05 s physics tick, so this never fires in
     practice).
     """
 
     __slots__ = (
-        "b_die",
-        "conv_r",
-        "amb",
-        "_nodes",
-        "_crcs",
+        "_nets",
+        "_inputs",
         "_writes",
+        "_b_die",
+        "_conv_r",
+        "_amb",
         "_g0",
         "_g1",
         "_diag1",
@@ -380,7 +392,6 @@ class PackageBatch:
         if not nodes:
             raise Unbatchable("package batch needs at least one node")
         n = len(nodes)
-        self._nodes = nodes
         self._g0 = np.empty(n, dtype=np.float64)
         self._g1 = np.empty(n, dtype=np.float64)
         self._diag1 = np.empty(n, dtype=np.float64)
@@ -389,10 +400,10 @@ class PackageBatch:
         self._Ts = np.empty((n, 2), dtype=np.float64)
         self._Ts_col = self._Ts[:, :, None]
         self._bs = np.empty((n, 2), dtype=np.float64)
-        self.b_die = self._bs[:, 0]
+        self._b_die = self._bs[:, 0]
         self._b_sink = self._bs[:, 1]
-        self.conv_r = np.empty(n, dtype=np.float64)
-        self.amb = np.empty(n, dtype=np.float64)
+        self._conv_r = np.empty(n, dtype=np.float64)
+        self._amb = np.empty(n, dtype=np.float64)
         self._tmp = np.empty(n, dtype=np.float64)
         self._Gs = np.zeros((n, 2, 2), dtype=np.float64)
         self._Gt3 = np.empty((n, 2, 1), dtype=np.float64)
@@ -400,51 +411,46 @@ class PackageBatch:
         self._dTs = np.empty((n, 2), dtype=np.float64)
         self._trap = _DirtyTrap()
 
-        crcs = []
+        nets = []
+        inputs = []
         writes = []
         for k, node in enumerate(nodes):
             package = node.package
             net = package._net
-            crc = compile_network(net)
             amb_node = net._nodes[package._amb]
             if (
-                crc._m != 2
-                or len(crc._links) != 2
-                or crc._free_names != [package._die, package._sink]
-                or tuple(tuple(row) for row in crc._rows) != _PACK_ROWS
-                or tuple(crc._link_ends) != _PACK_ENDS
-                or len(crc._bterms) != 1
-                or crc._bterms[0][0] != 1
-                or crc._bterms[0][1] != 1
-                or crc._bterms[0][2] is not amb_node
+                batch_signature(net) != _PACK_SIGNATURE
+                or net._free_names != [package._die, package._sink]
+                or net._link_list[1] is not package._conv_link
+                or net._bterms[0][2] is not amb_node
             ):
                 raise Unbatchable(
-                    "node package is not the compiled die/sink/ambient stack"
+                    "node package is not the die/sink/ambient stack"
                 )
-            if crc._links[1] is not package._conv_link:
-                raise Unbatchable("convective link is not at slot 1")
             if net._powers[package._sink] != 0.0:
                 raise Unbatchable("sink node carries injected power")
-            g0 = 1.0 / crc._links[0]._resistance
+            g0 = 1.0 / net._link_list[0]._resistance
             if not (g0 > _DIAG_FLOOR):
                 raise Unbatchable("junction/sink conductance is degenerate")
             self._g0[k] = g0
-            self.conv_r[k] = crc._links[1]._resistance
-            self._Cs[k, :] = crc._C
-            die = crc._free_nodes[0]
-            sink = crc._free_nodes[1]
+            self._Cs[k, :] = net._C
+            die, sink = net._free_nodes
             self._Ts[k, 0] = die.temperature
             self._Ts[k, 1] = sink.temperature
-            self.amb[k] = amb_node.temperature
             # Fixed matrix entries, accumulated exactly as the serial
             # row rebuild does (row[:] = 0.0 then -= / = writes).
             self._Gs[k, 0, 0] = g0
             self._Gs[k, 0, 1] = -g0
             self._Gs[k, 1, 0] = -g0
-            crcs.append(crc)
+            nets.append(net)
+            inputs.append(
+                (net._powers, package._die, package._conv_link, amb_node)
+            )
             writes.append((die, sink))
-            crc.adopt_observer(self._trap)
-        self._crcs = crcs
+            for link in net._link_list:
+                link._observer = self._trap
+        self._nets = nets
+        self._inputs = inputs
         self._writes = writes
         self._Cs1 = self._Cs[:, 1]
         # Die-row stability limit is fixed (g0 never changes): the
@@ -453,32 +459,39 @@ class PackageBatch:
         self._lim0_min = float(lim0.min())
 
     def release(self) -> None:
-        """Hand the networks back to their per-network steppers.
+        """Hand the networks back to their own :meth:`RCNetwork.step`.
 
-        Coefficients were refreshed out-of-band, so each member's cache
-        is stale; ``_all_dirty`` forces the next serial step to rebuild
-        everything from the live resistances (a full refresh is
-        bitwise-deterministic), and link observers return to the
-        per-network stepper.  The node objects themselves are already
-        current — temperatures are written back every tick and the
-        split closures kept ``conv_link._resistance`` live.
+        Link observers return to the networks, and every link is marked
+        dirty: the next serial step rebuilds the coefficients from the
+        live resistances (a full refresh is bitwise-deterministic).
+        The node objects themselves are already current.
         """
-        for crc in self._crcs:
-            crc.restore_observer()
-            crc._all_dirty = True
+        for net in self._nets:
+            for link in net._link_list:
+                link._observer = net
+            net._dirty.update(range(len(net._link_list)))
 
     @hotpath
     def step(self, dt: float) -> None:
         """One lockstep physics tick across all member packages.
 
-        Call after every member's pre-closure has published this tick's
-        inputs into :attr:`b_die` / :attr:`conv_r` / :attr:`amb`.
+        Call after every member's pre-half has written this tick's
+        inputs into its network.
         """
         if self._trap.tripped:
             _raise_trap_tripped()
+        b_die = self._b_die
+        conv_r = self._conv_r
+        amb = self._amb
+        k = 0
+        for powers, die_key, conv_link, amb_node in self._inputs:
+            b_die[k] = powers[die_key]
+            conv_r[k] = conv_link._resistance
+            amb[k] = amb_node.temperature
+            k += 1
         g1 = self._g1
         diag1 = self._diag1
-        np.divide(1.0, self.conv_r, out=g1)
+        np.divide(1.0, conv_r, out=g1)
         np.add(self._g0, g1, out=diag1)
         self._Gs[:, 1, 1] = diag1
         # Stability predicate: all members must keep n_sub == 1, i.e.
@@ -492,10 +505,10 @@ class PackageBatch:
         h_max = 0.5 * lim_min
         if not (h_max >= dt) or not (diag1 > _DIAG_FLOOR).all():
             _raise_substep_needed()
-        # Forcing vector: b[die] was written by the pre-closures;
-        # b[sink] = 0.0 + g_conv * T_amb, the serial accumulation order.
+        # Forcing vector: b[sink] = 0.0 + g_conv * T_amb, the serial
+        # accumulation order.
         tmp = self._tmp
-        np.multiply(g1, self.amb, out=tmp)
+        np.multiply(g1, amb, out=tmp)
         np.add(0.0, tmp, out=self._b_sink)
         # One stacked integration step (n_sub == 1, h == dt exactly).
         Ts = self._Ts
@@ -517,7 +530,7 @@ class PackageBatch:
 
     @coldpath
     def _raise_diverged(self) -> None:
-        for k in range(len(self._nodes)):
+        for k in range(len(self._nets)):
             if not np.isfinite(self._Ts[k]).all():
                 _raise_diverged_member(k)
         raise SimulationError("thermal integration diverged (non-finite T)")
@@ -704,11 +717,12 @@ def run_jobs_batch(
     protocol per member — bind, wire tasks, reset meters, run to the
     job's completion under the timeout budget, tail, summarize — with
     the thermal integration of every node of every cluster stacked
-    into one :class:`PackageBatch`.  When a lane's job finishes the
-    batch is released (members' caches invalidated, observers
-    restored), the lane is finalized serially (its tail, if any, runs
-    through the ordinary engine loop), and the remaining lanes
-    re-stack and continue — re-attachment is bitwise-neutral because
+    into one :class:`PackageBatch` between the halves of each node's
+    :meth:`~repro.cluster.node.Node.tick_pair`.  When a lane's job
+    finishes the batch is released (members' caches invalidated,
+    observers restored), the lane is finalized serially (its tail, if
+    any, runs through the ordinary engine loop), and the remaining
+    lanes re-stack and continue — re-attachment is bitwise-neutral because
     the stack is rebuilt from the always-current node objects.
 
     Raises :class:`Unbatchable` whenever lockstep execution cannot
@@ -717,7 +731,6 @@ def run_jobs_batch(
     callers are expected to fall back to per-spec serial execution.
     """
     from ..cluster.node import Node
-    from .node import compile_node_step_split
 
     n = len(clusters)
     if not (len(jobs) == len(timeouts) == len(tails) == n):
@@ -749,17 +762,9 @@ def run_jobs_batch(
             node for lane in active for node in lane.cluster.engine._components
         ]
         pack = PackageBatch(members)
-        pres: List[Callable[[float, float], None]] = []
-        posts: List[Callable[[float, float], None]] = []
-        k = 0
-        for lane in active:
-            for node in lane.cluster.engine._components:
-                pre, post = compile_node_step_split(
-                    node, k, pack.b_die, pack.conv_r, pack.amb
-                )
-                pres.append(pre)
-                posts.append(post)
-                k += 1
+        pairs = [node.tick_pair() for node in members]
+        pres = [pre for pre, _ in pairs]
+        posts = [post for _, post in pairs]
         untils = [lane.finished for lane in active]
         limits = [lane.limit for lane in active]
         try:

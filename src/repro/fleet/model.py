@@ -23,7 +23,6 @@ from typing import List, Tuple
 from ..cpu.power import CpuPowerModel, PowerParams
 from ..cpu.pstate import ATHLON64_4000, PStateTable
 from ..fan.aero import FanAero
-from ..fastpath.rc import CompiledRC, compile_network
 from ..platform.registry import resolve_platform
 from ..thermal.package import CpuPackage
 from .spec import FleetSpec
@@ -123,7 +122,6 @@ class FleetNode:
         "rack",
         "index",
         "package",
-        "compiled",
         "power_model",
         "table",
         "pstate",
@@ -138,14 +136,12 @@ class FleetNode:
         rack: int,
         index: int,
         package: CpuPackage,
-        compiled: CompiledRC,
         power_model: CpuPowerModel,
         table: PStateTable,
     ) -> None:
         self.rack = rack
         self.index = index
         self.package = package
-        self.compiled = compiled
         self.power_model = power_model
         self.table = table
         self.pstate = 0  # fastest
@@ -193,9 +189,9 @@ class FleetRack:
     The fan wall is one duty fraction driving an identical fan per
     node; its proportional loop tracks the rack hot spot against
     ``t_max - 6 K``.  Duty changes write every node's convective-link
-    resistance (through the public setter, so the compiled steppers'
-    dirty bookkeeping fires) — between changes the coefficient caches
-    stay warm.
+    resistance (through the public setter, so the network's dirty
+    bookkeeping fires) — between changes the coefficient caches stay
+    warm.
     """
 
     __slots__ = (
@@ -313,22 +309,19 @@ def build_rack(spec: FleetSpec, rack_index: int) -> FleetRack:
     """Materialize one rack of the fleet from its spec.
 
     Every node gets its own :class:`CpuPackage` (unique node names keep
-    debugging sane) with the network pre-compiled for the batched
-    stepper; the platform only swaps the DVFS ladder, power constants
-    and safe band — the chassis thermal stack is the paper's testbed.
+    debugging sane); the platform only swaps the DVFS ladder, power
+    constants and safe band — the chassis thermal stack is the paper's
+    testbed.
     """
     table, power_params, _t_min, _t_max = node_band(spec)
     model = CpuPowerModel(power_params)
     nodes: List[FleetNode] = []
     for i in range(spec.nodes_per_rack):
-        package = CpuPackage(name=f"r{rack_index}n{i}")
-        compiled = compile_network(package._net)
         nodes.append(
             FleetNode(
                 rack=rack_index,
                 index=i,
-                package=package,
-                compiled=compiled,
+                package=CpuPackage(name=f"r{rack_index}n{i}"),
                 power_model=model,
                 table=table,
             )

@@ -1,10 +1,11 @@
 """Shard execution: a contiguous rack range stepped in lockstep.
 
 A :class:`ShardRunner` owns racks ``[rack_lo, rack_hi)`` of one fleet
-and advances *all* of its nodes through one
+and advances *all* of its nodes' package networks through one
 :class:`~repro.fastpath.batch.BatchedRC` — the structure-of-arrays
-stepper whose per-member bitwise-equivalence contract is exactly what
-makes the partition a pure layout choice.  Between two synchronization
+stepper whose per-member bitwise equality with
+:meth:`RCNetwork.step <repro.thermal.rc.RCNetwork.step>` is exactly
+what makes the partition a pure layout choice.  Between two synchronization
 epochs a shard touches nothing but its own racks, so the trajectory of
 rack *r* is a function of ``(spec, r, epoch commands)`` — never of
 which shard (or how many shards) hosted it.
@@ -112,7 +113,7 @@ class ShardRunner:
         ]
         self._band = node_band(spec)
         self._batch = BatchedRC(
-            [node.compiled for rack in self.racks for node in rack.nodes]
+            [node.package._net for rack in self.racks for node in rack.nodes]
         )
         self._tick = 0
         self._throttles_reported = [0] * len(self.racks)

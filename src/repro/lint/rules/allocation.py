@@ -1,7 +1,9 @@
 """RPR009 — no per-tick allocation inside ``@hotpath`` functions.
 
-The engine's microtick loop (:mod:`repro.sim.engine`) and the compiled
-steppers under :mod:`repro.fastpath` run every physics tick; their
+The engine's microtick loop (:mod:`repro.sim.engine`), the RC stepper
+(:mod:`repro.thermal.rc`), the node's hoisted tick
+(:mod:`repro.cluster.node`) and the lockstep steppers under
+:mod:`repro.fastpath` run every physics tick; their
 contract (``docs/performance.md``) is that they do no avoidable
 allocation.  Everything a step needs — buffers, handles, label
 strings — is built once at compile time and closed over, so the tick
@@ -18,7 +20,7 @@ wherever it lives.
 
 Cold paths reachable from hot code (error raises, flushes) belong in
 plain helper functions — see ``_raise_diverged`` in
-:mod:`repro.fastpath.rc` for the idiom.
+:mod:`repro.thermal.rc` for the idiom.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ exactly the erosion that made PR 1's export audit necessary, and the
 failure mode that would let the RunSpec registry grow cycles.
 
 Function-scoped lazy imports are exempt by design: they are the
-sanctioned idiom for intentional upward hops (``cluster.node`` lazily
-pulling its fused fastpath closure, ``runtime.execute`` lazily pulling
+sanctioned idiom for intentional upward hops (``cluster`` lazily
+pulling the fastpath trace recorder, ``runtime.execute`` lazily pulling
 the experiment registries) because they execute at call time, after
 every layer is importable.  ``TYPE_CHECKING`` imports never execute at all.
 

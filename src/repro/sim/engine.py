@@ -16,9 +16,9 @@ a callback — whichever comes first.
 
 :meth:`SimulationEngine.run` executes those semantics through a
 compiled loop.  Each component contributes a pre-bound per-tick
-callable (:meth:`Component.compiled_step`; cluster nodes hand back a
-fused closure), each task's next firing tick is computed arithmetically
-from the same integer tick counts
+callable (:meth:`Component.compiled_step`; cluster nodes hand back
+their hoisted tick), each task's next firing tick is computed
+arithmetically from the same integer tick counts
 :meth:`~repro.sim.clock.PeriodicTask.maybe_fire` uses, and the physics
 microticks between task boundaries run back to back with no task scan
 — tasks fire at ≥ 1 s periods while physics runs at dt = 0.05 s.

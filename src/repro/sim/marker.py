@@ -1,8 +1,10 @@
 """The ``@hotpath`` / ``@coldpath`` markers for per-tick code.
 
 Functions that run every physics tick — the engine's microtick loop in
-:mod:`repro.sim.engine` and the compiled steppers under
-:mod:`repro.fastpath` — are decorated with :func:`hotpath`.  The
+:mod:`repro.sim.engine`, :meth:`RCNetwork.step
+<repro.thermal.rc.RCNetwork.step>`, the node's hoisted tick and the
+lockstep steppers under :mod:`repro.fastpath` — are decorated with
+:func:`hotpath`.  The
 decorator is behaviourally inert — it only tags the function — but it
 carries a lint contract: RPR009 (``hotpath-allocation``) rejects
 per-tick allocation patterns (dict / list / set / str construction,

@@ -14,13 +14,19 @@ links incident to *i*.  Boundary nodes (``capacitance=None``) hold their
 temperature regardless of flux — they model ambient air or a chilled
 plate.
 
-Link resistances may change between steps (the fan changes the
-convective resistance every tick), so the network re-reads resistances
-each step rather than caching a factorized system.  Integration is
-explicit (forward Euler) with automatic sub-stepping to honour the
-stability bound ``dt < C_i / G_ii``; for the stiff-ish 2-node CPU
-package this costs nothing, and it keeps the integrator exact in
-behaviour for arbitrary user-built networks.
+Integration is explicit (forward Euler) with automatic sub-stepping to
+honour the stability bound ``dt < C_i / G_ii``; for the stiff-ish
+2-node CPU package this costs nothing, and it keeps the integrator
+stable for arbitrary user-built networks.
+
+The network steps from a flattened form built on the first step after
+a structural edit: node order and link incidence become parallel
+lists, and the conductance matrix ``G``, the per-link conductances and
+the stability sub-step count are cached.  Link resistances may change
+between steps (the fan changes the convective resistance every tick):
+each link reports a resistance write to its network, and only the
+matrix rows of that link's free endpoints are rebuilt.  Temperatures,
+injected powers and boundary temperatures are read live every step.
 
 The class also provides :meth:`RCNetwork.steady_state`, a direct linear
 solve for the equilibrium temperatures under constant powers — used by
@@ -29,12 +35,14 @@ calibration code and extensively by the test suite as an oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..errors import ConfigurationError, SimulationError
+from ..sim.marker import coldpath, hotpath
 from ..units import require_positive
 
 __all__ = ["ThermalNode", "ThermalLink", "RCNetwork"]
@@ -87,8 +95,8 @@ class ThermalLink:
         self.a = a
         self.b = b
         self._resistance = require_positive(resistance, f"resistance of {name!r}")
-        # Set by a compiled stepper (repro.fastpath) so resistance writes
-        # invalidate exactly the cached coefficient rows they touch.
+        # Set by RCNetwork.add_link: the network (or, while a batch
+        # stepper owns the integration, its trap) hears every write.
         self._observer = None
         self._slot = -1
 
@@ -110,6 +118,10 @@ class ThermalLink:
         return 1.0 / self._resistance
 
 
+def _raise_diverged() -> None:
+    raise SimulationError("thermal integration diverged (non-finite T)")
+
+
 class RCNetwork:
     """A mutable lumped RC thermal network with an explicit integrator.
 
@@ -124,14 +136,47 @@ class RCNetwork:
         net.temperature("die")
     """
 
+    __slots__ = (
+        "_nodes",
+        "_links",
+        "_order",
+        "_powers",
+        "_stale",
+        "_dirty",
+        "_cached_dt",
+        # set by _refresh
+        "_n_sub",
+        "_h",
+        # set by _flatten
+        "_link_list",
+        "_free_names",
+        "_free_nodes",
+        "_m",
+        "_rows",
+        "_bterms",
+        "_link_ends",
+        "_g",
+        "_diag",
+        "_G",
+        "_C",
+        "_C_list",
+        "_T",
+        "_b",
+        "_Gt",
+        "_dT",
+    )
+
     def __init__(self) -> None:
         self._nodes: Dict[str, ThermalNode] = {}
         self._links: Dict[str, ThermalLink] = {}
         self._order: List[str] = []
         self._powers: Dict[str, float] = {}
-        # Compiled stepper attached by repro.fastpath; None means the
-        # reference (re-assemble every step) path below is used.
-        self._fast = None
+        # The flattened form is rebuilt by _flatten when _stale; _dirty
+        # holds the slots of links whose resistance changed since the
+        # last refresh, _cached_dt the dt of the cached sub-step.
+        self._stale = True
+        self._dirty: set = set()
+        self._cached_dt: Optional[float] = None
 
     # -- construction ----------------------------------------------------
 
@@ -142,7 +187,7 @@ class RCNetwork:
         self._nodes[node.name] = node
         self._order.append(node.name)
         self._powers[node.name] = 0.0
-        self._invalidate_fast()
+        self._mark_stale()
         return node
 
     def add_link(self, link: ThermalLink) -> ThermalLink:
@@ -154,16 +199,20 @@ class RCNetwork:
                 )
         if link.name in self._links:
             raise ConfigurationError(f"duplicate thermal link {link.name!r}")
+        link._observer = self
+        link._slot = len(self._links)
         self._links[link.name] = link
-        self._invalidate_fast()
+        self._mark_stale()
         return link
 
-    def _invalidate_fast(self) -> None:
-        """Drop any attached compiled stepper after a structural change."""
-        fast = self._fast
-        if fast is not None:
-            self._fast = None
-            fast.detach()
+    def _mark_stale(self) -> None:
+        """The structure changed: re-flatten on the next step."""
+        self._stale = True
+        self._cached_dt = None
+
+    def mark_link_dirty(self, slot: int) -> None:
+        """Invalidate the cached conductance of the link at ``slot``."""
+        self._dirty.add(slot)
 
     def node(self, name: str) -> ThermalNode:
         """Look up a node by name."""
@@ -249,40 +298,155 @@ class RCNetwork:
         C = np.array([self._nodes[n].capacitance for n in free], dtype=np.float64)
         return free, G, b, C
 
+    def _flatten(self) -> None:
+        """Flatten the graph into the parallel lists :meth:`step` uses.
+
+        Per free node, its incident links as ``(slot, other free index
+        or -1)`` in link insertion order — the order the matrix entries
+        accumulate in, as in :meth:`_assemble`; boundary couplings as
+        ``(free index, slot, boundary node)`` in :meth:`_assemble`'s
+        forcing-vector order (a side before b side of each link).
+        """
+        nodes = self._nodes
+        links = list(self._links.values())
+        free = [n for n in self._order if not nodes[n].is_boundary]
+        index = {name: i for i, name in enumerate(free)}
+        m = len(free)
+        rows: List[list] = [[] for _ in range(m)]
+        bterms: List[tuple] = []
+        ends: List[tuple] = []
+        for slot, link in enumerate(links):
+            i = index.get(link.a, -1)
+            j = index.get(link.b, -1)
+            ends.append((i, j))
+            if i >= 0:
+                rows[i].append((slot, j))
+                if j < 0:
+                    bterms.append((i, slot, nodes[link.b]))
+            if j >= 0:
+                rows[j].append((slot, i))
+                if i < 0:
+                    bterms.append((j, slot, nodes[link.a]))
+        self._link_list = links
+        self._free_names = free
+        self._free_nodes = [nodes[n] for n in free]
+        self._m = m
+        self._rows = rows
+        self._bterms = bterms
+        self._link_ends = ends
+        self._g = [0.0] * len(links)
+        self._diag = [0.0] * m
+        self._G = np.zeros((m, m), dtype=np.float64)
+        self._C = np.array([nodes[n].capacitance for n in free], dtype=np.float64)
+        self._C_list = [float(nodes[n].capacitance) for n in free]
+        self._T = np.empty(m, dtype=np.float64)
+        self._b = np.empty(m, dtype=np.float64)
+        self._Gt = np.empty(m, dtype=np.float64)
+        self._dT = np.empty(m, dtype=np.float64)
+        self._dirty.update(range(len(links)))
+        self._stale = False
+
+    @coldpath
+    def _refresh(self, dt: float) -> None:
+        """Rebuild the dirty conductance rows and the sub-step cache.
+
+        Runs only after a structural edit, a resistance write or a
+        ``dt`` change — not per tick — hence ``@coldpath``.  The
+        stability sub-step is half the limit ``min_i C_i / G_ii`` over
+        ``G_ii > 0``, computed with :meth:`_assemble`'s arithmetic.
+        """
+        require_positive(dt, "dt")
+        if self._stale:
+            self._flatten()
+        links = self._link_list
+        ends = self._link_ends
+        g = self._g
+        touched = set()
+        for slot in self._dirty:
+            g[slot] = 1.0 / links[slot]._resistance
+            i, j = ends[slot]
+            if i >= 0:
+                touched.add(i)
+            if j >= 0:
+                touched.add(j)
+        self._dirty.clear()
+        G = self._G
+        diag = self._diag
+        for i in touched:
+            row = G[i]
+            row[:] = 0.0
+            acc = 0.0
+            for slot, j in self._rows[i]:
+                gv = g[slot]
+                acc += gv
+                if j >= 0:
+                    row[j] -= gv
+            row[i] = acc
+            diag[i] = acc
+        best = math.inf
+        C_list = self._C_list
+        for i in range(self._m):
+            d = diag[i]
+            if d > 0.0:
+                lim = C_list[i] / (d if d > 1e-300 else 1e-300)
+                if lim < best:
+                    best = lim
+        h_max = 0.5 * best
+        if not math.isfinite(h_max) or h_max <= 0.0:
+            h_max = dt
+        self._n_sub = max(1, math.ceil(dt / h_max))
+        self._h = dt / self._n_sub
+        self._cached_dt = dt
+
+    @hotpath
     def step(self, dt: float) -> None:
         """Advance all free node temperatures by ``dt`` seconds.
 
-        Uses forward Euler with automatic sub-stepping: the sub-step is
-        chosen as half the stability limit ``min_i C_i / G_ii``, so the
-        integration is stable for any (positive-resistance) network.
-
-        When a compiled stepper (repro.fastpath) is attached, it takes
-        over — its arithmetic is bit-identical to the loop below.
+        Forward Euler ``T += h · (b - G T) / C`` over ``n_sub`` sub-steps
+        of ``h = dt / n_sub``, the sub-step being half the stability
+        limit ``min_i C_i / G_ii``, so the integration is stable for
+        any (positive-resistance) network.  The ufuncs write into
+        preallocated buffers, which does not change the computed bits.
         """
-        fast = self._fast
-        if fast is not None:
-            fast.step(dt)
+        if dt != self._cached_dt or self._dirty:
+            self._refresh(dt)
+        m = self._m
+        if m == 0:
             return
-        require_positive(dt, "dt")
-        free, G, b, C = self._assemble()
-        if not free:
-            return
-        diag = np.diag(G)
-        with np.errstate(divide="ignore"):
-            limits = np.where(diag > 0, C / np.maximum(diag, 1e-300), np.inf)
-        h_max = 0.5 * float(np.min(limits))
-        if not np.isfinite(h_max) or h_max <= 0:
-            h_max = dt
-        n_sub = max(1, int(np.ceil(dt / h_max)))
-        h = dt / n_sub
-        T = np.array([self._nodes[n].temperature for n in free], dtype=np.float64)
-        for _ in range(n_sub):
-            dTdt = (b - G @ T) / C
-            T += h * dTdt
-        if not np.all(np.isfinite(T)):
-            raise SimulationError("thermal integration diverged (non-finite T)")
-        for name, temp in zip(free, T):
-            self._nodes[name].temperature = float(temp)
+        free_nodes = self._free_nodes
+        free_names = self._free_names
+        powers = self._powers
+        T = self._T
+        b = self._b
+        for i in range(m):
+            T[i] = free_nodes[i].temperature
+            b[i] = powers[free_names[i]]
+        g = self._g
+        for i, slot, bnode in self._bterms:
+            b[i] += g[slot] * bnode.temperature
+        G = self._G
+        C = self._C
+        Gt = self._Gt
+        dT = self._dT
+        h = self._h
+        matmul = np.matmul
+        subtract = np.subtract
+        divide = np.divide
+        multiply = np.multiply
+        add = np.add
+        for _ in range(self._n_sub):
+            matmul(G, T, out=Gt)
+            subtract(b, Gt, out=dT)
+            divide(dT, C, out=dT)
+            multiply(dT, h, out=dT)
+            add(T, dT, out=T)
+        item = T.item
+        isfinite = math.isfinite
+        for i in range(m):
+            if not isfinite(item(i)):
+                _raise_diverged()
+        for i in range(m):
+            free_nodes[i].temperature = item(i)
 
     def steady_state(self) -> Dict[str, float]:
         """Equilibrium temperatures under the current powers/resistances.

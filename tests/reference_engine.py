@@ -15,9 +15,15 @@ of that must reproduce byte for byte:
 * :func:`reference_sampler` — each sample written through
   :meth:`TraceSet.record <repro.sim.trace.TraceSet.record>` from the
   public node properties.
-* :func:`reference_path` — installs both (and turns lockstep grouping
-  off) for the duration of a ``with`` block, so whatever runs inside —
-  an experiment, a series, a served spec — runs on the reference.
+* :func:`reference_rc_step` — the RC network integrated by
+  re-assembling ``G``, ``b`` and ``C`` from the node/link graph every
+  step, with no cached coefficients.
+* :func:`reference_node_step` — one cluster node's tick written out
+  through the public sub-model interfaces, with no hoisting.
+* :func:`reference_path` — installs all four (and turns lockstep
+  grouping off) for the duration of a ``with`` block, so whatever runs
+  inside — an experiment, a series, a served spec — runs on the
+  reference.
 * :class:`UngroupedExecutor` — the engine without lockstep grouping,
   the serial baseline the grouping tests compare against.
 """
@@ -27,17 +33,101 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
 
+import numpy as np
+
 from repro.cluster.cluster import Cluster
+from repro.cluster.node import Node
 from repro.errors import ConfigurationError, SimulationError
 from repro.runtime import RunExecutor
 from repro.sim.engine import SimulationEngine
+from repro.thermal.rc import RCNetwork
+from repro.units import require_positive
 
 __all__ = [
     "UngroupedExecutor",
+    "reference_node_step",
     "reference_path",
+    "reference_rc_step",
     "reference_run",
     "reference_sampler",
 ]
+
+
+def reference_rc_step(net: RCNetwork, dt: float) -> None:
+    """``net.step(dt)``: forward Euler on the freshly assembled system.
+
+    The sub-step is half the stability limit ``min_i C_i / G_ii``, so
+    the integration is stable for any (positive-resistance) network.
+    """
+    require_positive(dt, "dt")
+    free, G, b, C = net._assemble()
+    if not free:
+        return
+    diag = np.diag(G)
+    with np.errstate(divide="ignore"):
+        limits = np.where(diag > 0, C / np.maximum(diag, 1e-300), np.inf)
+    h_max = 0.5 * float(np.min(limits))
+    if not np.isfinite(h_max) or h_max <= 0:
+        h_max = dt
+    n_sub = max(1, int(np.ceil(dt / h_max)))
+    h = dt / n_sub
+    T = np.array([net._nodes[n].temperature for n in free], dtype=np.float64)
+    for _ in range(n_sub):
+        dTdt = (b - G @ T) / C
+        T += h * dTdt
+    if not np.all(np.isfinite(T)):
+        raise SimulationError("thermal integration diverged (non-finite T)")
+    for name, temp in zip(free, T):
+        net._nodes[name].temperature = float(temp)
+
+
+def reference_node_step(node: Node, t: float, dt: float) -> None:
+    """``node.step(t, dt)``: the tick through the sub-model interfaces."""
+    cfg = node.config
+    node._protection(t)
+    # 1. workload execution at the current frequency
+    if node._shutdown:
+        # powered off: no execution, no CPU heat; the (possibly
+        # failed) fan and the package keep evolving passively.
+        node._cpu_power = 0.0
+    elif node._prochot:
+        # PROCHOT re-clamps every tick (governors cannot out-vote
+        # the hardware while it is asserted).
+        node.dvfs.set_index(len(node.dvfs.table) - 1, t)
+        node.core.step(t, dt)
+        node._cpu_power = node.power_model.power(
+            node.dvfs.pstate,
+            node.core.utilization,
+            node.package.die_temperature,
+        )
+    else:
+        node.core.step(t, dt)
+        node._cpu_power = node.power_model.power(
+            node.dvfs.pstate,
+            node.core.utilization,
+            node.package.die_temperature,
+        )
+    # 3. fan chip ingests measurements; auto mode updates its PWM
+    node.fan_chip.update(
+        remote_temp=node.package.die_temperature,
+        local_temp=node.package.ambient_temperature,
+        rpm=node.fan_motor.rpm,
+    )
+    # 4. rotor tracks the chip's PWM output
+    node.fan_motor.set_duty(node.fan_chip.commanded_duty)
+    node.fan_motor.step(t, dt)
+    airflow = node.fan_aero.airflow(node.fan_motor.rpm)
+    fan_power = node.fan_aero.power(node.fan_motor.rpm)
+    # 5. thermal integration
+    node.package.set_power(node._cpu_power)
+    node.package.set_airflow(airflow)
+    node.package.step(t, dt)
+    # 6. wall power (a shut-down node still draws standby power)
+    if node._shutdown:
+        node._wall_power = 5.0 + fan_power
+    else:
+        node._wall_power = cfg.baseboard_power + node._cpu_power + fan_power
+    node.meter.record(node._wall_power, dt)
 
 
 def _reference_step(engine: SimulationEngine) -> float:
@@ -134,10 +224,14 @@ def reference_path() -> Iterator[None]:
         SimulationEngine.run,
         Cluster._compile_sampler,
         RunExecutor.__dict__["_batch_key"],
+        Node.step,
+        RCNetwork.step,
     )
     SimulationEngine.run = reference_run
     Cluster._compile_sampler = reference_sampler
     RunExecutor._batch_key = UngroupedExecutor.__dict__["_batch_key"]
+    Node.step = reference_node_step
+    RCNetwork.step = reference_rc_step
     try:
         yield
     finally:
@@ -145,4 +239,6 @@ def reference_path() -> Iterator[None]:
             SimulationEngine.run,
             Cluster._compile_sampler,
             RunExecutor._batch_key,
+            Node.step,
+            RCNetwork.step,
         ) = saved

@@ -4,7 +4,7 @@ Three layers of the batch stack, each pinned against its serial
 counterpart:
 
 * :class:`repro.fastpath.batch.BatchedRC` against per-network
-  :class:`repro.fastpath.rc.CompiledRC` stepping — randomized networks,
+  :meth:`RCNetwork.step <repro.thermal.rc.RCNetwork.step>` — randomized networks,
   mid-run mutations, heterogeneous ``n_sub`` sub-batching, and the
   release-then-continue-serially contract;
 * :func:`repro.runtime.execute.execute_specs_batch` and the grouping
@@ -32,14 +32,24 @@ import pytest
 from repro.errors import SimulationError
 from repro.experiments import REGISTRY
 from repro.experiments.series import SERIES_REGISTRY
-from repro.fastpath import compile_network
-from repro.fastpath.batch import BatchedRC, Unbatchable, batch_signature
+from repro.cluster.node import Node
+from repro.fastpath.batch import (
+    BatchedRC,
+    PackageBatch,
+    Unbatchable,
+    batch_signature,
+    run_jobs_batch,
+)
 from repro.runtime import RunExecutor, RunSpec
 from repro.runtime.spec import FaultSpec
-from repro.runtime.execute import execute_spec, execute_specs_batch
+from repro.runtime.execute import _build_run, execute_spec, execute_specs_batch
 from repro.sim.engine import Component, SimulationEngine
 from repro.thermal.rc import RCNetwork, ThermalLink, ThermalNode
-from tests.reference_engine import UngroupedExecutor, reference_run
+from tests.reference_engine import (
+    UngroupedExecutor,
+    reference_rc_step,
+    reference_run,
+)
 
 SEED = 7
 
@@ -91,12 +101,11 @@ def assert_networks_equal(serial_nets, batch_nets) -> None:
 
 @pytest.mark.parametrize("case_seed", range(6))
 def test_batched_rc_matches_serial_bitwise(case_seed: int) -> None:
-    """N stacked networks step bitwise like N solo compiled networks."""
+    """N stacked networks step bitwise like N networks stepped alone."""
     members = 5
     serial_nets = [build_network(100 * case_seed + k) for k in range(members)]
     batch_nets = [build_network(100 * case_seed + k) for k in range(members)]
-    serial_crcs = [compile_network(net) for net in serial_nets]
-    batch = BatchedRC([compile_network(net) for net in batch_nets])
+    batch = BatchedRC(batch_nets)
 
     rng = random.Random(1000 + case_seed)
     dt = rng.choice([0.01, 0.05, 0.2])
@@ -109,8 +118,8 @@ def test_batched_rc_matches_serial_bitwise(case_seed: int) -> None:
             r = rng.uniform(0.05, 0.5)
             serial_nets[k].link(name).resistance = r
             batch_nets[k].link(name).resistance = r
-        for crc in serial_crcs:
-            crc.step(dt)
+        for net in serial_nets:
+            net.step(dt)
         batch.step(dt)
         assert_networks_equal(serial_nets, batch_nets)
 
@@ -120,34 +129,40 @@ def test_batched_rc_groups_heterogeneous_n_sub() -> None:
     scales = [1.0, 1e-3, 1.0, 1e-4, 1e-3]
     serial_nets = [build_network(7 + i, s) for i, s in enumerate(scales)]
     batch_nets = [build_network(7 + i, s) for i, s in enumerate(scales)]
-    serial_crcs = [compile_network(net) for net in serial_nets]
-    batch = BatchedRC([compile_network(net) for net in batch_nets])
+    batch = BatchedRC(batch_nets)
     for _ in range(100):
-        for crc in serial_crcs:
-            crc.step(0.05)
+        for net in serial_nets:
+            net.step(0.05)
         batch.step(0.05)
         assert_networks_equal(serial_nets, batch_nets)
     # The point of the test: the members really did disagree on n_sub.
-    assert len({crc._n_sub for crc in serial_crcs}) > 1
+    assert len({net._n_sub for net in serial_nets}) > 1
 
 
 def test_batched_rc_release_continues_serially() -> None:
     """After release(), members step on their own — still bitwise."""
     serial_nets = [build_network(50 + k) for k in range(4)]
     batch_nets = [build_network(50 + k) for k in range(4)]
-    serial_crcs = [compile_network(net) for net in serial_nets]
-    batch_crcs = [compile_network(net) for net in batch_nets]
-    batch = BatchedRC(batch_crcs)
+    batch = BatchedRC(batch_nets)
     for _ in range(60):
-        for crc in serial_crcs:
-            crc.step(0.05)
+        for net in serial_nets:
+            net.step(0.05)
         batch.step(0.05)
     batch.release()
     for _ in range(60):
-        for serial_crc, batch_crc in zip(serial_crcs, batch_crcs):
-            serial_crc.step(0.05)
-            batch_crc.step(0.05)
+        for serial_net, batch_net in zip(serial_nets, batch_nets):
+            serial_net.step(0.05)
+            batch_net.step(0.05)
         assert_networks_equal(serial_nets, batch_nets)
+
+
+def test_batched_rc_rejects_a_member_restructured_mid_batch() -> None:
+    nets = [build_network(60 + k) for k in range(3)]
+    batch = BatchedRC(nets)
+    batch.step(0.05)
+    nets[1].add_node(ThermalNode("late", 10.0, 30.0))
+    with pytest.raises(SimulationError, match="changed structure"):
+        batch.step(0.05)
 
 
 def test_batched_rc_rejects_structural_mismatch() -> None:
@@ -156,11 +171,9 @@ def test_batched_rc_rejects_structural_mismatch() -> None:
     different.add_node(ThermalNode("a", 10.0, 30.0))
     different.add_node(ThermalNode("amb", None, 25.0))
     different.add_link(ThermalLink("l", "a", "amb", 0.5))
-    assert batch_signature(compile_network(matching)) != batch_signature(
-        compile_network(different)
-    )
+    assert batch_signature(matching) != batch_signature(different)
     with pytest.raises(SimulationError, match="identical network structure"):
-        BatchedRC([compile_network(matching), compile_network(different)])
+        BatchedRC([matching, different])
 
 
 # ------------------------------------------------- run-loop edge cases
@@ -283,6 +296,45 @@ def test_execute_specs_batch_bitwise_identical_fig07() -> None:
     batched = execute_specs_batch(specs)
     for a, b in zip(serial, batched):
         assert_results_identical(a, b)
+
+
+def test_run_jobs_batch_completes_in_lockstep() -> None:
+    """The lockstep stepper itself, with no serial fallback to hide
+    behind: it finishes the fig07 group and matches serial runs."""
+    specs = fig07_specs()
+    pairs = [_build_run(spec) for spec in specs]
+    batched = run_jobs_batch(
+        clusters=[cluster for cluster, _ in pairs],
+        jobs=[job for _, job in pairs],
+        timeouts=[spec.timeout for spec in specs],
+        tails=[spec.tail for spec in specs],
+    )
+    for spec, result in zip(specs, batched):
+        assert_results_identical(execute_spec(spec), result)
+
+
+def test_package_batch_traps_public_writes_and_releases() -> None:
+    """A resistance written through the public setter mid-batch stops
+    the lockstep lane; after release the network honours it serially."""
+    nodes = [Node(f"n{k}") for k in range(2)]
+    for node in nodes:
+        node.package._net.step(0.05)  # coefficients cached, none dirty
+    pack = PackageBatch(nodes)
+    pack.step(0.05)
+    nodes[1].package._conv_link.resistance = 0.4
+    with pytest.raises(Unbatchable, match="public setter"):
+        pack.step(0.05)
+    pack.release()
+    reference = RCNetwork()
+    net = nodes[1].package._net
+    for name in net.node_names:
+        node = net.node(name)
+        reference.add_node(ThermalNode(name, node.capacitance, node.temperature))
+    for link in net._links.values():
+        reference.add_link(ThermalLink(link.name, link.a, link.b, link.resistance))
+    net.step(0.05)
+    reference_rc_step(reference, 0.05)
+    assert_networks_equal([reference], [net])
 
 
 def test_execute_specs_batch_single_spec_falls_back() -> None:

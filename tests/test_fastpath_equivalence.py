@@ -8,7 +8,8 @@ order.  Every comparison here is bitwise (``==`` on float arrays),
 never approximate:
 
 * randomized RC networks (mixed boundary/interior nodes, link
-  resistances mutated mid-run) stepped compiled vs. reference;
+  resistances, powers and structure edited mid-run), divergence;
+* a node stepped directly through PROCHOT, a fan failure and THERMTRIP;
 * the run loop's control semantics (task fire counts, ``until``/
   ``stop``/``max_ticks``) against the reference loop;
 * every registered experiment's quick-mode table;
@@ -23,18 +24,27 @@ from __future__ import annotations
 
 import hashlib
 import random
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
+from repro.cluster.node import Node
+from repro.config import NodeConfig
 from repro.errors import SimulationError
 from repro.experiments import REGISTRY
 from repro.experiments.series import SERIES_REGISTRY
-from repro.fastpath import compile_network
 from repro.runtime import RunSpec
 from repro.sim.engine import Component, SimulationEngine
+from repro.sim.events import EventLog
 from repro.thermal.rc import RCNetwork, ThermalLink, ThermalNode
-from tests.reference_engine import UngroupedExecutor, reference_path, reference_run
+from repro.workloads.base import ComputeSegment, RankProgram
+from tests.reference_engine import (
+    UngroupedExecutor,
+    reference_path,
+    reference_rc_step,
+    reference_run,
+)
 
 SEED = 7
 
@@ -76,13 +86,18 @@ def build_random_network(rng: random.Random) -> RCNetwork:
     return net
 
 
+def assert_same_temperatures(net, reference, where: str) -> None:
+    for name in reference.node_names:
+        assert net.temperature(name) == reference.temperature(
+            name
+        ), f"{where}, node {name}"
+
+
 @pytest.mark.parametrize("case_seed", range(12))
 def test_random_networks_step_identically(case_seed: int) -> None:
-    """Compiled and reference networks agree bitwise through mutations."""
+    """The network and the oracle agree bitwise through mutations."""
     reference = build_random_network(random.Random(case_seed))
-    compiled = build_random_network(random.Random(case_seed))
-    crc = compile_network(compiled)
-    assert compiled._fast is crc
+    net = build_random_network(random.Random(case_seed))
 
     rng = random.Random(1000 + case_seed)
     link_names = list(reference._links)
@@ -92,44 +107,112 @@ def test_random_networks_step_identically(case_seed: int) -> None:
             name = rng.choice(link_names)
             r = rng.uniform(0.05, 5.0)
             reference.link(name).resistance = r
-            compiled.link(name).resistance = r
+            net.link(name).resistance = r
         if rng.random() < 0.1:  # external power change between ticks
             node = rng.choice(reference.node_names)
             if not reference.node(node).is_boundary:
                 p = rng.uniform(0.0, 150.0)
                 reference.set_power(node, p)
-                compiled.set_power(node, p)
-        reference.step(dt)
-        compiled.step(dt)
-        for name in reference.node_names:
-            assert compiled.temperature(name) == reference.temperature(
-                name
-            ), f"case {case_seed}, tick {tick}, node {name}"
+                net.set_power(node, p)
+        if rng.random() < 0.05:  # structural edit mid-run
+            k = len(reference.node_names)
+            other = rng.choice(reference.node_names)
+            for target in (reference, net):
+                target.add_node(ThermalNode(f"late{k}", 30.0, 40.0))
+                target.add_link(
+                    ThermalLink(f"late_link{k}", f"late{k}", other, 0.7)
+                )
+            link_names.append(f"late_link{k}")
+        reference_rc_step(reference, dt)
+        net.step(dt)
+        assert_same_temperatures(net, reference, f"case {case_seed}, tick {tick}")
 
 
-def test_structural_change_detaches_compiled_stepper() -> None:
+def test_structural_edit_mid_run_matches_reference() -> None:
+    """A node and a link added between steps join the integration at
+    once, and a resistance written before the next step is honoured."""
+    reference = build_random_network(random.Random(3))
     net = build_random_network(random.Random(3))
-    crc = compile_network(net)
-    net.step(0.05)
-    net.add_node(ThermalNode("late", 50.0, 30.0))
-    assert net._fast is None  # invalidated, reference path resumes
-    net.add_link(ThermalLink("late_link", "late", "m0", 1.0))
-    net.step(0.05)  # runs (and re-validates) on the reference path
-    recompiled = compile_network(net)
-    assert recompiled is not crc
-    net.step(0.05)
+    for step in range(4):
+        if step == 2:
+            for target in (reference, net):
+                target.add_node(ThermalNode("late", 50.0, 30.0))
+                target.add_link(ThermalLink("late_link", "late", "m0", 1.0))
+                target.set_power("late", 20.0)
+                target.link("chain1").resistance = 0.3
+        reference_rc_step(reference, 0.05)
+        net.step(0.05)
+        assert_same_temperatures(net, reference, f"step {step}")
+    assert net.temperature("late") != 30.0
 
 
 def test_dt_change_and_divergence_match_reference() -> None:
     """n_sub revalidates per dt; divergence raises the reference error."""
     reference = build_random_network(random.Random(5))
-    compiled = build_random_network(random.Random(5))
-    compile_network(compiled)
+    net = build_random_network(random.Random(5))
     for dt in (0.05, 0.5, 0.05, 2.0):
-        reference.step(dt)
-        compiled.step(dt)
-        for name in reference.node_names:
-            assert compiled.temperature(name) == reference.temperature(name)
+        reference_rc_step(reference, dt)
+        net.step(dt)
+        assert_same_temperatures(net, reference, f"dt {dt}")
+    # set_power rejects NaN but not inf: an infinite source diverges.
+    errors = []
+    for target, step in ((reference, reference_rc_step), (net, RCNetwork.step)):
+        target.set_power("m0", float("inf"))
+        with pytest.raises(SimulationError) as caught:
+            step(target, 0.05)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1] == "thermal integration diverged (non-finite T)"
+    # Neither wrote the non-finite state back.
+    assert_same_temperatures(net, reference, "after divergence")
+
+
+# ------------------------------------------------------------- node tick
+
+
+def _node_trace(stepped_by_reference: bool) -> tuple:
+    """A node through PROCHOT assert/deassert, a fan failure and
+    THERMTRIP, stepped by direct ``step`` calls; per-tick state."""
+    events = EventLog()
+    node = Node(
+        "n0",
+        config=NodeConfig(
+            prochot_temp=44.0, prochot_hysteresis=3.0, shutdown_temp=46.5
+        ),
+        events=events,
+    )
+    node.bind_rank(RankProgram([ComputeSegment(2.4e9 * 900)], name="burn"))
+    dt = 0.05
+    rows = []
+    with reference_path() if stepped_by_reference else nullcontext():
+        for i in range(1, 10001):
+            t = i * dt
+            if i == 2000:
+                node.fail_fan(t)
+            node.step(t, dt)
+            rows.append(
+                (
+                    node.die_temperature,
+                    node.package.sink_temperature,
+                    node.cpu_power,
+                    node.wall_power,
+                    node.fan_rpm,
+                    node.dvfs.index,
+                )
+            )
+    return rows, [str(event) for event in events], node.meter.energy_joules
+
+
+def test_node_step_matches_reference_through_protection() -> None:
+    """``Node.step`` called directly equals the oracle's tick bitwise."""
+    rows, events, energy = _node_trace(stepped_by_reference=False)
+    ref_rows, ref_events, ref_energy = _node_trace(stepped_by_reference=True)
+    assert rows == ref_rows
+    assert events == ref_events
+    assert energy == ref_energy
+    kinds = " ".join(events)
+    for kind in ("hw.prochot.assert", "hw.prochot.deassert", "hw.fan_failure",
+                 "hw.thermtrip"):
+        assert kind in kinds, kind
 
 
 # ------------------------------------------------------ fused loop semantics

@@ -213,7 +213,8 @@ def test_control_array_accepts_any_ladder_length() -> None:
 
 @pytest.mark.parametrize("name", MULTICORE_PLATFORMS)
 def test_fastpath_bitwise_identical_on_platform(name) -> None:
-    """The engine (compiled N-core RC network) equals the reference."""
+    """The engine (N-core RC network on its cached stepper) equals the
+    reference."""
     spec = platform_spec_of(name)
     with reference_path():
         reference = RunExecutor().run(spec)
