@@ -8,12 +8,13 @@ what spans runs and samples:
 
 * :mod:`repro.fastpath.recording` buffers trace samples and flushes
   them through :meth:`~repro.sim.trace.Trace.extend`.
-* :mod:`repro.fastpath.batch` stacks N independent runs into one
-  structure-of-arrays stepper advanced in lockstep — one ``(N, m, m)``
-  thermal solve per tick across a whole parameter sweep — with each
-  run's results still bitwise identical to its own serial execution.
+* :mod:`repro.fastpath.batch` stacks N CPU packages into one
+  :class:`~repro.fastpath.batch.PackageBatch` advanced in lockstep —
+  one ``(N, 2, 2)`` thermal solve per tick across a whole parameter
+  sweep or fleet shard — with each package's results still bitwise
+  identical to its own serial stepping.
   :class:`~repro.runtime.executor.RunExecutor` groups every sweep this
-  way by default.
+  way by default, and every fleet shard steps its nodes on it.
 * :mod:`repro.fastpath.loop` is the historical import path of
   :func:`~repro.sim.engine.run_fused`.
 

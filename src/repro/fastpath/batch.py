@@ -1,29 +1,25 @@
-"""Lockstep batching: N independent runs stepped as one.
+"""Lockstep batching: N independent packages stepped as one.
 
 The compiled engine loop amortizes interpreter overhead *within* one run;
 this module amortizes it *across* runs.  Parameter sweeps (fig07's
 max-PWM ladder, the governor comparisons) re-run the same 4-node
-cluster with different knob settings — structurally identical RC
-networks advancing on the same tick schedule.  Stacking them turns
-``N × (tiny matmul + ufunc chain)`` per tick into one ``(N, m, m)``
-stacked matmul and one fused ufunc sequence, the same move ControlPULP
-makes when one controller services many cores in lockstep.
+cluster with different knob settings, and a fleet shard advances
+hundreds of servers on one tick schedule — every member one
+die/sink/ambient :class:`~repro.thermal.package.CpuPackage`.  Stacking
+them turns ``N × (tiny matmul + ufunc chain)`` per tick into one
+``(N, 2, 2)`` stacked matmul and one fused ufunc sequence, the same
+move ControlPULP makes when one controller services many cores in
+lockstep.
 
-Three layers, each independently testable:
+Two layers, each independently testable:
 
-* :class:`BatchedRC` — the general structure-of-arrays stepper over any
-  set of structurally identical :class:`~repro.thermal.rc.RCNetwork`
-  members.  Each member keeps its own dirty bookkeeping (its ``_G``
-  becomes a *view* into the ``(N, m, m)`` stack, so its ``_refresh``
-  writes straight through), and members whose stability sub-step count
-  ``n_sub`` disagrees integrate in per-``n_sub`` sub-batches rather
-  than breaking equivalence.
-* :class:`PackageBatch` — the specialized lane for the cluster's
-  die/sink/ambient :class:`~repro.thermal.package.CpuPackage` topology:
+* :class:`PackageBatch` — the stacked stepper over N CPU packages:
   per-tick coefficient refresh, forcing-vector assembly and the
   stability predicate are fully vectorized, and free-node temperatures
   persist in the stack between ticks (the per-tick writeback keeps the
-  node objects current, and nothing else writes them mid-run).
+  node objects current, and nothing else writes them mid-run).  Both
+  the cluster sweeps (:func:`run_jobs_batch`) and the fleet shards
+  (:class:`~repro.fleet.shard.ShardRunner`) step on it.
 * :func:`run_fused_batch` / :func:`run_jobs_batch` — the lockstep run
   loop (mirroring :meth:`SimulationEngine.run
   <repro.sim.engine.SimulationEngine.run>`'s boundary arithmetic per
@@ -31,30 +27,31 @@ Three layers, each independently testable:
   members.
 
 The equivalence contract: every run's traces, events and telemetry
-come out bitwise identical to its own serial execution.  Stacked ``np.matmul`` over ``(N, m, m) @ (N, m, 1)``
-produces the same bits as the per-slice products (einsum does **not**,
-and is not used), elementwise ufuncs are per-element exact, and
-gather/scatter copies are exact — so sub-batching and stacking are
-pure layout changes.  Anything the lockstep path cannot guarantee
-bitwise (an unexpected resistance write, a stability-limit violation,
-budget exhaustion, an engine stop request) raises :class:`Unbatchable`
-and the caller falls back to serial execution, which also reproduces
-the serial path's exact error behaviour.
+come out bitwise identical to its own serial execution.  Stacked
+``np.matmul`` over ``(N, m, m) @ (N, m, 1)`` produces the same bits as
+the per-slice products (einsum does **not**, and is not used),
+elementwise ufuncs are per-element exact, and gather/scatter copies are
+exact — so stacking is a pure layout change.  Anything the lockstep
+path cannot guarantee bitwise (a junction resistance write, a
+stability limit demanding sub-steps, budget exhaustion, an engine stop
+request) raises :class:`Unbatchable` and the caller falls back to
+per-network stepping, which also reproduces the serial path's exact
+error behaviour.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import SimulationError
 from ..sim.engine import task_schedule
 from ..sim.marker import coldpath, hotpath
+from ..thermal.package import CpuPackage
 from ..thermal.rc import RCNetwork
 
 __all__ = [
-    "BatchedRC",
     "PackageBatch",
     "Unbatchable",
     "batch_signature",
@@ -74,13 +71,14 @@ class Unbatchable(Exception):
 
 
 def batch_signature(net: RCNetwork) -> tuple:
-    """The structural identity two networks must share to batch.
+    """The structural identity of a network, as the integration sees it.
 
     Covers everything that shapes the integration: free-node count,
     link count, per-row link incidence (in accumulation order), the
     boundary-coupling terms and each link's endpoint indices.  Values
     (capacitances, resistances, temperatures, powers) are free to
-    differ — they live in the stacked arrays.
+    differ — they live in the stacked arrays.  :class:`PackageBatch`
+    admits only networks with the CpuPackage signature.
     """
     if net._stale:
         net._flatten()
@@ -89,203 +87,14 @@ def batch_signature(net: RCNetwork) -> tuple:
     return (net._m, len(net._links), rows, bterm_ids, tuple(net._link_ends))
 
 
-def _raise_restructured() -> None:
-    raise SimulationError("a batched network changed structure")
-
-
 def _raise_diverged_member(k: int) -> None:
     raise SimulationError(
         f"thermal integration diverged (non-finite T) in batch member {k}"
     )
 
 
-class BatchedRC:
-    """Structure-of-arrays stepper over N structurally identical networks.
-
-    Construction rebinds each member's conductance matrix to a slice of
-    the shared ``(N, m, m)`` stack, so the member's own coefficient
-    cache — per-link dirty sets, row rebuilds, the ``n_sub`` stability
-    cache — keeps operating unchanged and writes through to the stack.
-    :meth:`step` then performs :meth:`RCNetwork.step
-    <repro.thermal.rc.RCNetwork.step>`'s ufunc sequence once across all
-    members instead of once per member.  A member's structure must not
-    change while it is batched.
-
-    Use :meth:`release` to detach: members get private copies of their
-    (current) matrix slices back, so serial stepping resumes bitwise
-    where the batch left off.
-    """
-
-    __slots__ = (
-        "_members",
-        "_m",
-        "_Gs",
-        "_Cs",
-        "_Ts",
-        "_Ts_col",
-        "_bs",
-        "_Gt3",
-        "_Gt",
-        "_dTs",
-    )
-
-    def __init__(self, members: Sequence[RCNetwork]) -> None:
-        members = list(members)
-        if not members:
-            raise SimulationError("BatchedRC needs at least one member")
-        signature = batch_signature(members[0])
-        for member in members[1:]:
-            if batch_signature(member) != signature:
-                raise SimulationError(
-                    "BatchedRC members must share an identical network "
-                    "structure (free nodes, link incidence, boundary terms)"
-                )
-        self._members = members
-        m = members[0]._m
-        self._m = m
-        n = len(members)
-        self._Gs = np.zeros((n, m, m), dtype=np.float64)
-        self._Cs = np.empty((n, m), dtype=np.float64)
-        self._Ts = np.empty((n, m), dtype=np.float64)
-        self._bs = np.empty((n, m), dtype=np.float64)
-        self._Gt3 = np.empty((n, m, 1), dtype=np.float64)
-        self._Gt = self._Gt3[:, :, 0]
-        self._dTs = np.empty((n, m), dtype=np.float64)
-        self._Ts_col = self._Ts[:, :, None]
-        for k, member in enumerate(members):
-            self._Gs[k, :, :] = member._G
-            self._Cs[k, :] = member._C
-            # The member's matrix becomes a view into the stack: its
-            # _refresh (row rebuilds, dirty bookkeeping, n_sub cache)
-            # keeps working unchanged and writes straight through.
-            member._G = self._Gs[k]
-
-    @property
-    def members(self) -> Tuple[RCNetwork, ...]:
-        """The batched networks, in stack order."""
-        return tuple(self._members)
-
-    def release(self) -> None:
-        """Detach: members get private (copied) matrices back.
-
-        The stack rows were maintained by each member's own refresh, so
-        the copies hold exactly the coefficients a serial continuation
-        expects; pending dirty slots survive untouched.
-        """
-        for k, member in enumerate(self._members):
-            member._G = self._Gs[k].copy()
-
-    @hotpath
-    def step(self, dt: float) -> None:
-        """Advance every member by ``dt`` — bitwise as if stepped alone."""
-        members = self._members
-        for member in members:
-            if dt != member._cached_dt or member._dirty:
-                if member._stale:
-                    _raise_restructured()
-                member._refresh(dt)
-        m = self._m
-        if m == 0:
-            return
-        Ts = self._Ts
-        bs = self._bs
-        k = 0
-        for member in members:
-            T = Ts[k]
-            b = bs[k]
-            free_nodes = member._free_nodes
-            free_names = member._free_names
-            powers = member._powers
-            for i in range(m):
-                T[i] = free_nodes[i].temperature
-                b[i] = powers[free_names[i]]
-            g = member._g
-            for i, slot, bnode in member._bterms:
-                b[i] += g[slot] * bnode.temperature
-            k += 1
-        first = members[0]
-        n_sub = first._n_sub
-        uniform = True
-        for member in members:
-            if member._n_sub != n_sub:
-                uniform = False
-                break
-        if uniform:
-            h = first._h
-            Gs = self._Gs
-            Ts_col = self._Ts_col
-            Gt3 = self._Gt3
-            Gt = self._Gt
-            dTs = self._dTs
-            Cs = self._Cs
-            matmul = np.matmul
-            subtract = np.subtract
-            divide = np.divide
-            multiply = np.multiply
-            add = np.add
-            for _ in range(n_sub):
-                matmul(Gs, Ts_col, out=Gt3)
-                subtract(bs, Gt, out=dTs)
-                divide(dTs, Cs, out=dTs)
-                multiply(dTs, h, out=dTs)
-                add(Ts, dTs, out=Ts)
-        else:
-            self._integrate_grouped()
-        if not np.isfinite(Ts).all():
-            self._raise_diverged()
-        k = 0
-        for member in members:
-            row = Ts[k]
-            item = row.item
-            free_nodes = member._free_nodes
-            for i in range(m):
-                free_nodes[i].temperature = item(i)
-            k += 1
-
-    @coldpath
-    def _integrate_grouped(self) -> None:
-        """Sub-batch integration when members disagree on ``n_sub``.
-
-        Gather → integrate → scatter on index-selected copies.
-        Elementwise copies are bit-exact and the stacked matmul is
-        per-slice exact, so splitting into per-``n_sub`` groups
-        preserves equivalence at the cost of per-tick temporaries —
-        this is the rare path (heterogeneous stability limits), hence
-        ``@coldpath``.
-        """
-        groups: Dict[int, List[int]] = {}
-        for k, member in enumerate(self._members):
-            groups.setdefault(member._n_sub, []).append(k)
-        for n_sub in sorted(groups):
-            picks = groups[n_sub]
-            idx = np.array(picks, dtype=np.intp)
-            h = self._members[picks[0]]._h
-            Gg = self._Gs[idx]
-            Tg = self._Ts[idx]
-            bg = self._bs[idx]
-            Cg = self._Cs[idx]
-            Tg_col = Tg[:, :, None]
-            Gt3 = np.empty_like(Tg_col)
-            Gt = Gt3[:, :, 0]
-            dTg = np.empty_like(Tg)
-            for _ in range(n_sub):
-                np.matmul(Gg, Tg_col, out=Gt3)
-                np.subtract(bg, Gt, out=dTg)
-                np.divide(dTg, Cg, out=dTg)
-                np.multiply(dTg, h, out=dTg)
-                np.add(Tg, dTg, out=Tg)
-            self._Ts[idx] = Tg
-
-    @coldpath
-    def _raise_diverged(self) -> None:
-        for k in range(len(self._members)):
-            if not np.isfinite(self._Ts[k]).all():
-                _raise_diverged_member(k)
-        raise SimulationError("thermal integration diverged (non-finite T)")
-
-
 # --------------------------------------------------------------------------
-# The specialized (vectorized) lane for the cluster's CpuPackage topology.
+# The stacked stepper over the CpuPackage topology.
 # --------------------------------------------------------------------------
 
 #: Serial ``_refresh`` treats diagonals at or below this as degenerate.
@@ -305,9 +114,10 @@ _PACK_SIGNATURE = (
 
 
 class _DirtyTrap:
-    """Observer installed on batched links while :class:`PackageBatch` owns
-    the integration: any resistance write through the public setter
-    invalidates the whole batch (checked once per tick)."""
+    """Observer installed on each member's junction link while
+    :class:`PackageBatch` owns the integration: the batch freezes that
+    link's conductance when it is built, so a write through the public
+    setter invalidates the whole batch (checked once per tick)."""
 
     __slots__ = ("tripped",)
 
@@ -320,8 +130,8 @@ class _DirtyTrap:
 
 def _raise_trap_tripped() -> None:
     raise Unbatchable(
-        "a link resistance was written through its public setter during "
-        "batched stepping"
+        "a junction resistance was written through its public setter "
+        "during batched stepping"
     )
 
 
@@ -337,28 +147,26 @@ def _raise_stop_requested() -> None:
 
 
 class PackageBatch:
-    """Vectorized lockstep stepper over N cluster-node CPU packages.
+    """Vectorized lockstep stepper over N die/sink/ambient CPU packages.
 
-    Where :class:`BatchedRC` loops over members for fill and refresh,
-    this lane exploits the fixed die/sink/ambient shape.  Each tick it
-    gathers the three inputs every node's
-    :meth:`~repro.cluster.node.Node.tick_pair` pre-half wrote into the
+    Each tick it gathers the three inputs the caller wrote into every
     live network — die power, convective resistance, boundary
     temperature — into ``(N,)`` columns; the convective conductance
     and matrix diagonal are recomputed unconditionally (idempotent —
     recomputing an unchanged ``1/r`` yields the same bits the serial
     dirty-refresh would have kept), and free-node temperatures persist
     in the stack between ticks (writeback keeps the node objects
-    current; nothing else writes them mid-run).
+    current; nothing else writes them mid-run).  The convective link
+    stays observed by its own network, so its public setter works as
+    usual; the junction link's conductance is frozen at construction.
 
-    Equivalence guards, enforced every tick, downgrade to
-    :class:`Unbatchable` instead of silently diverging: a resistance
-    write through the public setter (the :class:`_DirtyTrap` observer
-    installed on every member link), a matrix diagonal at the
+    Equivalence guards, enforced every tick before any node temperature
+    is written, downgrade to :class:`Unbatchable` instead of silently
+    diverging: a junction resistance write through the public setter
+    (the :class:`_DirtyTrap` observer), a matrix diagonal at the
     degenerate floor, or a stability limit demanding sub-steps
-    (``0.5 · min C/G_ii < dt`` — with the cluster's constants the limit
-    sits ~37x above the 0.05 s physics tick, so this never fires in
-    practice).
+    (``0.5 · min C/G_ii < dt``: the default package's limit is 1.875 s,
+    ~37x the cluster's 0.05 s physics tick).
     """
 
     __slots__ = (
@@ -387,11 +195,11 @@ class PackageBatch:
         "_trap",
     )
 
-    def __init__(self, nodes: Sequence) -> None:
-        nodes = list(nodes)
-        if not nodes:
-            raise Unbatchable("package batch needs at least one node")
-        n = len(nodes)
+    def __init__(self, packages: Sequence[CpuPackage]) -> None:
+        packages = list(packages)
+        if not packages:
+            raise Unbatchable("package batch needs at least one package")
+        n = len(packages)
         self._g0 = np.empty(n, dtype=np.float64)
         self._g1 = np.empty(n, dtype=np.float64)
         self._diag1 = np.empty(n, dtype=np.float64)
@@ -414,8 +222,7 @@ class PackageBatch:
         nets = []
         inputs = []
         writes = []
-        for k, node in enumerate(nodes):
-            package = node.package
+        for k, package in enumerate(packages):
             net = package._net
             amb_node = net._nodes[package._amb]
             if (
@@ -424,9 +231,7 @@ class PackageBatch:
                 or net._link_list[1] is not package._conv_link
                 or net._bterms[0][2] is not amb_node
             ):
-                raise Unbatchable(
-                    "node package is not the die/sink/ambient stack"
-                )
+                raise Unbatchable("package is not the die/sink/ambient stack")
             if net._powers[package._sink] != 0.0:
                 raise Unbatchable("sink node carries injected power")
             g0 = 1.0 / net._link_list[0]._resistance
@@ -447,8 +252,7 @@ class PackageBatch:
                 (net._powers, package._die, package._conv_link, amb_node)
             )
             writes.append((die, sink))
-            for link in net._link_list:
-                link._observer = self._trap
+            net._link_list[0]._observer = self._trap
         self._nets = nets
         self._inputs = inputs
         self._writes = writes
@@ -461,22 +265,21 @@ class PackageBatch:
     def release(self) -> None:
         """Hand the networks back to their own :meth:`RCNetwork.step`.
 
-        Link observers return to the networks, and every link is marked
-        dirty: the next serial step rebuilds the coefficients from the
-        live resistances (a full refresh is bitwise-deterministic).
-        The node objects themselves are already current.
+        Junction observers return to the networks, and every link is
+        marked dirty: the next serial step rebuilds the coefficients
+        from the live resistances (a full refresh is
+        bitwise-deterministic).  The node objects themselves are
+        already current.
         """
         for net in self._nets:
-            for link in net._link_list:
-                link._observer = net
+            net._link_list[0]._observer = net
             net._dirty.update(range(len(net._link_list)))
 
     @hotpath
     def step(self, dt: float) -> None:
         """One lockstep physics tick across all member packages.
 
-        Call after every member's pre-half has written this tick's
-        inputs into its network.
+        Call after this tick's inputs are written into every network.
         """
         if self._trap.tripped:
             _raise_trap_tripped()
@@ -761,7 +564,7 @@ def run_jobs_batch(
         members = [
             node for lane in active for node in lane.cluster.engine._components
         ]
-        pack = PackageBatch(members)
+        pack = PackageBatch([node.package for node in members])
         pairs = [node.tick_pair() for node in members]
         pres = [pre for pre, _ in pairs]
         posts = [post for _, post in pairs]

@@ -293,7 +293,15 @@ def _cache_load(path: Path, spec: FleetSpec) -> Optional[FleetResult]:
     try:
         with open(path, "rb") as fh:
             payload = pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+    except (
+        OSError,
+        pickle.UnpicklingError,
+        EOFError,
+        AttributeError,
+        ValueError,
+        ImportError,
+    ):
+        # Truncated, foreign-protocol or stale entries are misses.
         return None
     if (
         not isinstance(payload, tuple)

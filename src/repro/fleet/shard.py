@@ -1,14 +1,17 @@
 """Shard execution: a contiguous rack range stepped in lockstep.
 
 A :class:`ShardRunner` owns racks ``[rack_lo, rack_hi)`` of one fleet
-and advances *all* of its nodes' package networks through one
-:class:`~repro.fastpath.batch.BatchedRC` — the structure-of-arrays
-stepper whose per-member bitwise equality with
+and advances *all* of its nodes' CPU packages through one
+:class:`~repro.fastpath.batch.PackageBatch` — the stacked stepper whose
+per-member bitwise equality with
 :meth:`RCNetwork.step <repro.thermal.rc.RCNetwork.step>` is exactly
-what makes the partition a pure layout choice.  Between two synchronization
-epochs a shard touches nothing but its own racks, so the trajectory of
-rack *r* is a function of ``(spec, r, epoch commands)`` — never of
-which shard (or how many shards) hosted it.
+what makes the partition a pure layout choice.  When the batch cannot
+take a tick (a ``dt`` past the package's stability limit needs
+sub-steps) it raises before writing any temperature, and the shard
+steps every network on its own from then on — the same bits.  Between
+two synchronization epochs a shard touches nothing but its own racks,
+so the trajectory of rack *r* is a function of ``(spec, r, epoch
+commands)`` — never of which shard (or how many shards) hosted it.
 
 The process protocol is deliberately tiny and synchronous (BSP):
 
@@ -24,10 +27,10 @@ parent-side mutable state can leak into a worker.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import SimulationError
-from ..fastpath.batch import BatchedRC
+from ..fastpath.batch import PackageBatch, Unbatchable
 from ..telemetry import MetricsRegistry, TelemetrySnapshot
 from .model import FleetRack, build_rack, node_band
 from .spec import FleetSpec
@@ -112,9 +115,9 @@ class ShardRunner:
             build_rack(spec, r) for r in range(rack_lo, rack_hi)
         ]
         self._band = node_band(spec)
-        self._batch = BatchedRC(
-            [node.package._net for rack in self.racks for node in rack.nodes]
-        )
+        packages = [node.package for rack in self.racks for node in rack.nodes]
+        self._nets = [package._net for package in packages]
+        self._batch: Optional[PackageBatch] = PackageBatch(packages)
         self._tick = 0
         self._throttles_reported = [0] * len(self.racks)
 
@@ -140,7 +143,6 @@ class ShardRunner:
             rack.begin_epoch(inlet, pp)
         dt = spec.dt
         control_ticks = spec.control_ticks
-        batch = self._batch
         for _ in range(n_ticks):
             tick = self._tick
             if tick % control_ticks == 0:
@@ -149,7 +151,7 @@ class ShardRunner:
                     rack.control_step(spec, t, self._band)
             for rack in racks:
                 rack.tick(dt)
-            batch.step(dt)
+            self._step_packages(dt)
             self._tick += 1
             for rack in racks:
                 for node in rack.nodes:
@@ -180,9 +182,25 @@ class ShardRunner:
             )
         return reports
 
+    def _step_packages(self, dt: float) -> None:
+        """One physics tick: the batch, or each network once it declines."""
+        batch = self._batch
+        if batch is not None:
+            try:
+                batch.step(dt)
+                return
+            except Unbatchable:
+                # Raised before any temperature write: the per-network
+                # path continues from exactly the same state.
+                batch.release()
+                self._batch = None
+        for net in self._nets:
+            net.step(dt)
+
     def finish(self) -> ShardResult:
         """Detach the batch and freeze the shard's final state."""
-        self._batch.release()
+        if self._batch is not None:
+            self._batch.release()
         nodes: List[NodeFinal] = []
         racks: List[RackFinal] = []
         for rack in self.racks:

@@ -494,8 +494,16 @@ class RunExecutor:
                 return pickle.load(handle)
         except FileNotFoundError:
             return None
-        except (pickle.UnpicklingError, EOFError, AttributeError, OSError):
-            # A truncated or stale entry is a miss, not an error.
+        except (
+            pickle.UnpicklingError,
+            EOFError,
+            AttributeError,
+            OSError,
+            ValueError,
+            ImportError,
+        ):
+            # A truncated, foreign-protocol or stale entry is a miss,
+            # not an error.
             return None
 
     def _cache_store(self, spec: RunSpec, result: RunResult) -> None:

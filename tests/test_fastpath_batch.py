@@ -3,10 +3,9 @@
 Three layers of the batch stack, each pinned against its serial
 counterpart:
 
-* :class:`repro.fastpath.batch.BatchedRC` against per-network
-  :meth:`RCNetwork.step <repro.thermal.rc.RCNetwork.step>` — randomized networks,
-  mid-run mutations, heterogeneous ``n_sub`` sub-batching, and the
-  release-then-continue-serially contract;
+* :class:`repro.fastpath.batch.PackageBatch` against the reference
+  stepper — public-setter writes to the convective link honoured on the
+  next tick, junction writes refused, and the release contract;
 * :func:`repro.runtime.execute.execute_specs_batch` and the grouping
   :class:`~repro.runtime.RunExecutor` against the serial engine — full
   sweep results (tables, curves, traces, cache entries, telemetry
@@ -18,13 +17,14 @@ counterpart:
 The serial engine is itself pinned byte-identical to the reference
 oracle by ``tests/test_fastpath_equivalence.py``, so equality against
 the serial engine here is transitively equality against the reference.
+The fleet's use of :class:`~repro.fastpath.batch.PackageBatch` is
+pinned against the same oracle in ``tests/test_fleet.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import random
 
 import numpy as np
 import pytest
@@ -32,18 +32,16 @@ import pytest
 from repro.errors import SimulationError
 from repro.experiments import REGISTRY
 from repro.experiments.series import SERIES_REGISTRY
-from repro.cluster.node import Node
 from repro.fastpath.batch import (
-    BatchedRC,
     PackageBatch,
     Unbatchable,
-    batch_signature,
     run_jobs_batch,
 )
 from repro.runtime import RunExecutor, RunSpec
 from repro.runtime.spec import FaultSpec
 from repro.runtime.execute import _build_run, execute_spec, execute_specs_batch
 from repro.sim.engine import Component, SimulationEngine
+from repro.thermal.package import CpuPackage
 from repro.thermal.rc import RCNetwork, ThermalLink, ThermalNode
 from tests.reference_engine import (
     UngroupedExecutor,
@@ -54,126 +52,70 @@ from tests.reference_engine import (
 SEED = 7
 
 
-# ------------------------------------------------------------- BatchedRC
+# ---------------------------------------------------------- PackageBatch
 
 
-def build_network(seed: int, c_scale: float = 1.0) -> RCNetwork:
-    """A fixed-structure, random-parameter chain with one boundary node.
-
-    All instances share the structure (so they batch) while every
-    capacitance, temperature, resistance and power differs per seed —
-    the sweep shape the batch stepper exists for.
-    """
-    rng = random.Random(seed)
-    net = RCNetwork()
-    names = []
-    for i in range(4):
-        net.add_node(
-            ThermalNode(
-                f"m{i}",
-                rng.uniform(5.0, 50.0) * c_scale,
-                rng.uniform(20.0, 80.0),
-            )
-        )
-        names.append(f"m{i}")
-    net.add_node(ThermalNode("amb", None, rng.uniform(15.0, 45.0)))
-    for i in range(1, 4):
-        net.add_link(
-            ThermalLink(
-                f"chain{i}", names[i - 1], names[i], rng.uniform(0.05, 0.5)
-            )
-        )
-    net.add_link(ThermalLink("sinklink", "m3", "amb", rng.uniform(0.05, 0.5)))
-    for name in names:
-        net.set_power(name, rng.uniform(0.0, 30.0))
-    return net
-
-
-def assert_networks_equal(serial_nets, batch_nets) -> None:
-    for k, (snet, bnet) in enumerate(zip(serial_nets, batch_nets)):
-        for name in snet.node_names:
-            a = snet.temperature(name)
-            b = bnet.temperature(name)
+def assert_networks_equal(expected_nets, actual_nets) -> None:
+    for k, (enet, anet) in enumerate(zip(expected_nets, actual_nets)):
+        for name in enet.node_names:
+            a = enet.temperature(name)
+            b = anet.temperature(name)
             assert a == b and np.float64(a).tobytes() == np.float64(
                 b
             ).tobytes(), f"member {k}, node {name}: {a!r} != {b!r}"
 
 
-@pytest.mark.parametrize("case_seed", range(6))
-def test_batched_rc_matches_serial_bitwise(case_seed: int) -> None:
-    """N stacked networks step bitwise like N networks stepped alone."""
-    members = 5
-    serial_nets = [build_network(100 * case_seed + k) for k in range(members)]
-    batch_nets = [build_network(100 * case_seed + k) for k in range(members)]
-    batch = BatchedRC(batch_nets)
-
-    rng = random.Random(1000 + case_seed)
-    dt = rng.choice([0.01, 0.05, 0.2])
-    for tick in range(200):
-        if rng.random() < 0.1:
-            # Mutate one member's link mid-run through the public
-            # setter — only that member's coefficients may refresh.
-            k = rng.randrange(members)
-            name = rng.choice(list(serial_nets[k]._links))
-            r = rng.uniform(0.05, 0.5)
-            serial_nets[k].link(name).resistance = r
-            batch_nets[k].link(name).resistance = r
-        for net in serial_nets:
-            net.step(dt)
-        batch.step(dt)
-        assert_networks_equal(serial_nets, batch_nets)
+def mirror_network(net: RCNetwork) -> RCNetwork:
+    """A fresh network with ``net``'s nodes, links and powers."""
+    twin = RCNetwork()
+    for name in net.node_names:
+        node = net.node(name)
+        twin.add_node(ThermalNode(name, node.capacitance, node.temperature))
+        twin.set_power(name, net.power(name))
+    for link in net._links.values():
+        twin.add_link(ThermalLink(link.name, link.a, link.b, link.resistance))
+    return twin
 
 
-def test_batched_rc_groups_heterogeneous_n_sub() -> None:
-    """Members with different stability limits sub-batch, not diverge."""
-    scales = [1.0, 1e-3, 1.0, 1e-4, 1e-3]
-    serial_nets = [build_network(7 + i, s) for i, s in enumerate(scales)]
-    batch_nets = [build_network(7 + i, s) for i, s in enumerate(scales)]
-    batch = BatchedRC(batch_nets)
-    for _ in range(100):
-        for net in serial_nets:
-            net.step(0.05)
-        batch.step(0.05)
-        assert_networks_equal(serial_nets, batch_nets)
-    # The point of the test: the members really did disagree on n_sub.
-    assert len({net._n_sub for net in serial_nets}) > 1
+def test_package_batch_traps_public_writes_and_releases() -> None:
+    """Only the junction is trapped: a convective write through the
+    public setter is honoured on the next tick, a junction write stops
+    the lockstep lane, and release hands every link back."""
+    packages = [CpuPackage(name=f"p{k}") for k in range(2)]
+    for k, package in enumerate(packages):
+        package._net.set_power(package._die, 40.0 + 5.0 * k)
+        package._net.step(0.05)  # coefficients cached, none dirty
+    nets = [package._net for package in packages]
+    mirrors = [mirror_network(net) for net in nets]
+    pack = PackageBatch(packages)
 
+    def step_both() -> None:
+        pack.step(0.05)
+        for twin in mirrors:
+            reference_rc_step(twin, 0.05)
+        assert_networks_equal(mirrors, nets)
 
-def test_batched_rc_release_continues_serially() -> None:
-    """After release(), members step on their own — still bitwise."""
-    serial_nets = [build_network(50 + k) for k in range(4)]
-    batch_nets = [build_network(50 + k) for k in range(4)]
-    batch = BatchedRC(batch_nets)
-    for _ in range(60):
-        for net in serial_nets:
-            net.step(0.05)
-        batch.step(0.05)
-    batch.release()
-    for _ in range(60):
-        for serial_net, batch_net in zip(serial_nets, batch_nets):
-            serial_net.step(0.05)
-            batch_net.step(0.05)
-        assert_networks_equal(serial_nets, batch_nets)
+    step_both()
+    packages[1]._conv_link.resistance = 0.4
+    mirrors[1].link("p1.conv").resistance = 0.4
+    step_both()
+    step_both()
 
+    packages[0]._net.link("p0.jhs").resistance = 0.2
+    with pytest.raises(Unbatchable, match="junction"):
+        pack.step(0.05)
+    # Refused before any temperature write.
+    assert_networks_equal(mirrors, nets)
 
-def test_batched_rc_rejects_a_member_restructured_mid_batch() -> None:
-    nets = [build_network(60 + k) for k in range(3)]
-    batch = BatchedRC(nets)
-    batch.step(0.05)
-    nets[1].add_node(ThermalNode("late", 10.0, 30.0))
-    with pytest.raises(SimulationError, match="changed structure"):
-        batch.step(0.05)
-
-
-def test_batched_rc_rejects_structural_mismatch() -> None:
-    matching = build_network(1)
-    different = RCNetwork()
-    different.add_node(ThermalNode("a", 10.0, 30.0))
-    different.add_node(ThermalNode("amb", None, 25.0))
-    different.add_link(ThermalLink("l", "a", "amb", 0.5))
-    assert batch_signature(matching) != batch_signature(different)
-    with pytest.raises(SimulationError, match="identical network structure"):
-        BatchedRC([matching, different])
+    pack.release()
+    for net in nets:
+        for link in net._links.values():
+            assert link._observer is net
+    mirrors[0].link("p0.jhs").resistance = 0.2
+    for net, twin in zip(nets, mirrors):
+        net.step(0.05)
+        reference_rc_step(twin, 0.05)
+    assert_networks_equal(mirrors, nets)
 
 
 # ------------------------------------------------- run-loop edge cases
@@ -311,30 +253,6 @@ def test_run_jobs_batch_completes_in_lockstep() -> None:
     )
     for spec, result in zip(specs, batched):
         assert_results_identical(execute_spec(spec), result)
-
-
-def test_package_batch_traps_public_writes_and_releases() -> None:
-    """A resistance written through the public setter mid-batch stops
-    the lockstep lane; after release the network honours it serially."""
-    nodes = [Node(f"n{k}") for k in range(2)]
-    for node in nodes:
-        node.package._net.step(0.05)  # coefficients cached, none dirty
-    pack = PackageBatch(nodes)
-    pack.step(0.05)
-    nodes[1].package._conv_link.resistance = 0.4
-    with pytest.raises(Unbatchable, match="public setter"):
-        pack.step(0.05)
-    pack.release()
-    reference = RCNetwork()
-    net = nodes[1].package._net
-    for name in net.node_names:
-        node = net.node(name)
-        reference.add_node(ThermalNode(name, node.capacitance, node.temperature))
-    for link in net._links.values():
-        reference.add_link(ThermalLink(link.name, link.a, link.b, link.resistance))
-    net.step(0.05)
-    reference_rc_step(reference, 0.05)
-    assert_networks_equal([reference], [net])
 
 
 def test_execute_specs_batch_single_spec_falls_back() -> None:

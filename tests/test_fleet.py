@@ -5,15 +5,18 @@ The load-bearing property is the bitwise gate: for any
 ``run_fleet(spec, shards=K)`` must produce byte-identical
 :meth:`~repro.fleet.FleetResult.canonical_bytes`.  The equivalence
 matrix below exercises it across fleet sizes, workloads, the hot-aisle
-fault, power capping and a non-default platform — every case crosses
-the real multiprocessing worker path.
+fault, power capping, a non-default platform and a ``dt`` that needs
+Euler sub-steps — every case crosses the real multiprocessing worker
+path.
 
-Around the gate: partition/kernel unit tests, engine invariants
+Around the gate: partition/kernel unit tests, a shard's stacked package
+stepping against the reference RC step, engine invariants
 (series shape, node ordering, telemetry accounting), the
 content-addressed result cache (hit, corrupt-entry recovery,
 shard-count independence of the key), and worker failure propagation.
 """
 
+import hashlib
 import pickle
 
 import pytest
@@ -30,6 +33,7 @@ from repro.fleet import (
 )
 from repro.fleet.engine import _ProcessShard
 from repro.fleet.shard import RackReport
+from tests.reference_engine import reference_rc_step
 
 
 def small_spec(**overrides) -> FleetSpec:
@@ -118,6 +122,20 @@ GATE_SPECS = {
     "wave-biglittle": small_spec(
         workload="wave", platform="biglittle_4p4e"
     ),
+    # dt past the package's 1.875 s stability limit: two Euler sub-steps
+    # per tick, so every shard steps its networks one by one.
+    "substep": small_spec(
+        dt=2.0, horizon=120.0, epoch_ticks=4, control_ticks=2
+    ),
+}
+
+#: sha256 of ``canonical_bytes()`` for gate cases whose bytes are pinned:
+#: the sub-stepped trajectories as a general stacked RC stepper produced
+#: them, which the shards' per-network fallback must reproduce.
+GATE_PINS = {
+    "substep": (
+        "c71838c440f9f79842d76aa2929365af39e973a716a63d3b3079c9c6beb72bcb"
+    ),
 }
 
 
@@ -126,6 +144,8 @@ def test_sharded_run_is_bitwise_identical_to_serial(case):
     spec = GATE_SPECS[case]
     reference = run_fleet(spec, shards=1).canonical_bytes()
     assert run_fleet(spec, shards=2).canonical_bytes() == reference
+    if case in GATE_PINS:
+        assert hashlib.sha256(reference).hexdigest() == GATE_PINS[case]
 
 
 def test_gate_holds_at_every_feasible_shard_count():
@@ -205,6 +225,45 @@ def test_merged_telemetry_accounts_for_every_node_tick():
         ) is not None
 
 
+class _ReferenceStepper:
+    """Stands in for a shard's batch: the oracle's plain Euler, per net."""
+
+    def __init__(self, nets):
+        self.nets = nets
+
+    def step(self, dt):
+        for net in self.nets:
+            reference_rc_step(net, dt)
+
+    def release(self):
+        pass
+
+
+def test_shard_physics_match_the_reference_stepper():
+    """A shard's stacked stepping equals the oracle, node for node.
+
+    The epochs heat the racks past the fan-wall target (so the duty
+    moves, through the convective link's public setter) and then cool
+    the inlet.
+    """
+    spec = small_spec(
+        racks=2, nodes_per_rack=2, workload="uniform",
+        dt=1.0, horizon=400.0, epoch_ticks=40, control_ticks=5,
+    )
+    runner = ShardRunner(spec, 0, spec.racks)
+    oracle = ShardRunner(spec, 0, spec.racks)
+    oracle._batch.release()
+    oracle._batch = _ReferenceStepper(oracle._nets)
+    duties = set()
+    for inlets in ((70.0, 68.0),) * 3 + ((40.0, 38.0),) * 2:
+        reports = runner.run_epoch(inlets, (100.0, 100.0), 40)
+        assert oracle.run_epoch(inlets, (100.0, 100.0), 40) == reports
+        duties.update(report.duty for report in reports)
+    assert len(duties) > 2
+    assert runner._batch is not None  # the batch stepped every tick
+    assert runner.finish().nodes == oracle.finish().nodes
+
+
 # ---------------------------------------------------------------------------
 # result cache: content-addressed, shard-count independent, self-healing
 # ---------------------------------------------------------------------------
@@ -229,11 +288,23 @@ def test_cache_roundtrip_and_shard_count_independence(tmp_path, monkeypatch):
     assert cached.canonical_bytes() == first.canonical_bytes()
 
 
-def test_cache_recovers_from_a_corrupt_entry(tmp_path):
+#: Cache entries that must read as a miss: garbage, a pickle from an
+#: unknown protocol, and a pickle naming a module that does not exist.
+CORRUPT_ENTRIES = [
+    b"not a pickle",
+    b"\x80\x09",
+    b"cno_such_module_xyz\nX\n.",
+]
+
+
+@pytest.mark.parametrize(
+    "payload", CORRUPT_ENTRIES, ids=["garbage", "protocol-9", "no-module"]
+)
+def test_cache_recovers_from_a_corrupt_entry(tmp_path, payload):
     spec = small_spec()
     reference = run_fleet(spec, shards=1, cache_dir=tmp_path)
     (entry,) = tmp_path.glob("fleet-*.pickle")
-    entry.write_bytes(b"not a pickle")
+    entry.write_bytes(payload)
     again = run_fleet(spec, shards=1, cache_dir=tmp_path)
     assert again.canonical_bytes() == reference.canonical_bytes()
     # The recomputed result replaced the corrupt payload.

@@ -10,6 +10,9 @@ trace sets, events and per-node summaries field by field.
 from __future__ import annotations
 
 import os
+import pickle
+
+import pytest
 
 from repro.cluster.cluster import RunResult
 from repro.runtime import RunExecutor, RunSpec
@@ -118,6 +121,27 @@ def test_cached_result_matches_fresh(tmp_path) -> None:
     warm = RunExecutor(cache_dir=tmp_path, cache_version="v1")
     warm.run(spec)  # populate
     assert_results_equal(warm.run(spec), fresh)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b"not a pickle", b"\x80\x09", b"cno_such_module_xyz\nX\n."],
+    ids=["garbage", "protocol-9", "no-module"],
+)
+def test_cache_recovers_from_a_corrupt_entry(tmp_path, payload) -> None:
+    """Garbage, an unknown pickle protocol and a missing module all read
+    as a miss: the spec re-runs and its entry is rewritten."""
+    spec = specs_pair()[0]
+    fresh = RunExecutor().run(spec)
+    RunExecutor(cache_dir=tmp_path, cache_version="v1").run(spec)
+    (entry,) = tmp_path.glob("*.pkl")
+    entry.write_bytes(payload)
+    executor = RunExecutor(cache_dir=tmp_path, cache_version="v1")
+    assert_results_equal(executor.run(spec), fresh)
+    assert executor.stats.cache_misses == 1
+    assert executor.stats.executed == 1
+    with open(entry, "rb") as handle:
+        assert_results_equal(pickle.load(handle), fresh)
 
 
 # ------------------------------------------------------------- jobs clamp
