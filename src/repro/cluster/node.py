@@ -218,15 +218,49 @@ class Node(Component):
 
     # -- dynamics ----------------------------------------------------------
 
+    def _package_io(self) -> Callable[[bool], float]:
+        """The package-specific slice of :meth:`tick_pair`, hoisted.
+
+        ``io(on)`` sets the CPU power at the die's temperature (0 W when
+        off) as :attr:`cpu_power` and in the package and its network,
+        raising through :meth:`CpuPackage.set_power` if negative or NaN,
+        and returns the diode reading: the die's.  Subclasses override
+        only this."""
+        package = self.package
+        set_power = package.set_power
+        die_node = package._net._nodes[package._die]
+        powers = package._net._powers
+        die_key = package._die
+        power_fn = self.power_model.power
+        dvfs = self.dvfs
+        core = self.core
+
+        @hotpath
+        def io(on: bool) -> float:
+            if on:
+                cpu_power = power_fn(
+                    dvfs.pstate, core._utilization, die_node.temperature
+                )
+                if not (cpu_power >= 0.0):
+                    set_power(cpu_power)  # raises the setter's error
+            else:
+                cpu_power = 0.0
+            self._cpu_power = cpu_power
+            package._power = cpu_power
+            powers[die_key] = cpu_power
+            return die_node.temperature
+
+        return io
+
     def tick_pair(self) -> Tuple[_StepFn, _StepFn]:
         """This node's tick, hoisted, as the halves around the RC step.
 
         Binds every sub-model once and returns ``(pre, post)``:
 
         * ``pre(t, dt)`` — protection, execution and CPU power, the fan
-          chip, motor and aero, then the package's inputs: die power,
-          convective resistance and ambient temperature, written into
-          the live RC network objects.
+          chip, motor and aero, then the package's inputs: heated-node
+          powers, convective resistance and ambient temperature,
+          written into the live RC network objects.
         * ``post(t, dt)`` — wall power and the energy meter.  It emits
           no events and reads only node-local state.
 
@@ -234,22 +268,21 @@ class Node(Component):
         ``package._net.step(dt)`` (:meth:`compiled_step`), or one
         stacked step for many nodes (:mod:`repro.fastpath.batch`).
 
-        The halves skip what the package's public setters would
-        re-check: values the models produce in range, a convective
-        resistance that did not change (a changed one is reported to
-        the network, which rebuilds just its rows).  The one reachable
-        failure, a negative or NaN CPU power, goes through
-        :meth:`CpuPackage.set_power
-        <repro.thermal.package.CpuPackage.set_power>`, so it raises the
-        same error.
+        Only the CPU power, its write into the network and the diode
+        reading depend on the package; they come from
+        :meth:`_package_io`.  The halves skip what the package's public
+        setters would re-check: values the models produce in range, a
+        convective resistance that did not change (a changed one is
+        reported to the network, which rebuilds just its rows).  The one
+        reachable failure, a negative or NaN CPU power, still raises
+        through the package's setter.
         """
         baseboard = self.config.baseboard_power
         protection = self._protection
-        core = self.core
-        core_step = core.step
+        core_step = self.core.step
         dvfs = self.dvfs
         last_pstate = len(dvfs.table) - 1
-        power_fn = self.power_model.power
+        package_io = self._package_io()
         fan_chip = self.fan_chip
         chip_update = fan_chip.update
         motor = self.fan_motor
@@ -261,10 +294,7 @@ class Node(Component):
 
         package = self.package
         net = package._net
-        die_node = net._nodes[package._die]
         amb_node = net._nodes[package._amb]
-        powers = net._powers
-        die_key = package._die
         conv_resistance = package.convection.resistance
         conv_link = package._conv_link
         conv_slot = conv_link._slot
@@ -280,30 +310,23 @@ class Node(Component):
         @hotpath
         def pre(t: float, dt: float) -> None:
             protection(t)
-            if self._shutdown:
-                # powered off: no execution, no CPU heat; the (possibly
-                # failed) fan and the package keep evolving passively.
-                cpu_power = 0.0
-            else:
+            # powered off: no execution, no CPU heat; the (possibly
+            # failed) fan and the package keep evolving passively.
+            on = not self._shutdown
+            if on:
                 if self._prochot:
                     # PROCHOT re-clamps every tick (governors cannot
                     # out-vote the hardware while it is asserted).
                     dvfs.set_index(last_pstate, t)
                 core_step(t, dt)
-                cpu_power = power_fn(
-                    dvfs.pstate, core._utilization, die_node.temperature
-                )
-            self._cpu_power = cpu_power
+            diode = package_io(on)
             # the fan chip ingests measurements; auto mode updates its
             # PWM, and the rotor tracks it
-            chip_update(die_node.temperature, amb_node.temperature, motor._rpm)
+            chip_update(diode, amb_node.temperature, motor._rpm)
             motor_set_duty(fan_chip.commanded_duty)
             motor_step(t, dt)
             airflow = aero_airflow(motor._rpm)
-            # the package's inputs for this tick's thermal integration
-            if not (cpu_power >= 0.0):
-                package.set_power(cpu_power)  # raises the setter's error
-            package._power = cpu_power
+            # the package's remaining inputs for this tick's integration
             package._airflow = airflow
             r = conv_resistance(airflow)
             if r != conv_link._resistance:
@@ -313,7 +336,6 @@ class Node(Component):
                 amb_node.temperature = float(ambient_temperature(t))
             else:
                 amb_node.temperature = constant_ambient
-            powers[die_key] = cpu_power
 
         @hotpath
         def post(t: float, dt: float) -> None:

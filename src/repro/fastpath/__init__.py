@@ -8,9 +8,9 @@ what spans runs and samples:
 
 * :mod:`repro.fastpath.recording` buffers trace samples and flushes
   them through :meth:`~repro.sim.trace.Trace.extend`.
-* :mod:`repro.fastpath.batch` stacks N CPU packages into one
-  :class:`~repro.fastpath.batch.PackageBatch` advanced in lockstep —
-  one ``(N, 2, 2)`` thermal solve per tick across a whole parameter
+* :mod:`repro.fastpath.batch` stacks N packages of one structure into
+  one :class:`~repro.fastpath.batch.PackageBatch` advanced in lockstep
+  — one ``(N, m, m)`` thermal solve per tick across a whole parameter
   sweep or fleet shard — with each package's results still bitwise
   identical to its own serial stepping.
   :class:`~repro.runtime.executor.RunExecutor` groups every sweep this

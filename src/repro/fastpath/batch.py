@@ -3,22 +3,25 @@
 The compiled engine loop amortizes interpreter overhead *within* one run;
 this module amortizes it *across* runs.  Parameter sweeps (fig07's
 max-PWM ladder, the governor comparisons) re-run the same 4-node
-cluster with different knob settings, and a fleet shard advances
-hundreds of servers on one tick schedule — every member one
-die/sink/ambient :class:`~repro.thermal.package.CpuPackage`.  Stacking
+cluster with different knob settings, on any platform, and a fleet
+shard advances hundreds of servers on one tick schedule — every member
+a package of one structure: the die/sink
+:class:`~repro.thermal.package.CpuPackage` or an N-core
+:class:`~repro.thermal.multicore.MulticorePackage` floorplan.  Stacking
 them turns ``N × (tiny matmul + ufunc chain)`` per tick into one
-``(N, 2, 2)`` stacked matmul and one fused ufunc sequence, the same
+``(N, m, m)`` stacked matmul and one fused ufunc sequence, the same
 move ControlPULP makes when one controller services many cores in
 lockstep.
 
 Two layers, each independently testable:
 
-* :class:`PackageBatch` — the stacked stepper over N CPU packages:
-  per-tick coefficient refresh, forcing-vector assembly and the
-  stability predicate are fully vectorized, and free-node temperatures
-  persist in the stack between ticks (the per-tick writeback keeps the
-  node objects current, and nothing else writes them mid-run).  Both
-  the cluster sweeps (:func:`run_jobs_batch`) and the fleet shards
+* :class:`PackageBatch` — the stacked stepper over N packages with
+  equal :func:`batch_signature`: the input gather, the boundary rows'
+  coefficient refresh, forcing-vector assembly and the stability
+  predicate are vectorized, and free-node temperatures persist in the
+  stack between ticks (the per-tick writeback keeps the node objects
+  current, and nothing else writes them mid-run).  Both the cluster
+  sweeps (:func:`run_jobs_batch`) and the fleet shards
   (:class:`~repro.fleet.shard.ShardRunner`) step on it.
 * :func:`run_fused_batch` / :func:`run_jobs_batch` — the lockstep run
   loop (mirroring :meth:`SimulationEngine.run
@@ -32,7 +35,7 @@ come out bitwise identical to its own serial execution.  Stacked
 the per-slice products (einsum does **not**, and is not used),
 elementwise ufuncs are per-element exact, and gather/scatter copies are
 exact — so stacking is a pure layout change.  Anything the lockstep
-path cannot guarantee bitwise (a junction resistance write, a
+path cannot guarantee bitwise (a frozen link's resistance write, a
 stability limit demanding sub-steps, budget exhaustion, an engine stop
 request) raises :class:`Unbatchable` and the caller falls back to
 per-network stepping, which also reproduces the serial path's exact
@@ -41,6 +44,7 @@ error behaviour.
 
 from __future__ import annotations
 
+from operator import attrgetter, getitem
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -48,7 +52,6 @@ import numpy as np
 from ..errors import SimulationError
 from ..sim.engine import task_schedule
 from ..sim.marker import coldpath, hotpath
-from ..thermal.package import CpuPackage
 from ..thermal.rc import RCNetwork
 
 __all__ = [
@@ -78,7 +81,7 @@ def batch_signature(net: RCNetwork) -> tuple:
     boundary-coupling terms and each link's endpoint indices.  Values
     (capacitances, resistances, temperatures, powers) are free to
     differ — they live in the stacked arrays.  :class:`PackageBatch`
-    admits only networks with the CpuPackage signature.
+    stacks networks whose signatures are equal.
     """
     if net._stale:
         net._flatten()
@@ -87,37 +90,30 @@ def batch_signature(net: RCNetwork) -> tuple:
     return (net._m, len(net._links), rows, bterm_ids, tuple(net._link_ends))
 
 
-def _raise_diverged_member(k: int) -> None:
+@coldpath
+def _raise_diverged(Ts: np.ndarray) -> None:
+    k = int(np.argmin(np.isfinite(Ts).all(axis=1)))
     raise SimulationError(
         f"thermal integration diverged (non-finite T) in batch member {k}"
     )
 
 
 # --------------------------------------------------------------------------
-# The stacked stepper over the CpuPackage topology.
+# The stacked stepper.
 # --------------------------------------------------------------------------
 
 #: Serial ``_refresh`` treats diagonals at or below this as degenerate.
 _DIAG_FLOOR = 1e-300
 
-#: CpuPackage structure as RCNetwork flattens it (see batch_signature):
-#: free nodes are [die, sink]; link 0 (die↔sink) is the fixed
-#: junction/sink resistance, link 1 (sink↔ambient) the per-tick
-#: convective hop, the one boundary term.
-_PACK_SIGNATURE = (
-    2,
-    2,
-    (((0, 1),), ((0, 0), (1, -1))),
-    ((1, 1),),
-    ((0, 1), (1, -1)),
-)
+_get_resistance = attrgetter("_resistance")
+_get_temperature = attrgetter("temperature")
 
 
 class _DirtyTrap:
-    """Observer installed on each member's junction link while
-    :class:`PackageBatch` owns the integration: the batch freezes that
-    link's conductance when it is built, so a write through the public
-    setter invalidates the whole batch (checked once per tick)."""
+    """Observer installed on each member's frozen links while
+    :class:`PackageBatch` owns the integration: the batch freezes their
+    conductances when it is built, so a write through a public setter
+    invalidates the whole batch (checked once per tick)."""
 
     __slots__ = ("tripped",)
 
@@ -130,15 +126,15 @@ class _DirtyTrap:
 
 def _raise_trap_tripped() -> None:
     raise Unbatchable(
-        "a junction resistance was written through its public setter "
-        "during batched stepping"
+        "a frozen link's resistance was written through its public "
+        "setter during batched stepping"
     )
 
 
 def _raise_substep_needed() -> None:
     raise Unbatchable(
-        "stability limit requires sub-stepping; the vectorized package "
-        "lane only handles n_sub == 1"
+        "stability limit requires sub-stepping (or a diagonal is "
+        "degenerate); the stacked stepper only handles n_sub == 1"
     )
 
 
@@ -147,132 +143,136 @@ def _raise_stop_requested() -> None:
 
 
 class PackageBatch:
-    """Vectorized lockstep stepper over N die/sink/ambient CPU packages.
+    """Vectorized lockstep stepper over N packages of one structure.
 
-    Each tick it gathers the three inputs the caller wrote into every
-    live network — die power, convective resistance, boundary
-    temperature — into ``(N,)`` columns; the convective conductance
-    and matrix diagonal are recomputed unconditionally (idempotent —
-    recomputing an unchanged ``1/r`` yields the same bits the serial
-    dirty-refresh would have kept), and free-node temperatures persist
-    in the stack between ticks (writeback keeps the node objects
-    current; nothing else writes them mid-run).  The convective link
-    stays observed by its own network, so its public setter works as
-    usual; the junction link's conductance is frozen at construction.
+    Packages whose networks share a :func:`batch_signature` stack into
+    ``(N, m)`` arrays: the die/sink
+    :class:`~repro.thermal.package.CpuPackage`, or an N-core
+    :class:`~repro.thermal.multicore.MulticorePackage` floorplan.  Each
+    tick gathers every free node's power and, for every link to a
+    boundary node (the convective hop), its live resistance and the
+    boundary temperature; those links' conductances and their rows'
+    diagonals are recomputed in the serial accumulation order, so an
+    unchanged ``1/r`` yields the bits the serial dirty-refresh keeps.
+    Every other link is frozen: :meth:`RCNetwork._assemble` builds its
+    matrix entries once, and a write through its public setter trips a
+    trap.  Free-node temperatures persist in the stack between ticks
+    (the writeback keeps the node objects current; nothing else writes
+    them mid-run).
 
-    Equivalence guards, enforced every tick before any node temperature
-    is written, downgrade to :class:`Unbatchable` instead of silently
-    diverging: a junction resistance write through the public setter
-    (the :class:`_DirtyTrap` observer), a matrix diagonal at the
-    degenerate floor, or a stability limit demanding sub-steps
-    (``0.5 · min C/G_ii < dt``: the default package's limit is 1.875 s,
-    ~37x the cluster's 0.05 s physics tick).
+    Equivalence guards, enforced every tick before any temperature is
+    written, raise :class:`Unbatchable` instead of silently diverging:
+    the tripped trap, a matrix diagonal at the degenerate floor, or a
+    stability limit demanding sub-steps (``0.5 · min C/G_ii < dt``: the
+    default package's limit is 1.875 s, ~37x the cluster's 0.05 s
+    tick).
     """
 
     __slots__ = (
         "_nets",
-        "_inputs",
-        "_writes",
-        "_b_die",
-        "_conv_r",
-        "_amb",
-        "_g0",
-        "_g1",
-        "_diag1",
-        "_Cs",
-        "_Cs1",
-        "_lim1",
-        "_lim0_min",
-        "_Ts",
-        "_Ts_col",
+        "_trap",
+        "_power_dicts",
+        "_power_keys",
+        "_live_links",
+        "_boundary_nodes",
+        "_free_nodes",
+        "_live",
+        "_diag_rules",
+        "_diag",
+        "_r_flat",
+        "_amb_flat",
         "_bs",
-        "_b_sink",
+        "_bs_flat",
+        "_lim",
         "_tmp",
         "_Gs",
+        "_Cs",
+        "_Ts",
+        "_Ts_col",
+        "_Ts_flat",
         "_Gt3",
         "_Gt",
         "_dTs",
-        "_trap",
     )
 
-    def __init__(self, packages: Sequence[CpuPackage]) -> None:
-        packages = list(packages)
-        if not packages:
+    def __init__(self, packages: Sequence) -> None:
+        nets = [package._net for package in packages]
+        if not nets:
             raise Unbatchable("package batch needs at least one package")
-        n = len(packages)
-        self._g0 = np.empty(n, dtype=np.float64)
-        self._g1 = np.empty(n, dtype=np.float64)
-        self._diag1 = np.empty(n, dtype=np.float64)
-        self._Cs = np.empty((n, 2), dtype=np.float64)
-        self._lim1 = np.empty(n, dtype=np.float64)
-        self._Ts = np.empty((n, 2), dtype=np.float64)
-        self._Ts_col = self._Ts[:, :, None]
-        self._bs = np.empty((n, 2), dtype=np.float64)
-        self._b_die = self._bs[:, 0]
-        self._b_sink = self._bs[:, 1]
-        self._conv_r = np.empty(n, dtype=np.float64)
-        self._amb = np.empty(n, dtype=np.float64)
-        self._tmp = np.empty(n, dtype=np.float64)
-        self._Gs = np.zeros((n, 2, 2), dtype=np.float64)
-        self._Gt3 = np.empty((n, 2, 1), dtype=np.float64)
-        self._Gt = self._Gt3[:, :, 0]
-        self._dTs = np.empty((n, 2), dtype=np.float64)
+        signature = batch_signature(nets[0])
+        if any(batch_signature(net) != signature for net in nets):
+            raise Unbatchable("packages differ in network structure")
+        n, m = len(nets), nets[0]._m
+        bterms = nets[0]._bterms
+        live_slots = {slot for _, slot, _ in bterms}
         self._trap = _DirtyTrap()
-
-        nets = []
-        inputs = []
-        writes = []
-        for k, package in enumerate(packages):
-            net = package._net
-            amb_node = net._nodes[package._amb]
-            if (
-                batch_signature(net) != _PACK_SIGNATURE
-                or net._free_names != [package._die, package._sink]
-                or net._link_list[1] is not package._conv_link
-                or net._bterms[0][2] is not amb_node
-            ):
-                raise Unbatchable("package is not the die/sink/ambient stack")
-            if net._powers[package._sink] != 0.0:
-                raise Unbatchable("sink node carries injected power")
-            g0 = 1.0 / net._link_list[0]._resistance
-            if not (g0 > _DIAG_FLOOR):
-                raise Unbatchable("junction/sink conductance is degenerate")
-            self._g0[k] = g0
-            self._Cs[k, :] = net._C
-            die, sink = net._free_nodes
-            self._Ts[k, 0] = die.temperature
-            self._Ts[k, 1] = sink.temperature
-            # Fixed matrix entries, accumulated exactly as the serial
-            # row rebuild does (row[:] = 0.0 then -= / = writes).
-            self._Gs[k, 0, 0] = g0
-            self._Gs[k, 0, 1] = -g0
-            self._Gs[k, 1, 0] = -g0
-            nets.append(net)
-            inputs.append(
-                (net._powers, package._die, package._conv_link, amb_node)
-            )
-            writes.append((die, sink))
-            net._link_list[0]._observer = self._trap
+        for net in nets:
+            for slot, link in enumerate(net._link_list):
+                if slot not in live_slots:
+                    link._observer = self._trap
         self._nets = nets
-        self._inputs = inputs
-        self._writes = writes
-        self._Cs1 = self._Cs[:, 1]
-        # Die-row stability limit is fixed (g0 never changes): the
-        # serial lim is C_die / diag0 with diag0 = g0 > _DIAG_FLOOR.
-        lim0 = self._Cs[:, 0] / self._g0
-        self._lim0_min = float(lim0.min())
+        f64 = np.float64
+        g = np.array([[ln.conductance for ln in net._link_list] for net in nets])
+        self._Gs = np.array([net._assemble()[1] for net in nets])
+        self._Cs = np.array([net._C for net in nets])
+        self._Ts = np.array(
+            [[node.temperature for node in net._free_nodes] for net in nets],
+            dtype=f64,
+        )
+
+        # Per-tick gathers, member-major: (N, m) powers, (N, nb)
+        # boundary-link resistances and boundary temperatures.
+        self._power_dicts = [net._powers for net in nets for _ in range(m)]
+        self._power_keys = [name for net in nets for name in net._free_names]
+        self._free_nodes = [node for net in nets for node in net._free_nodes]
+        self._live_links = [
+            net._link_list[slot] for net in nets for _, slot, _ in net._bterms
+        ]
+        self._boundary_nodes = [b for net in nets for _, _, b in net._bterms]
+        nb = len(bterms)
+        self._r_flat = np.empty(n * nb, dtype=f64)
+        self._amb_flat = np.empty(n * nb, dtype=f64)
+        r = self._r_flat.reshape(n, nb)
+        amb = self._amb_flat.reshape(n, nb)
+        self._bs = np.empty((n, m), dtype=f64)
+        self._bs_flat = self._bs.reshape(-1)
+        # One entry per boundary term, in the serial forcing order.
+        self._live = tuple(
+            (r[:, t], g[:, slot], amb[:, t], self._bs[:, i])
+            for t, (i, slot, _) in enumerate(bterms)
+        )
+        # A boundary term's row: its diagonal's frozen prefix, summed
+        # once, then the columns added to it every tick.
+        rules = []
+        for i in sorted({i for i, _, _ in bterms}):
+            slots = [slot for slot, _ in nets[0]._rows[i]]
+            p = next(q for q, slot in enumerate(slots) if slot in live_slots)
+            prefix = np.zeros(n, dtype=f64)
+            for slot in slots[:p]:
+                np.add(prefix, g[:, slot], out=prefix)
+            cols = tuple(g[:, slot] for slot in slots[p:])
+            rules.append((self._Gs[:, i, i], prefix, cols))
+        self._diag_rules = tuple(rules)
+        self._diag = self._Gs.diagonal(axis1=1, axis2=2)
+        self._lim = np.empty((n, m), dtype=f64)
+        self._tmp = np.empty(n, dtype=f64)
+        self._Ts_col = self._Ts[:, :, None]
+        self._Ts_flat = self._Ts.reshape(-1)
+        self._Gt3 = np.empty((n, m, 1), dtype=f64)
+        self._Gt = self._Gt3[:, :, 0]
+        self._dTs = np.empty((n, m), dtype=f64)
 
     def release(self) -> None:
         """Hand the networks back to their own :meth:`RCNetwork.step`.
 
-        Junction observers return to the networks, and every link is
+        Every link's observer returns to its network, and every link is
         marked dirty: the next serial step rebuilds the coefficients
         from the live resistances (a full refresh is
-        bitwise-deterministic).  The node objects themselves are
-        already current.
+        bitwise-deterministic).  The node objects are already current.
         """
         for net in self._nets:
-            net._link_list[0]._observer = net
+            for link in net._link_list:
+                link._observer = net
             net._dirty.update(range(len(net._link_list)))
 
     @hotpath
@@ -283,60 +283,54 @@ class PackageBatch:
         """
         if self._trap.tripped:
             _raise_trap_tripped()
-        b_die = self._b_die
-        conv_r = self._conv_r
-        amb = self._amb
-        k = 0
-        for powers, die_key, conv_link, amb_node in self._inputs:
-            b_die[k] = powers[die_key]
-            conv_r[k] = conv_link._resistance
-            amb[k] = amb_node.temperature
-            k += 1
-        g1 = self._g1
-        diag1 = self._diag1
-        np.divide(1.0, conv_r, out=g1)
-        np.add(self._g0, g1, out=diag1)
-        self._Gs[:, 1, 1] = diag1
-        # Stability predicate: all members must keep n_sub == 1, i.e.
-        # 0.5 * min_i(C_i / G_ii) >= dt for every member — checked via
-        # the global minimum (exact: 0.5*x is exact scaling).
-        lim1 = self._lim1
-        np.divide(self._Cs1, diag1, out=lim1)
-        lim_min = lim1.min()
-        if self._lim0_min < lim_min:
-            lim_min = self._lim0_min
-        h_max = 0.5 * lim_min
-        if not (h_max >= dt) or not (diag1 > _DIAG_FLOOR).all():
-            _raise_substep_needed()
-        # Forcing vector: b[sink] = 0.0 + g_conv * T_amb, the serial
-        # accumulation order.
+        fromiter = np.fromiter
+        f64 = np.float64
+        divide = np.divide
+        multiply = np.multiply
+        add = np.add
+        bs_flat = self._bs_flat
+        bs_flat[:] = fromiter(
+            map(getitem, self._power_dicts, self._power_keys), f64, len(bs_flat)
+        )
+        r_flat = self._r_flat
+        nb = len(r_flat)
+        r_flat[:] = fromiter(map(_get_resistance, self._live_links), f64, nb)
+        self._amb_flat[:] = fromiter(
+            map(_get_temperature, self._boundary_nodes), f64, nb
+        )
+        # Boundary links: conductance, then b[i] += g · T_boundary, the
+        # serial forcing order; then their rows' diagonals.
         tmp = self._tmp
-        np.multiply(g1, amb, out=tmp)
-        np.add(0.0, tmp, out=self._b_sink)
+        for r_col, g_col, t_col, b_col in self._live:
+            divide(1.0, r_col, out=g_col)
+            multiply(g_col, t_col, out=tmp)
+            add(b_col, tmp, out=b_col)
+        for out, acc, cols in self._diag_rules:
+            for col in cols:
+                add(acc, col, out=out)
+                acc = out
+        # Stability predicate: every member must keep n_sub == 1, i.e.
+        # 0.5 * min_i(C_i / G_ii) >= dt — checked via the global minimum
+        # (exact: 0.5*x is exact scaling).
+        diag = self._diag
+        if not (diag.min() > _DIAG_FLOOR):
+            _raise_substep_needed()
+        lim = self._lim
+        divide(self._Cs, diag, out=lim)
+        if not (0.5 * lim.min() >= dt):
+            _raise_substep_needed()
         # One stacked integration step (n_sub == 1, h == dt exactly).
         Ts = self._Ts
         dTs = self._dTs
         np.matmul(self._Gs, self._Ts_col, out=self._Gt3)
         np.subtract(self._bs, self._Gt, out=dTs)
-        np.divide(dTs, self._Cs, out=dTs)
-        np.multiply(dTs, dt, out=dTs)
-        np.add(Ts, dTs, out=Ts)
+        divide(dTs, self._Cs, out=dTs)
+        multiply(dTs, dt, out=dTs)
+        add(Ts, dTs, out=Ts)
         if not np.isfinite(Ts).all():
-            self._raise_diverged()
-        k = 0
-        for die, sink in self._writes:
-            row = Ts[k]
-            item = row.item
-            die.temperature = item(0)
-            sink.temperature = item(1)
-            k += 1
-
-    @coldpath
-    def _raise_diverged(self) -> None:
-        for k in range(len(self._nets)):
-            if not np.isfinite(self._Ts[k]).all():
-                _raise_diverged_member(k)
-        raise SimulationError("thermal integration diverged (non-finite T)")
+            _raise_diverged(Ts)
+        for node, temperature in zip(self._free_nodes, self._Ts_flat.tolist()):
+            node.temperature = temperature
 
 
 # --------------------------------------------------------------------------
@@ -546,11 +540,7 @@ def run_jobs_batch(
         for node in cluster.nodes:
             node.meter.reset()
         for component in cluster.engine._components:
-            if type(component) is not Node:
-                # Covers foreign components and MulticoreNode alike:
-                # the trusted package lane hard-assumes the 2-node
-                # die/sink CpuPackage, so N-core floorplans take the
-                # serial fallback instead.
+            if not isinstance(component, Node):
                 raise Unbatchable(
                     "engine has non-node components "
                     f"({type(component).__name__})"

@@ -390,19 +390,11 @@ class RunExecutor:
         same run protocol — workload shape, node count, rig families,
         ambient model, timeout/tail, telemetry mode and platform — while
         seeds and rig *parameters* are free to differ (that is the whole
-        point of a sweep).  Fault specs never group (their protocol is
-        not a single ``run_job``), and neither do specs on a multicore
-        platform: the lockstep package lane only stacks the 2-node
-        die/sink package, so grouping them would only build, refuse and
-        rebuild every cluster.
+        point of a sweep).  Fault specs never group: their protocol is
+        not a single ``run_job``.
         """
         if spec.fault is not None:
             return None
-        if spec.platform is not None:
-            from ..platform import resolve_platform
-
-            if resolve_platform(spec.platform).is_multicore:
-                return None
         return (
             spec.workload,
             spec.workload_params,

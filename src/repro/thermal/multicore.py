@@ -103,7 +103,7 @@ class MulticorePackage:
                 self._net.add_link(
                     ThermalLink(f"{core}.lat", core, neighbour, r_core_core)
                 )
-        self._conv = self._net.add_link(
+        self._conv_link = self._net.add_link(
             ThermalLink(
                 f"{name}.conv", self._sink, self._amb,
                 self.convection.resistance(0.0),
@@ -174,7 +174,7 @@ class MulticorePackage:
 
     def step(self, t: float, dt: float) -> None:
         """Advance the package by ``dt`` seconds ending at ``t``."""
-        self._conv.resistance = self.convection.resistance(self._airflow)
+        self._conv_link.resistance = self.convection.resistance(self._airflow)
         self._net.set_temperature(self._amb, self.ambient.temperature(t))
         for core, power in zip(self._cores, self._powers):
             self._net.set_power(core, power)
@@ -182,7 +182,7 @@ class MulticorePackage:
 
     def steady_state(self) -> List[float]:
         """Equilibrium core temperatures under the current inputs."""
-        self._conv.resistance = self.convection.resistance(self._airflow)
+        self._conv_link.resistance = self.convection.resistance(self._airflow)
         for core, power in zip(self._cores, self._powers):
             self._net.set_power(core, power)
         solution = self._net.steady_state()

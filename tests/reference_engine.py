@@ -20,7 +20,10 @@ of that must reproduce byte for byte:
   step, with no cached coefficients.
 * :func:`reference_node_step` — one cluster node's tick written out
   through the public sub-model interfaces, with no hoisting.
-* :func:`reference_path` — installs all four (and turns lockstep
+* :func:`reference_multicore_step` — the same for an N-core node:
+  per-core class powers at each core's temperature, the hottest core
+  on the fan chip's diode.
+* :func:`reference_path` — installs all five (and turns lockstep
   grouping off) for the duration of a ``with`` block, so whatever runs
   inside — an experiment, a series, a served spec — runs on the
   reference.
@@ -36,6 +39,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.multicore_node import MulticoreNode
 from repro.cluster.node import Node
 from repro.errors import ConfigurationError, SimulationError
 from repro.runtime import RunExecutor
@@ -45,6 +49,7 @@ from repro.units import require_positive
 
 __all__ = [
     "UngroupedExecutor",
+    "reference_multicore_step",
     "reference_node_step",
     "reference_path",
     "reference_rc_step",
@@ -122,6 +127,55 @@ def reference_node_step(node: Node, t: float, dt: float) -> None:
     node.package.set_power(node._cpu_power)
     node.package.set_airflow(airflow)
     node.package.step(t, dt)
+    # 6. wall power (a shut-down node still draws standby power)
+    if node._shutdown:
+        node._wall_power = 5.0 + fan_power
+    else:
+        node._wall_power = cfg.baseboard_power + node._cpu_power + fan_power
+    node.meter.record(node._wall_power, dt)
+
+
+def reference_multicore_step(node: MulticoreNode, t: float, dt: float) -> None:
+    """``node.step(t, dt)`` for an N-core node, through the public
+    package interfaces."""
+    cfg = node.config
+    package = node.package
+    node._protection(t)
+    # 1. workload execution at the lead frequency; 2. per-core power
+    # from each class's model at that core's temperature.
+    if node._shutdown:
+        powers = [0.0] * package.n_cores
+        node._cpu_power = 0.0
+    else:
+        if node._prochot:
+            # PROCHOT re-clamps the lead every tick; the gang drags
+            # every follower class to its own floor.
+            node.dvfs.set_index(len(node.dvfs.table) - 1, t)
+        node.core.step(t, dt)
+        utilization = node.core.utilization
+        temps = package.core_temperatures()
+        powers = [
+            node._class_models[k].power(
+                node.domains[k].pstate, utilization, temps[i]
+            )
+            for i, k in enumerate(node._core_class)
+        ]
+        node._cpu_power = sum(powers)
+    # 3. fan chip ingests measurements; auto mode updates its PWM
+    node.fan_chip.update(
+        remote_temp=package.die_temperature,
+        local_temp=package.ambient_temperature,
+        rpm=node.fan_motor.rpm,
+    )
+    # 4. rotor tracks the chip's PWM output
+    node.fan_motor.set_duty(node.fan_chip.commanded_duty)
+    node.fan_motor.step(t, dt)
+    airflow = node.fan_aero.airflow(node.fan_motor.rpm)
+    fan_power = node.fan_aero.power(node.fan_motor.rpm)
+    # 5. thermal integration across the floorplan
+    package.set_powers(powers)
+    package.set_airflow(airflow)
+    package.step(t, dt)
     # 6. wall power (a shut-down node still draws standby power)
     if node._shutdown:
         node._wall_power = 5.0 + fan_power
@@ -231,6 +285,7 @@ def reference_path() -> Iterator[None]:
     Cluster._compile_sampler = reference_sampler
     RunExecutor._batch_key = UngroupedExecutor.__dict__["_batch_key"]
     Node.step = reference_node_step
+    MulticoreNode.step = reference_multicore_step
     RCNetwork.step = reference_rc_step
     try:
         yield
@@ -242,3 +297,4 @@ def reference_path() -> Iterator[None]:
             Node.step,
             RCNetwork.step,
         ) = saved
+        del MulticoreNode.step

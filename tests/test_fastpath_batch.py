@@ -4,8 +4,10 @@ Three layers of the batch stack, each pinned against its serial
 counterpart:
 
 * :class:`repro.fastpath.batch.PackageBatch` against the reference
-  stepper — public-setter writes to the convective link honoured on the
-  next tick, junction writes refused, and the release contract;
+  stepper, on the die/sink package and an N-core floorplan — power
+  writes into any free node and public-setter writes to the convective
+  link honoured on the next tick, writes to every other link refused,
+  mixed structures refused, and the release contract;
 * :func:`repro.runtime.execute.execute_specs_batch` and the grouping
   :class:`~repro.runtime.RunExecutor` against the serial engine — full
   sweep results (tables, curves, traces, cache entries, telemetry
@@ -41,6 +43,7 @@ from repro.runtime import RunExecutor, RunSpec
 from repro.runtime.spec import FaultSpec
 from repro.runtime.execute import _build_run, execute_spec, execute_specs_batch
 from repro.sim.engine import Component, SimulationEngine
+from repro.thermal.multicore import MulticorePackage
 from repro.thermal.package import CpuPackage
 from repro.thermal.rc import RCNetwork, ThermalLink, ThermalNode
 from tests.reference_engine import (
@@ -77,45 +80,97 @@ def mirror_network(net: RCNetwork) -> RCNetwork:
     return twin
 
 
-def test_package_batch_traps_public_writes_and_releases() -> None:
-    """Only the junction is trapped: a convective write through the
-    public setter is honoured on the next tick, a junction write stops
-    the lockstep lane, and release hands every link back."""
-    packages = [CpuPackage(name=f"p{k}") for k in range(2)]
+def heated_packages(kind: str, n: int = 2) -> list:
+    """``n`` packages of one structure, under unequal heat, each stepped
+    once so its network holds cached coefficients with none dirty."""
+    if kind == "cpu":
+        packages = [CpuPackage(name=f"p{k}") for k in range(n)]
+    else:
+        packages = [MulticorePackage(n_cores=4, name=f"p{k}") for k in range(n)]
     for k, package in enumerate(packages):
-        package._net.set_power(package._die, 40.0 + 5.0 * k)
-        package._net.step(0.05)  # coefficients cached, none dirty
-    nets = [package._net for package in packages]
-    mirrors = [mirror_network(net) for net in nets]
-    pack = PackageBatch(packages)
+        net = package._net
+        free = [n for n in net.node_names if not net.node(n).is_boundary]
+        for j, name in enumerate(free[:-1]):  # all but the sink
+            net.set_power(name, 10.0 + 5.0 * k + 3.0 * j)
+        net.step(0.05)
+    return packages
 
-    def step_both() -> None:
-        pack.step(0.05)
-        for twin in mirrors:
+
+def step_both(pack, nets, mirrors) -> None:
+    pack.step(0.05)
+    for twin in mirrors:
+        reference_rc_step(twin, 0.05)
+    assert_networks_equal(mirrors, nets)
+
+
+def test_package_batch_traps_public_writes_and_releases() -> None:
+    """Boundary links are live: a convective write through the public
+    setter is honoured on the next tick, bit for bit.  Every other link
+    is frozen: a junction, core–sink or lateral write stops the
+    lockstep lane before any temperature is written, and release hands
+    every link back."""
+    for kind, frozen in (
+        ("cpu", "jhs"),
+        ("multicore", "core1.cs"),
+        ("multicore", "core2.lat"),
+    ):
+        packages = heated_packages(kind)
+        nets = [package._net for package in packages]
+        mirrors = [mirror_network(net) for net in nets]
+        pack = PackageBatch(packages)
+
+        step_both(pack, nets, mirrors)
+        packages[1]._conv_link.resistance = 0.4
+        mirrors[1].link("p1.conv").resistance = 0.4
+        step_both(pack, nets, mirrors)
+        step_both(pack, nets, mirrors)
+
+        packages[0]._net.link(f"p0.{frozen}").resistance = 0.2
+        with pytest.raises(Unbatchable, match="frozen"):
+            pack.step(0.05)
+        # Refused before any temperature write.
+        assert_networks_equal(mirrors, nets)
+
+        pack.release()
+        for net in nets:
+            for link in net._links.values():
+                assert link._observer is net
+        mirrors[0].link(f"p0.{frozen}").resistance = 0.2
+        for net, twin in zip(nets, mirrors):
+            net.step(0.05)
             reference_rc_step(twin, 0.05)
         assert_networks_equal(mirrors, nets)
 
-    step_both()
-    packages[1]._conv_link.resistance = 0.4
-    mirrors[1].link("p1.conv").resistance = 0.4
-    step_both()
-    step_both()
 
-    packages[0]._net.link("p0.jhs").resistance = 0.2
-    with pytest.raises(Unbatchable, match="junction"):
-        pack.step(0.05)
-    # Refused before any temperature write.
-    assert_networks_equal(mirrors, nets)
+def test_package_batch_refuses_mixed_structures() -> None:
+    """A die/sink package and an N-core floorplan do not stack; the
+    refusal comes at construction and leaves every observer alone."""
+    packages = [CpuPackage(name="a"), MulticorePackage(n_cores=4, name="b")]
+    with pytest.raises(Unbatchable, match="structure"):
+        PackageBatch(packages)
+    for package in packages:
+        for link in package._net._links.values():
+            assert link._observer is package._net
 
+
+@pytest.mark.parametrize(
+    "kind, node", [("cpu", "sink"), ("multicore", "sink"), ("multicore", "core3")]
+)
+def test_package_batch_honours_mid_run_power_writes(kind, node) -> None:
+    """A power written into any free node mid-batch — not just the
+    heated die — enters the next tick exactly as the serial step has
+    it."""
+    packages = heated_packages(kind)
+    nets = [package._net for package in packages]
+    mirrors = [mirror_network(net) for net in nets]
+    pack = PackageBatch(packages)
+    for tick in range(6):
+        if tick in (2, 4):
+            watts = 7.5 if tick == 2 else 0.0
+            for net in (nets[1], mirrors[1]):
+                net.set_power(f"p1.{node}", watts)
+        step_both(pack, nets, mirrors)
     pack.release()
-    for net in nets:
-        for link in net._links.values():
-            assert link._observer is net
-    mirrors[0].link("p0.jhs").resistance = 0.2
-    for net, twin in zip(nets, mirrors):
-        net.step(0.05)
-        reference_rc_step(twin, 0.05)
-    assert_networks_equal(mirrors, nets)
 
 
 # ------------------------------------------------- run-loop edge cases

@@ -22,6 +22,7 @@ Lockstep grouping is held equal to this serial engine by
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 from contextlib import nullcontext
@@ -29,11 +30,14 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
+from repro.cluster.multicore_node import MulticoreNode
 from repro.cluster.node import Node
 from repro.config import NodeConfig
 from repro.errors import SimulationError
 from repro.experiments import REGISTRY
 from repro.experiments.series import SERIES_REGISTRY
+from repro.fan.adt7467 import REG_REMOTE1_TEMP
+from repro.platform import resolve_platform
 from repro.runtime import RunSpec
 from repro.sim.engine import Component, SimulationEngine
 from repro.sim.events import EventLog
@@ -169,16 +173,13 @@ def test_dt_change_and_divergence_match_reference() -> None:
 # ------------------------------------------------------------- node tick
 
 
-def _node_trace(stepped_by_reference: bool) -> tuple:
+def _node_trace(stepped_by_reference: bool, node_type=Node, **config) -> tuple:
     """A node through PROCHOT assert/deassert, a fan failure and
     THERMTRIP, stepped by direct ``step`` calls; per-tick state."""
     events = EventLog()
-    node = Node(
-        "n0",
-        config=NodeConfig(
-            prochot_temp=44.0, prochot_hysteresis=3.0, shutdown_temp=46.5
-        ),
-        events=events,
+    base = config.pop("base", NodeConfig())
+    node = node_type(
+        "n0", config=dataclasses.replace(base, **config), events=events
     )
     node.bind_rank(RankProgram([ComputeSegment(2.4e9 * 900)], name="burn"))
     dt = 0.05
@@ -197,15 +198,15 @@ def _node_trace(stepped_by_reference: bool) -> tuple:
                     node.wall_power,
                     node.fan_rpm,
                     node.dvfs.index,
+                    node.fan_chip.peek(REG_REMOTE1_TEMP),
                 )
             )
     return rows, [str(event) for event in events], node.meter.energy_joules
 
 
-def test_node_step_matches_reference_through_protection() -> None:
-    """``Node.step`` called directly equals the oracle's tick bitwise."""
-    rows, events, energy = _node_trace(stepped_by_reference=False)
-    ref_rows, ref_events, ref_energy = _node_trace(stepped_by_reference=True)
+def _assert_trace_matches_reference(node_type=Node, **config) -> None:
+    rows, events, energy = _node_trace(False, node_type, **config)
+    ref_rows, ref_events, ref_energy = _node_trace(True, node_type, **config)
     assert rows == ref_rows
     assert events == ref_events
     assert energy == ref_energy
@@ -213,6 +214,43 @@ def test_node_step_matches_reference_through_protection() -> None:
     for kind in ("hw.prochot.assert", "hw.prochot.deassert", "hw.fan_failure",
                  "hw.thermtrip"):
         assert kind in kinds, kind
+
+
+def test_node_step_matches_reference_through_protection() -> None:
+    """``Node.step`` called directly equals the oracle's tick bitwise."""
+    _assert_trace_matches_reference(
+        prochot_temp=44.0, prochot_hysteresis=3.0, shutdown_temp=46.5
+    )
+
+
+def test_multicore_node_step_matches_reference_through_protection() -> None:
+    """The same for a heterogeneous N-core floorplan: the inherited tick
+    with the multicore power/diode hook equals the oracle's multicore
+    tick, shut-down (zero-power) cores included.  The floorplan runs
+    cooler, so its thresholds sit lower."""
+    _assert_trace_matches_reference(
+        MulticoreNode,
+        base=resolve_platform("biglittle_4p4e").node_config(),
+        prochot_temp=38.5,
+        prochot_hysteresis=0.3,
+        shutdown_temp=38.8,
+    )
+
+
+def test_multicore_fan_chip_reads_the_hottest_core() -> None:
+    """The fan chip's remote diode on an N-core package reads the
+    hottest core as it stood when the tick began."""
+    node = MulticoreNode(
+        "n0", config=resolve_platform("biglittle_4p4e").node_config()
+    )
+    node.bind_rank(RankProgram([ComputeSegment(2.4e9 * 900)], name="burn"))
+    spread = 0.0
+    for i in range(1, 2001):
+        hottest = node.package.die_temperature
+        node.step(i * 0.05, 0.05)
+        assert node.fan_chip.peek(REG_REMOTE1_TEMP) == round(hottest)
+        spread = max(spread, node.package.hotspot_spread)
+    assert spread > 2.0
 
 
 # ------------------------------------------------------ fused loop semantics

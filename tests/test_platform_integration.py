@@ -6,32 +6,37 @@ does, the per-package sensor tracks the hottest core of an N-core
 floorplan, the ganged DVFS maps heterogeneous ladders onto the paper's
 single-ladder actuation model, and every performance path (the
 compiled engine, lockstep grouping, process fan-out) stays bitwise
-identical to the serial reference on platform-bearing specs — or
-provably falls back.
+identical to the serial reference on platform-bearing specs, the
+N-core floorplans stacked in lockstep groups included.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
+
 import pytest
 
+from repro.cluster.cluster import Cluster
 from repro.cluster.multicore_node import MulticoreNode
 from repro.cluster.node import Node
-from repro.config import NodeConfig
+from repro.config import ClusterConfig, NodeConfig
 from repro.core.control_array import DEFAULT_ARRAY_SIZE, ThermalControlArray
 from repro.cpu.dvfs import Dvfs, GangedDvfs
 from repro.cpu.pstate import PState, PStateTable
 from repro.errors import ConfigurationError
+from repro.experiments import REGISTRY
 from repro.experiments.platform import (
     WORKLOAD_REGISTRY,
     attach_hybrid,
     platform_policy,
     standard_cluster,
 )
-from repro.fastpath.batch import Unbatchable, run_jobs_batch
+from repro.fastpath.batch import run_jobs_batch
 from repro.platform import PLATFORM_REGISTRY, resolve_platform
 from repro.runtime import RunExecutor, RunSpec
 from repro.runtime.execute import execute_spec
-from tests.reference_engine import reference_path
+from tests.reference_engine import UngroupedExecutor, reference_path
 
 
 def assert_results_equal(a, b) -> None:
@@ -221,28 +226,88 @@ def test_fastpath_bitwise_identical_on_platform(name) -> None:
     assert_results_equal(reference, RunExecutor().run(spec))
 
 
-def test_batched_fastpath_falls_back_identically() -> None:
-    """The lockstep stepper cannot stack N-core nodes: multicore specs
-    never form a group, and run exactly as they do one by one."""
-    specs = [
-        platform_spec_of("biglittle_4p4e"),
-        platform_spec_of("biglittle_4p4e", params={"iterations": 30}),
-        platform_spec_of("multicore_8c_45nm"),
+GROUPED_FIGURES = ("fig7", "table1", "fig10")
+
+
+def grouped_figure_specs():
+    specs = []
+    for figure in GROUPED_FIGURES:
+        module, _ = REGISTRY[figure]
+        specs.extend(module.specs(seed=7, quick=True))
+    return specs
+
+
+@pytest.fixture(scope="module")
+def ungrouped_figures():
+    """Each platform's figure specs run one by one: the serial bytes."""
+    specs = grouped_figure_specs()
+    return {
+        name: UngroupedExecutor(platform=name).map(specs)
+        for name in ("biglittle_4p4e", "multicore_8c_45nm")
+    }
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", ["biglittle_4p4e", "multicore_8c_45nm"])
+def test_multicore_specs_group_and_match_ungrouped(
+    name, jobs, ungrouped_figures, monkeypatch
+) -> None:
+    """fig7/table1/fig10 on N-core floorplans form lockstep groups and
+    come out byte for byte as they do one spec at a time."""
+    from repro.serve.payloads import summary_bytes
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    specs = grouped_figure_specs()
+    with RunExecutor(jobs=jobs, platform=name) as executor:
+        grouped = executor.map(specs)
+        snapshot = executor.registry.snapshot()
+    assert snapshot.value("host.exec.batch_groups") > 0.0
+    serial = ungrouped_figures[name]
+    filled = [dataclasses.replace(spec, platform=name) for spec in specs]
+    for spec, a, b in zip(filled, serial, grouped):
+        assert summary_bytes(spec, b) == summary_bytes(spec, a)
+        assert_results_equal(a, b)
+
+
+def prochot_lanes():
+    """Three multicore clusters whose PROCHOT thresholds sit inside
+    their operating range, so every lane asserts and de-asserts the
+    throttle, and the lanes finish at different ticks."""
+    spec = resolve_platform("multicore_8c_45nm")
+    lanes = []
+    for prochot in (39.0, 40.0, 40.5):
+        node = dataclasses.replace(
+            spec.node_config(), prochot_temp=prochot, prochot_hysteresis=1.0
+        )
+        cluster = Cluster(
+            ClusterConfig(n_nodes=4, seed=3, node=node), platform=spec
+        )
+        attach_hybrid(cluster, pp=50)
+        lanes.append(
+            (cluster, WORKLOAD_REGISTRY["bt_b_4"](cluster, iterations=60))
+        )
+    return lanes
+
+
+def test_run_jobs_batch_steps_multicore_lanes_in_lockstep() -> None:
+    """No serial fallback to hide behind: run_jobs_batch stacks the
+    floorplans through PROCHOT assert/deassert and equals serial runs."""
+    lanes = prochot_lanes()
+    batched = run_jobs_batch(
+        [cluster for cluster, _ in lanes],
+        [job for _, job in lanes],
+        [3600.0] * len(lanes),
+        [0.0] * len(lanes),
+    )
+    serial = [
+        cluster.run_job(job, timeout=3600.0) for cluster, job in prochot_lanes()
     ]
-    executor = RunExecutor()
-    grouped = executor.map(specs)
-    assert executor.registry.snapshot().value("host.exec.batch_groups") == 0.0
-    for spec, result in zip(specs, grouped):
-        assert_results_equal(execute_spec(spec), result)
-
-
-def test_run_jobs_batch_refuses_multicore_nodes() -> None:
-    """The fallback is driven by an explicit refusal, not divergence."""
-    cluster = standard_cluster(n_nodes=4, platform="multicore_8c_45nm")
-    attach_hybrid(cluster, pp=50)
-    job = WORKLOAD_REGISTRY["bt_b_4"](cluster, iterations=5)
-    with pytest.raises(Unbatchable, match="MulticoreNode"):
-        run_jobs_batch([cluster], [job], [3600.0], [0.0])
+    for a, b in zip(serial, batched):
+        assert_results_equal(a, b)
+        categories = [event.category for event in b.events]
+        assert "hw.prochot.assert" in categories
+        assert "hw.prochot.deassert" in categories
+    assert len({result.execution_time for result in batched}) == len(lanes)
 
 
 def test_parallel_jobs_identical_with_platform_specs() -> None:
