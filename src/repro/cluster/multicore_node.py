@@ -30,7 +30,7 @@ specs on a multicore platform form lockstep groups like any other.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, List
+from typing import Callable, List, Tuple
 
 from ..config import NodeConfig
 from ..cpu.core import CpuCore
@@ -105,13 +105,12 @@ class MulticoreNode(Node):
 
     # -- dynamics ----------------------------------------------------------
 
-    def _package_io(self) -> Callable[[bool], float]:
-        """Per-core class powers at each core's temperature, summed into
-        :attr:`cpu_power` and written into the package and its network
-        (a negative or NaN one raises through
-        :meth:`MulticorePackage.set_core_power
-        <repro.thermal.multicore.MulticorePackage.set_core_power>`); the
-        diode reads the hottest core."""
+    def _package_io(self) -> Tuple[Callable[[], float], Callable[[bool], None]]:
+        """The diode reads the hottest core; ``io`` writes per-core class
+        powers at each core's temperature, summed into :attr:`cpu_power`,
+        into the package and its network (a negative or NaN one raises
+        through :meth:`MulticorePackage.set_core_power
+        <repro.thermal.multicore.MulticorePackage.set_core_power>`)."""
         package = self.package
         set_core_power = package.set_core_power
         core_powers = package._powers
@@ -127,7 +126,11 @@ class MulticoreNode(Node):
         )
 
         @hotpath
-        def io(on: bool) -> float:
+        def diode() -> float:
+            return max(map(temperature_of, core_nodes))
+
+        @hotpath
+        def io(on: bool) -> None:
             utilization = core._utilization
             for i, k, node, key in cores:
                 if on:
@@ -141,6 +144,5 @@ class MulticoreNode(Node):
                 core_powers[i] = power
                 net_powers[key] = power
             self._cpu_power = sum(core_powers) if on else 0.0
-            return max(map(temperature_of, core_nodes))
 
-        return io
+        return diode, io

@@ -218,14 +218,15 @@ class Node(Component):
 
     # -- dynamics ----------------------------------------------------------
 
-    def _package_io(self) -> Callable[[bool], float]:
+    def _package_io(self) -> Tuple[Callable[[], float], Callable[[bool], None]]:
         """The package-specific slice of :meth:`tick_pair`, hoisted.
 
+        Returns ``(diode, io)``.  ``diode()`` is the remote-diode reading
+        protection and the fan chip see: the die's temperature.
         ``io(on)`` sets the CPU power at the die's temperature (0 W when
         off) as :attr:`cpu_power` and in the package and its network,
-        raising through :meth:`CpuPackage.set_power` if negative or NaN,
-        and returns the diode reading: the die's.  Subclasses override
-        only this."""
+        raising through :meth:`CpuPackage.set_power` if negative or NaN.
+        Subclasses override only this."""
         package = self.package
         set_power = package.set_power
         die_node = package._net._nodes[package._die]
@@ -236,7 +237,11 @@ class Node(Component):
         core = self.core
 
         @hotpath
-        def io(on: bool) -> float:
+        def diode() -> float:
+            return die_node.temperature
+
+        @hotpath
+        def io(on: bool) -> None:
             if on:
                 cpu_power = power_fn(
                     dvfs.pstate, core._utilization, die_node.temperature
@@ -248,9 +253,8 @@ class Node(Component):
             self._cpu_power = cpu_power
             package._power = cpu_power
             powers[die_key] = cpu_power
-            return die_node.temperature
 
-        return io
+        return diode, io
 
     def tick_pair(self) -> Tuple[_StepFn, _StepFn]:
         """This node's tick, hoisted, as the halves around the RC step.
@@ -268,21 +272,39 @@ class Node(Component):
         ``package._net.step(dt)`` (:meth:`compiled_step`), or one
         stacked step for many nodes (:mod:`repro.fastpath.batch`).
 
-        Only the CPU power, its write into the network and the diode
-        reading depend on the package; they come from
+        Only the diode reading, the CPU power and its write into the
+        network depend on the package; they come from
         :meth:`_package_io`.  The halves skip what the package's public
         setters would re-check: values the models produce in range, a
         convective resistance that did not change (a changed one is
         reported to the network, which rebuilds just its rows).  The one
         reachable failure, a negative or NaN CPU power, still raises
-        through the package's setter.
+        through the package's setter.  :meth:`_protection` runs only on
+        a tick whose diode reading crosses one of its thresholds; on
+        every other tick its state machine has nothing to do.
+
+        **The guard rule.**  The device methods the halves call
+        (:meth:`ADT7467.update <repro.fan.adt7467.ADT7467.update>`,
+        :meth:`FanMotor.step <repro.fan.motor.FanMotor.step>`,
+        :meth:`CpuCore.step <repro.cpu.core.CpuCore.step>`, and the
+        power, aero, convection and meter models) keep every input
+        check as an inline, NaN-safe comparison such as
+        ``if not (0.0 <= u <= 1.0):``.  Only its failing branch calls
+        the original validator, through :func:`~repro.sim.marker.reject`
+        or a ``@coldpath`` helper, so each error keeps its type and text
+        and the common branch builds no message.
         """
-        baseboard = self.config.baseboard_power
+        cfg = self.config
+        baseboard = cfg.baseboard_power
+        protect = cfg.hw_protection
+        shutdown_temp = cfg.shutdown_temp
+        prochot_temp = cfg.prochot_temp
+        release_temp = cfg.prochot_temp - cfg.prochot_hysteresis
         protection = self._protection
         core_step = self.core.step
         dvfs = self.dvfs
         last_pstate = len(dvfs.table) - 1
-        package_io = self._package_io()
+        diode, package_io = self._package_io()
         fan_chip = self.fan_chip
         chip_update = fan_chip.update
         motor = self.fan_motor
@@ -309,7 +331,12 @@ class Node(Component):
 
         @hotpath
         def pre(t: float, dt: float) -> None:
-            protection(t)
+            die = diode()
+            if protect and not self._shutdown and (
+                die >= shutdown_temp
+                or (die <= release_temp if self._prochot else die >= prochot_temp)
+            ):
+                protection(t)
             # powered off: no execution, no CPU heat; the (possibly
             # failed) fan and the package keep evolving passively.
             on = not self._shutdown
@@ -319,10 +346,10 @@ class Node(Component):
                     # out-vote the hardware while it is asserted).
                     dvfs.set_index(last_pstate, t)
                 core_step(t, dt)
-            diode = package_io(on)
+            package_io(on)
             # the fan chip ingests measurements; auto mode updates its
             # PWM, and the rotor tracks it
-            chip_update(diode, amb_node.temperature, motor._rpm)
+            chip_update(die, amb_node.temperature, motor._rpm)
             motor_set_duty(fan_chip.commanded_duty)
             motor_step(t, dt)
             airflow = aero_airflow(motor._rpm)

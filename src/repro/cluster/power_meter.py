@@ -9,6 +9,7 @@ keeps a running average — the quantity in Table 1's "Ave Power" column
 from __future__ import annotations
 
 from ..errors import SimulationError
+from ..sim.marker import hotpath, reject
 from ..units import require_non_negative, require_positive
 
 __all__ = ["PowerMeter"]
@@ -28,10 +29,13 @@ class PowerMeter:
         self._last_power = 0.0
         self._peak = 0.0
 
+    @hotpath
     def record(self, power_watts: float, dt: float) -> None:
         """Accumulate ``power_watts`` held for ``dt`` seconds."""
-        require_non_negative(power_watts, "power")
-        require_positive(dt, "dt")
+        if not (power_watts >= 0.0):
+            reject(require_non_negative, power_watts, "power")
+        if not (dt > 0.0):
+            reject(require_positive, dt, "dt")
         self._energy += power_watts * dt
         self._elapsed += dt
         self._last_power = power_watts

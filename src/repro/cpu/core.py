@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Optional, Protocol
 
 from ..errors import SimulationError
+from ..sim.marker import coldpath, hotpath
 from ..units import require_in_range
 from .dvfs import Dvfs
 
@@ -130,25 +131,37 @@ class CpuCore:
         """
         self._throttle = require_in_range(fraction, 0.0, 0.9999, "throttle")
 
+    @coldpath
+    def _reject_dt(self, dt: float) -> None:
+        raise SimulationError(f"core {self.name!r}: non-positive dt {dt!r}")
+
+    @coldpath
+    def _reject_utilization(self, util: float) -> None:
+        require_in_range(
+            util, 0.0, 1.0, f"utilization from rank on {self.name!r}"
+        )
+
+    @hotpath
     def step(self, t: float, dt: float) -> None:
         """Advance one tick: consume DVFS stall, then run the rank."""
         if dt <= 0:
-            raise SimulationError(f"core {self.name!r}: non-positive dt {dt!r}")
-        self.dvfs.note_time(t)
-        stall = self.dvfs.consume_stall(dt)
+            self._reject_dt(dt)
+        dvfs = self.dvfs
+        rank = self._rank
+        frequency = dvfs.frequency
+        dvfs.note_time(t)
+        stall = dvfs.consume_stall(dt)
         dt_work = (dt - stall) * (1.0 - self._throttle)
         util_work = 0.0
-        if dt_work > 0 and not self._rank.finished:
-            util_work = require_in_range(
-                self._rank.advance(dt_work, self.dvfs.frequency),
-                0.0,
-                1.0,
-                f"utilization from rank on {self.name!r}",
-            )
+        if dt_work > 0 and not rank.finished:
+            util_work = rank.advance(dt_work, frequency)
+            if not (0.0 <= util_work <= 1.0):
+                self._reject_utilization(util_work)
+            util_work = float(util_work)
         # A stalled pipeline reads as busy to the OS (it is not idle),
         # so the stall contributes to utilization but not to progress.
         busy = util_work * dt_work + stall
         self._utilization = busy / dt
         self._busy_seconds += busy
         self._elapsed += dt
-        self._retired_cycles += util_work * dt_work * self.dvfs.frequency
+        self._retired_cycles += util_work * dt_work * frequency

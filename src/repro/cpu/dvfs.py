@@ -56,6 +56,7 @@ class Dvfs:
         self._events = events
         self.name = name
         self._index = 0
+        self._pstate = table[0]
         self._change_count = 0
         self._stall_remaining = 0.0
         self._now = 0.0
@@ -69,13 +70,13 @@ class Dvfs:
 
     @property
     def pstate(self) -> PState:
-        """Current operating point."""
-        return self.table[self._index]
+        """Current operating point (kept by :meth:`set_index`)."""
+        return self._pstate
 
     @property
     def frequency(self) -> float:
         """Current core clock in Hz."""
-        return self.pstate.frequency
+        return self._pstate.frequency
 
     @property
     def change_count(self) -> int:
@@ -92,6 +93,9 @@ class Dvfs:
     def set_index(self, index: int, t: Optional[float] = None) -> bool:
         """Switch to P-state ``index``; returns True if a change occurred.
 
+        The only writer of the current index, and of the operating
+        point :attr:`pstate` reads.
+
         Raises
         ------
         ActuatorError
@@ -103,8 +107,9 @@ class Dvfs:
             )
         if index == self._index:
             return False
-        old = self.pstate
+        old = self._pstate
         self._index = index
+        self._pstate = self.table[index]
         self._change_count += 1
         self._stall_remaining += self.transition_latency
         when = self._now if t is None else t
@@ -114,7 +119,7 @@ class Dvfs:
                 "dvfs.change",
                 self.name,
                 old_ghz=old.frequency_ghz,
-                new_ghz=self.pstate.frequency_ghz,
+                new_ghz=self._pstate.frequency_ghz,
                 old_index=self.table.index_of_frequency(old.frequency),
                 new_index=index,
             )

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..sim.marker import hotpath, reject
 from ..units import require_in_range, require_non_negative, require_positive
 from .pstate import PState
 
@@ -93,11 +94,22 @@ class CpuPowerModel:
         t_scale = math.exp(p.leak_temp_scale * (die_temperature - p.t_ref))
         return p.leak_ref * v_scale * t_scale
 
+    @hotpath
     def power(
         self, pstate: PState, utilization: float, die_temperature: float
     ) -> float:
-        """Total CPU power in watts (never below ``idle_floor``)."""
-        total = self.dynamic_power(pstate, utilization) + self.leakage_power(
-            pstate, die_temperature
+        """Total CPU power in watts (never below ``idle_floor``).
+
+        :meth:`dynamic_power` plus :meth:`leakage_power`, written out as
+        one expression with the same operations in the same order.
+        """
+        if not (0.0 <= utilization <= 1.0):
+            reject(require_in_range, utilization, 0.0, 1.0, "utilization")
+        p = self.params
+        voltage = pstate.voltage
+        total = float(utilization) * p.c_eff * voltage**2 * pstate.frequency + (
+            p.leak_ref
+            * (voltage / p.v_ref)
+            * math.exp(p.leak_temp_scale * (die_temperature - p.t_ref))
         )
-        return max(total, self.params.idle_floor)
+        return max(total, p.idle_floor)

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, DeviceError
 from ..i2c.device import I2cDevice
+from ..sim.marker import hotpath, reject
 from ..units import clamp, require_in_range
 
 __all__ = [
@@ -51,6 +52,8 @@ __all__ = [
     "CONFIG_MANUAL",
     "CONFIG_AUTO_REMOTE1",
     "TACH_CLOCK_PER_MINUTE",
+    "T_RANGE_MIN",
+    "T_RANGE_MAX",
 ]
 
 # -- register addresses (abridged ADT746x-style map) -------------------------
@@ -78,6 +81,10 @@ CONFIG_AUTO_REMOTE1 = 0xA0
 
 #: Tachometer clock: counts of a 90 kHz clock per revolution pair.
 TACH_CLOCK_PER_MINUTE = 90_000 * 60
+
+#: Range of the T_RANGE register (ramp width, K) the chip accepts.
+T_RANGE_MIN = 1
+T_RANGE_MAX = 120
 
 
 @dataclass(frozen=True)
@@ -139,11 +146,6 @@ def _duty_to_byte(duty: float) -> int:
     return int(round(clamp(duty, 0.0, 1.0) * 255.0))
 
 
-def _byte_to_duty(byte: int) -> float:
-    """8-bit register value → duty fraction."""
-    return byte / 255.0
-
-
 class ADT7467(I2cDevice):
     """The dBCool monitor/fan-controller device model.
 
@@ -158,17 +160,23 @@ class ADT7467(I2cDevice):
         super().__init__(address=cfg.address, name="ADT7467")
         self.config = cfg
 
-        self.define(REG_REMOTE1_TEMP, "remote1_temp", value=_temp_to_byte(25.0))
-        self.define(REG_LOCAL_TEMP, "local_temp", value=_temp_to_byte(25.0))
-        self.define(REG_TACH1_LOW, "tach1_low", value=0xFF)
-        self.define(REG_TACH1_HIGH, "tach1_high", value=0xFF)
-        self.define(
+        # The register handles: the device-model side reads and writes
+        # ``reg.value`` directly, so the bus and the model share state.
+        self._r_remote = self.define(
+            REG_REMOTE1_TEMP, "remote1_temp", value=_temp_to_byte(25.0)
+        )
+        self._r_local = self.define(
+            REG_LOCAL_TEMP, "local_temp", value=_temp_to_byte(25.0)
+        )
+        self._r_tach_low = self.define(REG_TACH1_LOW, "tach1_low", value=0xFF)
+        self._r_tach_high = self.define(REG_TACH1_HIGH, "tach1_high", value=0xFF)
+        self._r_duty = self.define(
             REG_PWM1_DUTY,
             "pwm1_duty",
             value=_duty_to_byte(cfg.pwm_min_duty),
             writable=True,
         )
-        self.define(
+        self._r_max = self.define(
             REG_PWM1_MAX,
             "pwm1_max",
             value=_duty_to_byte(cfg.pwm_max_duty),
@@ -176,70 +184,107 @@ class ADT7467(I2cDevice):
         )
         self.define(REG_DEVICE_ID, "device_id", value=DEVICE_ID)
         self.define(REG_COMPANY_ID, "company_id", value=COMPANY_ID)
-        self.define(
+        self._r_config = self.define(
             REG_PWM1_CONFIG,
             "pwm1_config",
             value=CONFIG_AUTO_REMOTE1 if cfg.auto else CONFIG_MANUAL,
             writable=True,
         )
-        self.define(
+        self._r_min = self.define(
             REG_PWM1_MIN,
             "pwm1_min",
             value=_duty_to_byte(cfg.pwm_min_duty),
             writable=True,
         )
-        self.define(REG_TMIN, "tmin", value=_temp_to_byte(cfg.t_min), writable=True)
-        self.define(
+        self._r_tmin = self.define(
+            REG_TMIN, "tmin", value=_temp_to_byte(cfg.t_min), writable=True
+        )
+        self._r_trange = self.define(
             REG_TRANGE,
             "trange",
-            value=int(round(clamp(cfg.t_range, 1.0, 120.0))),
+            value=int(round(clamp(cfg.t_range, T_RANGE_MIN, T_RANGE_MAX))),
             writable=True,
         )
+
+    def write_register(self, register: int, value: int) -> None:
+        """SMBus write-byte-data; T_RANGE also refuses ``[1, 120]`` misses.
+
+        A zero ramp width would divide by zero in the automatic curve, so
+        the chip NACKs it (and any width past the ramp's range) and the
+        register keeps its value.
+        """
+        if register == REG_TRANGE and not (T_RANGE_MIN <= value <= T_RANGE_MAX):
+            raise DeviceError(
+                f"{self.name}: T_RANGE value {value!r} outside "
+                f"[{T_RANGE_MIN}, {T_RANGE_MAX}] K"
+            )
+        super().write_register(register, value)
 
     # -- device-model side -----------------------------------------------
 
     @property
     def auto_mode(self) -> bool:
         """True when PWM1 follows the hardware automatic curve."""
-        return self.peek(REG_PWM1_CONFIG) == CONFIG_AUTO_REMOTE1
+        return self._r_config.value == CONFIG_AUTO_REMOTE1
 
     @property
     def commanded_duty(self) -> float:
         """Duty fraction currently on the PWM1 output (what the motor sees)."""
-        return _byte_to_duty(self.peek(REG_PWM1_DUTY))
+        return self._r_duty.value / 255.0
 
+    @hotpath
     def auto_curve_duty(self, celsius: float) -> float:
         """The hardware automatic ramp — the paper's Figure 1.
 
         ``PWM_min`` below ``T_min``; linear to the PWM1-max register
-        value at ``T_min + T_range``; clamped there above.
+        value at ``T_min + T_range``; clamped there above.  Every
+        register is read on every call, so a host write between two
+        calls takes effect on the next.
         """
-        d_min = _byte_to_duty(self.peek(REG_PWM1_MIN))
-        d_max = _byte_to_duty(self.peek(REG_PWM1_MAX))
-        t_min = _byte_to_temp(self.peek(REG_TMIN))
-        t_range = float(self.peek(REG_TRANGE))
+        d_min = self._r_min.value / 255.0
+        t_min = _byte_to_temp(self._r_tmin.value)
         if celsius <= t_min:
             return d_min
-        frac = clamp((celsius - t_min) / t_range, 0.0, 1.0)
+        d_max = self._r_max.value / 255.0
+        frac = max(0.0, min(1.0, (celsius - t_min) / float(self._r_trange.value)))
         return d_min + (d_max - d_min) * frac
 
+    @hotpath
     def update(self, remote_temp: float, local_temp: float, rpm: float) -> None:
         """Feed one round of measurements into the chip.
 
         Called by the node wiring every chip sample period.  Updates the
         temperature and tach registers and, in auto mode, recomputes the
-        PWM1 duty from the automatic curve.
+        PWM1 duty from the automatic curve.  Each register write keeps
+        :meth:`poke`'s byte-range check as an inline guard; the failing
+        branch raises through :meth:`poke` itself
+        (:func:`~repro.sim.marker.reject`).
         """
-        self.poke(REG_REMOTE1_TEMP, _temp_to_byte(remote_temp))
-        self.poke(REG_LOCAL_TEMP, _temp_to_byte(local_temp))
+        remote = int(round(max(-128.0, min(127.0, remote_temp)))) & 0xFF
+        if not (0 <= remote <= 0xFF):
+            reject(self.poke, REG_REMOTE1_TEMP, remote)
+        self._r_remote.value = remote
+        local = int(round(max(-128.0, min(127.0, local_temp)))) & 0xFF
+        if not (0 <= local <= 0xFF):
+            reject(self.poke, REG_LOCAL_TEMP, local)
+        self._r_local.value = local
         if rpm <= 0.0:
             count = 0xFFFF  # stalled fan reads as all-ones
         else:
             count = min(0xFFFF, int(round(TACH_CLOCK_PER_MINUTE / rpm)))
-        self.poke(REG_TACH1_LOW, count & 0xFF)
-        self.poke(REG_TACH1_HIGH, (count >> 8) & 0xFF)
-        if self.auto_mode:
-            duty = self.auto_curve_duty(_byte_to_temp(self.peek(REG_REMOTE1_TEMP)))
+        low = count & 0xFF
+        if not (0 <= low <= 0xFF):
+            reject(self.poke, REG_TACH1_LOW, low)
+        self._r_tach_low.value = low
+        high = (count >> 8) & 0xFF
+        if not (0 <= high <= 0xFF):
+            reject(self.poke, REG_TACH1_HIGH, high)
+        self._r_tach_high.value = high
+        if self._r_config.value == CONFIG_AUTO_REMOTE1:
+            duty = self.auto_curve_duty(_byte_to_temp(remote))
             # Auto mode never exceeds the PWM1 max register.
-            duty = min(duty, _byte_to_duty(self.peek(REG_PWM1_MAX)))
-            self.poke(REG_PWM1_DUTY, _duty_to_byte(duty))
+            duty = min(duty, self._r_max.value / 255.0)
+            byte = int(round(max(0.0, min(1.0, duty)) * 255.0))
+            if not (0 <= byte <= 0xFF):
+                reject(self.poke, REG_PWM1_DUTY, byte)
+            self._r_duty.value = byte

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..sim.marker import hotpath, reject
 from ..units import require_non_negative, require_positive
 
 __all__ = ["FanAero"]
@@ -49,12 +50,16 @@ class FanAero:
         require_positive(self.power_max, "power_max")
         require_non_negative(self.power_floor, "power_floor")
 
+    @hotpath
     def airflow(self, rpm: float) -> float:
         """Volumetric flow in CFM at ``rpm`` (affinity: linear)."""
-        require_non_negative(rpm, "rpm")
+        if not (rpm >= 0.0):
+            reject(require_non_negative, rpm, "rpm")
         return self.cfm_max * rpm / self.rpm_max
 
+    @hotpath
     def power(self, rpm: float) -> float:
         """Electrical power in W at ``rpm`` (affinity: cubic + floor)."""
-        require_non_negative(rpm, "rpm")
+        if not (rpm >= 0.0):
+            reject(require_non_negative, rpm, "rpm")
         return self.power_floor + self.power_max * (rpm / self.rpm_max) ** 3

@@ -36,6 +36,8 @@ from .adt7467 import (
     REG_TMIN,
     REG_TRANGE,
     TACH_CLOCK_PER_MINUTE,
+    T_RANGE_MAX,
+    T_RANGE_MIN,
     _byte_to_temp,
     _duty_to_byte,
     _temp_to_byte,
@@ -104,9 +106,8 @@ class FanDriver:
         if t_min is not None:
             self._bus.write_byte_data(self._address, REG_TMIN, _temp_to_byte(t_min))
         if t_range is not None:
-            self._bus.write_byte_data(
-                self._address, REG_TRANGE, int(round(clamp(t_range, 1.0, 120.0)))
-            )
+            width = int(round(clamp(t_range, T_RANGE_MIN, T_RANGE_MAX)))
+            self._bus.write_byte_data(self._address, REG_TRANGE, width)
         if duty_min is not None:
             self._bus.write_byte_data(
                 self._address, REG_PWM1_MIN, _duty_to_byte(duty_min)

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from ..errors import ConfigurationError
+from ..sim.marker import coldpath, hotpath, reject
 from ..units import require_in_range, require_positive
 
 __all__ = ["MotorParams", "FanMotor"]
@@ -79,6 +81,11 @@ class FanMotor:
         self._duty = require_in_range(initial_duty, 0.0, 1.0, "initial_duty")
         self._failed = False
         self._rpm = self.steady_state_rpm(self._duty)
+        # ``1 - exp(-dt/tau)`` for both lags, cached for one ``dt``.
+        self._alpha_dt: Optional[float] = None
+        self._alpha_params: Optional[MotorParams] = None
+        self._alpha_up = 0.0
+        self._alpha_down = 0.0
 
     def steady_state_rpm(self, duty: float) -> float:
         """Equilibrium RPM for a given duty fraction (0 when failed)."""
@@ -110,9 +117,12 @@ class FanMotor:
         """True while the motor is failed."""
         return self._failed
 
+    @hotpath
     def set_duty(self, duty: float) -> None:
         """Command a new PWM duty fraction."""
-        self._duty = require_in_range(duty, 0.0, 1.0, "duty")
+        if not (0.0 <= duty <= 1.0):
+            reject(require_in_range, duty, 0.0, 1.0, "duty")
+        self._duty = float(duty)
 
     @property
     def duty(self) -> float:
@@ -124,12 +134,37 @@ class FanMotor:
         """Current rotor speed in RPM."""
         return self._rpm
 
+    @coldpath
+    def _refresh_alphas(self, dt: float) -> None:
+        """Recompute the cached lag factors for a new ``dt``."""
+        p = self.params
+        self._alpha_up = 1.0 - math.exp(-dt / p.tau_up)
+        self._alpha_down = 1.0 - math.exp(-dt / p.tau_down)
+        self._alpha_dt = dt
+        self._alpha_params = p
+
+    @hotpath
     def step(self, t: float, dt: float) -> None:
-        """Advance rotor speed by ``dt`` seconds toward the duty target."""
-        require_positive(dt, "dt")
-        target = self.steady_state_rpm(self._duty)
-        tau = self.params.tau_up if target >= self._rpm else self.params.tau_down
+        """Advance rotor speed by ``dt`` seconds toward the duty target.
+
+        The target is :meth:`steady_state_rpm` of the commanded duty,
+        written out here; the lag factors are cached per ``dt`` and
+        :class:`MotorParams` (which is frozen).
+        """
+        if not (dt > 0.0):
+            reject(require_positive, dt, "dt")
+        p = self.params
+        if dt != self._alpha_dt or p is not self._alpha_params:
+            self._refresh_alphas(dt)
+        duty = self._duty
+        if not (0.0 <= duty <= 1.0):
+            reject(require_in_range, duty, 0.0, 1.0, "duty")
+        if self._failed or duty <= 0.0:
+            target = 0.0
+        else:
+            target = p.rpm_max * (p.k0 + (1.0 - p.k0) * duty)
+        rpm = self._rpm
         # Exact solution of the first-order lag over dt (unconditionally
         # stable regardless of dt/tau).
-        alpha = 1.0 - math.exp(-dt / tau)
-        self._rpm += alpha * (target - self._rpm)
+        alpha = self._alpha_up if target >= rpm else self._alpha_down
+        self._rpm = rpm + alpha * (target - rpm)

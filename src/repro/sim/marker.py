@@ -19,13 +19,21 @@ a callee that hot code may invoke but that runs rarely by construction
 flushes.  A ``@coldpath`` function may allocate; marking one is an
 auditable claim that its call frequency is not per-tick, which is why
 the marker exists instead of a lint suppression comment.
+
+:func:`reject` is the one cold callee hot code uses to keep a
+validator.  A per-tick method checks its input with an inline,
+NaN-safe comparison that fails exactly when the validator would raise
+(``if not (0.0 <= u <= 1.0):`` for ``require_in_range(u, 0.0, 1.0,
+name)``), and only its failing branch calls ``reject(validator,
+*args)``.  The validator then raises its own exception with its own
+text, while the common branch builds no message and makes no call.
 """
 
 from __future__ import annotations
 
 from typing import Callable, TypeVar
 
-__all__ = ["coldpath", "hotpath"]
+__all__ = ["coldpath", "hotpath", "reject"]
 
 _F = TypeVar("_F", bound=Callable)
 
@@ -40,3 +48,14 @@ def coldpath(fn: _F) -> _F:
     """Mark ``fn`` as a rarely-run callee of hot code (see module docstring)."""
     fn.__coldpath__ = True
     return fn
+
+
+@coldpath
+def reject(validator: Callable[..., object], *args: object) -> None:
+    """Run ``validator(*args)`` for an input an inline guard refused.
+
+    The guard fails exactly when the validator raises, so this raises
+    the validator's own error (see module docstring).
+    """
+    validator(*args)
+    raise AssertionError(f"{validator!r} accepted {args!r} an inline guard refused")

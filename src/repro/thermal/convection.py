@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
+from ..sim.marker import hotpath, reject
 from ..units import require_non_negative, require_positive
 
 __all__ = ["ConvectionModel"]
@@ -74,9 +75,12 @@ class ConvectionModel:
                 f"({self.r_still}); otherwise more airflow would heat the part"
             )
 
+    @hotpath
     def resistance(self, airflow_cfm: float) -> float:
         """Sink-to-air resistance in K/W at the given airflow (CFM)."""
-        q = require_non_negative(airflow_cfm, "airflow_cfm")
+        if not (airflow_cfm >= 0.0):
+            reject(require_non_negative, airflow_cfm, "airflow_cfm")
+        q = float(airflow_cfm)
         span = self.r_still - self.r_max_flow
         return self.r_max_flow + span / (1.0 + (q / self.q_ref) ** self.exponent)
 

@@ -23,7 +23,16 @@ of that must reproduce byte for byte:
 * :func:`reference_multicore_step` — the same for an N-core node:
   per-core class powers at each core's temperature, the hottest core
   on the fan chip's diode.
-* :func:`reference_path` — installs all five (and turns lockstep
+* the **device oracle** — the per-tick device methods as plain
+  validator calls and register accessors, with no cached handles,
+  factors or inline guards: :func:`reference_chip_update` (with
+  :func:`reference_auto_curve_duty` and
+  :func:`reference_commanded_duty`), :func:`reference_motor_step`,
+  :func:`reference_core_step`, :func:`reference_power`, the P-state
+  looked up from the table on every read
+  (:func:`reference_pstate`), and the aero, convection and meter
+  leaf models (:data:`DEVICE_ORACLE` lists every one).
+* :func:`reference_path` — installs all of these (and turns lockstep
   grouping off) for the duration of a ``with`` block, so whatever runs
   inside — an experiment, a series, a served spec — runs on the
   reference.
@@ -33,6 +42,7 @@ of that must reproduce byte for byte:
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
 
@@ -41,18 +51,60 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.cluster.multicore_node import MulticoreNode
 from repro.cluster.node import Node
+from repro.cluster.power_meter import PowerMeter
+from repro.cpu.core import CpuCore
+from repro.cpu.dvfs import Dvfs
+from repro.cpu.power import CpuPowerModel
+from repro.cpu.pstate import PState
 from repro.errors import ConfigurationError, SimulationError
+from repro.fan.adt7467 import (
+    ADT7467,
+    CONFIG_AUTO_REMOTE1,
+    REG_LOCAL_TEMP,
+    REG_PWM1_CONFIG,
+    REG_PWM1_DUTY,
+    REG_PWM1_MAX,
+    REG_PWM1_MIN,
+    REG_REMOTE1_TEMP,
+    REG_TACH1_HIGH,
+    REG_TACH1_LOW,
+    REG_TMIN,
+    REG_TRANGE,
+    TACH_CLOCK_PER_MINUTE,
+)
+from repro.fan.aero import FanAero
+from repro.fan.motor import FanMotor
 from repro.runtime import RunExecutor
 from repro.sim.engine import SimulationEngine
+from repro.thermal.convection import ConvectionModel
 from repro.thermal.rc import RCNetwork
-from repro.units import require_positive
+from repro.units import (
+    clamp,
+    require_in_range,
+    require_non_negative,
+    require_positive,
+)
 
 __all__ = [
+    "DEVICE_ORACLE",
     "UngroupedExecutor",
+    "reference_airflow",
+    "reference_auto_curve_duty",
+    "reference_chip_update",
+    "reference_commanded_duty",
+    "reference_core_step",
+    "reference_fan_power",
+    "reference_frequency",
+    "reference_meter_record",
+    "reference_motor_set_duty",
+    "reference_motor_step",
     "reference_multicore_step",
     "reference_node_step",
     "reference_path",
+    "reference_power",
+    "reference_pstate",
     "reference_rc_step",
+    "reference_resistance",
     "reference_run",
     "reference_sampler",
 ]
@@ -84,6 +136,172 @@ def reference_rc_step(net: RCNetwork, dt: float) -> None:
         raise SimulationError("thermal integration diverged (non-finite T)")
     for name, temp in zip(free, T):
         net._nodes[name].temperature = float(temp)
+
+
+# ------------------------------------------------------------ device oracle
+#
+# Each device method as a sequence of public validator calls and
+# ``peek``/``poke`` register accesses, with nothing cached between calls.
+
+
+def _temp_to_byte(celsius: float) -> int:
+    return int(round(clamp(celsius, -128.0, 127.0))) & 0xFF
+
+
+def _byte_to_temp(byte: int) -> float:
+    return float(byte - 256 if byte >= 128 else byte)
+
+
+def _duty_to_byte(duty: float) -> int:
+    return int(round(clamp(duty, 0.0, 1.0) * 255.0))
+
+
+def reference_commanded_duty(chip: ADT7467) -> float:
+    """``ADT7467.commanded_duty``."""
+    return chip.peek(REG_PWM1_DUTY) / 255.0
+
+
+def reference_auto_curve_duty(chip: ADT7467, celsius: float) -> float:
+    """``ADT7467.auto_curve_duty``: every register peeked per call."""
+    d_min = chip.peek(REG_PWM1_MIN) / 255.0
+    d_max = chip.peek(REG_PWM1_MAX) / 255.0
+    t_min = _byte_to_temp(chip.peek(REG_TMIN))
+    t_range = float(chip.peek(REG_TRANGE))
+    if celsius <= t_min:
+        return d_min
+    frac = clamp((celsius - t_min) / t_range, 0.0, 1.0)
+    return d_min + (d_max - d_min) * frac
+
+
+def reference_chip_update(
+    chip: ADT7467, remote_temp: float, local_temp: float, rpm: float
+) -> None:
+    """``ADT7467.update``: every register write through ``poke``."""
+    chip.poke(REG_REMOTE1_TEMP, _temp_to_byte(remote_temp))
+    chip.poke(REG_LOCAL_TEMP, _temp_to_byte(local_temp))
+    if rpm <= 0.0:
+        count = 0xFFFF  # stalled fan reads as all-ones
+    else:
+        count = min(0xFFFF, int(round(TACH_CLOCK_PER_MINUTE / rpm)))
+    chip.poke(REG_TACH1_LOW, count & 0xFF)
+    chip.poke(REG_TACH1_HIGH, (count >> 8) & 0xFF)
+    if chip.peek(REG_PWM1_CONFIG) == CONFIG_AUTO_REMOTE1:
+        duty = reference_auto_curve_duty(
+            chip, _byte_to_temp(chip.peek(REG_REMOTE1_TEMP))
+        )
+        # Auto mode never exceeds the PWM1 max register.
+        duty = min(duty, chip.peek(REG_PWM1_MAX) / 255.0)
+        chip.poke(REG_PWM1_DUTY, _duty_to_byte(duty))
+
+
+def reference_motor_set_duty(motor: FanMotor, duty: float) -> None:
+    """``FanMotor.set_duty``."""
+    motor._duty = require_in_range(duty, 0.0, 1.0, "duty")
+
+
+def reference_motor_step(motor: FanMotor, t: float, dt: float) -> None:
+    """``FanMotor.step``: the lag factor recomputed every call."""
+    require_positive(dt, "dt")
+    target = motor.steady_state_rpm(motor._duty)
+    p = motor.params
+    tau = p.tau_up if target >= motor._rpm else p.tau_down
+    alpha = 1.0 - math.exp(-dt / tau)
+    motor._rpm += alpha * (target - motor._rpm)
+
+
+def reference_pstate(dvfs: Dvfs) -> PState:
+    """``Dvfs.pstate``: looked up in the table on every read."""
+    return dvfs.table[dvfs._index]
+
+
+def reference_frequency(dvfs: Dvfs) -> float:
+    """``Dvfs.frequency``."""
+    return dvfs.pstate.frequency
+
+
+def reference_core_step(core: CpuCore, t: float, dt: float) -> None:
+    """``CpuCore.step``: the frequency read at each use."""
+    if dt <= 0:
+        raise SimulationError(f"core {core.name!r}: non-positive dt {dt!r}")
+    core.dvfs.note_time(t)
+    stall = core.dvfs.consume_stall(dt)
+    dt_work = (dt - stall) * (1.0 - core._throttle)
+    util_work = 0.0
+    if dt_work > 0 and not core._rank.finished:
+        util_work = require_in_range(
+            core._rank.advance(dt_work, core.dvfs.frequency),
+            0.0,
+            1.0,
+            f"utilization from rank on {core.name!r}",
+        )
+    # A stalled pipeline reads as busy to the OS (it is not idle),
+    # so the stall contributes to utilization but not to progress.
+    busy = util_work * dt_work + stall
+    core._utilization = busy / dt
+    core._busy_seconds += busy
+    core._elapsed += dt
+    core._retired_cycles += util_work * dt_work * core.dvfs.frequency
+
+
+def reference_power(
+    model: CpuPowerModel,
+    pstate: PState,
+    utilization: float,
+    die_temperature: float,
+) -> float:
+    """``CpuPowerModel.power``: the sum of the two public terms."""
+    total = model.dynamic_power(pstate, utilization) + model.leakage_power(
+        pstate, die_temperature
+    )
+    return max(total, model.params.idle_floor)
+
+
+def reference_airflow(aero: FanAero, rpm: float) -> float:
+    """``FanAero.airflow``."""
+    require_non_negative(rpm, "rpm")
+    return aero.cfm_max * rpm / aero.rpm_max
+
+
+def reference_fan_power(aero: FanAero, rpm: float) -> float:
+    """``FanAero.power``."""
+    require_non_negative(rpm, "rpm")
+    return aero.power_floor + aero.power_max * (rpm / aero.rpm_max) ** 3
+
+
+def reference_resistance(model: ConvectionModel, airflow_cfm: float) -> float:
+    """``ConvectionModel.resistance``."""
+    q = require_non_negative(airflow_cfm, "airflow_cfm")
+    span = model.r_still - model.r_max_flow
+    return model.r_max_flow + span / (1.0 + (q / model.q_ref) ** model.exponent)
+
+
+def reference_meter_record(meter: PowerMeter, power_watts: float, dt: float) -> None:
+    """``PowerMeter.record``."""
+    require_non_negative(power_watts, "power")
+    require_positive(dt, "dt")
+    meter._energy += power_watts * dt
+    meter._elapsed += dt
+    meter._last_power = power_watts
+    meter._peak = max(meter._peak, power_watts)
+
+
+#: ``(class, attribute, oracle)`` for every device method the oracle
+#: replaces inside :func:`reference_path`.
+DEVICE_ORACLE = (
+    (ADT7467, "update", reference_chip_update),
+    (ADT7467, "auto_curve_duty", reference_auto_curve_duty),
+    (ADT7467, "commanded_duty", property(reference_commanded_duty)),
+    (FanMotor, "set_duty", reference_motor_set_duty),
+    (FanMotor, "step", reference_motor_step),
+    (Dvfs, "pstate", property(reference_pstate)),
+    (Dvfs, "frequency", property(reference_frequency)),
+    (CpuCore, "step", reference_core_step),
+    (CpuPowerModel, "power", reference_power),
+    (FanAero, "airflow", reference_airflow),
+    (FanAero, "power", reference_fan_power),
+    (ConvectionModel, "resistance", reference_resistance),
+    (PowerMeter, "record", reference_meter_record),
+)
 
 
 def reference_node_step(node: Node, t: float, dt: float) -> None:
@@ -274,27 +492,20 @@ class UngroupedExecutor(RunExecutor):
 @contextmanager
 def reference_path() -> Iterator[None]:
     """Run everything inside the block on the reference semantics."""
-    saved = (
-        SimulationEngine.run,
-        Cluster._compile_sampler,
-        RunExecutor.__dict__["_batch_key"],
-        Node.step,
-        RCNetwork.step,
-    )
-    SimulationEngine.run = reference_run
-    Cluster._compile_sampler = reference_sampler
-    RunExecutor._batch_key = UngroupedExecutor.__dict__["_batch_key"]
-    Node.step = reference_node_step
+    patches = (
+        (SimulationEngine, "run", reference_run),
+        (Cluster, "_compile_sampler", reference_sampler),
+        (RunExecutor, "_batch_key", UngroupedExecutor.__dict__["_batch_key"]),
+        (Node, "step", reference_node_step),
+        (RCNetwork, "step", reference_rc_step),
+    ) + DEVICE_ORACLE
+    saved = [(cls, name, cls.__dict__[name]) for cls, name, _ in patches]
+    for cls, name, oracle in patches:
+        setattr(cls, name, oracle)
     MulticoreNode.step = reference_multicore_step
-    RCNetwork.step = reference_rc_step
     try:
         yield
     finally:
-        (
-            SimulationEngine.run,
-            Cluster._compile_sampler,
-            RunExecutor._batch_key,
-            Node.step,
-            RCNetwork.step,
-        ) = saved
+        for cls, name, original in saved:
+            setattr(cls, name, original)
         del MulticoreNode.step

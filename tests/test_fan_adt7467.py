@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import BusError, ConfigurationError
+from repro.errors import BusError, ConfigurationError, DeviceError
 from repro.fan.adt7467 import (
     ADT7467,
     CONFIG_AUTO_REMOTE1,
@@ -13,7 +13,11 @@ from repro.fan.adt7467 import (
     REG_DEVICE_ID,
     REG_PWM1_CONFIG,
     REG_PWM1_DUTY,
+    REG_PWM1_MAX,
+    REG_PWM1_MIN,
     REG_REMOTE1_TEMP,
+    REG_TMIN,
+    REG_TRANGE,
     Adt7467Config,
 )
 from repro.fan.driver import FanDriver
@@ -111,6 +115,81 @@ class TestManualMode:
         chip.update(remote_temp=80.0, local_temp=30.0, rpm=2000.0)
         # auto logic must NOT overwrite the host's setpoint
         assert chip.commanded_duty == pytest.approx(128 / 255)
+
+
+class TestRegisterLiveness:
+    """Host bus writes between two ``update``s take effect on the next."""
+
+    def test_config_auto_manual_auto(self, fan_bus):
+        bus, chip = fan_bus
+        addr = chip.address
+        chip.update(remote_temp=70.0, local_temp=30.0, rpm=2000.0)
+        auto_duty = bus.read_byte_data(addr, REG_PWM1_DUTY)
+        bus.write_byte_data(addr, REG_PWM1_CONFIG, CONFIG_MANUAL)
+        bus.write_byte_data(addr, REG_PWM1_DUTY, 17)
+        chip.update(remote_temp=70.0, local_temp=30.0, rpm=2000.0)
+        assert bus.read_byte_data(addr, REG_PWM1_DUTY) == 17
+        bus.write_byte_data(addr, REG_PWM1_CONFIG, CONFIG_AUTO_REMOTE1)
+        chip.update(remote_temp=70.0, local_temp=30.0, rpm=2000.0)
+        assert bus.read_byte_data(addr, REG_PWM1_DUTY) == auto_duty != 17
+
+    def _duty_byte_after(self, bus, chip, register, value, remote=60.0):
+        chip.update(remote_temp=remote, local_temp=30.0, rpm=2000.0)
+        before = bus.read_byte_data(chip.address, REG_PWM1_DUTY)
+        bus.write_byte_data(chip.address, register, value)
+        chip.update(remote_temp=remote, local_temp=30.0, rpm=2000.0)
+        return before, bus.read_byte_data(chip.address, REG_PWM1_DUTY)
+
+    def test_pwm_min(self, fan_bus):
+        bus, chip = fan_bus
+        # below T_min the duty is PWM1_MIN itself
+        before, after = self._duty_byte_after(bus, chip, REG_PWM1_MIN, 64, 30.0)
+        assert (before, after) == (26, 64)
+
+    def test_pwm_max(self, fan_bus):
+        bus, chip = fan_bus
+        # 90 degC is past T_min + T_range: the duty sits at PWM1_MAX
+        before, after = self._duty_byte_after(bus, chip, REG_PWM1_MAX, 128, 90.0)
+        assert (before, after) == (255, 128)
+
+    def test_tmin(self, fan_bus):
+        bus, chip = fan_bus
+        # T_min 38 -> 60: a 60 degC diode drops to the ramp's floor
+        before, after = self._duty_byte_after(bus, chip, REG_TMIN, 60)
+        assert before > 26 and after == 26
+
+    def test_trange(self, fan_bus):
+        bus, chip = fan_bus
+        # T_range 44 -> 11 K: 60 degC is past the ramp's top
+        before, after = self._duty_byte_after(bus, chip, REG_TRANGE, 11)
+        assert before < 255 and after == 255
+
+
+class TestTRangeRegister:
+    """A T_RANGE outside [1, 120] K is refused on the bus; a zero ramp
+    width used to crash the next auto-mode update by dividing by zero."""
+
+    @pytest.mark.parametrize("value", [0, 121, 255])
+    def test_bus_write_outside_range_refused(self, fan_bus, value):
+        bus, chip = fan_bus
+        with pytest.raises(DeviceError, match="T_RANGE"):
+            bus.write_byte_data(chip.address, REG_TRANGE, value)
+        assert chip.read_register(REG_TRANGE) == 44
+        chip.update(remote_temp=60.0, local_temp=30.0, rpm=2000.0)
+        assert 0.1 < chip.commanded_duty < 1.0
+
+    @pytest.mark.parametrize("value", [1, 44, 120])
+    def test_bus_write_inside_range_accepted(self, fan_bus, value):
+        bus, chip = fan_bus
+        bus.write_byte_data(chip.address, REG_TRANGE, value)
+        assert chip.read_register(REG_TRANGE) == value
+        chip.update(remote_temp=60.0, local_temp=30.0, rpm=2000.0)
+
+    def test_other_registers_keep_the_byte_range(self, fan_bus):
+        _, chip = fan_bus
+        chip.write_register(REG_PWM1_MIN, 0)
+        with pytest.raises(DeviceError, match="byte range"):
+            chip.write_register(REG_PWM1_MIN, 256)
 
 
 class TestFanDriver:

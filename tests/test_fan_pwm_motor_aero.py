@@ -1,5 +1,7 @@
 """Fan substrate: duty ladder, motor dynamics, aerodynamics."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -110,6 +112,30 @@ class TestFanMotor:
         motor.set_duty(1.0)
         motor.step(0.0, 1000.0)
         assert motor.rpm == pytest.approx(motor.steady_state_rpm(1.0), rel=1e-6)
+
+    def test_lag_factors_follow_dt(self):
+        """After a change of ``dt`` (or of the motor constants) the cached
+        lag factors are ``1 - exp(-dt/tau)`` for the new values, bitwise,
+        and a spin-up step uses them."""
+        motor = FanMotor(initial_duty=0.1)
+        for dt in (0.05, 0.05, 0.25, 2.0, 0.05):
+            target = motor.steady_state_rpm(1.0)
+            rpm = motor.rpm
+            motor.set_duty(1.0)
+            motor.step(0.0, dt)
+            p = motor.params
+            assert motor._alpha_up == 1.0 - math.exp(-dt / p.tau_up)
+            assert motor._alpha_down == 1.0 - math.exp(-dt / p.tau_down)
+            assert motor.rpm == rpm + (1.0 - math.exp(-dt / p.tau_up)) * (
+                target - rpm
+            )
+            motor.set_duty(0.1)
+            motor.step(0.0, dt)  # coast-down keeps the same pair
+            assert motor._alpha_down == 1.0 - math.exp(-dt / p.tau_down)
+        motor.params = MotorParams(tau_up=0.5, tau_down=4.0)
+        motor.step(0.0, 0.05)
+        assert motor._alpha_up == 1.0 - math.exp(-0.05 / 0.5)
+        assert motor._alpha_down == 1.0 - math.exp(-0.05 / 4.0)
 
 
 class TestFanAero:
