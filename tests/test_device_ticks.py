@@ -26,13 +26,7 @@ from repro.cpu.core import CpuCore
 from repro.cpu.dvfs import Dvfs, GangedDvfs
 from repro.cpu.power import CpuPowerModel
 from repro.cpu.pstate import ATHLON64_4000
-from repro.fan.adt7467 import (
-    ADT7467,
-    CONFIG_MANUAL,
-    REG_PWM1_CONFIG,
-    REG_PWM1_DUTY,
-    Adt7467Config,
-)
+from repro.fan.adt7467 import ADT7467, Adt7467Config
 from repro.fan.aero import FanAero
 from repro.fan.motor import FanMotor
 from repro.sim.marker import reject
@@ -371,17 +365,6 @@ def test_reference_path_installs_and_restores_the_device_oracle():
         CpuPowerModel.__dict__["power"],
         Dvfs.__dict__["pstate"],
     ) == methods
-
-
-def test_manual_mode_chip_ignores_the_curve_like_the_oracle():
-    new, ref = ADT7467(), ADT7467()
-    for chip in (new, ref):
-        chip.write_register(REG_PWM1_CONFIG, CONFIG_MANUAL)
-        chip.write_register(REG_PWM1_DUTY, 77)
-    new.update(90.0, 30.0, 1000.0)
-    reference_chip_update(ref, 90.0, 30.0, 1000.0)
-    assert _state(new) == _state(ref)
-    assert new.commanded_duty == 77 / 255.0
 
 
 def _protection_states(by_reference: bool, temperatures) -> list:
