@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import List, Tuple
 
-from ..cpu.power import CpuPowerModel, PowerParams
+from ..cpu.power import PowerParams
 from ..cpu.pstate import ATHLON64_4000, PStateTable
 from ..fan.aero import FanAero
 from ..platform.registry import resolve_platform
@@ -31,9 +31,9 @@ __all__ = [
     "AIR_W_PER_CFM_K",
     "FleetNode",
     "FleetRack",
+    "WorkloadProfile",
     "build_rack",
     "node_band",
-    "utilization",
 ]
 
 #: Heat carried per CFM of rack airflow per kelvin of rise, W/(CFM·K).
@@ -80,11 +80,12 @@ def _phase(seed: int, rack: int, node: int) -> float:
     return mixed / _MIX_MOD
 
 
-def utilization(spec: FleetSpec, rack: int, node: int, t: float) -> float:
-    """Workload profile: CPU utilization of ``(rack, node)`` at time ``t``.
+class WorkloadProfile:
+    """A spec's workload profile, parsed once: ``u(rack, node, t)``.
 
     A pure function of the spec — evaluated at control ticks, piecewise
-    constant in between.  Profiles:
+    constant in between.  Profiles (parameters from
+    :meth:`FleetSpec.profile <repro.fleet.spec.FleetSpec.profile>`):
 
     ``uniform``
         Every node at ``u`` (default 0.85) plus a small per-node offset.
@@ -96,33 +97,43 @@ def utilization(spec: FleetSpec, rack: int, node: int, t: float) -> float:
         A fleet-wide sinusoid ``u_mid ± u_amp`` with per-node phase, so
         demand migrates across the fleet over each ``period``.
     """
-    params = dict(spec.workload_params)
-    phase = _phase(spec.seed, rack, node)
-    if spec.workload == "uniform":
-        u = float(params.get("u", 0.85)) + 0.04 * (phase - 0.5)
-    elif spec.workload == "imbalance":
-        hot_racks = int(params.get("hot_racks", (spec.racks + 1) // 2))
-        hot = rack < hot_racks
-        u = float(params.get("u_hot", 0.95)) if hot else float(
-            params.get("u_cold", 0.30)
-        )
-        u += 0.04 * (phase - 0.5)
-    else:  # "wave" — spec validation admits nothing else
-        period = float(params.get("period", 60.0))
-        u_mid = float(params.get("u_mid", 0.60))
-        u_amp = float(params.get("u_amp", 0.35))
-        u = u_mid + u_amp * math.sin(2.0 * math.pi * (t / period + phase))
-    return min(1.0, max(0.0, u))
+
+    __slots__ = ("workload", "seed", "params")
+
+    def __init__(self, spec: FleetSpec) -> None:
+        self.workload = spec.workload
+        self.seed = spec.seed
+        self.params = spec.profile()
+
+    def utilization(self, rack: int, node: int, t: float) -> float:
+        """CPU utilization of ``(rack, node)`` at time ``t``, in [0, 1]."""
+        params = self.params
+        phase = _phase(self.seed, rack, node)
+        if self.workload == "uniform":
+            u = params["u"] + 0.04 * (phase - 0.5)
+        elif self.workload == "imbalance":
+            hot = rack < params["hot_racks"]
+            u = params["u_hot"] if hot else params["u_cold"]
+            u += 0.04 * (phase - 0.5)
+        else:  # "wave" — spec validation admits nothing else
+            u = params["u_mid"] + params["u_amp"] * math.sin(
+                2.0 * math.pi * (t / params["period"] + phase)
+            )
+        return min(1.0, max(0.0, u))
 
 
 class FleetNode:
-    """One server: a die/sink package, its DVFS state and accumulators."""
+    """One server: a die/sink package, its DVFS state and accumulators.
+
+    Its die power, energy and running peak are computed for the whole
+    shard at once by the shard's stacked node pass, which writes
+    ``energy_j`` and ``max_die_c`` back at every epoch end.
+    """
 
     __slots__ = (
         "rack",
         "index",
         "package",
-        "power_model",
         "table",
         "pstate",
         "util",
@@ -136,13 +147,11 @@ class FleetNode:
         rack: int,
         index: int,
         package: CpuPackage,
-        power_model: CpuPowerModel,
         table: PStateTable,
     ) -> None:
         self.rack = rack
         self.index = index
         self.package = package
-        self.power_model = power_model
         self.table = table
         self.pstate = 0  # fastest
         self.util = 0.0
@@ -166,22 +175,6 @@ class FleetNode:
         elif die < t_trig - _HYSTERESIS_K and self.pstate > 0:
             self.pstate -= 1
 
-    def apply_power(self, dt: float) -> float:
-        """Write this tick's die power into the network; returns watts."""
-        package = self.package
-        watts = self.power_model.power(
-            self.table[self.pstate], self.util, package.die_temperature
-        )
-        package._net.set_power(package._die, watts)
-        self.energy_j += watts * dt
-        return watts
-
-    def observe(self) -> None:
-        """Track the running die-temperature peak (after a step)."""
-        die = self.package.die_temperature
-        if die > self.max_die_c:
-            self.max_die_c = die
-
 
 class FleetRack:
     """``nodes_per_rack`` nodes behind one shared fan wall.
@@ -191,7 +184,8 @@ class FleetRack:
     ``t_max - 6 K``.  Duty changes write every node's convective-link
     resistance (through the public setter, so the network's dirty
     bookkeeping fires) — between changes the coefficient caches stay
-    warm.
+    warm.  The fan and power accumulators are kept by the shard's
+    stacked node pass during an epoch and written back at its end.
     """
 
     __slots__ = (
@@ -252,7 +246,9 @@ class FleetRack:
                 peak = die
         return peak
 
-    def control_step(self, spec: FleetSpec, t: float, band: Tuple) -> None:
+    def control_step(
+        self, profile: WorkloadProfile, t: float, band: Tuple
+    ) -> None:
         """One control period: workload refresh, DVFS, fan wall.
 
         Order is load-bearing for reproducibility and fixed here once:
@@ -262,22 +258,13 @@ class FleetRack:
         _table, _power, t_min, t_max = band
         hot_spot = self.max_die_c()
         for node in self.nodes:
-            node.util = utilization(spec, self.index, node.index, t)
+            node.util = profile.utilization(self.index, node.index, t)
             node.dvfs_step(t_min, t_max, self.pp)
         target = t_max - _FAN_HEADROOM_K
         duty = self.duty + _DUTY_GAIN * (hot_spot - target)
         duty = min(1.0, max(_DUTY_MIN, duty))
         if duty != self.duty:
             self.set_duty(duty)
-
-    def tick(self, dt: float) -> None:
-        """Per-tick power injection and energy accounting (pre-step)."""
-        total = 0.0
-        for node in self.nodes:
-            total += node.apply_power(dt)
-        self.epoch_power_sum += total
-        self.epoch_ticks_done += 1
-        self.fan_energy_j += self.fan_power_w * dt
 
     def begin_epoch(self, inlet_c: float, pp: float) -> None:
         """Absorb the coordinator's epoch command (inlet + budget)."""
@@ -313,8 +300,7 @@ def build_rack(spec: FleetSpec, rack_index: int) -> FleetRack:
     constants and safe band — the chassis thermal stack is the paper's
     testbed.
     """
-    table, power_params, _t_min, _t_max = node_band(spec)
-    model = CpuPowerModel(power_params)
+    table = node_band(spec)[0]
     nodes: List[FleetNode] = []
     for i in range(spec.nodes_per_rack):
         nodes.append(
@@ -322,7 +308,6 @@ def build_rack(spec: FleetSpec, rack_index: int) -> FleetRack:
                 rack=rack_index,
                 index=i,
                 package=CpuPackage(name=f"r{rack_index}n{i}"),
-                power_model=model,
                 table=table,
             )
         )

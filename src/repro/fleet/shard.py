@@ -13,6 +13,12 @@ two synchronization epochs a shard touches nothing but its own racks,
 so the trajectory of rack *r* is a function of ``(spec, r, epoch
 commands)`` — never of which shard (or how many shards) hosted it.
 
+The node work around the physics step is stacked the same way: one
+:class:`NodeStack` pass per tick computes every node's die power,
+energy, rack power sum and running peak as vector operations whose
+per-element arithmetic is the serial per-node tick's, operation for
+operation.
+
 The process protocol is deliberately tiny and synchronous (BSP):
 
 * ``("epoch", inlets, pps, n_ticks)`` → ``("reports", [RackReport])``
@@ -26,17 +32,26 @@ parent-side mutable state can leak into a worker.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from operator import attrgetter
+from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ..cpu.power import PowerParams
 from ..errors import SimulationError
 from ..fastpath.batch import PackageBatch, Unbatchable
+from ..sim.marker import coldpath, hotpath, reject
 from ..telemetry import MetricsRegistry, TelemetrySnapshot
-from .model import FleetRack, build_rack, node_band
+from ..thermal.rc import RCNetwork
+from ..units import require_in_range
+from .model import FleetRack, WorkloadProfile, build_rack, node_band
 from .spec import FleetSpec
 
 __all__ = [
     "NodeFinal",
+    "NodeStack",
     "RackFinal",
     "RackReport",
     "ShardResult",
@@ -92,6 +107,181 @@ class ShardResult:
     telemetry: TelemetrySnapshot
 
 
+_get_temperature = attrgetter("temperature")
+
+
+@coldpath
+def _reject_nan_power(
+    nets: Sequence[RCNetwork], names: Sequence[str], watts: np.ndarray
+) -> None:
+    """Raise :meth:`RCNetwork.set_power`'s error for the first NaN power."""
+    for net, name, w in zip(nets, names, watts.tolist()):
+        net.set_power(name, w)
+    raise AssertionError("the NaN guard fired, but every power is a number")
+
+
+class NodeStack:
+    """A shard's per-node tick, one vector pass over all of its nodes.
+
+    Each node's die power is ``CpuPowerModel.power`` written out for the
+    stack: ``max(dyn + leak · exp(scale · (T − t_ref)), idle_floor)``.
+    The two coefficients change only when a control step moves a
+    P-state or a utilization, so :meth:`refresh` computes them after
+    every control step with the model's own Python float operations.
+    Per tick :meth:`inject` evaluates the rest elementwise, with
+    :func:`math.exp` (``np.exp`` rounds differently on some inputs),
+    writes each power into its network's ``_powers`` dict (what both
+    :class:`PackageBatch` and :meth:`RCNetwork.step` read), adds
+    ``W · dt`` to each node's energy and sums each rack's power node by
+    node from 0.0, the serial order.  After the physics step
+    :meth:`observe` gathers every die temperature in one pass and
+    raises the running peaks.  :meth:`load` and :meth:`store` move the
+    accumulators between the node and rack objects and the stack at an
+    epoch's start and end.
+    """
+
+    __slots__ = (
+        "_racks",
+        "_nodes",
+        "_nets",
+        "_dies",
+        "_die_names",
+        "_power_dicts",
+        "_params",
+        "_columns",
+        "_ticks",
+        "_T",
+        "_x",
+        "_W",
+        "_dyn",
+        "_leak",
+        "_energy",
+        "_peak",
+        "_rack_w",
+        "_power_sum",
+        "_fan_w",
+        "_fan_energy",
+        "_fan_dt",
+    )
+
+    def __init__(
+        self, racks: Sequence[FleetRack], params: PowerParams
+    ) -> None:
+        nodes = [node for rack in racks for node in rack.nodes]
+        packages = [node.package for node in nodes]
+        self._racks = tuple(racks)
+        self._nodes = tuple(nodes)
+        self._nets = tuple(package._net for package in packages)
+        self._die_names = tuple(package._die for package in packages)
+        self._dies = tuple(
+            net.node(name) for net, name in zip(self._nets, self._die_names)
+        )
+        self._power_dicts = tuple(net._powers for net in self._nets)
+        self._params = params
+        self._ticks = 0
+        n, n_racks = len(nodes), len(racks)
+        zeros = np.zeros
+        self._T = zeros(n)  # die temperatures
+        self._x = zeros(n)  # exponent, then W · dt
+        self._W = zeros(n)  # die powers
+        self._dyn = zeros(n)
+        self._leak = zeros(n)
+        self._energy = zeros(n)
+        self._peak = zeros(n)
+        self._rack_w = zeros(n_racks)  # this tick's rack power
+        self._power_sum = zeros(n_racks)
+        self._fan_w = zeros(n_racks)
+        self._fan_dt = zeros(n_racks)  # fan power · dt
+        self._fan_energy = zeros(n_racks)
+        # Nodes are rack-major, so column j holds every rack's node j.
+        by_rack = self._W.reshape(n_racks, len(racks[0].nodes))
+        self._columns = tuple(by_rack[:, j] for j in range(by_rack.shape[1]))
+
+    def load(self) -> None:
+        """Take the accumulators and die temperatures at an epoch start."""
+        nodes, racks = self._nodes, self._racks
+        self._energy[:] = [node.energy_j for node in nodes]
+        self._peak[:] = [node.max_die_c for node in nodes]
+        self._power_sum[:] = [rack.epoch_power_sum for rack in racks]
+        self._fan_energy[:] = [rack.fan_energy_j for rack in racks]
+        self._ticks = 0
+        self._T[:] = [die.temperature for die in self._dies]
+
+    @hotpath
+    def refresh(self) -> None:
+        """Recompute the per-node power coefficients after a control step."""
+        p = self._params
+        c_eff = p.c_eff
+        leak_ref = p.leak_ref
+        v_ref = p.v_ref
+        dyn = self._dyn
+        leak = self._leak
+        for k, node in enumerate(self._nodes):
+            u = node.util
+            if not (0.0 <= u <= 1.0):
+                reject(require_in_range, u, 0.0, 1.0, "utilization")
+            pstate = node.table[node.pstate]
+            voltage = pstate.voltage
+            dyn[k] = float(u) * c_eff * voltage**2 * pstate.frequency
+            leak[k] = leak_ref * (voltage / v_ref)
+        fan_w = self._fan_w
+        for i, rack in enumerate(self._racks):
+            fan_w[i] = rack.fan_power_w
+
+    @hotpath
+    def inject(self, dt: float) -> None:
+        """Write this tick's die powers and add up energy (pre-step)."""
+        p = self._params
+        floor = p.idle_floor
+        x = self._x
+        W = self._W
+        np.subtract(self._T, p.t_ref, out=x)
+        np.multiply(x, p.leak_temp_scale, out=x)
+        x[:] = np.fromiter(map(math.exp, x.tolist()), np.float64, len(x))
+        np.multiply(self._leak, x, out=W)
+        np.add(self._dyn, W, out=W)
+        np.maximum(W, floor, out=W)
+        if not (W.min() >= floor):  # a NaN power
+            _reject_nan_power(self._nets, self._die_names, W)
+        for powers, name, watts in zip(
+            self._power_dicts, self._die_names, W.tolist()
+        ):
+            powers[name] = watts
+        np.multiply(W, dt, out=x)
+        np.add(self._energy, x, out=self._energy)
+        rack_w = self._rack_w
+        rack_w.fill(0.0)
+        for column in self._columns:
+            np.add(rack_w, column, out=rack_w)
+        np.add(self._power_sum, rack_w, out=self._power_sum)
+        np.multiply(self._fan_w, dt, out=self._fan_dt)
+        np.add(self._fan_energy, self._fan_dt, out=self._fan_energy)
+        self._ticks += 1
+
+    @hotpath
+    def observe(self) -> None:
+        """Gather every die temperature and raise the peaks (post-step)."""
+        T = self._T
+        T[:] = np.fromiter(
+            map(_get_temperature, self._dies), np.float64, len(T)
+        )
+        np.maximum(self._peak, T, out=self._peak)
+
+    def store(self) -> None:
+        """Write the accumulators back at an epoch end, as Python floats."""
+        for node, energy, peak in zip(
+            self._nodes, self._energy.tolist(), self._peak.tolist()
+        ):
+            node.energy_j = energy
+            node.max_die_c = peak
+        for rack, power_sum, fan_energy in zip(
+            self._racks, self._power_sum.tolist(), self._fan_energy.tolist()
+        ):
+            rack.epoch_power_sum = power_sum
+            rack.epoch_ticks_done += self._ticks
+            rack.fan_energy_j = fan_energy
+
+
 class ShardRunner:
     """Advance racks ``[rack_lo, rack_hi)`` of ``spec`` in lockstep.
 
@@ -115,10 +305,13 @@ class ShardRunner:
             build_rack(spec, r) for r in range(rack_lo, rack_hi)
         ]
         self._band = node_band(spec)
+        self._profile = WorkloadProfile(spec)
+        self._nodes = NodeStack(self.racks, self._band[1])
         packages = [node.package for rack in self.racks for node in rack.nodes]
         self._nets = [package._net for package in packages]
         self._batch: Optional[PackageBatch] = PackageBatch(packages)
         self._tick = 0
+        self._finished = False
         self._throttles_reported = [0] * len(self.racks)
 
     def run_epoch(
@@ -134,6 +327,10 @@ class ShardRunner:
         """
         spec = self.spec
         racks = self.racks
+        if self._finished:
+            raise SimulationError(
+                f"shard [{self.rack_lo}, {self.rack_hi}) already finished"
+            )
         if len(inlets) != len(racks) or len(pps) != len(racks):
             raise SimulationError(
                 f"epoch command length {len(inlets)}/{len(pps)} does not "
@@ -143,19 +340,22 @@ class ShardRunner:
             rack.begin_epoch(inlet, pp)
         dt = spec.dt
         control_ticks = spec.control_ticks
+        profile = self._profile
+        band = self._band
+        nodes = self._nodes
+        nodes.load()
         for _ in range(n_ticks):
             tick = self._tick
             if tick % control_ticks == 0:
                 t = tick * dt
                 for rack in racks:
-                    rack.control_step(spec, t, self._band)
-            for rack in racks:
-                rack.tick(dt)
+                    rack.control_step(profile, t, band)
+                nodes.refresh()
+            nodes.inject(dt)
             self._step_packages(dt)
             self._tick += 1
-            for rack in racks:
-                for node in rack.nodes:
-                    node.observe()
+            nodes.observe()
+        nodes.store()
         reports: List[RackReport] = []
         for k, rack in enumerate(racks):
             throttles = sum(node.throttles for node in rack.nodes)
@@ -198,9 +398,21 @@ class ShardRunner:
             net.step(dt)
 
     def finish(self) -> ShardResult:
-        """Detach the batch and freeze the shard's final state."""
+        """Detach the batch and freeze the shard's final state.
+
+        The shard is spent afterwards.  Every thermal link also drops
+        its network as resistance observer, which breaks the link ↔
+        network reference cycle: the shard's packages are freed with
+        the runner instead of piling up until a full cyclic garbage
+        collection.
+        """
         if self._batch is not None:
             self._batch.release()
+            self._batch = None
+        for net in self._nets:
+            for link in net._link_list:
+                link._observer = None
+        self._finished = True
         nodes: List[NodeFinal] = []
         racks: List[RackFinal] = []
         for rack in self.racks:

@@ -26,7 +26,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Union
+from types import MappingProxyType
+from typing import Any, Dict, Mapping, Optional, Union
 
 from ..errors import ConfigurationError
 from ..runtime.spec import DEFAULT_SEED, Params, freeze_params
@@ -39,6 +40,18 @@ __all__ = [
 
 #: Fleet workload profile names (see :mod:`repro.fleet.model`).
 FLEET_WORKLOADS = ("uniform", "imbalance", "wave")
+
+#: Each profile's parameters and their defaults (see
+#: :class:`repro.fleet.model.WorkloadProfile`).  ``hot_racks`` is an
+#: int in ``[0, racks]`` defaulting to half the racks, rounded up; every
+#: other parameter is a finite number, and ``period`` must be > 0.
+_PROFILE_DEFAULTS = MappingProxyType({
+    "uniform": MappingProxyType({"u": 0.85}),
+    "imbalance": MappingProxyType(
+        {"hot_racks": None, "u_hot": 0.95, "u_cold": 0.30}
+    ),
+    "wave": MappingProxyType({"period": 60.0, "u_mid": 0.60, "u_amp": 0.35}),
+})
 
 #: Fault kinds the coordinator knows how to inject.
 _FAULT_KINDS = ("hot_aisle_recirc",)
@@ -152,7 +165,8 @@ class FleetSpec:
     workload:
         Fleet workload profile name (:data:`FLEET_WORKLOADS`).
     workload_params:
-        Frozen profile parameters (e.g. hot/cold utilization levels).
+        Frozen profile parameters (e.g. hot/cold utilization levels),
+        checked against the profile's keys and types by :meth:`profile`.
     power_budget:
         Optional fleet-wide CPU power cap in watts.  ``None`` disables
         coordinator capping (every node keeps ``P_p = 100``).
@@ -214,6 +228,7 @@ class FleetSpec:
                 f"fleet workload {self.workload!r} is unknown; "
                 f"available: {list(FLEET_WORKLOADS)}"
             )
+        self.profile()
         if self.power_budget is not None:
             _require_finite(self.power_budget, "'power_budget'")
             if self.power_budget <= 0.0:
@@ -265,6 +280,50 @@ class FleetSpec:
     ) -> "FleetSpec":
         """Ergonomic constructor taking a plain dict for the profile."""
         return cls(workload_params=freeze_params(params), **fields)
+
+    def profile(self) -> Dict[str, Union[int, float]]:
+        """The workload profile's parameters, defaults filled in.
+
+        Raises :class:`~repro.errors.ConfigurationError` for a key the
+        profile does not read, a value of the wrong type, a non-finite
+        number, a ``hot_racks`` outside ``[0, racks]`` or a ``period``
+        that is not positive.
+        """
+        defaults = _PROFILE_DEFAULTS[self.workload]
+        try:
+            given = dict(self.workload_params)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                "fleet spec workload_params must be key/value pairs, got "
+                f"{self.workload_params!r}"
+            ) from None
+        unknown = sorted(set(given) - set(defaults), key=str)
+        if unknown:
+            raise ConfigurationError(
+                f"fleet workload {self.workload!r} has no parameter(s) "
+                f"{unknown}; known: {sorted(defaults)}"
+            )
+        values: Dict[str, Union[int, float]] = {}
+        for key, default in defaults.items():
+            name = f"workload_params {key!r}"
+            if key == "hot_racks":
+                value = given.get(key, (self.racks + 1) // 2)
+                _require_int(value, name, 0)
+                if value > self.racks:
+                    raise ConfigurationError(
+                        f"fleet spec {name} must be <= racks "
+                        f"({self.racks}), got {value}"
+                    )
+                values[key] = value
+                continue
+            value = given.get(key, default)
+            _require_finite(value, name)
+            if key == "period" and value <= 0.0:
+                raise ConfigurationError(
+                    f"fleet spec {name} must be > 0, got {value}"
+                )
+            values[key] = float(value)
+        return values
 
     # -- derived sizes ----------------------------------------------------
 

@@ -32,6 +32,11 @@ of that must reproduce byte for byte:
   looked up from the table on every read
   (:func:`reference_pstate`), and the aero, convection and meter
   leaf models (:data:`DEVICE_ORACLE` lists every one).
+* the **fleet node oracle** — a fleet shard's per-node tick as it ran
+  before :class:`~repro.fleet.shard.NodeStack` stacked it:
+  :func:`reference_apply_power`, :func:`reference_observe` and
+  :func:`reference_rack_tick`, driven by :class:`ReferenceNodeTick`,
+  which stands in for a shard's stack.
 * :func:`reference_path` — installs all of these (and turns lockstep
   grouping off) for the duration of a ``with`` block, so whatever runs
   inside — an experiment, a series, a served spec — runs on the
@@ -74,6 +79,7 @@ from repro.fan.adt7467 import (
 )
 from repro.fan.aero import FanAero
 from repro.fan.motor import FanMotor
+from repro.fleet.model import FleetNode, FleetRack
 from repro.runtime import RunExecutor
 from repro.sim.engine import SimulationEngine
 from repro.thermal.convection import ConvectionModel
@@ -87,8 +93,10 @@ from repro.units import (
 
 __all__ = [
     "DEVICE_ORACLE",
+    "ReferenceNodeTick",
     "UngroupedExecutor",
     "reference_airflow",
+    "reference_apply_power",
     "reference_auto_curve_duty",
     "reference_chip_update",
     "reference_commanded_duty",
@@ -100,9 +108,11 @@ __all__ = [
     "reference_motor_step",
     "reference_multicore_step",
     "reference_node_step",
+    "reference_observe",
     "reference_path",
     "reference_power",
     "reference_pstate",
+    "reference_rack_tick",
     "reference_rc_step",
     "reference_resistance",
     "reference_run",
@@ -400,6 +410,66 @@ def reference_multicore_step(node: MulticoreNode, t: float, dt: float) -> None:
     else:
         node._wall_power = cfg.baseboard_power + node._cpu_power + fan_power
     node.meter.record(node._wall_power, dt)
+
+
+def reference_apply_power(
+    node: FleetNode, model: CpuPowerModel, dt: float
+) -> float:
+    """A fleet node's die power into its network; returns watts."""
+    package = node.package
+    watts = model.power(
+        node.table[node.pstate], node.util, package.die_temperature
+    )
+    package._net.set_power(package._die, watts)
+    node.energy_j += watts * dt
+    return watts
+
+
+def reference_observe(node: FleetNode) -> None:
+    """Track a fleet node's running die-temperature peak (after a step)."""
+    die = node.package.die_temperature
+    if die > node.max_die_c:
+        node.max_die_c = die
+
+
+def reference_rack_tick(
+    rack: FleetRack, model: CpuPowerModel, dt: float
+) -> None:
+    """A rack's per-tick power injection and energy accounting (pre-step)."""
+    total = 0.0
+    for node in rack.nodes:
+        total += reference_apply_power(node, model, dt)
+    rack.epoch_power_sum += total
+    rack.epoch_ticks_done += 1
+    rack.fan_energy_j += rack.fan_power_w * dt
+
+
+class ReferenceNodeTick:
+    """Stands in for a shard's :class:`~repro.fleet.shard.NodeStack`:
+    every node ticked on its own, the accumulators kept on the node and
+    rack objects throughout, so loading and storing are no-ops."""
+
+    def __init__(self, racks, model: CpuPowerModel) -> None:
+        self.racks = racks
+        self.model = model
+
+    def load(self) -> None:
+        pass
+
+    def refresh(self) -> None:
+        pass
+
+    def inject(self, dt: float) -> None:
+        for rack in self.racks:
+            reference_rack_tick(rack, self.model, dt)
+
+    def observe(self) -> None:
+        for rack in self.racks:
+            for node in rack.nodes:
+                reference_observe(node)
+
+    def store(self) -> None:
+        pass
 
 
 def _reference_step(engine: SimulationEngine) -> float:
