@@ -15,7 +15,7 @@ no ambient entropy — enforced by ``repro.lint`` RPR001).
 
 from __future__ import annotations
 
-from typing import List, Mapping, Sequence
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from ..cluster.cluster import Cluster, RunResult
 from ..config import ClusterConfig
@@ -93,8 +93,23 @@ def execute_spec(spec: RunSpec) -> RunResult:
     return _execute_fault(cluster, job, spec)
 
 
-def execute_specs_batch(specs: Sequence[RunSpec]) -> List[RunResult]:
-    """Run several specs in lockstep through :mod:`repro.fastpath.batch`.
+def execute_specs_batch(
+    specs: Sequence[RunSpec],
+) -> Tuple[List[RunResult], Optional[bool]]:
+    """Run an execution unit, in lockstep where that pays.
+
+    Returns the results in spec order and how they ran: ``True`` in
+    lockstep through :mod:`repro.fastpath.batch`, ``False`` when
+    lockstep was tried and fell back, ``None`` when the unit ran
+    serially by rule.
+
+    Lockstep is chosen by package count: a unit of two or more nodes
+    with no fault spec runs through
+    :func:`~repro.fastpath.batch.run_jobs_batch`, a lone spec included;
+    a lone one-node spec runs :func:`execute_spec` (a one-package stack
+    costs more than it saves).  A fault spec never enters lockstep: its
+    protocol is not a single ``run_job``.  The specs may differ in
+    anything but the package structure their platform builds.
 
     Each spec gets its own cluster, job and telemetry registry exactly
     as :func:`execute_spec` would build them; only the per-tick thermal
@@ -102,21 +117,22 @@ def execute_specs_batch(specs: Sequence[RunSpec]) -> List[RunResult]:
     run).  Results are bitwise identical to running each spec through
     :func:`execute_spec`, which is what makes it legal for the executor
     to populate the per-spec content-addressed cache from a batched run.
-
-    Callers are expected to pass specs that group (same workload shape
-    and tick schedule, no fault protocol); anything the lockstep path
-    cannot handle — down to a mid-run divergence or budget exhaustion —
-    makes this function fall back to serial per-spec execution, which
-    also reproduces the serial path's exact error behaviour.
+    Anything the lockstep path cannot handle — down to a mid-run
+    divergence or budget exhaustion — makes this function fall back to
+    serial per-spec execution, which also reproduces the serial path's
+    exact error behaviour.
     """
     from ..fastpath.batch import run_jobs_batch
 
     specs = list(specs)
-    if len(specs) < 2:
-        return [execute_spec(spec) for spec in specs]
+    if (
+        any(spec.fault is not None for spec in specs)
+        or sum(spec.n_nodes for spec in specs) < 2
+    ):
+        return [execute_spec(spec) for spec in specs], None
     try:
         pairs = [_build_run(spec) for spec in specs]
-        return run_jobs_batch(
+        results = run_jobs_batch(
             clusters=[cluster for cluster, _ in pairs],
             jobs=[job for _, job in pairs],
             timeouts=[spec.timeout for spec in specs],
@@ -126,7 +142,8 @@ def execute_specs_batch(specs: Sequence[RunSpec]) -> List[RunResult]:
         # Anything at all — Unbatchable, a simulation error, a foreign
         # component — defers to the serial path, which either succeeds
         # or raises the reference error for the offending spec.
-        return [execute_spec(spec) for spec in specs]
+        return [execute_spec(spec) for spec in specs], False
+    return results, True
 
 
 def _execute_fault(cluster: Cluster, job, spec: RunSpec) -> RunResult:

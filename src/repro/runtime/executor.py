@@ -30,13 +30,14 @@ Four properties the rest of the repo builds on:
   configuration across the CLI, tests and benchmarks simulates once.
   Off by default.  Version bumps invalidate every entry.
 
-* **Lockstep grouping** — uncached specs that differ only in seeds and
-  rig parameters (fig07's max-PWM ladder is the exemplar) advance
+* **Lockstep grouping** — uncached specs on one platform advance
   together through :mod:`repro.fastpath.batch`, one stacked thermal
-  solve per tick for the whole group.  Every run's result, and the
-  per-spec cache entry written from it, is bitwise identical to its
-  own serial execution; anything the lockstep path cannot guarantee
-  falls back to per-spec execution.
+  solve per tick for the whole group, whatever their workloads, rigs,
+  node counts, ambients, timeouts, tails or telemetry modes (fig07's
+  max-PWM ladder and fig06's three fan policies alike).  Every run's
+  result, and the per-spec cache entry written from it, is bitwise
+  identical to its own serial execution; anything the lockstep path
+  cannot guarantee falls back to per-spec execution.
 
 Identical specs inside one ``map`` call are also deduplicated: the run
 happens once and the same result object is returned at each position.
@@ -87,18 +88,20 @@ _EXECUTOR_IDS = itertools.count()
 _TMP_IDS = itertools.count()
 
 
-def timed_execute_specs(specs: Sequence[RunSpec]) -> Tuple[List[RunResult], float]:
+def timed_execute_specs(
+    specs: Sequence[RunSpec],
+) -> Tuple[List[RunResult], Optional[bool], float]:
     """:func:`execute_specs_batch` plus the worker-side wall time, s.
 
-    One execution unit: a lone spec runs through
-    :func:`~repro.runtime.execute.execute_spec`, a larger unit in
-    lockstep.  Module-level (picklable) so the measurement happens
-    *inside* the worker process — the parent would otherwise attribute
-    pool queueing delays to the simulation.
+    One execution unit: the results, whether the unit ran in lockstep
+    (``None`` when it ran serially by rule, ``False`` when lockstep
+    fell back), and the wall time.  Module-level (picklable) so the
+    measurement happens *inside* the worker process — the parent would
+    otherwise attribute pool queueing delays to the simulation.
     """
     started = time.perf_counter()
-    results = execute_specs_batch(specs)
-    return results, time.perf_counter() - started
+    results, lockstep = execute_specs_batch(specs)
+    return results, lockstep, time.perf_counter() - started
 
 
 class ExecutorStats:
@@ -386,26 +389,15 @@ class RunExecutor:
     def _batch_key(spec: RunSpec):
         """The identity specs must share to run in lockstep, or ``None``.
 
-        Lockstep runs must advance on the same tick schedule with the
-        same run protocol — workload shape, node count, rig families,
-        ambient model, timeout/tail, telemetry mode and platform — while
-        seeds and rig *parameters* are free to differ (that is the whole
-        point of a sweep).  Fault specs never group: their protocol is
-        not a single ``run_job``.
+        The stacked stepper needs only equal package structure, and the
+        platform is its cheap stand-in; the lockstep loop fires each
+        engine's own tasks and finishes each lane on its own tick, so
+        everything else may differ.  Fault specs never group: their
+        protocol is not a single ``run_job``.
         """
         if spec.fault is not None:
             return None
-        return (
-            spec.workload,
-            spec.workload_params,
-            spec.n_nodes,
-            tuple(rig.name for rig in spec.rigs),
-            spec.ambient,
-            spec.timeout,
-            spec.tail,
-            spec.telemetry,
-            spec.platform,
-        )
+        return (spec.platform,)
 
     def _units(self, specs: Sequence[RunSpec]) -> List[List[int]]:
         """Spec indices split into execution units, in first-index order.
@@ -459,17 +451,21 @@ class RunExecutor:
                 pool.shutdown(wait=False, cancel_futures=True)
                 raise
         out: List[Optional[Tuple[RunResult, float]]] = [None] * len(specs)
-        for unit, (results, seconds) in zip(units, outcomes):
+        for unit, (results, lockstep, seconds) in zip(units, outcomes):
             share = seconds / len(unit)
             for i, result in zip(unit, results):
                 out[i] = (result, share)
-            if len(unit) > 1:
+            if lockstep:
                 self.registry.counter(
                     "host.exec.batch_groups", **self._labels
                 ).inc()
                 self.registry.counter(
                     "host.exec.batched_specs", **self._labels
                 ).inc(len(unit))
+            elif lockstep is False:
+                self.registry.counter(
+                    "host.exec.batch_fallbacks", **self._labels
+                ).inc()
         return out
 
     # -- cache -----------------------------------------------------------

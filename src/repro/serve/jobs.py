@@ -18,10 +18,10 @@ summary exists":
 * **Batch coalescing.**  Queued jobs are dispatched in windows: the
   dispatcher sleeps ``batch_window`` seconds after work arrives, then
   takes *everything* queued in one sweep and hands it to one
-  :meth:`RunExecutor.map` call, which groups compatible specs (same
-  ``_batch_key``) through the lockstep batch stepper — so sweep-shaped
-  traffic (fig07's cap ladder POSTed as four requests) executes exactly
-  like ``repro run fig7`` runs it.
+  :meth:`RunExecutor.map` call, which groups the specs of each platform
+  (the executor's ``_batch_key``) through the lockstep batch stepper —
+  so sweep-shaped traffic (fig07's cap ladder POSTed as four requests)
+  executes exactly like ``repro run fig7`` runs it.
 
 Determinism: none of this machinery touches result *content*.  Batched,
 deduplicated, cached and cold executions of one spec all produce the

@@ -37,12 +37,13 @@ of that must reproduce byte for byte:
   :func:`reference_apply_power`, :func:`reference_observe` and
   :func:`reference_rack_tick`, driven by :class:`ReferenceNodeTick`,
   which stands in for a shard's stack.
-* :func:`reference_path` — installs all of these (and turns lockstep
-  grouping off) for the duration of a ``with`` block, so whatever runs
-  inside — an experiment, a series, a served spec — runs on the
-  reference.
-* :class:`UngroupedExecutor` — the engine without lockstep grouping,
-  the serial baseline the grouping tests compare against.
+* :func:`reference_path` — installs all of these (and runs every
+  spec an executor maps through ``execute_spec``, never in lockstep)
+  for the duration of a ``with`` block, so whatever runs inside — an
+  experiment, a series, a served spec — runs on the reference.
+* :class:`UngroupedExecutor` — the engine without lockstep: every spec
+  runs through ``execute_spec``, the serial baseline the grouping
+  tests compare against.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ from repro.fan.adt7467 import (
 from repro.fan.aero import FanAero
 from repro.fan.motor import FanMotor
 from repro.fleet.model import FleetNode, FleetRack
-from repro.runtime import RunExecutor
+from repro.runtime import RunExecutor, execute_spec
 from repro.sim.engine import SimulationEngine
 from repro.thermal.convection import ConvectionModel
 from repro.thermal.rc import RCNetwork
@@ -552,11 +553,11 @@ def reference_sampler(
 
 
 class UngroupedExecutor(RunExecutor):
-    """A :class:`RunExecutor` that runs every spec on its own."""
+    """A :class:`RunExecutor` that runs every spec on its own, in this
+    process, through ``execute_spec`` (wall time is not measured)."""
 
-    @staticmethod
-    def _batch_key(spec):
-        return None
+    def _execute(self, specs):
+        return [(execute_spec(spec), 0.0) for spec in specs]
 
 
 @contextmanager
@@ -565,7 +566,7 @@ def reference_path() -> Iterator[None]:
     patches = (
         (SimulationEngine, "run", reference_run),
         (Cluster, "_compile_sampler", reference_sampler),
-        (RunExecutor, "_batch_key", UngroupedExecutor.__dict__["_batch_key"]),
+        (RunExecutor, "_execute", UngroupedExecutor.__dict__["_execute"]),
         (Node, "step", reference_node_step),
         (RCNetwork, "step", reference_rc_step),
     ) + DEVICE_ORACLE

@@ -11,7 +11,10 @@ counterpart:
 * :func:`repro.runtime.execute.execute_specs_batch` and the grouping
   :class:`~repro.runtime.RunExecutor` against the serial engine — full
   sweep results (tables, curves, traces, cache entries, telemetry
-  bytes), at ``jobs=1`` and dealt over a ``jobs=2`` pool;
+  bytes), at ``jobs=1`` and dealt over a ``jobs=2`` pool, for sweeps
+  and for one group whose lanes differ in everything but the
+  platform; the lockstep counters, fallback included; and the serial
+  oracle and fault protocol kept out of lockstep;
 * the run-loop edge cases the lockstep loop shares semantics with
   (budget landing exactly on a task boundary, zero-task engines, far
   task phases), pinned against the tick-by-tick reference loop.
@@ -25,6 +28,7 @@ pinned against the same oracle in ``tests/test_fleet.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 
@@ -42,12 +46,14 @@ from repro.fastpath.batch import (
 from repro.runtime import RunExecutor, RunSpec
 from repro.runtime.spec import FaultSpec
 from repro.runtime.execute import _build_run, execute_spec, execute_specs_batch
+from repro.serve.payloads import summary_bytes
 from repro.sim.engine import Component, SimulationEngine
 from repro.thermal.multicore import MulticorePackage
 from repro.thermal.package import CpuPackage
 from repro.thermal.rc import RCNetwork, ThermalLink, ThermalNode
 from tests.reference_engine import (
     UngroupedExecutor,
+    reference_path,
     reference_rc_step,
     reference_run,
 )
@@ -290,7 +296,8 @@ def test_execute_specs_batch_bitwise_identical_fig07() -> None:
     its own serial execution down to trace bytes."""
     specs = fig07_specs()
     serial = [execute_spec(spec) for spec in specs]
-    batched = execute_specs_batch(specs)
+    batched, lockstep = execute_specs_batch(specs)
+    assert lockstep is True
     for a, b in zip(serial, batched):
         assert_results_identical(a, b)
 
@@ -310,10 +317,15 @@ def test_run_jobs_batch_completes_in_lockstep() -> None:
         assert_results_identical(execute_spec(spec), result)
 
 
-def test_execute_specs_batch_single_spec_falls_back() -> None:
-    spec = fig07_specs()[0]
-    (result,) = execute_specs_batch([spec])
-    assert_results_identical(execute_spec(spec), result)
+def test_execute_specs_batch_lone_spec_by_node_count() -> None:
+    """Lockstep is chosen by package count: a lone 4-node spec runs in
+    lockstep, a lone 1-node spec runs serially; both equal
+    ``execute_spec``."""
+    lone = ((fig07_specs()[0], True), (small_spec(n_nodes=1), None))
+    for spec, expected in lone:
+        (result,), lockstep = execute_specs_batch([spec])
+        assert lockstep is expected
+        assert_results_identical(execute_spec(spec), result)
 
 
 def test_batch_executor_counts_groups_and_populates_cache(tmp_path) -> None:
@@ -336,7 +348,8 @@ def test_batch_executor_counts_groups_and_populates_cache(tmp_path) -> None:
 
 
 def test_batch_executor_mixed_group_sizes(tmp_path) -> None:
-    """Batchable group + a singleton + a fault spec in one map call."""
+    """A sweep, a different 2-node spec and a fault spec in one map
+    call: the first two share a platform, so they form one group."""
     specs = list(fig07_specs())
     singleton = RunSpec.of(
         "mixed_thermal_profile",
@@ -361,18 +374,17 @@ def test_batch_executor_mixed_group_sizes(tmp_path) -> None:
     serial = UngroupedExecutor().map(mixed)
     for a, b in zip(serial, grouped):
         assert_results_identical(a, b)
-    # Only the four fig07 specs formed a group; the rest ran solo.
+    # The fault spec ran solo; everything else stepped as one group.
     assert (
-        grouped_exec.registry.counter("host.exec.batched_specs").value == 4.0
+        grouped_exec.registry.counter("host.exec.batched_specs").value == 5.0
     )
+    assert grouped_exec.registry.counter("host.exec.batch_groups").value == 1.0
     assert grouped_exec.stats.executed == len(mixed)
 
 
 def test_parallel_map_deals_groups_over_the_pool(monkeypatch) -> None:
     """At jobs=2 a fig07 group splits into two lockstep chunks, one per
     worker, and the bytes equal the jobs=1 run's."""
-    from repro.serve.payloads import summary_bytes
-
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     specs = fig07_specs()
     serial = RunExecutor(jobs=1).map(specs)
@@ -396,6 +408,229 @@ def test_units_deal_round_robin() -> None:
     )
     units = executor._units([specs[0], fault, specs[1], specs[2], specs[3]])
     assert units == [[0, 4], [1], [2], [3]]
+
+
+def small_spec(**overrides) -> RunSpec:
+    """A cheap 2-node run, for tests that count what ran where."""
+    kwargs = dict(rigs=["dynamic_fan"], n_nodes=2, seed=SEED, timeout=120.0)
+    kwargs.update(overrides)
+    return RunSpec.of("mixed_thermal_profile", {"duration": 20.0}, **kwargs)
+
+
+@pytest.fixture
+def stacks(monkeypatch) -> list:
+    """The width of every :class:`PackageBatch` built during the test."""
+    built = []
+    original = PackageBatch.__init__
+
+    def spy(self, packages):
+        built.append(len(packages))
+        original(self, packages)
+
+    monkeypatch.setattr(PackageBatch, "__init__", spy)
+    return built
+
+
+def test_lockstep_counters_count_only_what_ran_in_lockstep(
+    monkeypatch,
+) -> None:
+    """``batched_specs`` counts the specs that really stepped in
+    lockstep, a lone multi-node spec included; a group whose stepper
+    refuses reruns serially with the same bytes and counts as a
+    fallback instead."""
+    two = small_spec()
+    executor = RunExecutor()
+    executor.map([two])
+    executor.map([dataclasses.replace(two, n_nodes=1)])
+    snapshot = executor.registry.snapshot()
+    assert snapshot.value("host.exec.batched_specs") == 1.0
+    assert snapshot.value("host.exec.batch_groups") == 1.0
+    assert snapshot.value("host.exec.batch_fallbacks") == 0.0
+
+    def refuse(self, dt):
+        raise Unbatchable("refused for the test")
+
+    monkeypatch.setattr(PackageBatch, "step", refuse)
+    specs = [small_spec(seed=SEED + 1), small_spec(seed=SEED + 2)]
+    for spec, result in zip(specs, executor.map(specs)):
+        assert_results_identical(execute_spec(spec), result)
+    snapshot = executor.registry.snapshot()
+    assert snapshot.value("host.exec.batched_specs") == 1.0
+    assert snapshot.value("host.exec.batch_groups") == 1.0
+    assert snapshot.value("host.exec.batch_fallbacks") == 1.0
+    assert executor.stats.executed == 4
+
+
+def test_serial_oracle_builds_no_package_batch(stacks) -> None:
+    """``UngroupedExecutor`` and ``reference_path()`` run every spec
+    through ``execute_spec``: no lockstep stack is ever built, for a
+    group or for a lone multi-node spec."""
+    specs = [small_spec(), small_spec(seed=SEED + 1)]
+    UngroupedExecutor().map(specs)
+    UngroupedExecutor().map(specs[:1])
+    with reference_path():
+        RunExecutor().map(specs)
+        RunExecutor().map(specs[:1])
+    assert stacks == []
+    RunExecutor().map(specs[:1])
+    assert stacks == [2]
+
+
+def test_fault_specs_never_reach_lockstep(monkeypatch) -> None:
+    """A fault spec runs its own protocol through ``execute_spec``,
+    alone or beside specs that do group."""
+    import repro.fastpath.batch as batch_module
+
+    calls = []
+    original = batch_module.run_jobs_batch
+
+    def spy(clusters, jobs, timeouts, tails):
+        calls.append(len(clusters))
+        return original(clusters, jobs, timeouts, tails)
+
+    monkeypatch.setattr(batch_module, "run_jobs_batch", spy)
+    fault = small_spec(
+        fault=FaultSpec(kind="fan_fail", node=0, at=5.0, horizon=15.0)
+    )
+    groupable = [small_spec(), small_spec(seed=SEED + 1)]
+    reference = execute_spec(fault)
+
+    (result,), lockstep = execute_specs_batch([fault])
+    assert lockstep is None
+    assert_results_identical(reference, result)
+    results, lockstep = execute_specs_batch([groupable[0], fault])
+    assert lockstep is None
+    assert_results_identical(reference, results[1])
+    assert calls == []
+
+    mapped = RunExecutor().map([groupable[0], fault, groupable[1]])
+    assert calls == [2]
+    assert_results_identical(reference, mapped[1])
+
+
+# ------------------------------------------------ mixed-lane groups
+
+
+def mixed_lane_specs():
+    """One platform, lanes differing in everything else: workload and
+    its parameters, 1/2/4 nodes, rig families, a rack-gradient ambient,
+    timeouts, a tail and telemetry on and off."""
+    return [
+        RunSpec.of(
+            "bt_b_4",
+            {"iterations": 30},
+            rigs=[("dynamic_fan", {"pp": 50, "max_duty": 0.5})],
+            seed=SEED,
+        ),
+        RunSpec.of(
+            "mixed_thermal_profile",
+            {"duration": 20.0},
+            rigs=[("constant_fan", {"duty": 0.45})],
+            n_nodes=2,
+            seed=SEED,
+            timeout=120.0,
+            tail=5.0,
+            telemetry=True,
+        ),
+        RunSpec.of(
+            "cpu_burn_session",
+            {"burn_duration": 10.0, "gap_duration": 5.0, "instances": 1},
+            rigs=[("dynamic_fan", {"pp": 75, "max_duty": 1.0})],
+            n_nodes=1,
+            seed=SEED,
+            timeout=600.0,
+            telemetry=True,
+        ),
+        RunSpec.of(
+            "bt_weak",
+            {"iterations": 20, "n_ranks": 2},
+            rigs=[("hybrid", {"pp": 50, "max_duty": 0.5})],
+            n_nodes=2,
+            seed=SEED,
+            ambient=("rack_gradient", {"base": 28.0, "gradient": 5.0}),
+        ),
+        RunSpec.of(
+            "lu_a_4",
+            {"iterations": 30},
+            rigs=[
+                ("traditional_fan", {"max_duty": 0.25}),
+                ("tdvfs", {"pp": 50, "threshold": 51.0}),
+            ],
+            seed=SEED,
+            timeout=1800.0,
+            telemetry=True,
+        ),
+        RunSpec.of(
+            "bt_b_4",
+            {"iterations": 30},
+            rigs=[("dynamic_fan", {"pp": 50, "max_duty": 0.25}), "cpuspeed"],
+            seed=SEED,
+        ),
+    ]
+
+
+@pytest.fixture(scope="module")
+def mixed_lanes():
+    specs = mixed_lane_specs()
+    return specs, [execute_spec(spec) for spec in specs]
+
+
+def test_mixed_lanes_step_as_one_group(mixed_lanes, stacks) -> None:
+    """Every lane of a group that shares only its platform equals its
+    own ``execute_spec`` run, trace bytes and telemetry JSONL included,
+    and lanes finishing on different ticks re-stack the rest."""
+    from repro.telemetry import export_jsonl
+
+    specs, serial = mixed_lanes
+    executor = RunExecutor()
+    grouped = executor.map(specs)
+    assert executor.registry.counter("host.exec.batch_groups").value == 1.0
+    assert executor.registry.counter("host.exec.batched_specs").value == 6.0
+    for a, b in zip(serial, grouped):
+        assert_results_identical(a, b)
+    assert [summary_bytes(s, r) for s, r in zip(specs, grouped)] == [
+        summary_bytes(s, r) for s, r in zip(specs, serial)
+    ]
+    telemetry = [i for i, spec in enumerate(specs) if spec.telemetry]
+    serial_jsonl = export_jsonl([(specs[i], serial[i]) for i in telemetry])
+    assert len(serial_jsonl.splitlines()) > len(telemetry)
+    assert export_jsonl([(specs[i], grouped[i]) for i in telemetry]) == (
+        serial_jsonl
+    )
+    # One stack per distinct finishing tick, each narrower than the last.
+    finishes = len({result.execution_time for result in serial})
+    assert finishes >= 4
+    assert len(stacks) == finishes
+    assert stacks[0] == sum(spec.n_nodes for spec in specs)
+    assert stacks == sorted(stacks, reverse=True)
+
+
+def test_mixed_lanes_dealt_over_the_pool(mixed_lanes, monkeypatch) -> None:
+    """The mixed group dealt round-robin over two workers gives the
+    same bytes."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    specs, serial = mixed_lanes
+    with RunExecutor(jobs=2) as executor:
+        parallel = executor.map(specs)
+        snapshot = executor.registry.snapshot()
+    assert [summary_bytes(s, r) for s, r in zip(specs, parallel)] == [
+        summary_bytes(s, r) for s, r in zip(specs, serial)
+    ]
+    assert snapshot.value("host.exec.batch_groups") == 2.0
+    assert snapshot.value("host.exec.batched_specs") == float(len(specs))
+
+
+def test_mixed_lane_timeout_raises_the_serial_error(mixed_lanes) -> None:
+    """A lane that exhausts its shorter timeout mid-group raises what
+    its serial run raises, type and text."""
+    specs, _ = mixed_lanes
+    short = dataclasses.replace(specs[0], timeout=10.0)
+    with pytest.raises(SimulationError) as serial:
+        execute_spec(short)
+    with pytest.raises(SimulationError) as grouped:
+        RunExecutor().map([specs[1], short, specs[2], specs[4]])
+    assert type(grouped.value) is type(serial.value)
+    assert str(grouped.value) == str(serial.value)
 
 
 # ------------------------------------- full sweep gates through grouping
