@@ -265,15 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission-control bound on queued runs (overflow -> 429; "
         "default 64)",
     )
-    serve_p.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.05,
-        metavar="SECONDS",
-        help="coalescing window before dispatching queued runs, so "
-        "compatible sweep traffic batches through the lockstep stepper "
-        "(default 0.05)",
-    )
 
     fleet_p = sub.add_parser(
         "fleet",
@@ -460,7 +451,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             jobs=args.jobs,
             cache_dir=args.cache_dir,
             queue_depth=args.queue_depth,
-            batch_window=args.batch_window,
         )
         try:
             asyncio.run(serve_forever(config))

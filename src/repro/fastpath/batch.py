@@ -102,7 +102,7 @@ def _raise_diverged(Ts: np.ndarray) -> None:
 # The stacked stepper.
 # --------------------------------------------------------------------------
 
-#: Serial ``_refresh`` treats diagonals at or below this as degenerate.
+#: Serial ``_relink`` treats diagonals at or below this as degenerate.
 _DIAG_FLOOR = 1e-300
 
 _get_resistance = attrgetter("_resistance")

@@ -1,4 +1,4 @@
-"""The job ledger: admission control, in-flight dedup, batch coalescing.
+"""The job ledger: admission control, in-flight dedup, dispatch.
 
 One :class:`JobManager` owns everything between "a spec arrived" and "a
 summary exists":
@@ -15,13 +15,17 @@ summary exists":
   or running attaches to the existing job as a *follower*: it awaits
   the leader's future and is never admitted, queued or executed
   separately (so duplicates also cannot trip admission control).
-* **Batch coalescing.**  Queued jobs are dispatched in windows: the
-  dispatcher sleeps ``batch_window`` seconds after work arrives, then
-  takes *everything* queued in one sweep and hands it to one
+* **Work-conserving dispatch.**  When the executor is idle, a newly
+  queued spec is dispatched as soon as the event loop gets to it; no
+  timer holds it back.  Specs that arrive while a window is running
+  queue up and become the next window: the dispatcher takes
+  *everything* queued in one sweep and hands it to one
   :meth:`RunExecutor.map` call, which groups the specs of each platform
-  (the executor's ``_batch_key``) through the lockstep batch stepper —
-  so sweep-shaped traffic (fig07's cap ladder POSTed as four requests)
-  executes exactly like ``repro run fig7`` runs it.
+  (the executor's ``_batch_key``) through the lockstep batch stepper.
+  So coalescing comes from load, not from a timer: a fig07 cap ladder
+  POSTed as four back-to-back requests runs its first spec alone and
+  the three that arrive while it runs as one window, with the same
+  bytes as ``repro run fig7``.
 
 Determinism: none of this machinery touches result *content*.  Batched,
 deduplicated, cached and cold executions of one spec all produce the
@@ -50,12 +54,14 @@ _STATES = ("queued", "running", "done", "failed")
 class QueueFull(Exception):
     """Admission control rejected a new job (queue at ``queue_depth``)."""
 
-    def __init__(self, queue_depth: int, retry_after: int) -> None:
+    #: Seconds the caller is told to wait (``Retry-After``).
+    retry_after = 1
+
+    def __init__(self, queue_depth: int) -> None:
         super().__init__(
             f"run queue is full ({queue_depth} jobs queued); retry later"
         )
         self.queue_depth = queue_depth
-        self.retry_after = retry_after
 
 
 @dataclass
@@ -87,7 +93,7 @@ class Job:
 
 
 class JobManager:
-    """Admission, dedup and windowed dispatch over one :class:`RunExecutor`.
+    """Admission, dedup and dispatch over one :class:`RunExecutor`.
 
     Parameters
     ----------
@@ -99,12 +105,12 @@ class JobManager:
         instruments (normally shared with the executor, so ``/metrics``
         exports both in one scrape).
     queue_depth:
-        Most jobs allowed in the queued state at once.
-    batch_window:
-        Seconds the dispatcher lingers after work arrives before
-        sweeping the queue, so near-simultaneous compatible specs
-        coalesce into one lockstep batch group.  ``0`` dispatches
-        immediately (whatever is queued by then still groups).
+        Most jobs allowed in the queued state at once (running jobs do
+        not count).
+
+    The dispatcher runs one window at a time: the whole queue as it
+    stands when the previous window finishes (or, when idle, as soon as
+    a spec arrives).  Nothing on that path waits on wall-clock time.
     """
 
     def __init__(
@@ -112,11 +118,9 @@ class JobManager:
         executor: RunExecutor,
         registry: MetricsRegistry,
         queue_depth: int = 64,
-        batch_window: float = 0.05,
     ) -> None:
         self.executor = executor
         self.queue_depth = max(1, int(queue_depth))
-        self.batch_window = max(0.0, float(batch_window))
         self._jobs: Dict[str, Job] = {}
         self._queued: List[Job] = []
         self._wakeup = asyncio.Event()
@@ -187,9 +191,7 @@ class JobManager:
 
         if len(self._queued) >= self.queue_depth:
             self._rejected.inc()
-            raise QueueFull(
-                self.queue_depth, retry_after=max(1, round(self.batch_window) + 1)
-            )
+            raise QueueFull(self.queue_depth)
         self._submitted.inc()
         job = Job(spec=spec, digest=digest)
         self._jobs[digest] = job
@@ -206,12 +208,10 @@ class JobManager:
     # -- dispatch --------------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
-        """Sweep the queue in coalescing windows, forever."""
+        """Run the whole queue as one window whenever the executor frees."""
         while True:
             await self._wakeup.wait()
             self._wakeup.clear()
-            if self.batch_window > 0:
-                await asyncio.sleep(self.batch_window)
             if not self._queued:
                 continue
             window, self._queued = self._queued, []

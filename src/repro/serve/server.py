@@ -74,9 +74,10 @@ class ServeConfig:
         Content-addressed result cache directory; ``None`` serves
         without a cache (every distinct digest executes).
     queue_depth:
-        Admission-control bound on jobs awaiting dispatch.
-    batch_window:
-        Coalescing window, seconds (see :class:`JobManager`).
+        Admission-control bound on jobs awaiting dispatch.  There is no
+        dispatch timer: an idle server runs a spec when it arrives, and
+        specs that arrive while a window runs form the next window (see
+        :class:`JobManager`).
     max_body:
         Largest request body accepted, bytes.
     """
@@ -86,7 +87,6 @@ class ServeConfig:
     jobs: int = 1
     cache_dir: Optional[str] = None
     queue_depth: int = 64
-    batch_window: float = 0.05
     max_body: int = DEFAULT_MAX_BODY
 
 
@@ -105,7 +105,6 @@ class ReproServer:
             executor=self.executor,
             registry=self.registry,
             queue_depth=config.queue_depth,
-            batch_window=config.batch_window,
         )
         self._server: Optional["asyncio.base_events.Server"] = None
         self._requests = self.registry.counter

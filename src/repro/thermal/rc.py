@@ -144,7 +144,7 @@ class RCNetwork:
         "_stale",
         "_dirty",
         "_cached_dt",
-        # set by _refresh
+        # set by _relink
         "_n_sub",
         "_h",
         # set by _flatten
@@ -155,9 +155,11 @@ class RCNetwork:
         "_rows",
         "_bterms",
         "_link_ends",
+        "_offdiag",
         "_g",
-        "_diag",
+        "_lims",
         "_G",
+        "_G_rows",
         "_C",
         "_C_list",
         "_T",
@@ -173,7 +175,7 @@ class RCNetwork:
         self._powers: Dict[str, float] = {}
         # The flattened form is rebuilt by _flatten when _stale; _dirty
         # holds the slots of links whose resistance changed since the
-        # last refresh, _cached_dt the dt of the cached sub-step.
+        # last relink, _cached_dt the dt of the cached sub-step.
         self._stale = True
         self._dirty: set = set()
         self._cached_dt: Optional[float] = None
@@ -305,7 +307,9 @@ class RCNetwork:
         or -1)`` in link insertion order — the order the matrix entries
         accumulate in, as in :meth:`_assemble`; boundary couplings as
         ``(free index, slot, boundary node)`` in :meth:`_assemble`'s
-        forcing-vector order (a side before b side of each link).
+        forcing-vector order (a side before b side of each link).  Per
+        free node, each off-diagonal column with the slots that
+        accumulate into it, in link order.
         """
         nodes = self._nodes
         links = list(self._links.values())
@@ -334,9 +338,18 @@ class RCNetwork:
         self._rows = rows
         self._bterms = bterms
         self._link_ends = ends
+        offdiag: List[list] = []
+        for row in rows:
+            cols: Dict[int, list] = {}
+            for slot, j in row:
+                if j >= 0:
+                    cols.setdefault(j, []).append(slot)
+            offdiag.append([(j, tuple(slots)) for j, slots in cols.items()])
+        self._offdiag = offdiag
         self._g = [0.0] * len(links)
-        self._diag = [0.0] * m
+        self._lims = [math.inf] * m
         self._G = np.zeros((m, m), dtype=np.float64)
+        self._G_rows = [self._G[i] for i in range(m)]
         self._C = np.array([nodes[n].capacitance for n in free], dtype=np.float64)
         self._C_list = [float(nodes[n].capacitance) for n in free]
         self._T = np.empty(m, dtype=np.float64)
@@ -348,55 +361,69 @@ class RCNetwork:
 
     @coldpath
     def _refresh(self, dt: float) -> None:
-        """Rebuild the dirty conductance rows and the sub-step cache.
+        """Validate a new ``dt``, re-flatten after a structural edit, and
+        rebuild every cached coefficient the step depends on.
 
-        Runs only after a structural edit, a resistance write or a
-        ``dt`` change — not per tick — hence ``@coldpath``.  The
-        stability sub-step is half the limit ``min_i C_i / G_ii`` over
-        ``G_ii > 0``, computed with :meth:`_assemble`'s arithmetic.
+        Runs only after a structural edit or a ``dt`` change — not per
+        tick — hence ``@coldpath``.  The per-tick rebuild after a
+        resistance write is :meth:`_relink`.
         """
         require_positive(dt, "dt")
         if self._stale:
             self._flatten()
+        self._relink(dt)
+        self._cached_dt = dt
+
+    @hotpath
+    def _relink(self, dt: float) -> None:
+        """Rebuild the conductance rows of the dirty links and the
+        sub-step count.
+
+        Runs on every tick whose fan speed moved, so it allocates
+        nothing and touches only the rows of the dirty links, through
+        row views and column lists built by :meth:`_flatten`.  Each
+        matrix entry accumulates in link order, as in
+        :meth:`_assemble`; a row shared by two dirty links is rebuilt
+        twice, to the same bits.  The stability sub-step is half the
+        limit ``min_i C_i / G_ii`` over ``G_ii > 0``; each row's limit
+        is kept, so only the rebuilt rows recompute theirs.
+        """
         links = self._link_list
-        ends = self._link_ends
         g = self._g
-        touched = set()
-        for slot in self._dirty:
+        dirty = self._dirty
+        for slot in dirty:
             g[slot] = 1.0 / links[slot]._resistance
-            i, j = ends[slot]
-            if i >= 0:
-                touched.add(i)
-            if j >= 0:
-                touched.add(j)
-        self._dirty.clear()
-        G = self._G
-        diag = self._diag
-        for i in touched:
-            row = G[i]
-            row[:] = 0.0
-            acc = 0.0
-            for slot, j in self._rows[i]:
-                gv = g[slot]
-                acc += gv
-                if j >= 0:
-                    row[j] -= gv
-            row[i] = acc
-            diag[i] = acc
-        best = math.inf
+        ends = self._link_ends
+        rows = self._rows
+        offdiag = self._offdiag
+        G_rows = self._G_rows
         C_list = self._C_list
-        for i in range(self._m):
-            d = diag[i]
-            if d > 0.0:
-                lim = C_list[i] / (d if d > 1e-300 else 1e-300)
-                if lim < best:
-                    best = lim
-        h_max = 0.5 * best
+        lims = self._lims
+        inf = math.inf
+        for slot in dirty:
+            for i in ends[slot]:
+                if i < 0:
+                    continue
+                row = G_rows[i]
+                for j, slots in offdiag[i]:
+                    off = 0.0
+                    for k in slots:
+                        off -= g[k]
+                    row[j] = off
+                acc = 0.0
+                for k, _ in rows[i]:
+                    acc += g[k]
+                row[i] = acc
+                if acc > 0.0:
+                    lims[i] = C_list[i] / (acc if acc > 1e-300 else 1e-300)
+                else:
+                    lims[i] = inf
+        dirty.clear()
+        h_max = 0.5 * min(lims, default=inf)
         if not math.isfinite(h_max) or h_max <= 0.0:
             h_max = dt
         self._n_sub = max(1, math.ceil(dt / h_max))
         self._h = dt / self._n_sub
-        self._cached_dt = dt
 
     @hotpath
     def step(self, dt: float) -> None:
@@ -408,8 +435,10 @@ class RCNetwork:
         any (positive-resistance) network.  The ufuncs write into
         preallocated buffers, which does not change the computed bits.
         """
-        if dt != self._cached_dt or self._dirty:
+        if dt != self._cached_dt:
             self._refresh(dt)
+        elif self._dirty:
+            self._relink(dt)
         m = self._m
         if m == 0:
             return

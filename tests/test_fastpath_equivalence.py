@@ -170,6 +170,35 @@ def test_dt_change_and_divergence_match_reference() -> None:
     assert_same_temperatures(net, reference, "after divergence")
 
 
+def test_resistance_write_moves_the_sub_step_count() -> None:
+    """A resistance write that moves the stability limit re-derives the
+    sub-step count at the next step, as the freshly assembled oracle
+    does; the parallel die-sink links share one matrix entry."""
+
+    def build() -> RCNetwork:
+        net = RCNetwork()
+        net.add_node(ThermalNode("die", 1.0, 70.0))
+        net.add_node(ThermalNode("sink", 4.0, 50.0))
+        net.add_node(ThermalNode("amb", None, 25.0))
+        net.add_link(ThermalLink("jhs", "die", "sink", 0.5))
+        net.add_link(ThermalLink("jhs2", "sink", "die", 2.0))
+        net.add_link(ThermalLink("conv", "sink", "amb", 1.0))
+        net.set_power("die", 30.0)
+        return net
+
+    reference, net = build(), build()
+    counts = []
+    for r in (1.0, 0.005, 0.005, 1.0, 0.02):
+        for target in (reference, net):
+            target.link("conv").resistance = r
+        reference_rc_step(reference, 0.2)
+        net.step(0.2)
+        counts.append(net._n_sub)
+        assert_same_temperatures(net, reference, f"conv resistance {r}")
+    assert counts[0] == counts[3] == 1
+    assert counts[1] == counts[2] > counts[4] > 1
+
+
 # ------------------------------------------------------------- node tick
 
 

@@ -8,12 +8,17 @@ the contract under test is end to end: the bytes ``GET
 materialized (cold execution, cache hit, dedup follower, lockstep batch
 group).  Admission control and in-flight dedup are behavioural
 contracts of the same surface, so they are pinned here too.
+
+Tests that need a job to stay open hold it with :class:`ExecutorGate`
+(the executor thread blocks on a :class:`threading.Event` the test
+releases), never with a timer, so queue states are deterministic.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -84,6 +89,65 @@ def post_body(spec: RunSpec) -> bytes:
     return spec.to_json().encode("utf-8")
 
 
+class ExecutorGate:
+    """Hold every dispatched window inside ``RunExecutor.map`` until
+    :meth:`open` is called; records each window's specs in order."""
+
+    def __init__(self, server: ReproServer) -> None:
+        self.windows = []
+        self._released = threading.Event()
+        inner = server.executor.map
+
+        def gated_map(specs, *args, **kwargs):
+            self.windows.append(list(specs))
+            self._released.wait(timeout=60.0)
+            return inner(specs, *args, **kwargs)
+
+        server.executor.map = gated_map
+
+    def open(self) -> None:
+        self._released.set()
+
+    def window_digests(self):
+        return [[spec.digest() for spec in window] for window in self.windows]
+
+
+def run_gated(config: ServeConfig, scenario):
+    """:func:`run_with_server` with an :class:`ExecutorGate` installed;
+    ``scenario(server, client, gate)``.  The gate opens on teardown so
+    a held window never outlives the test."""
+
+    async def gated(server, client):
+        gate = ExecutorGate(server)
+        try:
+            return await scenario(server, client, gate)
+        finally:
+            gate.open()
+
+    return run_with_server(config, gated)
+
+
+async def served_results(client: ClientSession, digests) -> dict:
+    """Each digest's result bytes, once its run is terminal."""
+    out = {}
+    for digest in digests:
+        await poll_until_terminal(client, digest)
+        result = await client.request("GET", f"/v1/runs/{digest}/result")
+        assert result.status == 200, result.body
+        out[digest] = result.body
+    return out
+
+
+async def yield_until(predicate, yields: int = 50) -> None:
+    """Give the event loop up to ``yields`` zero-delay turns for
+    ``predicate()`` to hold; no wall-clock wait."""
+    for _ in range(yields):
+        if predicate():
+            return
+        await asyncio.sleep(0)
+    assert predicate()
+
+
 # -- plumbing endpoints ---------------------------------------------------
 
 
@@ -149,120 +213,198 @@ def test_cold_run_result_bytes_match_local_execution() -> None:
         assert result.status == 200
         return result.body
 
-    served = run_with_server(
-        ServeConfig(port=0, batch_window=0.01), scenario
-    )
+    served = run_with_server(ServeConfig(port=0), scenario)
     assert served == expected
 
 
 def test_hot_cache_path_is_byte_identical(tmp_path) -> None:
-    """Acceptance pin: a cache-hit answer carries the same bytes."""
-    spec = quick_fig07_spec()
+    """Acceptance pin: a fresh server on a warm cache answers every hot
+    request from the cache, executes nothing, and serves the cold bytes.
+
+    The cold phase POSTs every spec twice, concurrently over two
+    connections: each duplicate rides its leader or its terminal job,
+    so only the distinct specs execute.
+    """
+    specs = [quick_fig07_spec()] + [cheap_spec(seed=600 + i) for i in range(2)]
+    bodies = [post_body(spec) for spec in specs]
     cache_dir = str(tmp_path / "cache")
 
+    async def post_each(client, expect):
+        envelopes = []
+        for body in bodies:
+            posted = await client.request("POST", "/v1/runs", body)
+            assert posted.status in expect, posted.body
+            envelopes.append(posted.json_body())
+        return envelopes
+
     async def cold(server, client):
-        posted = await client.request(
-            "POST", "/v1/runs?wait=1", post_body(spec)
-        )
-        assert posted.status == 200, posted.body
-        digest = posted.json_body()["digest"]
-        result = await client.request("GET", f"/v1/runs/{digest}/result")
-        return result.body
-
-    cold_bytes = run_with_server(
-        ServeConfig(port=0, cache_dir=cache_dir, batch_window=0.01), cold
-    )
-
-    async def hot(server, client):
-        posted = await client.request("POST", "/v1/runs", post_body(spec))
-        # Cache hits are terminal on arrival: 200, no queueing, no worker.
-        assert posted.status == 200, posted.body
-        envelope = posted.json_body()
-        assert envelope["disposition"] == "cache"
-        assert envelope["source"] == "cache"
-        assert envelope["status"] == "done"
-        result = await client.request(
-            "GET", f"/v1/runs/{envelope['digest']}/result"
+        second = ClientSession(HOST, server.port)
+        try:
+            waves = await asyncio.gather(
+                post_each(client, (200, 202)), post_each(second, (200, 202))
+            )
+        finally:
+            await second.close()
+        served = await served_results(
+            client, [envelope["digest"] for envelope in waves[0]]
         )
         snapshot = server.registry.snapshot()
-        assert snapshot.value("serve.runs.cache_hits") == 1
-        assert snapshot.value("serve.runs.submitted") == 0
-        return result.body
+        assert snapshot.total("host.exec.executed") == len(specs)
+        assert snapshot.value("serve.runs.submitted") == len(specs)
+        return served
 
-    hot_bytes = run_with_server(
-        ServeConfig(port=0, cache_dir=cache_dir, batch_window=0.01), hot
-    )
+    cold_bytes = run_with_server(ServeConfig(port=0, cache_dir=cache_dir), cold)
+
+    async def hot(server, client):
+        hits = await post_each(client, (200,))
+        repeats = await post_each(client, (200,))
+        # Cache hits are terminal on arrival: 200, no queueing, no
+        # worker; a repeat answers from the terminal job.
+        for envelope in hits + repeats:
+            assert envelope["status"] == "done", envelope
+            assert envelope["source"] == "cache", envelope
+        assert [e["disposition"] for e in hits] == ["cache"] * len(specs)
+        assert [e["disposition"] for e in repeats] == ["done"] * len(specs)
+        snapshot = server.registry.snapshot()
+        assert snapshot.value("serve.runs.cache_hits") == len(specs)
+        assert snapshot.value("serve.runs.submitted") == 0
+        assert snapshot.total("host.exec.executed") == 0
+        return await served_results(client, [e["digest"] for e in hits])
+
+    hot_bytes = run_with_server(ServeConfig(port=0, cache_dir=cache_dir), hot)
     assert hot_bytes == cold_bytes
-    assert hot_bytes == summary_bytes(spec, execute_spec(spec))
+    for spec in specs:
+        assert hot_bytes[spec.digest()] == summary_bytes(spec, execute_spec(spec))
 
 
 def test_batch_coalescing_on_and_off_are_byte_identical() -> None:
-    """Acceptance pin: the coalescing window never changes result bytes."""
-    specs = fig07_max_pwm.specs(quick=True)
+    """Acceptance pin: how a sweep falls into windows never changes bytes.
 
-    async def sweep(server, client):
-        digests = []
+    On: the first spec's window is held, so the other three arrive
+    while it runs and go through as one window (one lockstep group).
+    Off: each spec is awaited before the next is POSTed, so each is a
+    window of its own.
+    """
+    specs = fig07_max_pwm.specs(quick=True)
+    digests = [spec.digest() for spec in specs]
+
+    async def coalesced(server, client, gate):
         for spec in specs:
             posted = await client.request("POST", "/v1/runs", post_body(spec))
             assert posted.status == 202, posted.body
-            digests.append(posted.json_body()["digest"])
-        collected = {}
-        for digest in digests:
-            await poll_until_terminal(client, digest)
-            result = await client.request("GET", f"/v1/runs/{digest}/result")
-            assert result.status == 200
-            collected[digest] = result.body
-        return collected, server.registry.snapshot()
+            if spec is specs[0]:
+                job = server.jobs.get(digests[0])
+                await yield_until(lambda: job.state == "running")
+        gate.open()
+        collected = await served_results(client, digests)
+        assert gate.window_digests() == [digests[:1], digests[1:]]
+        snapshot = server.registry.snapshot()
+        # Each window is one lockstep group: the lone first spec (four
+        # nodes) and the other three together.
+        assert snapshot.total("host.exec.batch_groups") == 2
+        assert snapshot.total("host.exec.batched_specs") == len(specs)
+        return collected
 
-    batched, batched_snapshot = run_with_server(
-        ServeConfig(port=0, batch_window=0.25), sweep
-    )
-    # The four compatible specs landed in one window and actually went
-    # through the lockstep stepper, not just one-by-one.
-    assert batched_snapshot.total("host.exec.batch_groups") >= 1
-    assert batched_snapshot.total("host.exec.batched_specs") > 0
+    async def one_at_a_time(server, client, gate):
+        gate.open()
+        for spec in specs:
+            posted = await client.request(
+                "POST", "/v1/runs?wait=1", post_body(spec)
+            )
+            assert posted.status == 200, posted.body
+        assert gate.window_digests() == [[digest] for digest in digests]
+        return await served_results(client, digests)
 
-    unbatched, _ = run_with_server(
-        ServeConfig(port=0, batch_window=0.0), sweep
-    )
+    batched = run_gated(ServeConfig(port=0), coalesced)
+    unbatched = run_gated(ServeConfig(port=0), one_at_a_time)
     assert batched == unbatched
     for spec in specs:
-        digest = spec.digest()
-        assert batched[digest] == summary_bytes(spec, execute_spec(spec))
+        assert batched[spec.digest()] == summary_bytes(spec, execute_spec(spec))
+
+
+def test_idle_server_dispatches_on_arrival() -> None:
+    """Work conservation: a POST to an idle server is running after
+    event-loop turns alone — no timer stands between it and the
+    executor."""
+    spec = cheap_spec(seed=16)
+
+    async def scenario(server, client, gate):
+        posted = await client.request("POST", "/v1/runs", post_body(spec))
+        assert posted.status == 202, posted.body
+        job = server.jobs.get(posted.json_body()["digest"])
+        await yield_until(lambda: job.state == "running")
+        assert server.jobs.queued_count == 0
+
+    run_gated(ServeConfig(port=0), scenario)
+
+
+def test_specs_queued_behind_a_running_window_run_as_one_map() -> None:
+    """Specs POSTed while a window runs wait for it, then go to the
+    executor together as the next window — one ``map`` call — and each
+    result carries its local-execution bytes."""
+    first = cheap_spec(seed=17)
+    rest = [cheap_spec(seed=18 + i) for i in range(3)]
+
+    async def scenario(server, client, gate):
+        posted = await client.request("POST", "/v1/runs", post_body(first))
+        assert posted.status == 202, posted.body
+        job = server.jobs.get(first.digest())
+        await yield_until(lambda: job.state == "running")
+        for spec in rest:
+            posted = await client.request("POST", "/v1/runs", post_body(spec))
+            assert posted.status == 202, posted.body
+            assert posted.json_body()["status"] == "queued"
+        assert server.jobs.queued_count == len(rest)
+        gate.open()
+        served = await served_results(
+            client, [spec.digest() for spec in [first, *rest]]
+        )
+        return gate.window_digests(), served
+
+    windows, served = run_gated(ServeConfig(port=0), scenario)
+    assert windows == [[first.digest()], [spec.digest() for spec in rest]]
+    for spec in [first, *rest]:
+        assert served[spec.digest()] == summary_bytes(spec, execute_spec(spec))
 
 
 # -- admission control and dedup ------------------------------------------
 
 
 def test_admission_control_sheds_with_429() -> None:
-    """Acceptance pin: overflow is a 429 + Retry-After, duplicates are not."""
-    first = cheap_spec()
-    second = cheap_spec(seed=12)
+    """Acceptance pin: overflow is a 429 + ``Retry-After: 1``; duplicates
+    are not shed.  With ``queue_depth=1``, one running and one queued
+    job fill the server."""
+    running = cheap_spec()
+    queued = cheap_spec(seed=12)
+    overflow = cheap_spec(seed=19)
 
-    async def scenario(server, client):
-        admitted = await client.request("POST", "/v1/runs", post_body(first))
+    async def scenario(server, client, gate):
+        admitted = await client.request("POST", "/v1/runs", post_body(running))
         assert admitted.status == 202, admitted.body
+        job = server.jobs.get(running.digest())
+        await yield_until(lambda: job.state == "running")
 
-        shed = await client.request("POST", "/v1/runs", post_body(second))
+        waiting = await client.request("POST", "/v1/runs", post_body(queued))
+        assert waiting.status == 202, waiting.body
+        assert waiting.json_body()["status"] == "queued"
+
+        shed = await client.request("POST", "/v1/runs", post_body(overflow))
         assert shed.status == 429, shed.body
-        assert "retry-after" in shed.headers
-        assert int(shed.headers["retry-after"]) >= 1
-        assert shed.json_body()["retry_after"] >= 1
+        assert shed.headers["retry-after"] == "1"
+        assert shed.json_body()["retry_after"] == 1
 
-        # A duplicate of the queued spec attaches as a follower — it
-        # does not occupy a queue slot, so it must NOT be shed.
-        follower = await client.request("POST", "/v1/runs", post_body(first))
-        assert follower.status == 202, follower.body
-        assert follower.json_body()["disposition"] == "follower"
+        # Duplicates of the running and the queued spec attach as
+        # followers — they occupy no queue slot, so they are NOT shed.
+        for spec in (running, queued):
+            follower = await client.request("POST", "/v1/runs", post_body(spec))
+            assert follower.status == 202, follower.body
+            assert follower.json_body()["disposition"] == "follower"
 
         snapshot = server.registry.snapshot()
         assert snapshot.value("serve.runs.rejected") == 1
-        assert snapshot.value("serve.runs.dedup_followers") == 1
+        assert snapshot.value("serve.runs.dedup_followers") == 2
 
-    # A long window keeps the first job queued while we overflow.
-    run_with_server(
-        ServeConfig(port=0, queue_depth=1, batch_window=30.0), scenario
-    )
+    run_gated(ServeConfig(port=0, queue_depth=1), scenario)
 
 
 def test_inflight_duplicates_execute_once() -> None:
@@ -270,7 +412,7 @@ def test_inflight_duplicates_execute_once() -> None:
     spec = cheap_spec()
     copies = 5
 
-    async def scenario(server, client):
+    async def scenario(server, client, gate):
         dispositions = []
         digest = ""
         for _ in range(copies):
@@ -279,8 +421,10 @@ def test_inflight_duplicates_execute_once() -> None:
             envelope = posted.json_body()
             dispositions.append(envelope["disposition"])
             digest = envelope["digest"]
+        # The gate holds the leader running while its copies arrive.
         assert dispositions == ["queued"] + ["follower"] * (copies - 1)
 
+        gate.open()
         await poll_until_terminal(client, digest)
         bodies = set()
         for _ in range(copies):
@@ -295,7 +439,7 @@ def test_inflight_duplicates_execute_once() -> None:
         assert snapshot.value("serve.runs.submitted") == 1
         return bodies.pop()
 
-    served = run_with_server(ServeConfig(port=0, batch_window=0.2), scenario)
+    served = run_gated(ServeConfig(port=0), scenario)
     assert served == summary_bytes(spec, execute_spec(spec))
 
 
@@ -318,23 +462,21 @@ def test_wait_flag_blocks_until_done() -> None:
         )
         assert result.status == 200
 
-    run_with_server(ServeConfig(port=0, batch_window=0.01), scenario)
+    run_with_server(ServeConfig(port=0), scenario)
 
 
 def test_result_endpoint_409_while_open() -> None:
     spec = cheap_spec(seed=14)
 
-    async def scenario(server, client):
+    async def scenario(server, client, gate):
         posted = await client.request("POST", "/v1/runs", post_body(spec))
         digest = posted.json_body()["digest"]
+        # The gate holds the job open while we probe.
         early = await client.request("GET", f"/v1/runs/{digest}/result")
         assert early.status == 409
         assert digest in early.json_body()["error"]
 
-    # A long window guarantees the job is still open when we probe.
-    run_with_server(
-        ServeConfig(port=0, queue_depth=4, batch_window=30.0), scenario
-    )
+    run_gated(ServeConfig(port=0), scenario)
 
 
 # -- observability ---------------------------------------------------------
@@ -354,7 +496,7 @@ def test_metrics_endpoint_is_valid_prometheus() -> None:
         assert scrape.headers["content-type"].startswith("text/plain")
         return scrape.body.decode("utf-8")
 
-    text = run_with_server(ServeConfig(port=0, batch_window=0.01), scenario)
+    text = run_with_server(ServeConfig(port=0), scenario)
     check_prometheus_text(text)
     # One scrape sees the whole request path: HTTP front, job ledger,
     # queue gauge, and the executor's host.* counters.
@@ -378,9 +520,9 @@ def test_cli_serve_parser_defaults() -> None:
     assert args.port == 8080
     assert args.jobs == 1
     assert args.queue_depth == 64
-    assert args.batch_window == pytest.approx(0.05)
     assert args.cache_dir is None
     assert not hasattr(args, "no_batch")
+    assert not hasattr(args, "batch_window")
 
 
 def test_cli_serve_parser_overrides() -> None:
@@ -392,7 +534,6 @@ def test_cli_serve_parser_overrides() -> None:
             "--jobs", "4",
             "--cache-dir", "/tmp/cache",
             "--queue-depth", "2",
-            "--batch-window", "0.5",
         ]
     )
     assert args.host == "0.0.0.0"
@@ -400,7 +541,9 @@ def test_cli_serve_parser_overrides() -> None:
     assert args.jobs == 4
     assert args.cache_dir == "/tmp/cache"
     assert args.queue_depth == 2
-    assert args.batch_window == pytest.approx(0.5)
+    # There is no dispatch timer to tune.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["serve", "--batch-window", "0.5"])
 
 
 def test_envelope_is_canonical_json() -> None:

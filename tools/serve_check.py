@@ -50,7 +50,6 @@ def start_server(cache_dir: str) -> tuple:
         [
             sys.executable, "-u", "-m", "repro", "serve",
             "--port", "0",
-            "--batch-window", "0.01",
             "--cache-dir", cache_dir,
         ],
         cwd=ROOT,
