@@ -33,6 +33,7 @@ import time
 from pathlib import Path
 from typing import Any, List, Optional
 
+from .errors import ConfigurationError
 from .experiments import REGISTRY
 from .platform import PLATFORM_REGISTRY
 from .runtime import DEFAULT_SEED, RunExecutor
@@ -255,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         metavar="DIR",
         default=None,
-        help="content-addressed result cache directory (default: no cache)",
+        help="result store directory (default: a temporary directory "
+        "removed when the server stops)",
     )
     serve_p.add_argument(
         "--queue-depth",
@@ -456,6 +458,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             asyncio.run(serve_forever(config))
         except KeyboardInterrupt:
             print("repro.serve: shutting down")
+        except ConfigurationError as exc:
+            print(f"repro serve: {exc}", file=sys.stderr)
+            return 2
         return 0
 
     if args.command == "fleet":

@@ -26,7 +26,9 @@ Responsibilities:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..config import ClusterConfig
 from ..errors import ConfigurationError, SimulationError
@@ -41,6 +43,12 @@ from ..workloads.base import Job
 from .node import Node
 
 __all__ = ["Cluster", "RunResult"]
+
+#: The RunResult fields a store record carries verbatim in its JSON.
+_RECORD_SCALARS = (
+    "execution_time", "average_power", "energy_joules", "job_name",
+    "node_shutdown", "retired_cycles",
+)
 
 
 @dataclass
@@ -73,7 +81,10 @@ class RunResult:
     The whole object is cheaply picklable (traces and events are
     numpy/dataclass-backed with no references back into the live
     cluster), which is what lets the runtime layer ship results across
-    process boundaries and cache them on disk.
+    process boundaries.  On disk it is a result-store entry
+    (:mod:`repro.runtime.store`): :meth:`to_record` maps it to JSON
+    fields plus float64 trace arrays, and :meth:`from_record` inverts
+    that without unpickling anything.
     """
 
     execution_time: float
@@ -103,6 +114,39 @@ class RunResult:
     def dvfs_change_count(self, node: int = 0) -> int:
         """Number of P-state transitions on ``node`` during the run."""
         return self.events.count("dvfs.change", source=f"node{node}.dvfs")
+
+    # -- result-store mapping (see repro.runtime.store) -------------------
+
+    def to_record(self) -> Tuple[dict, List[np.ndarray]]:
+        """JSON fields plus each trace's times and values arrays."""
+        names = list(self.traces)
+        fields = {name: getattr(self, name) for name in _RECORD_SCALARS}
+        fields.update(
+            traces=names,
+            events=[[e.time, e.category, e.source, e.data] for e in self.events],
+            telemetry=None if self.telemetry is None else self.telemetry.to_jsonable(),
+        )
+        arrays: List[np.ndarray] = []
+        for name in names:
+            arrays += (self.traces[name].times, self.traces[name].values)
+        return fields, arrays
+
+    @classmethod
+    def from_record(cls, fields: dict, arrays: Sequence[np.ndarray]) -> "RunResult":
+        """The result :meth:`to_record` mapped; raises on a malformed record."""
+        traces, events = TraceSet(), EventLog()
+        for i, name in enumerate(fields["traces"]):
+            # Adopt the arrays as unpickling a trace does (no copy).
+            traces.trace(name).__setstate__((name, arrays[2 * i], arrays[2 * i + 1]))
+        for time, category, source, data in fields["events"]:
+            events.emit(time, category, source, **data)
+        rows = fields["telemetry"]
+        return cls(
+            traces=traces,
+            events=events,
+            telemetry=None if rows is None else TelemetrySnapshot.from_jsonable(rows),
+            **{name: fields[name] for name in _RECORD_SCALARS},
+        )
 
 
 class Cluster:

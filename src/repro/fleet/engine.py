@@ -18,26 +18,25 @@ the whole :class:`FleetResult` is bitwise identical for every
 ``shards`` value — :meth:`FleetResult.canonical_bytes` is the
 equivalence gate the tests and the benchmark both assert on.
 
-Results ride a content-addressed cache keyed by the spec digest alone
-(no shard count — a fleet simulated once is a hit at any shard count),
-with the same atomic-replace discipline as the runtime layer's run
-cache.  The fleet package deliberately does not import the cluster
-layer (the RPR014 shard-isolation rule pins this): shards rebuild
-their world from the spec wire form only.
+Results ride the runtime layer's
+:class:`~repro.runtime.store.ResultStore` keyed by the spec digest
+alone (no shard count — a fleet simulated once is a hit at any shard
+count); :meth:`FleetResult.to_jsonable` is the on-disk field mapping.
+The fleet package deliberately does not import the cluster layer (the
+RPR014 shard-isolation rule pins this): shards rebuild their world
+from the spec wire form only.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import multiprocessing
-import os
-import pickle
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..errors import SimulationError
+from ..runtime.store import ResultStore
 from ..sim.events import Event
 from ..telemetry import TelemetrySnapshot
 from .coordinator import FleetCoordinator
@@ -45,13 +44,6 @@ from .shard import NodeFinal, RackFinal, RackReport, ShardRunner, shard_worker
 from .spec import FleetSpec
 
 __all__ = ["FleetResult", "partition_racks", "run_fleet"]
-
-#: On-disk cache payload version; bump on any FleetResult shape change.
-_CACHE_FORMAT = 1
-
-#: Process-local uniquifier for atomic cache writes (pid alone is not
-#: enough when one process stores several results).
-_TMP_IDS = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -145,18 +137,7 @@ class FleetResult:
                 }
                 for e in self.events
             ],
-            "telemetry": [
-                {
-                    "name": s.name,
-                    "type": s.type,
-                    "labels": s.label_dict(),
-                    "value": s.value,
-                    "sum": s.sum,
-                    "count": s.count,
-                    "buckets": [list(b) for b in s.buckets],
-                }
-                for s in self.telemetry
-            ],
+            "telemetry": self.telemetry.to_jsonable(),
             "summary": {
                 "peak_die_c": self.peak_die_c(),
                 "total_cpu_energy_j": self.total_cpu_energy_j(),
@@ -164,6 +145,19 @@ class FleetResult:
                 "total_throttles": self.total_throttles(),
             },
         }
+
+    @classmethod
+    def from_jsonable(cls, spec: FleetSpec, doc: dict) -> "FleetResult":
+        """Invert :meth:`to_jsonable` (the result-store form); raises on a
+        malformed document."""
+        return cls(
+            spec=spec,
+            nodes=tuple(NodeFinal(**n) for n in doc["nodes"]),
+            racks=tuple(RackFinal(**r) for r in doc["racks"]),
+            series=tuple(map(tuple, doc["series"])),
+            events=tuple(Event(**e) for e in doc["events"]),
+            telemetry=TelemetrySnapshot.from_jsonable(doc["telemetry"]),
+        )
 
     def canonical_bytes(self) -> bytes:
         """Bitwise-faithful serialization — the equivalence gate.
@@ -282,55 +276,6 @@ class _ProcessShard:
         self._conn.close()
 
 
-# -- cache ----------------------------------------------------------------
-
-
-def _cache_path(cache_dir: Union[str, Path], digest: str) -> Path:
-    return Path(cache_dir) / f"fleet-{digest}.pickle"
-
-
-def _cache_load(path: Path, spec: FleetSpec) -> Optional[FleetResult]:
-    try:
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-    except (
-        OSError,
-        pickle.UnpicklingError,
-        EOFError,
-        AttributeError,
-        ValueError,
-        ImportError,
-    ):
-        # Truncated, foreign-protocol or stale entries are misses.
-        return None
-    if (
-        not isinstance(payload, tuple)
-        or len(payload) != 2
-        or payload[0] != _CACHE_FORMAT
-    ):
-        return None
-    result = payload[1]
-    if not isinstance(result, FleetResult) or result.spec != spec:
-        return None
-    return result
-
-
-def _cache_store(path: Path, result: FleetResult) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(
-        f"{path.name}.{os.getpid()}.{next(_TMP_IDS)}.tmp"
-    )
-    try:
-        with open(tmp, "wb") as fh:
-            pickle.dump((_CACHE_FORMAT, result), fh)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-
-
 # -- the engine ------------------------------------------------------------
 
 
@@ -396,12 +341,18 @@ def run_fleet(
         Worker count; clamped into ``[1, spec.racks]``.  ``1`` runs
         in-process, anything larger forks one worker per shard.
     cache_dir:
-        Optional content-addressed result cache.  Keyed by the spec
-        digest only — shard count is not part of a result's identity.
+        Optional :class:`~repro.runtime.store.ResultStore` directory,
+        shared with run results.  Keyed by the spec digest only — shard
+        count is not part of a result's identity.
     """
-    if cache_dir is not None:
-        path = _cache_path(cache_dir, spec.digest())
-        cached = _cache_load(path, spec)
+    store = None if cache_dir is None else ResultStore(cache_dir)
+    if store is not None:
+        cached = store.load(
+            "fleet",
+            spec.digest(),
+            lambda _spec, doc, _arrays: FleetResult.from_jsonable(spec, doc),
+            spec=spec.canonical(),
+        )
         if cached is not None:
             return cached
     bounds = partition_racks(spec.racks, shards)
@@ -436,6 +387,8 @@ def run_fleet(
         for handle in handles:
             handle.stop()
     result = _reduce(spec, shard_results, coordinator, series)
-    if cache_dir is not None:
-        _cache_store(path, result)
+    if store is not None:
+        store.save(
+            "fleet", spec.digest(), spec.canonical(), result.to_jsonable(), []
+        )
     return result

@@ -22,7 +22,7 @@ regeneration, tests — flows through this package:
 * :mod:`repro.runtime.execute` — the spec → simulation bridge.
 * :mod:`repro.runtime.executor` — :class:`RunExecutor`: lockstep
   grouping of sweeps, serial or process-pool fan-out and a
-  content-addressed on-disk result cache.
+  content-addressed result cache (:mod:`repro.runtime.store`).
 * :mod:`repro.runtime.measure` — :class:`Measure`: the shared
   trace-window reductions experiment rows are built from.
 

@@ -25,10 +25,12 @@ Four properties the rest of the repo builds on:
   exactly once instead of per call.  :meth:`RunExecutor.close` (or the
   context-manager form) releases the workers; a broken pool is
   disposed and never reused.
-* **Caching** — with ``cache_dir`` set, results are pickled under a
-  content hash of (spec, package version), so re-running the same
+* **Caching** — with ``cache_dir`` set, results go to a
+  :class:`~repro.runtime.store.ResultStore` under the spec's digest
+  (which folds in the package version), so re-running the same
   configuration across the CLI, tests and benchmarks simulates once.
-  Off by default.  Version bumps invalidate every entry.
+  Off by default.  Version bumps invalidate every entry; a corrupt or
+  foreign entry is a miss, and a failed write never fails a run.
 
 * **Lockstep grouping** — uncached specs on one platform advance
   together through :mod:`repro.fastpath.batch`, one stacked thermal
@@ -59,7 +61,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import os
-import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -72,6 +73,7 @@ from ..telemetry.registry import MetricsRegistry, SECONDS_BUCKETS
 from ..telemetry.snapshot import TelemetrySnapshot
 from .execute import execute_specs_batch
 from .spec import RunSpec
+from .store import ResultStore
 
 __all__ = ["ExecutorStats", "RunExecutor", "timed_execute_specs"]
 
@@ -81,11 +83,24 @@ __all__ = ["ExecutorStats", "RunExecutor", "timed_execute_specs"]
 #: ordinals; host metrics are excluded from deterministic exports).
 _EXECUTOR_IDS = itertools.count()
 
-#: Makes concurrent cache stores from one process collision-free: the
-#: tmp-file name folds in a process-wide sequence number on top of the
-#: pid, so two executors (or threads) storing the same digest never
-#: interleave writes into one tmp file.
-_TMP_IDS = itertools.count()
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS
+    exposes one (``taskset``, cpusets), else ``os.cpu_count()``."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is not None:
+        return len(affinity(0))
+    return os.cpu_count() or 1
+
+
+def _result(spec: str, fields: dict, arrays: list) -> RunResult:
+    return RunResult.from_record(fields, arrays)
+
+
+def _spec_and_result(
+    spec: str, fields: dict, arrays: list
+) -> Tuple[RunSpec, RunResult]:
+    return RunSpec.from_json(spec), RunResult.from_record(fields, arrays)
 
 
 def timed_execute_specs(
@@ -162,7 +177,7 @@ class ExecutorStats:
 
     @property
     def jobs_effective(self) -> int:
-        """Worker count after clamping to the machine's CPU count."""
+        """Worker count after clamping to the CPUs this process may use."""
         return int(self._jobs_effective.value)
 
     @property
@@ -191,18 +206,17 @@ class RunExecutor:
     jobs:
         Worker process count; ``1`` (default) runs serially in-process,
         preserving the historical execution path exactly.  Requests
-        beyond ``os.cpu_count()`` are clamped — oversubscribing a small
-        machine costs pickling and scheduling overhead without any
-        parallelism to pay for it — and a clamp down to one worker
-        falls back to the serial path entirely.  The requested and
-        effective counts are surfaced through :class:`ExecutorStats`.
+        beyond the CPUs this process may use (its affinity set, so
+        ``taskset`` and cpusets count) are clamped — oversubscribing
+        costs pickling and scheduling overhead without any parallelism
+        to pay for it — and a clamp down to one worker falls back to
+        the serial path entirely.  The requested and effective counts
+        are surfaced through :class:`ExecutorStats`.
     cache_dir:
-        Directory for the content-addressed result cache; ``None``
-        (default) disables caching.  Created on first write.
-    cache_version:
-        Version string folded into cache digests; defaults to the
-        installed package version.  Exposed so tests can model a
-        version bump without reinstalling.
+        Directory of the :class:`~repro.runtime.store.ResultStore`;
+        ``None`` (default) disables caching.  Created here, so a path
+        that cannot be a directory raises
+        :class:`~repro.errors.ConfigurationError` up front.
     telemetry:
         When True, every mapped spec is run with telemetry enabled
         (``dataclasses.replace(spec, telemetry=True)``), results'
@@ -227,20 +241,17 @@ class RunExecutor:
 
     jobs: int = 1
     cache_dir: Optional[Union[str, Path]] = None
-    cache_version: Optional[str] = None
     telemetry: bool = False
     platform: Optional[str] = None
     registry: Optional[MetricsRegistry] = None
 
     def __post_init__(self) -> None:
         self.jobs = max(1, int(self.jobs))
-        self.effective_jobs = min(self.jobs, os.cpu_count() or 1)
+        self.effective_jobs = min(self.jobs, _usable_cpus())
+        self.store: Optional[ResultStore] = None
         if self.cache_dir is not None:
             self.cache_dir = Path(self.cache_dir)
-        if self.cache_version is None:
-            from .. import __version__
-
-            self.cache_version = __version__
+            self.store = ResultStore(self.cache_dir)
         shared_registry = self.registry is not None
         if self.registry is None:
             self.registry = MetricsRegistry()
@@ -280,6 +291,17 @@ class RunExecutor:
         answer hot requests without occupying a queue slot.
         """
         return self._cache_load(spec)
+
+    def stored(self, digest: str) -> Optional[Tuple[RunSpec, RunResult]]:
+        """The spec and result stored under ``digest``, or ``None``: a
+        probe like :meth:`cached`, for callers that hold only a digest.
+        The spec comes from the entry header and must hash to ``digest``."""
+        if self.store is None:
+            return None
+        found = self.store.load("run", digest, _spec_and_result)
+        if found is None or found[0].digest() != digest:
+            return None
+        return found
 
     def map(self, specs: Sequence[RunSpec]) -> List[RunResult]:
         """Run every spec, returning results in spec order.
@@ -325,7 +347,7 @@ class RunExecutor:
             for i, (result, wall_seconds) in zip(pending, fresh):
                 results[i] = result
                 self._wall_hist.observe(wall_seconds)
-                if self.cache_dir is not None:
+                if self.store is not None:
                     self.stats._cache_misses.inc()
                     self._cache_store(specs[i], result)
             self.stats._executed.inc(len(pending))
@@ -470,39 +492,17 @@ class RunExecutor:
 
     # -- cache -----------------------------------------------------------
 
-    def _cache_path(self, spec: RunSpec) -> Path:
-        return self.cache_dir / f"{spec.digest(version=self.cache_version)}.pkl"
-
     def _cache_load(self, spec: RunSpec) -> Optional[RunResult]:
-        if self.cache_dir is None:
+        if self.store is None:
             return None
-        path = self._cache_path(spec)
-        try:
-            with path.open("rb") as handle:
-                return pickle.load(handle)
-        except FileNotFoundError:
-            return None
-        except (
-            pickle.UnpicklingError,
-            EOFError,
-            AttributeError,
-            OSError,
-            ValueError,
-            ImportError,
-        ):
-            # A truncated, foreign-protocol or stale entry is a miss,
-            # not an error.
-            return None
+        return self.store.load(
+            "run", spec.digest(), _result, spec=spec.canonical()
+        )
 
     def _cache_store(self, spec: RunSpec, result: RunResult) -> None:
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        path = self._cache_path(spec)
-        # Write-then-rename so concurrent writers never observe a
-        # partial pickle (os.replace is atomic on POSIX and Windows).
-        # The tmp name folds in a process-wide sequence number: a
-        # pid-only suffix let two executors (or threads) in one process
-        # interleave writes into the same tmp file.
-        tmp = path.with_suffix(f".tmp.{os.getpid()}.{next(_TMP_IDS)}")
-        with tmp.open("wb") as handle:
-            pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
+        fields, arrays = result.to_record()
+        digest, canonical = spec.digest(), spec.canonical()
+        if not self.store.save("run", digest, canonical, fields, arrays):
+            self.registry.counter(
+                "host.cache.write_errors", **self._labels
+            ).inc()

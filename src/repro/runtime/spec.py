@@ -469,11 +469,18 @@ class RunSpec:
         (there is one engine path), but every digest minted while it
         existed — cache keys, served digests — names the same run.
         """
-        data = dataclasses.asdict(self)
-        if data["platform"] is None:
-            del data["platform"]
-        data["fastpath"] = False
-        return json.dumps(data, sort_keys=True)
+        text = self.__dict__.get("_canonical")
+        if text is None:
+            data = dataclasses.asdict(self)
+            if data["platform"] is None:
+                del data["platform"]
+            data["fastpath"] = False
+            text = json.dumps(data, sort_keys=True)
+            # Memoized beside the fields (the spec is frozen; equality,
+            # hashing and asdict see fields only): every request path
+            # needs it for the digest and again for the store's check.
+            object.__setattr__(self, "_canonical", text)
+        return text
 
     def digest(self, version: Optional[str] = None) -> str:
         """Content hash naming this spec (plus the package ``version``).

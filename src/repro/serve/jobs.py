@@ -4,9 +4,14 @@ One :class:`JobManager` owns everything between "a spec arrived" and "a
 summary exists":
 
 * **Identity.**  Jobs are keyed by the spec's content digest — the same
-  digest the runtime cache uses — so *the request path is
+  digest the result store uses — so *the request path is
   content-addressed end to end*: two requests for the same spec are the
-  same job, whether they arrive a microsecond or a day apart.
+  same job while it is open, and the same stored result after.
+* **A ledger that forgets.**  The ledger holds open (queued or running)
+  jobs and at most ``queue_depth`` failed ones, oldest dropped first,
+  so a poller can still read an error.  A done job leaves the ledger as
+  soon as its waiters are answered: its result is in the store, and a
+  repeat request or a ``GET`` by digest reads it from there.
 * **Admission control.**  At most ``queue_depth`` jobs may sit queued
   (accepted, not yet dispatched).  Overflow raises :class:`QueueFull`,
   which the server answers with ``429`` + ``Retry-After`` — the caller
@@ -37,13 +42,17 @@ the traffic pattern that produced it.
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..runtime.executor import RunExecutor
 from ..runtime.spec import RunSpec
 from ..telemetry.registry import MetricsRegistry
 from .payloads import summary_bytes
+
+if TYPE_CHECKING:  # imported for annotations only
+    from ..cluster.cluster import RunResult
 
 __all__ = ["Job", "JobManager", "QueueFull"]
 
@@ -106,7 +115,7 @@ class JobManager:
         exports both in one scrape).
     queue_depth:
         Most jobs allowed in the queued state at once (running jobs do
-        not count).
+        not count); also the most failed jobs the ledger keeps.
 
     The dispatcher runs one window at a time: the whole queue as it
     stands when the previous window finishes (or, when idle, as soon as
@@ -122,9 +131,14 @@ class JobManager:
         self.executor = executor
         self.queue_depth = max(1, int(queue_depth))
         self._jobs: Dict[str, Job] = {}
+        #: Digests of the failed jobs still in the ledger, oldest first.
+        self._failed_fifo: Deque[str] = deque()
         self._queued: List[Job] = []
         self._wakeup = asyncio.Event()
         self._task: Optional["asyncio.Task"] = None
+        #: The executor thread of the running window (it cannot be
+        #: cancelled; :meth:`stop` waits for it).
+        self._window: Optional["asyncio.Future"] = None
         self._submitted = registry.counter("serve.runs.submitted")
         self._completed = registry.counter("serve.runs.completed")
         self._failed = registry.counter("serve.runs.failed")
@@ -143,7 +157,8 @@ class JobManager:
             )
 
     async def stop(self) -> None:
-        """Cancel the dispatcher and fail any still-open jobs."""
+        """Cancel the dispatcher, wait out a running window (its results
+        still reach the store) and fail any still-open jobs."""
         if self._task is not None:
             self._task.cancel()
             try:
@@ -151,6 +166,8 @@ class JobManager:
             except asyncio.CancelledError:
                 pass
             self._task = None
+        if self._window is not None:
+            await asyncio.wait([self._window])
         for job in self._jobs.values():
             if job.state in ("queued", "running"):
                 job.finish(None, "server shut down before the run completed")
@@ -160,20 +177,35 @@ class JobManager:
     # -- submission ------------------------------------------------------
 
     def get(self, digest: str) -> Optional[Job]:
-        """The job for a digest, or ``None`` if never admitted."""
-        return self._jobs.get(digest)
+        """The job for a digest: from the ledger, else a done job read
+        from the result store, else ``None``."""
+        job = self._jobs.get(digest)
+        if job is not None:
+            return job
+        stored = self.executor.stored(digest)
+        if stored is None:
+            return None
+        return self._cached_job(stored[0], digest, stored[1])
+
+    @staticmethod
+    def _cached_job(spec: RunSpec, digest: str, result: "RunResult") -> Job:
+        """A done job answered from the store (never enters the ledger)."""
+        job = Job(spec=spec, digest=digest, source="cache")
+        job.finish(summary_bytes(spec, result), None)
+        return job
 
     def submit(self, spec: RunSpec) -> Tuple[Job, str]:
         """Admit a spec (or attach to its existing job).
 
         Returns ``(job, disposition)`` where disposition is one of
         ``"queued"`` (newly admitted), ``"follower"`` (attached to an
-        in-flight duplicate), ``"done"``/``"failed"`` (already
-        terminal), or ``"cache"`` (satisfied from the result cache
-        without executing).  Raises :class:`QueueFull` when admission
-        control rejects a genuinely new job.
+        in-flight duplicate), ``"failed"`` (a failed job still in the
+        ledger), or ``"cache"`` (answered from the result store without
+        executing — every repeat of a done spec).  Raises
+        :class:`QueueFull` when admission control rejects a genuinely
+        new job.
         """
-        digest = spec.digest(version=self.executor.cache_version)
+        digest = spec.digest()
         job = self._jobs.get(digest)
         if job is not None:
             if job.state in ("queued", "running"):
@@ -184,10 +216,7 @@ class JobManager:
         cached = self.executor.cached(spec)
         if cached is not None:
             self._cache_hits.inc()
-            job = Job(spec=spec, digest=digest, state="done", source="cache")
-            job.finish(summary_bytes(spec, cached), None)
-            self._jobs[digest] = job
-            return job, "cache"
+            return self._cached_job(spec, digest, cached), "cache"
 
         if len(self._queued) >= self.queue_depth:
             self._rejected.inc()
@@ -218,13 +247,22 @@ class JobManager:
             self._depth.set(0.0)
             for job in window:
                 job.state = "running"
-            outcomes = await asyncio.to_thread(
-                self._run_window, [job.spec for job in window]
+            self._window = asyncio.get_running_loop().run_in_executor(
+                None, self._run_window, [job.spec for job in window]
             )
+            outcomes = await asyncio.shield(self._window)
             for job, (summary, error) in zip(window, outcomes):
                 job.source = "executed"
                 job.finish(summary, error)
-                (self._completed if error is None else self._failed).inc()
+                if error is None:
+                    self._completed.inc()
+                    del self._jobs[job.digest]
+                    continue
+                # Keep the last queue_depth failures for pollers.
+                self._failed.inc()
+                self._failed_fifo.append(job.digest)
+                if len(self._failed_fifo) > self.queue_depth:
+                    del self._jobs[self._failed_fifo.popleft()]
 
     def _run_window(
         self, specs: Sequence[RunSpec]

@@ -5,12 +5,14 @@ Endpoints (all JSON unless noted):
 * ``POST /v1/runs`` — body is a :class:`RunSpec` JSON document (the
   :meth:`RunSpec.to_json` canonical form; :meth:`RunSpec.from_json` is
   the validation seam).  Responses: ``200`` with the full envelope when
-  the digest is already terminal or satisfied from the result cache,
+  the digest has failed or is satisfied from the result store,
   ``202`` with a status envelope when queued (or attached to an
   in-flight duplicate as a follower), ``429`` + ``Retry-After`` when
   admission control sheds the request, ``400`` on a malformed spec.
   ``?wait=1`` blocks until the run is terminal and returns ``200``.
-* ``GET /v1/runs/<digest>`` — status envelope (``404`` unknown digest).
+* ``GET /v1/runs/<digest>`` — status envelope for an open or failed
+  job in the ledger, or for a done run read from the result store
+  (``404`` unknown digest).
 * ``GET /v1/runs/<digest>/result`` — **exactly** the canonical summary
   bytes (:func:`~repro.serve.payloads.summary_bytes`); ``409`` while
   the job is still open.  This is the byte-identity surface the
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import tempfile
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -71,8 +74,8 @@ class ServeConfig:
         Worker processes for the underlying :class:`RunExecutor`
         (clamped to the CPU count exactly as ``repro run --jobs`` is).
     cache_dir:
-        Content-addressed result cache directory; ``None`` serves
-        without a cache (every distinct digest executes).
+        Result store directory; ``None`` stores into a temporary
+        directory the server removes when it stops.
     queue_depth:
         Admission-control bound on jobs awaiting dispatch.  There is no
         dispatch timer: an idle server runs a spec when it arrives, and
@@ -96,9 +99,14 @@ class ReproServer:
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
         self.registry = MetricsRegistry()
+        self._temp_store = (
+            tempfile.TemporaryDirectory(prefix="repro-serve-")
+            if config.cache_dir is None
+            else None
+        )
         self.executor = RunExecutor(
             jobs=config.jobs,
-            cache_dir=config.cache_dir,
+            cache_dir=config.cache_dir or self._temp_store.name,
             registry=self.registry,
         )
         self.jobs = JobManager(
@@ -129,12 +137,15 @@ class ReproServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        """Close the socket and tear down the dispatcher."""
+        """Close the socket, tear down the dispatcher and remove a
+        temporary store."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
         await self.jobs.stop()
+        if self._temp_store is not None:
+            self._temp_store.cleanup()
 
     # -- connection handling ---------------------------------------------
 

@@ -111,8 +111,8 @@ class Trace:
 
         The amortized-growth buffers can be up to 2x over-allocated;
         trimming (and copying, so no writable view escapes) keeps the
-        serialized form — the runtime layer's process-boundary and
-        on-disk cache payload — as small as the data itself.
+        serialized form — the runtime layer's process-boundary payload
+        — as small as the data itself.
         """
         return (self.name, self._t[: self._n].copy(), self._v[: self._n].copy())
 

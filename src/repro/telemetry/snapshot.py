@@ -185,6 +185,35 @@ class TelemetrySnapshot:
             )
         )
 
+    def to_jsonable(self) -> list:
+        """One plain dict per sample (fleet payloads, the result store)."""
+        return [
+            {
+                "name": s.name,
+                "type": s.type,
+                "labels": s.label_dict(),
+                "value": s.value,
+                "sum": s.sum,
+                "count": s.count,
+                "buckets": [list(b) for b in s.buckets],
+            }
+            for s in self.samples
+        ]
+
+    @classmethod
+    def from_jsonable(cls, rows) -> "TelemetrySnapshot":
+        """Invert :meth:`to_jsonable`; raises on malformed rows."""
+        return cls(
+            samples=tuple(
+                MetricSample(**{
+                    **row,
+                    "labels": tuple(sorted(row["labels"].items())),
+                    "buckets": tuple(map(tuple, row["buckets"])),
+                })
+                for row in rows
+            )
+        )
+
     @classmethod
     def merge(cls, *snapshots: "TelemetrySnapshot") -> "TelemetrySnapshot":
         """Fold many snapshots into one (see module docstring).

@@ -31,9 +31,11 @@ from repro.fleet import (
     recirculation_weights,
     run_fleet,
 )
-from repro.fleet.engine import _ProcessShard
+from repro.fleet.engine import FleetResult, _ProcessShard
 from repro.fleet.shard import RackReport
+from repro.runtime.store import ResultStore
 from tests.reference_engine import reference_rc_step
+from tests.test_runtime_executor import HOSTILE_ENTRIES
 
 
 def small_spec(**overrides) -> FleetSpec:
@@ -270,46 +272,54 @@ def test_shard_physics_match_the_reference_stepper():
 
 
 def test_cache_roundtrip_and_shard_count_independence(tmp_path, monkeypatch):
+    """A result stored at one shard count is a hit at another, with the
+    cold bytes, both ways round."""
     spec = small_spec()
-    first = run_fleet(spec, shards=1, cache_dir=tmp_path)
-    entries = list(tmp_path.glob("fleet-*.pickle"))
-    assert len(entries) == 1
-    assert spec.digest() in entries[0].name
+    cold = run_fleet(spec, shards=1).canonical_bytes()
+    stores = {}
+    for cold_shards in (1, 2):
+        stores[cold_shards] = tmp_path / f"cold-at-{cold_shards}"
+        first = run_fleet(spec, shards=cold_shards, cache_dir=stores[cold_shards])
+        assert first.canonical_bytes() == cold
+        entries = [e.name for e in stores[cold_shards].iterdir()]
+        assert entries == [f"{spec.digest()}.result"]
 
-    # A sharded request for the same spec must be served from the cache:
-    # forbid worker creation and watch it succeed anyway.
-    def _no_workers(*args, **kwargs):
-        raise AssertionError("cache hit should not spawn shard workers")
+    # A request at the other shard count must be served from the store:
+    # forbid shard creation and watch it succeed anyway.
+    def _no_shards(*args, **kwargs):
+        raise AssertionError("cache hit should not run shards")
 
-    monkeypatch.setattr(
-        "repro.fleet.engine._ProcessShard", _no_workers
-    )
-    cached = run_fleet(spec, shards=2, cache_dir=tmp_path)
-    assert cached.canonical_bytes() == first.canonical_bytes()
-
-
-#: Cache entries that must read as a miss: garbage, a pickle from an
-#: unknown protocol, and a pickle naming a module that does not exist.
-CORRUPT_ENTRIES = [
-    b"not a pickle",
-    b"\x80\x09",
-    b"cno_such_module_xyz\nX\n.",
-]
+    monkeypatch.setattr("repro.fleet.engine._ProcessShard", _no_shards)
+    monkeypatch.setattr("repro.fleet.engine._LocalShard", _no_shards)
+    for cold_shards, warm_shards in ((1, 2), (2, 1)):
+        cached = run_fleet(spec, shards=warm_shards, cache_dir=stores[cold_shards])
+        assert cached.canonical_bytes() == cold
 
 
-@pytest.mark.parametrize(
-    "payload", CORRUPT_ENTRIES, ids=["garbage", "protocol-9", "no-module"]
-)
-def test_cache_recovers_from_a_corrupt_entry(tmp_path, payload):
+@pytest.mark.parametrize("make", HOSTILE_ENTRIES.values(), ids=HOSTILE_ENTRIES)
+def test_cache_recovers_from_a_corrupt_entry(tmp_path, make):
+    """A hostile or broken entry is a miss: the fleet re-runs, the entry
+    is rewritten, and no code in the file ever runs."""
     spec = small_spec()
-    reference = run_fleet(spec, shards=1, cache_dir=tmp_path)
-    (entry,) = tmp_path.glob("fleet-*.pickle")
-    entry.write_bytes(payload)
-    again = run_fleet(spec, shards=1, cache_dir=tmp_path)
+    other = small_spec(seed=spec.seed + 1)
+    cache = tmp_path / "cache"
+    reference = run_fleet(spec, shards=1, cache_dir=cache)
+    run_fleet(other, shards=1, cache_dir=cache)
+    entry = cache / f"{spec.digest()}.result"
+    foreign = (cache / f"{other.digest()}.result").read_bytes()
+    sentinel = tmp_path / "ran"
+    entry.write_bytes(make(entry.read_bytes(), foreign, sentinel))
+    again = run_fleet(spec, shards=1, cache_dir=cache)
     assert again.canonical_bytes() == reference.canonical_bytes()
-    # The recomputed result replaced the corrupt payload.
-    with open(entry, "rb") as fh:
-        fmt, stored = pickle.load(fh)
+    assert not sentinel.exists()
+    # The recomputed result replaced the bad entry.
+    store = ResultStore(cache)
+    stored = store.load(
+        "fleet",
+        spec.digest(),
+        lambda _spec, fields, _arrays: FleetResult.from_jsonable(spec, fields),
+        spec=spec.canonical(),
+    )
     assert stored.canonical_bytes() == reference.canonical_bytes()
 
 
@@ -317,10 +327,10 @@ def test_cache_ignores_an_entry_for_a_different_spec(tmp_path):
     spec_a = small_spec()
     spec_b = small_spec(seed=spec_a.seed + 1)
     run_fleet(spec_a, shards=1, cache_dir=tmp_path)
-    (entry_a,) = tmp_path.glob("fleet-*.pickle")
+    (entry_a,) = tmp_path.iterdir()
     # Plant spec A's payload at spec B's address; the spec equality
     # check inside the loader must reject it and recompute.
-    entry_b = tmp_path / f"fleet-{spec_b.digest()}.pickle"
+    entry_b = tmp_path / f"{spec_b.digest()}.result"
     entry_b.write_bytes(entry_a.read_bytes())
     result_b = run_fleet(spec_b, shards=1, cache_dir=tmp_path)
     assert result_b.spec == spec_b

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import os
 import pickle
+from pathlib import Path
 
 import pytest
 
 from repro.cluster.cluster import RunResult
+from repro.errors import ConfigurationError
 from repro.runtime import RunExecutor, RunSpec
 
 
@@ -100,7 +102,7 @@ def test_results_keep_spec_order() -> None:
 
 def test_stats_track_cache_across_maps(tmp_path) -> None:
     specs = specs_pair()
-    executor = RunExecutor(cache_dir=tmp_path, cache_version="v1")
+    executor = RunExecutor(cache_dir=tmp_path)
     executor.map(specs)
     assert executor.stats.as_dict() == {
         "executed": 2,
@@ -118,30 +120,120 @@ def test_stats_track_cache_across_maps(tmp_path) -> None:
 def test_cached_result_matches_fresh(tmp_path) -> None:
     spec = specs_pair()[0]
     fresh = RunExecutor().run(spec)
-    warm = RunExecutor(cache_dir=tmp_path, cache_version="v1")
+    warm = RunExecutor(cache_dir=tmp_path)
     warm.run(spec)  # populate
     assert_results_equal(warm.run(spec), fresh)
 
 
-@pytest.mark.parametrize(
-    "payload",
-    [b"not a pickle", b"\x80\x09", b"cno_such_module_xyz\nX\n."],
-    ids=["garbage", "protocol-9", "no-module"],
-)
-def test_cache_recovers_from_a_corrupt_entry(tmp_path, payload) -> None:
-    """Garbage, an unknown pickle protocol and a missing module all read
-    as a miss: the spec re-runs and its entry is rewritten."""
-    spec = specs_pair()[0]
+class PlantedPickle:
+    """Unpickling this creates ``sentinel`` — code a loader must never run."""
+
+    def __init__(self, sentinel: Path) -> None:
+        self.sentinel = sentinel
+
+    def __reduce__(self):
+        return (Path.touch, (self.sentinel,))
+
+
+#: Hostile or broken entries the store must read as a miss, each built
+#: from ``(valid entry bytes, another spec's entry bytes, sentinel)``.
+#: Shared with the fleet suite: the policy is the store's, not a type's.
+HOSTILE_ENTRIES = {
+    "garbage": lambda valid, foreign, sentinel: b"not a pickle",
+    "protocol-9": lambda valid, foreign, sentinel: b"\x80\x09",
+    "no-module": lambda valid, foreign, sentinel: b"cno_such_module_xyz\nX\n.",
+    "planted-pickle": lambda valid, foreign, sentinel: pickle.dumps(
+        PlantedPickle(sentinel)
+    ),
+    "foreign-spec": lambda valid, foreign, sentinel: foreign,
+    "truncated": lambda valid, foreign, sentinel: valid[:-8],
+    "truncated-header": lambda valid, foreign, sentinel: valid[:40],
+    "flipped-bit": lambda valid, foreign, sentinel: valid[:-4]
+    + bytes([valid[-4] ^ 1])
+    + valid[-3:],
+}
+
+
+def test_planted_pickle_is_live(tmp_path) -> None:
+    """The planted payload really runs when unpickled, so the
+    ``planted-pickle`` cases below prove the store never unpickles."""
+    sentinel = tmp_path / "ran"
+    pickle.loads(HOSTILE_ENTRIES["planted-pickle"](b"", b"", sentinel))
+    assert sentinel.exists()
+
+
+@pytest.mark.parametrize("make", HOSTILE_ENTRIES.values(), ids=HOSTILE_ENTRIES)
+def test_cache_recovers_from_a_corrupt_entry(tmp_path, make) -> None:
+    """A hostile or broken entry is a miss for the probe and for ``map``;
+    the spec re-runs, its entry is rewritten, and no code in the file
+    ever runs."""
+    spec, other = specs_pair()
     fresh = RunExecutor().run(spec)
-    RunExecutor(cache_dir=tmp_path, cache_version="v1").run(spec)
-    (entry,) = tmp_path.glob("*.pkl")
-    entry.write_bytes(payload)
-    executor = RunExecutor(cache_dir=tmp_path, cache_version="v1")
+    cache = tmp_path / "cache"
+    RunExecutor(cache_dir=cache).map([spec, other])
+    entry = cache / f"{spec.digest()}.result"
+    foreign = (cache / f"{other.digest()}.result").read_bytes()
+    sentinel = tmp_path / "ran"
+    entry.write_bytes(make(entry.read_bytes(), foreign, sentinel))
+    executor = RunExecutor(cache_dir=cache)
+    assert executor.cached(spec) is None
+    assert executor.stored(spec.digest()) is None
     assert_results_equal(executor.run(spec), fresh)
     assert executor.stats.cache_misses == 1
     assert executor.stats.executed == 1
-    with open(entry, "rb") as handle:
-        assert_results_equal(pickle.load(handle), fresh)
+    assert not sentinel.exists()
+    assert_results_equal(executor.cached(spec), fresh)
+
+
+def test_stored_reads_a_result_by_digest(tmp_path) -> None:
+    """``stored`` rebuilds the spec from the entry header, so a caller
+    holding only the digest gets the spec and its result back."""
+    spec = specs_pair()[0]
+    RunExecutor(cache_dir=tmp_path).run(spec)
+    found_spec, found = RunExecutor(cache_dir=tmp_path).stored(spec.digest())
+    assert found_spec == spec
+    assert_results_equal(found, RunExecutor().run(spec))
+    assert RunExecutor(cache_dir=tmp_path).stored("0" * 40) is None
+
+
+def test_cache_dir_that_cannot_be_a_directory_is_refused(tmp_path) -> None:
+    """The store is opened with the executor: a path that cannot be a
+    directory is a configuration error before anything runs."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for path in (blocker, blocker / "below"):
+        with pytest.raises(ConfigurationError, match="not a usable directory"):
+            RunExecutor(cache_dir=path)
+
+
+def _replace_fails(cache: Path, monkeypatch) -> None:
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+
+
+def _directory_vanishes(cache: Path, monkeypatch) -> None:
+    cache.rmdir()
+    cache.write_text("")
+
+
+@pytest.mark.parametrize(
+    "break_store", [_replace_fails, _directory_vanishes],
+    ids=["replace-fails", "directory-vanishes"],
+)
+def test_failed_cache_write_fails_no_run(tmp_path, monkeypatch, break_store) -> None:
+    """A write error after the run finished is counted, leaves no tmp
+    file, and the run's result still comes back."""
+    spec = specs_pair()[0]
+    cache = tmp_path / "cache"
+    executor = RunExecutor(cache_dir=cache)
+    break_store(cache, monkeypatch)
+    assert_results_equal(executor.run(spec), RunExecutor().run(spec))
+    assert executor.stats.executed == 1
+    assert executor.registry.snapshot().value("host.cache.write_errors") == 1.0
+    if cache.is_dir():
+        assert list(cache.iterdir()) == []
 
 
 # ------------------------------------------------------------- jobs clamp
@@ -154,9 +246,16 @@ def _core_stats(executor: RunExecutor) -> dict:
     return stats
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity set)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def test_jobs_clamped_to_cpu_count() -> None:
     """Requesting more workers than CPUs clamps the effective fan-out."""
-    cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     executor = RunExecutor(jobs=cpus + 4)
     assert executor.effective_jobs == cpus
     assert executor.stats.jobs_requested == cpus + 4
@@ -170,6 +269,15 @@ def test_jobs_within_cpu_count_not_clamped() -> None:
     assert executor.stats.jobs_clamped is False
 
 
+def test_jobs_clamped_to_the_affinity_set(monkeypatch) -> None:
+    """A ``taskset``- or cpuset-restricted process counts the CPUs it
+    may use, not the machine's: one allowed CPU means one worker."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    executor = RunExecutor(jobs=2)
+    assert executor.effective_jobs == 1
+    assert executor.stats.jobs_clamped is True
+
+
 def test_clamped_serial_fallback_matches_serial(monkeypatch) -> None:
     """jobs=4 on a 1-CPU host falls back to the serial path exactly.
 
@@ -178,6 +286,7 @@ def test_clamped_serial_fallback_matches_serial(monkeypatch) -> None:
     must take the in-process serial path and produce identical results.
     """
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     specs = specs_pair()
     clamped = RunExecutor(jobs=4)
     assert clamped.effective_jobs == 1
@@ -315,8 +424,8 @@ def test_cache_store_tmp_names_never_collide(tmp_path, monkeypatch) -> None:
     interleave into one file)."""
     spec = specs_pair()[0]
     result = RunExecutor().run(spec)
-    first = RunExecutor(cache_dir=tmp_path, cache_version="v1")
-    second = RunExecutor(cache_dir=tmp_path, cache_version="v1")
+    first = RunExecutor(cache_dir=tmp_path)
+    second = RunExecutor(cache_dir=tmp_path)
     tmp_names = []
     real_replace = os.replace
 
@@ -331,7 +440,8 @@ def test_cache_store_tmp_names_never_collide(tmp_path, monkeypatch) -> None:
     assert tmp_names[0] != tmp_names[1]
     # Both renamed into the same final entry, which loads cleanly.
     assert_results_equal(first._cache_load(spec), result)
-    assert not list(tmp_path.glob("*.tmp.*"))  # nothing left behind
+    # Nothing left behind but the entry itself.
+    assert [p.name for p in tmp_path.iterdir()] == [f"{spec.digest()}.result"]
 
 
 def test_concurrent_cache_stores_share_a_dir(tmp_path) -> None:
@@ -340,9 +450,7 @@ def test_concurrent_cache_stores_share_a_dir(tmp_path) -> None:
 
     spec = specs_pair()[0]
     result = RunExecutor().run(spec)
-    executors = [
-        RunExecutor(cache_dir=tmp_path, cache_version="v1") for _ in range(2)
-    ]
+    executors = [RunExecutor(cache_dir=tmp_path) for _ in range(2)]
 
     def hammer(executor):
         for _ in range(25):
@@ -356,7 +464,7 @@ def test_concurrent_cache_stores_share_a_dir(tmp_path) -> None:
     for t in threads:
         t.join()
     assert_results_equal(executors[0]._cache_load(spec), result)
-    assert not list(tmp_path.glob("*.tmp.*"))
+    assert [p.name for p in tmp_path.iterdir()] == [f"{spec.digest()}.result"]
 
 
 # ------------------------------------------------- shared registries

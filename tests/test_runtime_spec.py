@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.errors import ConfigurationError
 from repro.experiments import REGISTRY
 from repro.experiments.platform import (
@@ -209,18 +210,20 @@ def test_every_spec_resolves_in_the_registries(experiment, spec) -> None:
 # -- cache lifecycle -----------------------------------------------------
 
 
-def test_cache_miss_then_hit_then_version_invalidation(tmp_path) -> None:
+def test_cache_miss_then_hit_then_version_invalidation(
+    tmp_path, monkeypatch
+) -> None:
     spec = cheap_spec()
 
-    first = RunExecutor(cache_dir=tmp_path, cache_version="v1")
+    first = RunExecutor(cache_dir=tmp_path)
     result = first.run(spec)
     assert first.stats.executed == 1
     assert first.stats.cache_misses == 1
     assert first.stats.cache_hits == 0
-    entry = tmp_path / f"{spec.digest(version='v1')}.pkl"
+    entry = tmp_path / f"{spec.digest()}.result"
     assert entry.is_file()
 
-    second = RunExecutor(cache_dir=tmp_path, cache_version="v1")
+    second = RunExecutor(cache_dir=tmp_path)
     cached = second.run(spec)
     assert second.stats.executed == 0
     assert second.stats.cache_hits == 1
@@ -229,7 +232,10 @@ def test_cache_miss_then_hit_then_version_invalidation(tmp_path) -> None:
     assert (temp.times == fresh.times).all()
     assert (temp.values == fresh.values).all()
 
-    bumped = RunExecutor(cache_dir=tmp_path, cache_version="v2")
+    # A package version bump re-keys every digest.
+    monkeypatch.setattr(repro, "__version__", repro.__version__ + ".bumped")
+    assert not (tmp_path / f"{spec.digest()}.result").exists()
+    bumped = RunExecutor(cache_dir=tmp_path)
     bumped.run(spec)
     assert bumped.stats.executed == 1, "version bump must invalidate"
     assert bumped.stats.cache_hits == 0
@@ -237,9 +243,9 @@ def test_cache_miss_then_hit_then_version_invalidation(tmp_path) -> None:
 
 def test_corrupt_cache_entry_is_a_miss(tmp_path) -> None:
     spec = cheap_spec()
-    entry = tmp_path / f"{spec.digest(version='v1')}.pkl"
+    entry = tmp_path / f"{spec.digest()}.result"
     entry.write_bytes(b"not a pickle")
-    executor = RunExecutor(cache_dir=tmp_path, cache_version="v1")
+    executor = RunExecutor(cache_dir=tmp_path)
     executor.run(spec)
     assert executor.stats.executed == 1
     assert executor.stats.cache_hits == 0

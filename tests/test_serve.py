@@ -22,7 +22,8 @@ import threading
 
 import pytest
 
-from repro.cli import build_parser
+from repro.cli import build_parser, main
+from repro.errors import ConfigurationError
 from repro.experiments import fig07_max_pwm
 from repro.runtime.execute import execute_spec
 from repro.runtime.spec import RunSpec
@@ -206,7 +207,9 @@ def test_cold_run_result_bytes_match_local_execution() -> None:
 
         final = await poll_until_terminal(client, digest)
         assert final["status"] == "done"
-        assert final["source"] == "executed"
+        # The done job left the ledger; the poll reads the store.
+        assert final["source"] == "cache"
+        assert server.executor.stats.executed == 1
         assert final["result"]["digest"] == digest
 
         result = await client.request("GET", f"/v1/runs/{digest}/result")
@@ -222,8 +225,8 @@ def test_hot_cache_path_is_byte_identical(tmp_path) -> None:
     request from the cache, executes nothing, and serves the cold bytes.
 
     The cold phase POSTs every spec twice, concurrently over two
-    connections: each duplicate rides its leader or its terminal job,
-    so only the distinct specs execute.
+    connections: each duplicate rides its leader or reads the store
+    once the leader is done, so only the distinct specs execute.
     """
     specs = [quick_fig07_spec()] + [cheap_spec(seed=600 + i) for i in range(2)]
     bodies = [post_body(spec) for spec in specs]
@@ -259,14 +262,14 @@ def test_hot_cache_path_is_byte_identical(tmp_path) -> None:
         hits = await post_each(client, (200,))
         repeats = await post_each(client, (200,))
         # Cache hits are terminal on arrival: 200, no queueing, no
-        # worker; a repeat answers from the terminal job.
+        # worker; a repeat is answered from the store the same way.
         for envelope in hits + repeats:
             assert envelope["status"] == "done", envelope
             assert envelope["source"] == "cache", envelope
         assert [e["disposition"] for e in hits] == ["cache"] * len(specs)
-        assert [e["disposition"] for e in repeats] == ["done"] * len(specs)
+        assert [e["disposition"] for e in repeats] == ["cache"] * len(specs)
         snapshot = server.registry.snapshot()
-        assert snapshot.value("serve.runs.cache_hits") == len(specs)
+        assert snapshot.value("serve.runs.cache_hits") == 2 * len(specs)
         assert snapshot.value("serve.runs.submitted") == 0
         assert snapshot.total("host.exec.executed") == 0
         return await served_results(client, [e["digest"] for e in hits])
@@ -477,6 +480,127 @@ def test_result_endpoint_409_while_open() -> None:
         assert digest in early.json_body()["error"]
 
     run_gated(ServeConfig(port=0), scenario)
+
+
+# -- the ledger forgets ----------------------------------------------------
+
+
+def test_ledger_holds_only_open_and_failed_jobs() -> None:
+    """Many distinct digests leave nothing behind: at every admission
+    and every answer the ledger holds only queued, running and kept
+    failed jobs, and afterwards every result is read from the store."""
+    specs = [cheap_spec(seed=3000 + i, params={"duration": 5.0}) for i in range(50)]
+
+    async def scenario(server, client):
+        jobs = server.jobs
+        peak = []
+
+        def check_bound():
+            open_jobs = sum(
+                job.state in ("queued", "running") for job in jobs._jobs.values()
+            )
+            assert len(jobs._jobs) <= open_jobs + len(jobs._failed_fifo)
+            peak.append(len(jobs._jobs))
+
+        submit = jobs.submit
+
+        def checked_submit(spec):
+            answer = submit(spec)
+            check_bound()
+            return answer
+
+        jobs.submit = checked_submit
+        for spec in specs:
+            posted = await client.request("POST", "/v1/runs?wait=1", post_body(spec))
+            assert posted.status == 200, posted.body
+            assert posted.json_body()["source"] == "executed"
+            check_bound()
+        assert jobs._jobs == {}
+        assert max(peak) == 1
+        served = await served_results(client, [spec.digest() for spec in specs])
+        assert server.executor.stats.executed == len(specs)
+        return served
+
+    served = run_with_server(ServeConfig(port=0), scenario)
+    for spec in specs[::10]:
+        assert served[spec.digest()] == summary_bytes(spec, execute_spec(spec))
+
+
+def test_failed_jobs_stay_in_a_fifo_bounded_by_queue_depth() -> None:
+    """A failed job stays readable until ``queue_depth`` newer failures
+    push it out; a repeat of a kept failure answers ``failed``."""
+    specs = [cheap_spec(seed=4000 + i) for i in range(3)]
+
+    async def scenario(server, client):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        server.executor.map = boom
+        server.executor.run = boom
+        for spec in specs:
+            posted = await client.request("POST", "/v1/runs?wait=1", post_body(spec))
+            assert posted.status == 200, posted.body
+            assert posted.json_body()["status"] == "failed"
+        assert len(server.jobs._jobs) == 2
+        evicted = await client.request("GET", f"/v1/runs/{specs[0].digest()}")
+        assert evicted.status == 404
+        for spec in specs[1:]:
+            kept = await client.request("GET", f"/v1/runs/{spec.digest()}")
+            assert kept.status == 200
+            assert kept.json_body()["error"] == "RuntimeError: boom"
+        repeat = await client.request("POST", "/v1/runs", post_body(specs[2]))
+        assert repeat.json_body()["disposition"] == "failed"
+
+    run_with_server(ServeConfig(port=0, queue_depth=2), scenario)
+
+
+def test_server_without_cache_dir_uses_a_temporary_store() -> None:
+    """No ``--cache-dir``: results go to a temporary store, so a repeat
+    is still a cache answer, and the store goes when the server stops."""
+    spec = cheap_spec(seed=21)
+
+    async def scenario(server, client):
+        root = server.executor.cache_dir
+        for disposition in ("queued", "cache"):
+            posted = await client.request("POST", "/v1/runs?wait=1", post_body(spec))
+            assert posted.json_body()["disposition"] == disposition
+        assert [p.name for p in root.iterdir()] == [f"{spec.digest()}.result"]
+        return root
+
+    root = run_with_server(ServeConfig(port=0), scenario)
+    assert not root.exists()
+
+
+def test_stop_waits_for_the_running_window() -> None:
+    """Stopping mid-window waits for the executor thread, so the window's
+    store writes are done before the temporary store is removed."""
+    spec = cheap_spec(seed=22)
+
+    async def scenario(server, client, gate):
+        posted = await client.request("POST", "/v1/runs", post_body(spec))
+        job = server.jobs.get(posted.json_body()["digest"])
+        await yield_until(lambda: job.state == "running")
+        stopping = asyncio.ensure_future(server.stop())
+        for _ in range(20):
+            await asyncio.sleep(0)
+        assert not stopping.done()
+        gate.open()
+        await stopping
+        assert server.executor.stats.executed == 1
+        assert not server.executor.cache_dir.exists()
+
+    run_gated(ServeConfig(port=0), scenario)
+
+
+def test_cache_dir_that_cannot_be_a_directory_refuses_to_start(
+    tmp_path, capsys
+) -> None:
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(ConfigurationError, match="not a usable directory"):
+        ReproServer(ServeConfig(port=0, cache_dir=str(blocker)))
+    assert main(["serve", "--port", "0", "--cache-dir", str(blocker)]) == 2
+    assert "not a usable directory" in capsys.readouterr().err
 
 
 # -- observability ---------------------------------------------------------
