@@ -407,7 +407,11 @@ def _run_one(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A :class:`~repro.errors.ConfigurationError` from any subcommand is
+    printed as ``repro <command>: <message>`` on stderr, exit code 2.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
     # `lint` forwards its arguments verbatim (argparse.REMAINDER cannot:
     # it refuses option-looking tokens right after the subcommand).
@@ -417,6 +421,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return lint_main(argv[1:])
 
     args = build_parser().parse_args(argv)
+    try:
+        return _run_command(args)
+    except ConfigurationError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run_command(args: argparse.Namespace) -> int:
+    """Run the parsed subcommand; returns the exit code."""
     if args.command == "list":
         width = max(len(n) for n in REGISTRY)
         for name in REGISTRY:
@@ -458,9 +471,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             asyncio.run(serve_forever(config))
         except KeyboardInterrupt:
             print("repro.serve: shutting down")
-        except ConfigurationError as exc:
-            print(f"repro serve: {exc}", file=sys.stderr)
-            return 2
         return 0
 
     if args.command == "fleet":

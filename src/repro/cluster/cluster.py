@@ -344,6 +344,9 @@ class Cluster:
     ) -> RunResult:
         """Bind ``job``, run until it finishes, and summarize.
 
+        The one-lane call of :func:`~repro.fastpath.batch.run_jobs_batch`:
+        a multi-node cluster steps its packages as one stack.
+
         Parameters
         ----------
         job:
@@ -356,46 +359,20 @@ class Cluster:
             Extra seconds to keep simulating after the job finishes
             (lets temperature decay be observed).
         """
-        self.bind_job(job)
-        self._wire_tasks()
-        for node in self.nodes:
-            node.meter.reset()
-        t0 = self.engine.clock.now
+        from ..fastpath.batch import run_jobs_batch
 
-        try:
-            self.engine.run(
-                until=lambda: job.finished,
-                max_ticks=self.engine.clock.ticks_for(timeout),
-            )
-        finally:
-            self._flush_traces()
-        if not job.finished:
-            raise SimulationError(
-                f"job {job.name!r} did not finish within {timeout}s of "
-                "simulated time"
-            )
-        execution_time = self.engine.clock.now - t0
-        if tail > 0:
-            try:
-                self.engine.run(duration=tail)
-            finally:
-                self._flush_traces()
+        return run_jobs_batch([self], [job], [timeout], [tail])[0]
 
-        if self.telemetry.enabled:
-            self.telemetry.gauge("sim.execution_seconds", job=job.name).set(
-                execution_time
-            )
-            self.telemetry.gauge("sim.final_time_seconds").set(
-                self.engine.clock.now
-            )
-
+    def result(self, job_name: str, execution_time: float) -> RunResult:
+        """The :class:`RunResult` of the run so far, credited to
+        ``job_name`` with the given execution time."""
         return RunResult(
             execution_time=execution_time,
             traces=self.traces,
             events=self.events,
             average_power=[n.meter.average_power for n in self.nodes],
             energy_joules=[n.meter.energy_joules for n in self.nodes],
-            job_name=job.name,
+            job_name=job_name,
             node_shutdown=[n.is_shutdown for n in self.nodes],
             retired_cycles=[float(n.core.retired_cycles) for n in self.nodes],
             telemetry=(

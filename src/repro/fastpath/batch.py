@@ -1,6 +1,6 @@
 """Lockstep batching: N independent packages stepped as one.
 
-The compiled engine loop amortizes interpreter overhead *within* one run;
+The engine's tick loop amortizes interpreter overhead *within* one run;
 this module amortizes it *across* runs.  Parameter sweeps (fig07's
 max-PWM ladder, the governor comparisons) re-run the same 4-node
 cluster with different knob settings, on any platform, and a fleet
@@ -13,64 +13,53 @@ them turns ``N × (tiny matmul + ufunc chain)`` per tick into one
 move ControlPULP makes when one controller services many cores in
 lockstep.
 
-Two layers, each independently testable:
+Two parts:
 
-* :class:`PackageBatch` — the stacked stepper over N packages with
-  equal :func:`batch_signature`: the input gather, the boundary rows'
-  coefficient refresh, forcing-vector assembly and the stability
-  predicate are vectorized, and free-node temperatures persist in the
-  stack between ticks (the per-tick writeback keeps the node objects
-  current, and nothing else writes them mid-run).  Both the cluster
-  sweeps (:func:`run_jobs_batch`) and the fleet shards
+* :class:`PackageBatch` — the physics step of N packages.  Two or more
+  packages of equal :func:`batch_signature` step as one stack: the
+  input gather, the boundary rows' coefficient refresh, forcing-vector
+  assembly and the stability predicate are vectorized, and free-node
+  temperatures persist in the stack between ticks (the per-tick
+  writeback keeps the node objects current, and nothing else writes
+  them mid-run).  Otherwise — one package, mixed structures, or a tick
+  the stack declines — it steps each network with
+  :meth:`RCNetwork.step <repro.thermal.rc.RCNetwork.step>`.  Both the
+  cluster lanes and the fleet shards
   (:class:`~repro.fleet.shard.ShardRunner`) step on it.
-* :func:`run_fused_batch` / :func:`run_jobs_batch` — the lockstep run
-  loop (mirroring :meth:`SimulationEngine.run
-  <repro.sim.engine.SimulationEngine.run>`'s boundary arithmetic per
-  engine) and the ``Cluster.run_job`` protocol replicated across
-  members.
+* :func:`run_jobs_batch` — the one ``run_job`` protocol: bind, wire
+  tasks, reset meters, run every lane on
+  :func:`~repro.sim.engine.run_fused` with the nodes' tick halves
+  around one :class:`PackageBatch` step, then tail and summarize each
+  lane as it finishes.
+  :meth:`Cluster.run_job <repro.cluster.cluster.Cluster.run_job>` is
+  its one-lane call.
 
 The equivalence contract: every run's traces, events and telemetry
-come out bitwise identical to its own serial execution.  Stacked
+come out bitwise identical to its own tick-by-tick execution.  Stacked
 ``np.matmul`` over ``(N, m, m) @ (N, m, 1)`` produces the same bits as
 the per-slice products (einsum does **not**, and is not used),
 elementwise ufuncs are per-element exact, and gather/scatter copies are
-exact — so stacking is a pure layout change.  Anything the lockstep
-path cannot guarantee bitwise (a frozen link's resistance write, a
-stability limit demanding sub-steps, budget exhaustion, an engine stop
-request) raises :class:`Unbatchable` and the caller falls back to
-per-network stepping, which also reproduces the serial path's exact
+exact — so stacking is a pure layout change.  A tick the stack cannot
+take bitwise (a frozen link's resistance written, a stability limit
+demanding sub-steps, a non-finite result) is declined before any node
+temperature is written: the batch releases the networks and steps each
+on its own from then on, which also reproduces the serial path's exact
 error behaviour.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter, getitem
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import SimulationError
-from ..sim.engine import task_schedule
+from ..sim.engine import _raise_budget_exhausted, run_fused
 from ..sim.marker import coldpath, hotpath
 from ..thermal.rc import RCNetwork
 
-__all__ = [
-    "PackageBatch",
-    "Unbatchable",
-    "batch_signature",
-    "run_fused_batch",
-    "run_jobs_batch",
-]
-
-
-class Unbatchable(Exception):
-    """Lockstep batch execution cannot (or can no longer) proceed.
-
-    Deliberately *not* a :mod:`repro.errors` type: it is internal
-    control flow — callers catch it and fall back to serial execution,
-    which reproduces the serial path's exact results and errors.  It
-    must never escape to users.
-    """
+__all__ = ["PackageBatch", "batch_signature", "run_jobs_batch"]
 
 
 def batch_signature(net: RCNetwork) -> tuple:
@@ -90,14 +79,6 @@ def batch_signature(net: RCNetwork) -> tuple:
     return (net._m, len(net._links), rows, bterm_ids, tuple(net._link_ends))
 
 
-@coldpath
-def _raise_diverged(Ts: np.ndarray) -> None:
-    k = int(np.argmin(np.isfinite(Ts).all(axis=1)))
-    raise SimulationError(
-        f"thermal integration diverged (non-finite T) in batch member {k}"
-    )
-
-
 # --------------------------------------------------------------------------
 # The stacked stepper.
 # --------------------------------------------------------------------------
@@ -111,9 +92,9 @@ _get_temperature = attrgetter("temperature")
 
 class _DirtyTrap:
     """Observer installed on each member's frozen links while
-    :class:`PackageBatch` owns the integration: the batch freezes their
+    :class:`PackageBatch` steps the stack: the stack freezes their
     conductances when it is built, so a write through a public setter
-    invalidates the whole batch (checked once per tick)."""
+    makes it decline its next tick (checked once per tick)."""
 
     __slots__ = ("tripped",)
 
@@ -124,29 +105,12 @@ class _DirtyTrap:
         self.tripped = True
 
 
-def _raise_trap_tripped() -> None:
-    raise Unbatchable(
-        "a frozen link's resistance was written through its public "
-        "setter during batched stepping"
-    )
-
-
-def _raise_substep_needed() -> None:
-    raise Unbatchable(
-        "stability limit requires sub-stepping (or a diagonal is "
-        "degenerate); the stacked stepper only handles n_sub == 1"
-    )
-
-
-def _raise_stop_requested() -> None:
-    raise Unbatchable("engine requested stop during batched run")
-
-
 class PackageBatch:
-    """Vectorized lockstep stepper over N packages of one structure.
+    """The physics step of N packages: stacked in lockstep, or each on
+    its own.
 
-    Packages whose networks share a :func:`batch_signature` stack into
-    ``(N, m)`` arrays: the die/sink
+    Two or more packages whose networks share a :func:`batch_signature`
+    stack into ``(N, m)`` arrays: the die/sink
     :class:`~repro.thermal.package.CpuPackage`, or an N-core
     :class:`~repro.thermal.multicore.MulticorePackage` floorplan.  Each
     tick gathers every free node's power and, for every link to a
@@ -160,16 +124,20 @@ class PackageBatch:
     (the writeback keeps the node objects current; nothing else writes
     them mid-run).
 
-    Equivalence guards, enforced every tick before any temperature is
-    written, raise :class:`Unbatchable` instead of silently diverging:
-    the tripped trap, a matrix diagonal at the degenerate floor, or a
-    stability limit demanding sub-steps (``0.5 · min C/G_ii < dt``: the
-    default package's limit is 1.875 s, ~37x the cluster's 0.05 s
-    tick).
+    The stack declines a tick it cannot take bitwise — the tripped
+    trap, a matrix diagonal at the degenerate floor, a stability limit
+    demanding sub-steps (``0.5 · min C/G_ii < dt``: the default
+    package's limit is 1.875 s, ~37x the cluster's 0.05 s tick) or a
+    non-finite result — before any node temperature is written.  The
+    batch then releases the networks and steps each with
+    :meth:`RCNetwork.step` from that tick on, as it does from the start
+    for one package (a one-member stack costs more than it saves) or
+    for packages of differing structure.
     """
 
     __slots__ = (
         "_nets",
+        "_stacked",
         "_trap",
         "_power_dicts",
         "_power_keys",
@@ -197,11 +165,12 @@ class PackageBatch:
 
     def __init__(self, packages: Sequence) -> None:
         nets = [package._net for package in packages]
-        if not nets:
-            raise Unbatchable("package batch needs at least one package")
-        signature = batch_signature(nets[0])
-        if any(batch_signature(net) != signature for net in nets):
-            raise Unbatchable("packages differ in network structure")
+        self._nets = nets
+        self._stacked = len(nets) > 1 and len(
+            {batch_signature(net) for net in nets}
+        ) == 1
+        if not self._stacked:
+            return
         n, m = len(nets), nets[0]._m
         bterms = nets[0]._bterms
         live_slots = {slot for _, slot, _ in bterms}
@@ -210,7 +179,6 @@ class PackageBatch:
             for slot, link in enumerate(net._link_list):
                 if slot not in live_slots:
                     link._observer = self._trap
-        self._nets = nets
         f64 = np.float64
         g = np.array([[ln.conductance for ln in net._link_list] for net in nets])
         self._Gs = np.array([net._assemble()[1] for net in nets])
@@ -262,6 +230,7 @@ class PackageBatch:
         self._Gt = self._Gt3[:, :, 0]
         self._dTs = np.empty((n, m), dtype=f64)
 
+    @coldpath
     def release(self) -> None:
         """Hand the networks back to their own :meth:`RCNetwork.step`.
 
@@ -269,7 +238,11 @@ class PackageBatch:
         marked dirty: the next serial step rebuilds the coefficients
         from the live resistances (a full refresh is
         bitwise-deterministic).  The node objects are already current.
+        A batch that is not stacked has nothing to release.
         """
+        if not self._stacked:
+            return
+        self._stacked = False
         for net in self._nets:
             for link in net._link_list:
                 link._observer = net
@@ -277,12 +250,23 @@ class PackageBatch:
 
     @hotpath
     def step(self, dt: float) -> None:
-        """One lockstep physics tick across all member packages.
+        """One physics tick of every member network.
 
         Call after this tick's inputs are written into every network.
         """
+        if self._stacked:
+            if self._step_stack(dt):
+                return
+            self.release()
+        for net in self._nets:
+            net.step(dt)
+
+    @hotpath
+    def _step_stack(self, dt: float) -> bool:
+        """One stacked tick; False, with no temperature written, when
+        the stack declines it."""
         if self._trap.tripped:
-            _raise_trap_tripped()
+            return False
         fromiter = np.fromiter
         f64 = np.float64
         divide = np.divide
@@ -314,11 +298,11 @@ class PackageBatch:
         # (exact: 0.5*x is exact scaling).
         diag = self._diag
         if not (diag.min() > _DIAG_FLOOR):
-            _raise_substep_needed()
+            return False
         lim = self._lim
         divide(self._Cs, diag, out=lim)
         if not (0.5 * lim.min() >= dt):
-            _raise_substep_needed()
+            return False
         # One stacked integration step (n_sub == 1, h == dt exactly).
         Ts = self._Ts
         dTs = self._dTs
@@ -328,178 +312,65 @@ class PackageBatch:
         multiply(dTs, dt, out=dTs)
         add(Ts, dTs, out=Ts)
         if not np.isfinite(Ts).all():
-            _raise_diverged(Ts)
+            return False
         for node, temperature in zip(self._free_nodes, self._Ts_flat.tolist()):
             node.temperature = temperature
+        return True
 
 
 # --------------------------------------------------------------------------
-# The lockstep run loop and the batched run_job protocol.
+# The run_job protocol.
 # --------------------------------------------------------------------------
-
-
-def run_fused_batch(
-    engines: Sequence,
-    stepper,
-    pres: Sequence[Callable[[float, float], None]],
-    posts: Sequence[Callable[[float, float], None]],
-    limits: Sequence[int],
-    untils: Sequence[Callable[[], bool]],
-) -> List[int]:
-    """Advance ``engines`` in lockstep until at least one ``until`` fires.
-
-    Mirrors :meth:`SimulationEngine.run
-    <repro.sim.engine.SimulationEngine.run>` per engine — the same
-    arithmetically computed task-firing ticks, the same microtick
-    batching between boundaries, ``until`` evaluated after **every**
-    tick — but with one shared physics step: per tick, every engine's
-    pre-closures run (in component registration order), then
-    ``stepper.step(dt)`` integrates all thermal networks at once, then
-    every post-closure runs.  Post-closures emit no events and read
-    only node-local state, so each engine's event/trace streams are
-    bitwise what a solo run would produce.
-
-    ``limits`` are absolute tick ceilings (start tick + ``max_ticks``);
-    reaching one before its ``until`` fires raises :class:`Unbatchable`
-    (the serial rerun then raises the reference ``max_ticks`` error).
-    An engine ``stop()`` request likewise defers to the serial path.
-
-    Returns the indices of the engines whose ``until`` fired on the
-    final tick; callers finalize those and re-enter with the rest.
-    """
-    n = len(engines)
-    clocks = [engine.clock for engine in engines]
-    dt = clocks[0].dt
-    ticks = clocks[0].ticks
-    for clock in clocks:
-        if clock.dt != dt or clock.ticks != ticks:
-            raise Unbatchable("engines disagree on dt or tick count")
-    # Next firing tick per task per engine — the engine's own schedule.
-    fires: List[List[int]] = []
-    periods: List[List[int]] = []
-    tasklists = []
-    for engine in engines:
-        efires, eperiods = task_schedule(engine._tasks, ticks)
-        fires.append(efires)
-        periods.append(eperiods)
-        tasklists.append(engine._tasks)
-    limit = min(limits)
-    all_pres = tuple(pres)
-    all_posts = tuple(posts)
-    step = stepper.step
-    engine_range = range(n)
-
-    while True:
-        if ticks >= limit:
-            raise Unbatchable("max_ticks exhausted in batched run")
-        # Boundary: the earliest task firing across engines, or the
-        # shared tick ceiling.  Microticks strictly before it cannot
-        # fire any task on any engine.
-        boundary = limit
-        for efires in fires:
-            for fire in efires:
-                if fire < boundary:
-                    boundary = fire
-        stopped: List[int] = []
-        last = boundary - 1
-        while ticks < last:
-            ticks += 1
-            for clock in clocks:
-                clock._ticks = ticks
-            t = ticks * dt
-            for f in all_pres:
-                f(t, dt)
-            step(dt)
-            for f in all_posts:
-                f(t, dt)
-            for i in engine_range:
-                if engines[i]._stop_requested:
-                    _raise_stop_requested()
-                if untils[i]():
-                    stopped.append(i)
-            if stopped:
-                return stopped
-        # The boundary tick: components, then due tasks per engine, in
-        # registration order — exactly the per-engine reference step().
-        ticks += 1
-        for clock in clocks:
-            clock._ticks = ticks
-        t = ticks * dt
-        for f in all_pres:
-            f(t, dt)
-        step(dt)
-        for f in all_posts:
-            f(t, dt)
-        for e in engine_range:
-            efires = fires[e]
-            eperiods = periods[e]
-            tasks = tasklists[e]
-            for i in range(len(tasks)):
-                if efires[i] == ticks:
-                    task = tasks[i]
-                    task.callback(t)
-                    task.fire_count += 1
-                    efires[i] = ticks + eperiods[i]
-        for i in engine_range:
-            if engines[i]._stop_requested:
-                _raise_stop_requested()
-            if untils[i]():
-                stopped.append(i)
-        if stopped:
-            return stopped
 
 
 class _Lane:
-    """One (cluster, job) member of a batched run."""
+    """One (cluster, job) member of a lockstep run: bound, wired and
+    metered on construction, as :meth:`Cluster.run_job
+    <repro.cluster.cluster.Cluster.run_job>` promises."""
 
-    __slots__ = ("cluster", "job", "tail", "index", "t0", "limit")
+    __slots__ = ("cluster", "job", "timeout", "tail", "t0", "budget", "limit")
 
-    def __init__(self, cluster, job, timeout: float, tail: float, index: int):
+    def __init__(self, cluster, job, timeout: float, tail: float) -> None:
+        cluster.bind_job(job)
+        cluster._wire_tasks()
+        for node in cluster.nodes:
+            node.meter.reset()
         self.cluster = cluster
         self.job = job
+        self.timeout = timeout
         self.tail = tail
-        self.index = index
         clock = cluster.engine.clock
         self.t0 = clock.now
-        self.limit = clock.ticks + clock.ticks_for(timeout)
+        self.budget = clock.ticks_for(timeout)
+        self.limit = clock.ticks + self.budget
 
     def finished(self) -> bool:
         return self.job.finished
 
-
-def _finalize_lane(lane: _Lane):
-    """The post-run half of ``Cluster.run_job`` for one finished lane."""
-    from ..cluster.cluster import RunResult
-
-    cluster = lane.cluster
-    job = lane.job
-    engine = cluster.engine
-    execution_time = engine.clock.now - lane.t0
-    if lane.tail > 0:
-        try:
-            engine.run(duration=lane.tail)
-        finally:
-            cluster._flush_traces()
-    if cluster.telemetry.enabled:
-        cluster.telemetry.gauge("sim.execution_seconds", job=job.name).set(
-            execution_time
-        )
-        cluster.telemetry.gauge("sim.final_time_seconds").set(
-            engine.clock.now
-        )
-    return RunResult(
-        execution_time=execution_time,
-        traces=cluster.traces,
-        events=cluster.events,
-        average_power=[n.meter.average_power for n in cluster.nodes],
-        energy_joules=[n.meter.energy_joules for n in cluster.nodes],
-        job_name=job.name,
-        node_shutdown=[n.is_shutdown for n in cluster.nodes],
-        retired_cycles=[float(n.core.retired_cycles) for n in cluster.nodes],
-        telemetry=(
-            cluster.telemetry.snapshot() if cluster.telemetry.enabled else None
-        ),
-    )
+    def finish(self):
+        """The post-run half: the reference errors, tail and summary."""
+        cluster = self.cluster
+        job = self.job
+        engine = cluster.engine
+        if not job.finished:
+            raise SimulationError(
+                f"job {job.name!r} did not finish within {self.timeout}s "
+                "of simulated time"
+            )
+        execution_time = engine.clock.now - self.t0
+        if self.tail > 0:
+            try:
+                engine.run(duration=self.tail)
+            finally:
+                cluster._flush_traces()
+        if cluster.telemetry.enabled:
+            cluster.telemetry.gauge("sim.execution_seconds", job=job.name).set(
+                execution_time
+            )
+            cluster.telemetry.gauge("sim.final_time_seconds").set(
+                engine.clock.now
+            )
+        return cluster.result(job.name, execution_time)
 
 
 def run_jobs_batch(
@@ -508,70 +379,61 @@ def run_jobs_batch(
     timeouts: Sequence[float],
     tails: Sequence[float],
 ) -> List:
-    """Run one job per cluster, all clusters advancing in lockstep.
+    """Run one job per cluster, every cluster on one tick counter.
 
-    Replicates the :meth:`~repro.cluster.cluster.Cluster.run_job`
-    protocol per member — bind, wire tasks, reset meters, run to the
-    job's completion under the timeout budget, tail, summarize — with
-    the thermal integration of every node of every cluster stacked
-    into one :class:`PackageBatch` between the halves of each node's
-    :meth:`~repro.cluster.node.Node.tick_pair`.  When a lane's job
-    finishes the batch is released (members' caches invalidated,
-    observers restored), the lane is finalized serially (its tail, if
-    any, runs through the ordinary engine loop), and the remaining
-    lanes re-stack and continue — re-attachment is bitwise-neutral because
-    the stack is rebuilt from the always-current node objects.
+    The ``run_job`` protocol: each lane binds its job, wires its tasks
+    and resets its meters; then :func:`~repro.sim.engine.run_fused`
+    advances every lane, with every node's
+    :meth:`~repro.cluster.node.Node.tick_pair` halves around one
+    :class:`PackageBatch` step over all their packages.  When lanes
+    finish, the batch is released, each finished lane runs its tail
+    through its own engine and is summarized, and the rest re-stack and
+    continue — re-stacking is bitwise-neutral because the stack is
+    rebuilt from the always-current node objects.
 
-    Raises :class:`Unbatchable` whenever lockstep execution cannot
-    guarantee bitwise equivalence or serial error semantics (foreign
-    components, mismatched clocks, budget exhaustion, divergence);
-    callers are expected to fall back to per-spec serial execution.
+    A lane whose ``timeout`` runs out raises the reference
+    ``max_ticks=… exhausted`` :class:`~repro.errors.SimulationError`; a
+    lane whose engine was asked to stop before its job finished raises
+    the reference "did not finish" error.  Results come back in lane
+    order, each bitwise what its own run would produce.
     """
     from ..cluster.node import Node
 
-    n = len(clusters)
-    if not (len(jobs) == len(timeouts) == len(tails) == n):
-        raise Unbatchable("mismatched batch argument lengths")
-    lanes: List[_Lane] = []
-    for i in range(n):
-        cluster = clusters[i]
-        cluster.bind_job(jobs[i])
-        cluster._wire_tasks()
-        for node in cluster.nodes:
-            node.meter.reset()
+    for cluster in clusters:
         for component in cluster.engine._components:
             if not isinstance(component, Node):
-                raise Unbatchable(
-                    "engine has non-node components "
-                    f"({type(component).__name__})"
+                raise SimulationError(
+                    "run_job steps cluster nodes only, not "
+                    f"{type(component).__name__}"
                 )
-        lanes.append(_Lane(cluster, jobs[i], timeouts[i], tails[i], i))
-
-    results: List[Optional[object]] = [None] * n
-    active = list(lanes)
+    lanes = [
+        _Lane(*args) for args in zip(clusters, jobs, timeouts, tails, strict=True)
+    ]
+    results: List[Optional[object]] = [None] * len(lanes)
+    active = list(enumerate(lanes))
     while active:
-        engines = [lane.cluster.engine for lane in active]
-        members = [
-            node for lane in active for node in lane.cluster.engine._components
-        ]
-        pack = PackageBatch([node.package for node in members])
-        pairs = [node.tick_pair() for node in members]
-        pres = [pre for pre, _ in pairs]
-        posts = [post for _, post in pairs]
-        untils = [lane.finished for lane in active]
-        limits = [lane.limit for lane in active]
+        nodes = [node for _, lane in active for node in lane.cluster.nodes]
+        batch = PackageBatch([node.package for node in nodes])
+        pairs = [node.tick_pair() for node in nodes]
         try:
-            stopped = run_fused_batch(
-                engines, pack, pres, posts, limits, untils
+            finished = run_fused(
+                [lane.cluster.engine for _, lane in active],
+                [pre for pre, _ in pairs],
+                batch.step,
+                [post for _, post in pairs],
+                [lane.finished for _, lane in active],
+                min(lane.limit for _, lane in active),
             )
         finally:
-            pack.release()
-            for lane in active:
+            batch.release()
+            for _, lane in active:
                 lane.cluster._flush_traces()
-        for i in stopped:
-            results[active[i].index] = _finalize_lane(active[i])
-        remaining = [
-            lane for i, lane in enumerate(active) if i not in stopped
-        ]
-        active = remaining
+        if not finished:
+            ticks = active[0][1].cluster.engine.clock.ticks
+            spent = next(lane for _, lane in active if lane.limit == ticks)
+            _raise_budget_exhausted(spent.budget)
+        for k in finished:
+            index, lane = active[k]
+            results[index] = lane.finish()
+        active = [member for k, member in enumerate(active) if k not in finished]
     return results

@@ -5,9 +5,9 @@ and advances *all* of its nodes' CPU packages through one
 :class:`~repro.fastpath.batch.PackageBatch` — the stacked stepper whose
 per-member bitwise equality with
 :meth:`RCNetwork.step <repro.thermal.rc.RCNetwork.step>` is exactly
-what makes the partition a pure layout choice.  When the batch cannot
+what makes the partition a pure layout choice.  When the stack cannot
 take a tick (a ``dt`` past the package's stability limit needs
-sub-steps) it raises before writing any temperature, and the shard
+sub-steps) it declines before writing any temperature, and the batch
 steps every network on its own from then on — the same bits.  Between
 two synchronization epochs a shard touches nothing but its own racks,
 so the trajectory of rack *r* is a function of ``(spec, r, epoch
@@ -35,13 +35,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..cpu.power import PowerParams
 from ..errors import SimulationError
-from ..fastpath.batch import PackageBatch, Unbatchable
+from ..fastpath.batch import PackageBatch
 from ..sim.marker import coldpath, hotpath, reject
 from ..telemetry import MetricsRegistry, TelemetrySnapshot
 from ..thermal.rc import RCNetwork
@@ -309,7 +309,7 @@ class ShardRunner:
         self._nodes = NodeStack(self.racks, self._band[1])
         packages = [node.package for rack in self.racks for node in rack.nodes]
         self._nets = [package._net for package in packages]
-        self._batch: Optional[PackageBatch] = PackageBatch(packages)
+        self._batch = PackageBatch(packages)
         self._tick = 0
         self._finished = False
         self._throttles_reported = [0] * len(self.racks)
@@ -343,6 +343,7 @@ class ShardRunner:
         profile = self._profile
         band = self._band
         nodes = self._nodes
+        step_packages = self._batch.step
         nodes.load()
         for _ in range(n_ticks):
             tick = self._tick
@@ -352,7 +353,7 @@ class ShardRunner:
                     rack.control_step(profile, t, band)
                 nodes.refresh()
             nodes.inject(dt)
-            self._step_packages(dt)
+            step_packages(dt)
             self._tick += 1
             nodes.observe()
         nodes.store()
@@ -382,21 +383,6 @@ class ShardRunner:
             )
         return reports
 
-    def _step_packages(self, dt: float) -> None:
-        """One physics tick: the batch, or each network once it declines."""
-        batch = self._batch
-        if batch is not None:
-            try:
-                batch.step(dt)
-                return
-            except Unbatchable:
-                # Raised before any temperature write: the per-network
-                # path continues from exactly the same state.
-                batch.release()
-                self._batch = None
-        for net in self._nets:
-            net.step(dt)
-
     def finish(self) -> ShardResult:
         """Detach the batch and freeze the shard's final state.
 
@@ -406,9 +392,7 @@ class ShardRunner:
         the runner instead of piling up until a full cyclic garbage
         collection.
         """
-        if self._batch is not None:
-            self._batch.release()
-            self._batch = None
+        self._batch.release()
         for net in self._nets:
             for link in net._link_list:
                 link._observer = None

@@ -6,8 +6,9 @@ sideways or downwards.  ``serve`` sits above the experiments layer —
 the service consumes the runtime and telemetry layers but nothing may
 reach up into it except the CLI.  Lazy function-scoped imports are exempt — they
 are the sanctioned escape hatch for the handful of intentional upward
-hops (``cluster`` → ``fastpath.recording``, ``runtime.execute`` →
-``experiments.platform``) documented in ``docs/static_analysis.md``.
+hops (``cluster`` → ``fastpath.recording``, ``cluster`` →
+``fastpath.batch``, ``runtime.execute`` → ``experiments.platform``)
+documented in ``docs/static_analysis.md``.
 
 The table below is *declared*, not inferred: it is the architectural
 contract, and the linter's job is to keep reality matching it.

@@ -5,6 +5,11 @@ the simulator: it resolves registry names
 (:mod:`repro.experiments.platform`), assembles the cluster, riggs the
 governors, builds the workload and runs the protocol the spec calls
 for — job-to-completion (the normal case) or a fixed fault horizon.
+:func:`execute_specs_batch` runs an executor's unit of specs: the fault
+specs on their protocol, every other spec as a lane of one
+:func:`~repro.fastpath.batch.run_jobs_batch` call, which is the one
+``run_job`` (:meth:`Cluster.run_job
+<repro.cluster.cluster.Cluster.run_job>` is its one-lane call).
 
 It is a module-level function of one picklable argument precisely so
 :class:`~repro.runtime.executor.RunExecutor` can ship it to worker
@@ -15,7 +20,7 @@ no ambient entropy — enforced by ``repro.lint`` RPR001).
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence
 
 from ..cluster.cluster import Cluster, RunResult
 from ..config import ClusterConfig
@@ -93,57 +98,39 @@ def execute_spec(spec: RunSpec) -> RunResult:
     return _execute_fault(cluster, job, spec)
 
 
-def execute_specs_batch(
-    specs: Sequence[RunSpec],
-) -> Tuple[List[RunResult], Optional[bool]]:
-    """Run an execution unit, in lockstep where that pays.
+def execute_specs_batch(specs: Sequence[RunSpec]) -> List[RunResult]:
+    """Run an execution unit; returns the results in spec order.
 
-    Returns the results in spec order and how they ran: ``True`` in
-    lockstep through :mod:`repro.fastpath.batch`, ``False`` when
-    lockstep was tried and fell back, ``None`` when the unit ran
-    serially by rule.
-
-    Lockstep is chosen by package count: a unit of two or more nodes
-    with no fault spec runs through
-    :func:`~repro.fastpath.batch.run_jobs_batch`, a lone spec included;
-    a lone one-node spec runs :func:`execute_spec` (a one-package stack
-    costs more than it saves).  A fault spec never enters lockstep: its
-    protocol is not a single ``run_job``.  The specs may differ in
-    anything but the package structure their platform builds.
+    A fault spec runs the fault protocol.  Every other spec is a lane of
+    one :func:`~repro.fastpath.batch.run_jobs_batch` call, so their
+    nodes' packages step as one stack on one tick schedule.  The specs
+    may differ in anything but the package structure their platform
+    builds.
 
     Each spec gets its own cluster, job and telemetry registry exactly
     as :func:`execute_spec` would build them; only the per-tick thermal
-    integration is shared (one stacked solve across every node of every
-    run).  Results are bitwise identical to running each spec through
-    :func:`execute_spec`, which is what makes it legal for the executor
-    to populate the per-spec content-addressed cache from a batched run.
-    Anything the lockstep path cannot handle — down to a mid-run
-    divergence or budget exhaustion — makes this function fall back to
-    serial per-spec execution, which also reproduces the serial path's
-    exact error behaviour.
+    integration is shared.  Results are bitwise identical to running
+    each spec through :func:`execute_spec`, which is what makes it legal
+    for the executor to populate the per-spec content-addressed cache
+    from a unit's run.
     """
     from ..fastpath.batch import run_jobs_batch
 
     specs = list(specs)
-    if (
-        any(spec.fault is not None for spec in specs)
-        or sum(spec.n_nodes for spec in specs) < 2
-    ):
-        return [execute_spec(spec) for spec in specs], None
-    try:
-        pairs = [_build_run(spec) for spec in specs]
-        results = run_jobs_batch(
-            clusters=[cluster for cluster, _ in pairs],
-            jobs=[job for _, job in pairs],
-            timeouts=[spec.timeout for spec in specs],
-            tails=[spec.tail for spec in specs],
-        )
-    except Exception:
-        # Anything at all — Unbatchable, a simulation error, a foreign
-        # component — defers to the serial path, which either succeeds
-        # or raises the reference error for the offending spec.
-        return [execute_spec(spec) for spec in specs], False
-    return results, True
+    results: List[Optional[RunResult]] = [
+        None if spec.fault is None else execute_spec(spec) for spec in specs
+    ]
+    lanes = [i for i, spec in enumerate(specs) if spec.fault is None]
+    pairs = [_build_run(specs[i]) for i in lanes]
+    ran = run_jobs_batch(
+        [cluster for cluster, _ in pairs],
+        [job for _, job in pairs],
+        [specs[i].timeout for i in lanes],
+        [specs[i].tail for i in lanes],
+    )
+    for i, result in zip(lanes, ran):
+        results[i] = result
+    return results
 
 
 def _execute_fault(cluster: Cluster, job, spec: RunSpec) -> RunResult:
@@ -156,16 +143,4 @@ def _execute_fault(cluster: Cluster, job, spec: RunSpec) -> RunResult:
     victim = cluster.node(fault.node)
     victim.fail_fan(t=cluster.engine.clock.now)
     cluster.run_for(fault.horizon - fault.at)
-    return RunResult(
-        execution_time=fault.horizon,
-        traces=cluster.traces,
-        events=cluster.events,
-        average_power=[n.meter.average_power for n in cluster.nodes],
-        energy_joules=[n.meter.energy_joules for n in cluster.nodes],
-        job_name=job.name,
-        node_shutdown=[n.is_shutdown for n in cluster.nodes],
-        retired_cycles=[float(n.core.retired_cycles) for n in cluster.nodes],
-        telemetry=(
-            cluster.telemetry.snapshot() if cluster.telemetry.enabled else None
-        ),
-    )
+    return cluster.result(job.name, fault.horizon)

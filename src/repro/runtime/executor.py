@@ -33,13 +33,16 @@ Four properties the rest of the repo builds on:
   foreign entry is a miss, and a failed write never fails a run.
 
 * **Lockstep grouping** — uncached specs on one platform advance
-  together through :mod:`repro.fastpath.batch`, one stacked thermal
-  solve per tick for the whole group, whatever their workloads, rigs,
-  node counts, ambients, timeouts, tails or telemetry modes (fig07's
-  max-PWM ladder and fig06's three fan policies alike).  Every run's
-  result, and the per-spec cache entry written from it, is bitwise
-  identical to its own serial execution; anything the lockstep path
-  cannot guarantee falls back to per-spec execution.
+  together as the lanes of one
+  :func:`~repro.fastpath.batch.run_jobs_batch` call, one stacked
+  thermal solve per tick for the whole group, whatever their
+  workloads, rigs, node counts, ambients, timeouts, tails or telemetry
+  modes (fig07's max-PWM ladder and fig06's three fan policies alike).
+  Every run's result, and the per-spec cache entry written from it, is
+  bitwise identical to its own serial execution; a tick the stack
+  cannot take bitwise steps each package on its own.
+  ``host.exec.batch_groups`` and ``host.exec.batched_specs`` count the
+  units, and their specs, that started with two or more packages.
 
 Identical specs inside one ``map`` call are also deduplicated: the run
 happens once and the same result object is returned at each position.
@@ -105,18 +108,16 @@ def _spec_and_result(
 
 def timed_execute_specs(
     specs: Sequence[RunSpec],
-) -> Tuple[List[RunResult], Optional[bool], float]:
+) -> Tuple[List[RunResult], float]:
     """:func:`execute_specs_batch` plus the worker-side wall time, s.
 
-    One execution unit: the results, whether the unit ran in lockstep
-    (``None`` when it ran serially by rule, ``False`` when lockstep
-    fell back), and the wall time.  Module-level (picklable) so the
-    measurement happens *inside* the worker process — the parent would
-    otherwise attribute pool queueing delays to the simulation.
+    Module-level (picklable) so the measurement happens *inside* the
+    worker process — the parent would otherwise attribute pool queueing
+    delays to the simulation.
     """
     started = time.perf_counter()
-    results, lockstep = execute_specs_batch(specs)
-    return results, lockstep, time.perf_counter() - started
+    results = execute_specs_batch(specs)
+    return results, time.perf_counter() - started
 
 
 class ExecutorStats:
@@ -473,21 +474,18 @@ class RunExecutor:
                 pool.shutdown(wait=False, cancel_futures=True)
                 raise
         out: List[Optional[Tuple[RunResult, float]]] = [None] * len(specs)
-        for unit, (results, lockstep, seconds) in zip(units, outcomes):
+        for unit, batch, (results, seconds) in zip(units, batches, outcomes):
             share = seconds / len(unit)
             for i, result in zip(unit, results):
                 out[i] = (result, share)
-            if lockstep:
+            # A unit of two or more packages started as one stack.
+            if sum(spec.n_nodes for spec in batch if spec.fault is None) > 1:
                 self.registry.counter(
                     "host.exec.batch_groups", **self._labels
                 ).inc()
                 self.registry.counter(
                     "host.exec.batched_specs", **self._labels
                 ).inc(len(unit))
-            elif lockstep is False:
-                self.registry.counter(
-                    "host.exec.batch_fallbacks", **self._labels
-                ).inc()
         return out
 
     # -- cache -----------------------------------------------------------

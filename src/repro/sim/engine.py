@@ -14,18 +14,33 @@ Runs terminate on a time horizon, on a stop predicate (e.g. "workload
 finished"), or on an explicit :meth:`SimulationEngine.stop` from inside
 a callback — whichever comes first.
 
-:meth:`SimulationEngine.run` executes those semantics through a
-compiled loop.  Each component contributes a pre-bound per-tick
-callable (:meth:`Component.compiled_step`; cluster nodes hand back
-their hoisted tick), each task's next firing tick is computed
-arithmetically from the same integer tick counts
-:meth:`~repro.sim.clock.PeriodicTask.maybe_fire` uses, and the physics
-microticks between task boundaries run back to back with no task scan
-— tasks fire at ≥ 1 s periods while physics runs at dt = 0.05 s.
-``until`` and ``stop`` are still evaluated after **every** tick, and
-the deadline / ``max_ticks`` checks keep the one-tick-at-a-time order
-and error, so tick counts, task ``fire_count`` values and the clock
-state come out exactly as a tick-by-tick loop leaves them.
+One tick loop serves every run: :func:`run_fused` advances a list of
+engines on one tick counter.  Each tick it runs
+
+1. the ``pre`` callables;
+2. one optional shared ``step(dt)``;
+3. the ``post`` callables;
+4. each engine's due tasks, in registration order;
+5. each engine's ``until`` and stop check.
+
+:meth:`SimulationEngine.run` is the one-engine case: each component
+contributes a pre-bound per-tick callable
+(:meth:`Component.compiled_step`; cluster nodes hand back their hoisted
+tick) to the ``pre`` list, and there is no shared step.  The lanes of
+:func:`~repro.fastpath.batch.run_jobs_batch` are the many-engine case:
+every node's tick halves are the ``pre`` and ``post`` callables, and one
+:class:`~repro.fastpath.batch.PackageBatch` step integrates all their
+packages between them.
+
+Each task's next firing tick is computed arithmetically from the same
+integer tick counts :meth:`~repro.sim.clock.PeriodicTask.maybe_fire`
+uses, and the microticks between task boundaries run back to back with
+no task scan — tasks fire at ≥ 1 s periods while physics runs at
+dt = 0.05 s.  ``until`` and ``stop`` are still evaluated after
+**every** tick, and the deadline / ``max_ticks`` checks keep the
+one-tick-at-a-time order and error, so tick counts, task
+``fire_count`` values and the clock state come out exactly as a
+tick-by-tick loop leaves them.
 """
 
 from __future__ import annotations
@@ -35,7 +50,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..errors import ConfigurationError, SimulationError
 from .clock import PeriodicTask, SimClock
 from .events import EventLog
-from .marker import hotpath
+from .marker import coldpath, hotpath
 from .trace import TraceSet
 
 __all__ = ["Component", "SimulationEngine", "run_fused", "task_schedule"]
@@ -105,80 +120,98 @@ def _raise_budget_exhausted(budget: int) -> None:
     )
 
 
-def run_fused(
-    engine: "SimulationEngine",
-    deadline_tick: Optional[int],
-    budget: Optional[int],
-    until: Optional[Callable[[], bool]],
-) -> int:
-    """Run ``engine``'s compiled loop; returns the number of ticks executed."""
-    steps = tuple(component.compiled_step() for component in engine._components)
-    fires, periods = task_schedule(engine._tasks, engine.clock.ticks)
-    return _tick_loop(engine, steps, fires, periods, deadline_tick, budget, until)
+#: The tick ceiling of a run that only its ``until`` or stop can end.
+_NO_LIMIT = 1 << 62
+
+
+@coldpath
+def _start(engines: Sequence["SimulationEngine"]) -> tuple:
+    """Mark ``engines`` running; their clocks, task schedules and an
+    empty list of finished engines."""
+    clocks = [engine.clock for engine in engines]
+    dt, ticks = clocks[0].dt, clocks[0].ticks
+    fires: List[List[int]] = []
+    periods: List[List[int]] = []
+    for engine in engines:
+        if engine._running:
+            raise SimulationError("run() is not re-entrant")
+        if engine.clock.dt != dt or engine.clock.ticks != ticks:
+            raise SimulationError(
+                "engines run together must share dt and tick count"
+            )
+        efires, eperiods = task_schedule(engine._tasks, ticks)
+        fires.append(efires)
+        periods.append(eperiods)
+    for engine in engines:
+        engine._running = True
+        engine._stop_requested = False
+    return clocks, fires, periods, []
 
 
 @hotpath
-def _tick_loop(
-    engine: "SimulationEngine",
-    steps: Tuple[_StepFn, ...],
-    fires: List[int],
-    periods: List[int],
-    deadline_tick: Optional[int],
-    budget: Optional[int],
-    until: Optional[Callable[[], bool]],
-) -> int:
-    """Tick batches between task boundaries (see the module docstring)."""
-    clock = engine.clock
-    dt = clock.dt
-    tasks = engine._tasks
-    n_tasks = len(tasks)
-    no_boundary = 1 << 62
-    ticks = clock.ticks
-    ticks_done = 0
-    while True:
-        if deadline_tick is not None and ticks >= deadline_tick:
-            break
-        if budget is not None and ticks_done >= budget:
-            if deadline_tick is not None or until is not None:
-                _raise_budget_exhausted(budget)
-            break
-        # Boundary of this batch: the earliest of the next task firing,
-        # the deadline and the tick budget.  Every tick before the
-        # boundary runs without a task scan.
-        boundary = min(fires) if n_tasks else no_boundary
-        if deadline_tick is not None and deadline_tick < boundary:
-            boundary = deadline_tick
-        if budget is not None and ticks + (budget - ticks_done) < boundary:
-            boundary = ticks + (budget - ticks_done)
-        last = boundary - 1
-        while ticks < last:
-            ticks += 1
-            clock._ticks = ticks
-            t = ticks * dt
-            for f in steps:
-                f(t, dt)
-            ticks_done += 1
-            if engine._stop_requested or (until is not None and until()):
-                return ticks_done
-        # The boundary tick: components, then any due tasks, in
-        # registration order.
-        ticks += 1
-        clock._ticks = ticks
-        t = ticks * dt
-        for f in steps:
-            f(t, dt)
-        ticks_done += 1
-        for i in range(n_tasks):
-            if fires[i] == ticks:
-                task = tasks[i]
-                task.callback(t)
-                task.fire_count += 1
-                fires[i] = ticks + periods[i]
-        if engine._stop_requested:
-            break
-        if until is not None and until():
-            break
-    return ticks_done
+def run_fused(
+    engines: Sequence["SimulationEngine"],
+    pres: Sequence[_StepFn],
+    step: Optional[Callable[[float], None]],
+    posts: Sequence[_StepFn],
+    untils: Sequence[Optional[Callable[[], bool]]],
+    limit: int,
+) -> List[int]:
+    """Advance ``engines`` on one tick counter (see the module docstring).
+
+    Runs until an engine's stop request or ``until`` ends a tick, or
+    the counter reaches the absolute tick ``limit``.  Returns the
+    indices of the engines that finished on the last tick, in order:
+    empty when the run ended at ``limit``.
+    """
+    clocks, fires, periods, finished = _start(engines)
+    dt = clocks[0].dt
+    ticks = clocks[0].ticks
+    engine_range = range(len(engines))
+    try:
+        while ticks < limit:
+            # Boundary of this batch: the earliest task firing on any
+            # engine, or the limit.  Every tick before it runs without
+            # a task scan.
+            boundary = limit
+            for efires in fires:
+                for fire in efires:
+                    if fire < boundary:
+                        boundary = fire
+            while ticks < boundary:
+                ticks += 1
+                for clock in clocks:
+                    clock._ticks = ticks
+                t = ticks * dt
+                for f in pres:
+                    f(t, dt)
+                if step is not None:
+                    step(dt)
+                for f in posts:
+                    f(t, dt)
+                if ticks == boundary:
+                    # Due tasks, per engine, in registration order.
+                    for e in engine_range:
+                        efires = fires[e]
+                        tasks = engines[e]._tasks
+                        for i in range(len(efires)):
+                            if efires[i] == ticks:
+                                task = tasks[i]
+                                task.callback(t)
+                                task.fire_count += 1
+                                efires[i] = ticks + periods[e][i]
+                for e in engine_range:
+                    until = untils[e]
+                    if engines[e]._stop_requested or (
+                        until is not None and until()
+                    ):
+                        finished.append(e)
+                if finished:
+                    return finished
+    finally:
+        for engine in engines:
+            engine._running = False
+    return finished
 
 
 class SimulationEngine:
@@ -288,19 +321,25 @@ class SimulationEngine:
             raise ConfigurationError(
                 "run() needs at least one of duration/until/max_ticks"
             )
-        if self._running:
-            raise SimulationError("run() is not re-entrant")
-
+        ticks = self.clock.ticks
+        limit = _NO_LIMIT
         deadline_tick: Optional[int] = None
         if duration is not None:
             if duration < 0:
                 raise ConfigurationError(f"duration must be >= 0, got {duration!r}")
-            deadline_tick = self.clock.ticks + self.clock.ticks_for(duration)
-
-        self._running = True
-        self._stop_requested = False
-        try:
-            run_fused(self, deadline_tick, max_ticks, until)
-        finally:
-            self._running = False
+            deadline_tick = limit = ticks + self.clock.ticks_for(duration)
+        if max_ticks is not None:
+            limit = min(limit, ticks + max_ticks)
+        steps = tuple(component.compiled_step() for component in self._components)
+        finished = run_fused((self,), steps, None, (), (until,), limit)
+        # A run that reached its limit before its deadline spent its
+        # budget: an error when a deadline or ``until`` should have
+        # ended it.
+        if (
+            not finished
+            and max_ticks is not None
+            and (deadline_tick is None or self.clock.ticks < deadline_tick)
+            and (deadline_tick is not None or until is not None)
+        ):
+            _raise_budget_exhausted(max_ticks)
         return self.clock.now

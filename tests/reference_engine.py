@@ -1,17 +1,23 @@
 """The tick-by-tick reference engine: the equivalence oracle.
 
 The simulator runs every spec on one engine path:
-:meth:`SimulationEngine.run <repro.sim.engine.SimulationEngine.run>`
-steps pre-bound component closures in tick batches between task
-boundaries, :class:`~repro.cluster.cluster.Cluster` records samples
-through block writers, and :class:`~repro.runtime.RunExecutor` runs
-sweeps as lockstep groups.  This module keeps the plain semantics all
-of that must reproduce byte for byte:
+:func:`~repro.sim.engine.run_fused` steps pre-bound component closures
+in tick batches between task boundaries,
+:meth:`Cluster.run_job <repro.cluster.cluster.Cluster.run_job>` runs
+as one lane of :func:`~repro.fastpath.batch.run_jobs_batch` with a
+multi-node cluster's packages stacked, :class:`~repro.cluster.cluster.Cluster`
+records samples through block writers, and
+:class:`~repro.runtime.RunExecutor` runs sweeps as lockstep groups.
+This module keeps the plain semantics all of that must reproduce byte
+for byte:
 
 * :func:`reference_run` — one tick at a time: advance the clock, call
   every component's ``step`` in registration order, then
   ``PeriodicTask.maybe_fire`` for every task; ``until`` and ``stop``
   after every tick.
+* :func:`reference_run_job` — a job run as one :func:`reference_run`
+  to its end, then the tail: one spec at a time, every node stepping
+  its own network.
 * :func:`reference_sampler` — each sample written through
   :meth:`TraceSet.record <repro.sim.trace.TraceSet.record>` from the
   public node properties.
@@ -38,12 +44,14 @@ of that must reproduce byte for byte:
   :func:`reference_rack_tick`, driven by :class:`ReferenceNodeTick`,
   which stands in for a shard's stack.
 * :func:`reference_path` — installs all of these (and runs every
-  spec an executor maps through ``execute_spec``, never in lockstep)
+  spec an executor maps through ``execute_spec``, so through
+  :func:`reference_run_job`, never in lockstep)
   for the duration of a ``with`` block, so whatever runs inside — an
   experiment, a series, a served spec — runs on the reference.
-* :class:`UngroupedExecutor` — the engine without lockstep: every spec
-  runs through ``execute_spec``, the serial baseline the grouping
-  tests compare against.
+* :class:`UngroupedExecutor` — the engine without grouping: every spec
+  runs through ``execute_spec`` on its own (a multi-node spec still
+  stacks its own nodes), the one-lane baseline the grouping tests
+  compare against.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from repro.cluster.cluster import Cluster
+from repro.cluster.cluster import Cluster, RunResult
 from repro.cluster.multicore_node import MulticoreNode
 from repro.cluster.node import Node
 from repro.cluster.power_meter import PowerMeter
@@ -117,6 +125,7 @@ __all__ = [
     "reference_rc_step",
     "reference_resistance",
     "reference_run",
+    "reference_run_job",
     "reference_sampler",
 ]
 
@@ -527,6 +536,54 @@ def reference_run(
     return engine.clock.now
 
 
+def reference_run_job(
+    cluster: Cluster, job, timeout: float = 3600.0, tail: float = 0.0
+) -> RunResult:
+    """``cluster.run_job(...)``: one ``engine.run`` to the job's end,
+    then the tail, every node stepping its own network."""
+    cluster.bind_job(job)
+    cluster._wire_tasks()
+    for node in cluster.nodes:
+        node.meter.reset()
+    engine = cluster.engine
+    t0 = engine.clock.now
+    try:
+        engine.run(
+            until=lambda: job.finished,
+            max_ticks=engine.clock.ticks_for(timeout),
+        )
+    finally:
+        cluster._flush_traces()
+    if not job.finished:
+        raise SimulationError(
+            f"job {job.name!r} did not finish within {timeout}s of "
+            "simulated time"
+        )
+    execution_time = engine.clock.now - t0
+    if tail > 0:
+        try:
+            engine.run(duration=tail)
+        finally:
+            cluster._flush_traces()
+    telemetry = cluster.telemetry
+    if telemetry.enabled:
+        telemetry.gauge("sim.execution_seconds", job=job.name).set(
+            execution_time
+        )
+        telemetry.gauge("sim.final_time_seconds").set(engine.clock.now)
+    return RunResult(
+        execution_time=execution_time,
+        traces=cluster.traces,
+        events=cluster.events,
+        average_power=[n.meter.average_power for n in cluster.nodes],
+        energy_joules=[n.meter.energy_joules for n in cluster.nodes],
+        job_name=job.name,
+        node_shutdown=[n.is_shutdown for n in cluster.nodes],
+        retired_cycles=[float(n.core.retired_cycles) for n in cluster.nodes],
+        telemetry=telemetry.snapshot() if telemetry.enabled else None,
+    )
+
+
 def reference_sampler(
     cluster: Cluster, sensor_rounds, sensor_samples, n_nodes: float
 ) -> Callable[[float], None]:
@@ -565,6 +622,7 @@ def reference_path() -> Iterator[None]:
     """Run everything inside the block on the reference semantics."""
     patches = (
         (SimulationEngine, "run", reference_run),
+        (Cluster, "run_job", reference_run_job),
         (Cluster, "_compile_sampler", reference_sampler),
         (RunExecutor, "_execute", UngroupedExecutor.__dict__["_execute"]),
         (Node, "step", reference_node_step),

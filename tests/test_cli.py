@@ -54,3 +54,22 @@ class TestMain:
         main(["run", "fig2", "--quick", "--seed", "3"])
         second = table_only(capsys.readouterr().out)
         assert first == second
+
+
+class TestConfigurationErrors:
+    """A bad configuration is one line on stderr and exit code 2, for
+    every subcommand, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "fig2", "--quick"], ["fleet", "--quick"]],
+        ids=["run", "fleet"],
+    )
+    def test_cache_dir_that_cannot_be_a_directory(self, argv, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(argv + ["--cache-dir", str(blocker)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"repro {argv[0]}: ")
+        assert "not a usable directory" in captured.err
+        assert "Traceback" not in captured.err

@@ -1,4 +1,4 @@
-"""Lockstep grouping equivalence: grouped runs == serial engine, bitwise.
+"""Lockstep grouping equivalence: grouped runs == serial runs, bitwise.
 
 Three layers of the batch stack, each pinned against its serial
 counterpart:
@@ -6,24 +6,28 @@ counterpart:
 * :class:`repro.fastpath.batch.PackageBatch` against the reference
   stepper, on the die/sink package and an N-core floorplan — power
   writes into any free node and public-setter writes to the convective
-  link honoured on the next tick, writes to every other link refused,
-  mixed structures refused, and the release contract;
+  link honoured on the next tick; a write to any other link, mixed
+  structures and a lone package stepped network by network, with the
+  release contract;
 * :func:`repro.runtime.execute.execute_specs_batch` and the grouping
-  :class:`~repro.runtime.RunExecutor` against the serial engine — full
-  sweep results (tables, curves, traces, cache entries, telemetry
-  bytes), at ``jobs=1`` and dealt over a ``jobs=2`` pool, for sweeps
-  and for one group whose lanes differ in everything but the
-  platform; the lockstep counters, fallback included; and the serial
-  oracle and fault protocol kept out of lockstep;
-* the run-loop edge cases the lockstep loop shares semantics with
-  (budget landing exactly on a task boundary, zero-task engines, far
-  task phases), pinned against the tick-by-tick reference loop.
+  :class:`~repro.runtime.RunExecutor` against one-spec-at-a-time
+  execution — full sweep results (tables, curves, traces, cache
+  entries, telemetry bytes), at ``jobs=1`` and dealt over a ``jobs=2``
+  pool, for sweeps and for one group whose lanes differ in everything
+  but the platform; the lockstep counters; the reference oracle and
+  the fault protocol kept out of lockstep; and a stack that declines a
+  tick mid-run (a frozen link written, a refusal after ``k`` steps)
+  stepping on network by network to the reference oracle's bytes;
+* the run-loop edge cases (budget landing exactly on a task boundary,
+  zero-task engines, far task phases), pinned against the tick-by-tick
+  reference loop.
 
-The serial engine is itself pinned byte-identical to the reference
-oracle by ``tests/test_fastpath_equivalence.py``, so equality against
-the serial engine here is transitively equality against the reference.
-The fleet's use of :class:`~repro.fastpath.batch.PackageBatch` is
-pinned against the same oracle in ``tests/test_fleet.py``.
+One-spec-at-a-time execution (``execute_spec``) is itself pinned
+byte-identical to the reference oracle by
+``tests/test_fastpath_equivalence.py``, so equality against it here is
+transitively equality against the reference.  The fleet's use of
+:class:`~repro.fastpath.batch.PackageBatch` is pinned against the same
+oracle in ``tests/test_fleet.py``.
 """
 
 from __future__ import annotations
@@ -38,11 +42,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.experiments import REGISTRY
 from repro.experiments.series import SERIES_REGISTRY
-from repro.fastpath.batch import (
-    PackageBatch,
-    Unbatchable,
-    run_jobs_batch,
-)
+from repro.fastpath.batch import PackageBatch, run_jobs_batch
 from repro.runtime import RunExecutor, RunSpec
 from repro.runtime.spec import FaultSpec
 from repro.runtime.execute import _build_run, execute_spec, execute_specs_batch
@@ -112,9 +112,10 @@ def step_both(pack, nets, mirrors) -> None:
 def test_package_batch_traps_public_writes_and_releases() -> None:
     """Boundary links are live: a convective write through the public
     setter is honoured on the next tick, bit for bit.  Every other link
-    is frozen: a junction, core–sink or lateral write stops the
-    lockstep lane before any temperature is written, and release hands
-    every link back."""
+    is frozen: a junction, core–sink or lateral write makes the stack
+    decline the next tick before any temperature is written, and the
+    batch releases every link and steps each network on its own from
+    that tick on."""
     for kind, frozen in (
         ("cpu", "jhs"),
         ("multicore", "core1.cs"),
@@ -124,39 +125,64 @@ def test_package_batch_traps_public_writes_and_releases() -> None:
         nets = [package._net for package in packages]
         mirrors = [mirror_network(net) for net in nets]
         pack = PackageBatch(packages)
+        assert pack._stacked
 
         step_both(pack, nets, mirrors)
         packages[1]._conv_link.resistance = 0.4
         mirrors[1].link("p1.conv").resistance = 0.4
         step_both(pack, nets, mirrors)
         step_both(pack, nets, mirrors)
+        assert pack._stacked
 
-        packages[0]._net.link(f"p0.{frozen}").resistance = 0.2
-        with pytest.raises(Unbatchable, match="frozen"):
-            pack.step(0.05)
-        # Refused before any temperature write.
-        assert_networks_equal(mirrors, nets)
-
-        pack.release()
+        for net in (packages[0]._net, mirrors[0]):
+            net.link(f"p0.{frozen}").resistance = 0.2
+        step_both(pack, nets, mirrors)
+        assert not pack._stacked
         for net in nets:
             for link in net._links.values():
                 assert link._observer is net
-        mirrors[0].link(f"p0.{frozen}").resistance = 0.2
-        for net, twin in zip(nets, mirrors):
-            net.step(0.05)
-            reference_rc_step(twin, 0.05)
-        assert_networks_equal(mirrors, nets)
+        step_both(pack, nets, mirrors)
+        pack.release()  # released already: nothing left to hand back
+
+
+def test_package_batch_declines_a_non_finite_tick() -> None:
+    """A tick whose stacked result is not finite is declined before any
+    temperature is written: each network steps on its own, and the
+    diverging one raises the reference error."""
+    packages = heated_packages("cpu")
+    nets = [package._net for package in packages]
+    mirrors = [mirror_network(net) for net in nets]
+    pack = PackageBatch(packages)
+    step_both(pack, nets, mirrors)
+    for net in (nets[1], mirrors[1]):
+        net.set_power("p1.die", float("inf"))
+    with pytest.raises(SimulationError) as stacked:
+        pack.step(0.05)
+    reference_rc_step(mirrors[0], 0.05)
+    with pytest.raises(SimulationError) as reference:
+        reference_rc_step(mirrors[1], 0.05)
+    assert str(stacked.value) == str(reference.value)
+    assert not pack._stacked
+    assert_networks_equal(mirrors, nets)
 
 
 def test_package_batch_refuses_mixed_structures() -> None:
-    """A die/sink package and an N-core floorplan do not stack; the
-    refusal comes at construction and leaves every observer alone."""
-    packages = [CpuPackage(name="a"), MulticorePackage(n_cores=4, name="b")]
-    with pytest.raises(Unbatchable, match="structure"):
-        PackageBatch(packages)
-    for package in packages:
-        for link in package._net._links.values():
-            assert link._observer is package._net
+    """A die/sink package and an N-core floorplan do not stack: the
+    batch leaves every observer alone and steps each network on its
+    own.  So does a lone package."""
+    for packages in (
+        [CpuPackage(name="a"), MulticorePackage(n_cores=4, name="b")],
+        heated_packages("multicore", n=1),
+    ):
+        nets = [package._net for package in packages]
+        mirrors = [mirror_network(net) for net in nets]
+        pack = PackageBatch(packages)
+        assert not pack._stacked
+        for net in nets:
+            for link in net._links.values():
+                assert link._observer is net
+        for _ in range(3):
+            step_both(pack, nets, mirrors)
 
 
 @pytest.mark.parametrize(
@@ -296,15 +322,14 @@ def test_execute_specs_batch_bitwise_identical_fig07() -> None:
     its own serial execution down to trace bytes."""
     specs = fig07_specs()
     serial = [execute_spec(spec) for spec in specs]
-    batched, lockstep = execute_specs_batch(specs)
-    assert lockstep is True
+    batched = execute_specs_batch(specs)
     for a, b in zip(serial, batched):
         assert_results_identical(a, b)
 
 
-def test_run_jobs_batch_completes_in_lockstep() -> None:
-    """The lockstep stepper itself, with no serial fallback to hide
-    behind: it finishes the fig07 group and matches serial runs."""
+def test_run_jobs_batch_completes_in_lockstep(declines) -> None:
+    """The lockstep stepper itself: it finishes the fig07 group without
+    declining a tick and matches serial runs."""
     specs = fig07_specs()
     pairs = [_build_run(spec) for spec in specs]
     batched = run_jobs_batch(
@@ -313,19 +338,19 @@ def test_run_jobs_batch_completes_in_lockstep() -> None:
         timeouts=[spec.timeout for spec in specs],
         tails=[spec.tail for spec in specs],
     )
+    assert declines == []
     for spec, result in zip(specs, batched):
         assert_results_identical(execute_spec(spec), result)
 
 
-def test_execute_specs_batch_lone_spec_by_node_count() -> None:
-    """Lockstep is chosen by package count: a lone 4-node spec runs in
-    lockstep, a lone 1-node spec runs serially; both equal
-    ``execute_spec``."""
-    lone = ((fig07_specs()[0], True), (small_spec(n_nodes=1), None))
-    for spec, expected in lone:
-        (result,), lockstep = execute_specs_batch([spec])
-        assert lockstep is expected
+def test_execute_specs_batch_lone_spec_by_node_count(stacks) -> None:
+    """A lone spec is a one-lane unit: a 4-node spec stacks its four
+    packages, a 1-node spec builds a batch of one, which steps its
+    network on its own; both equal ``execute_spec``."""
+    for spec in (fig07_specs()[0], small_spec(n_nodes=1)):
+        (result,) = execute_specs_batch([spec])
         assert_results_identical(execute_spec(spec), result)
+    assert stacks == [4, 4, 1, 1]
 
 
 def test_batch_executor_counts_groups_and_populates_cache(tmp_path) -> None:
@@ -431,54 +456,62 @@ def stacks(monkeypatch) -> list:
     return built
 
 
-def test_lockstep_counters_count_only_what_ran_in_lockstep(
-    monkeypatch,
-) -> None:
-    """``batched_specs`` counts the specs that really stepped in
-    lockstep, a lone multi-node spec included; a group whose stepper
-    refuses reruns serially with the same bytes and counts as a
-    fallback instead."""
+@pytest.fixture
+def declines(monkeypatch) -> list:
+    """The width of the stack, each time one declines a tick."""
+    declined = []
+    original = PackageBatch._step_stack
+
+    def spy(self, dt):
+        taken = original(self, dt)
+        if not taken:
+            declined.append(len(self._nets))
+        return taken
+
+    monkeypatch.setattr(PackageBatch, "_step_stack", spy)
+    return declined
+
+
+def test_lockstep_counters_count_only_what_ran_in_lockstep() -> None:
+    """``batched_specs`` and ``batch_groups`` count the units whose
+    stack started with two or more packages: a lone multi-node spec and
+    two one-node lanes do, a lone one-node spec does not."""
     two = small_spec()
+    one = dataclasses.replace(two, n_nodes=1)
     executor = RunExecutor()
     executor.map([two])
-    executor.map([dataclasses.replace(two, n_nodes=1)])
+    executor.map([one])
     snapshot = executor.registry.snapshot()
     assert snapshot.value("host.exec.batched_specs") == 1.0
     assert snapshot.value("host.exec.batch_groups") == 1.0
-    assert snapshot.value("host.exec.batch_fallbacks") == 0.0
-
-    def refuse(self, dt):
-        raise Unbatchable("refused for the test")
-
-    monkeypatch.setattr(PackageBatch, "step", refuse)
-    specs = [small_spec(seed=SEED + 1), small_spec(seed=SEED + 2)]
-    for spec, result in zip(specs, executor.map(specs)):
-        assert_results_identical(execute_spec(spec), result)
+    executor.map([dataclasses.replace(one, seed=s) for s in (1, 2)])
     snapshot = executor.registry.snapshot()
-    assert snapshot.value("host.exec.batched_specs") == 1.0
-    assert snapshot.value("host.exec.batch_groups") == 1.0
-    assert snapshot.value("host.exec.batch_fallbacks") == 1.0
+    assert snapshot.value("host.exec.batched_specs") == 3.0
+    assert snapshot.value("host.exec.batch_groups") == 2.0
     assert executor.stats.executed == 4
 
 
 def test_serial_oracle_builds_no_package_batch(stacks) -> None:
-    """``UngroupedExecutor`` and ``reference_path()`` run every spec
-    through ``execute_spec``: no lockstep stack is ever built, for a
-    group or for a lone multi-node spec."""
+    """``reference_path()`` runs every spec tick by tick, one spec at a
+    time, each node stepping its own network: no package batch is ever
+    built, for a group or for a lone multi-node spec.  Outside it, a
+    lone multi-node spec stacks its nodes, through the executor or
+    ``execute_spec`` alike."""
     specs = [small_spec(), small_spec(seed=SEED + 1)]
-    UngroupedExecutor().map(specs)
-    UngroupedExecutor().map(specs[:1])
     with reference_path():
+        UngroupedExecutor().map(specs)
         RunExecutor().map(specs)
         RunExecutor().map(specs[:1])
+        execute_spec(specs[0])
     assert stacks == []
     RunExecutor().map(specs[:1])
-    assert stacks == [2]
+    UngroupedExecutor().map(specs[:1])
+    assert stacks == [2, 2]
 
 
 def test_fault_specs_never_reach_lockstep(monkeypatch) -> None:
-    """A fault spec runs its own protocol through ``execute_spec``,
-    alone or beside specs that do group."""
+    """A fault spec runs its own protocol, alone or beside specs that
+    run as lanes."""
     import repro.fastpath.batch as batch_module
 
     calls = []
@@ -494,18 +527,108 @@ def test_fault_specs_never_reach_lockstep(monkeypatch) -> None:
     )
     groupable = [small_spec(), small_spec(seed=SEED + 1)]
     reference = execute_spec(fault)
-
-    (result,), lockstep = execute_specs_batch([fault])
-    assert lockstep is None
+    (result,) = execute_specs_batch([fault])
     assert_results_identical(reference, result)
-    results, lockstep = execute_specs_batch([groupable[0], fault])
-    assert lockstep is None
+    assert sum(calls) == 0
+    results = execute_specs_batch([groupable[0], fault])
     assert_results_identical(reference, results[1])
-    assert calls == []
+    assert sum(calls) == 1
 
     mapped = RunExecutor().map([groupable[0], fault, groupable[1]])
-    assert calls == [2]
+    assert 2 in calls and sum(calls) == 3
     assert_results_identical(reference, mapped[1])
+
+
+# ------------------------------------------- a stack that declines mid-run
+
+
+def reference_results(specs, prepare=lambda pairs: None):
+    """Each spec run on the reference oracle, one at a time."""
+    with reference_path():
+        pairs = [_build_run(spec) for spec in specs]
+        prepare(pairs)
+        return [
+            cluster.run_job(job, timeout=spec.timeout, tail=spec.tail)
+            for spec, (cluster, job) in zip(specs, pairs)
+        ]
+
+
+def lane_results(specs, prepare=lambda pairs: None):
+    """The specs run as the lanes of one group."""
+    pairs = [_build_run(spec) for spec in specs]
+    prepare(pairs)
+    return run_jobs_batch(
+        [cluster for cluster, _ in pairs],
+        [job for _, job in pairs],
+        [spec.timeout for spec in specs],
+        [spec.tail for spec in specs],
+    )
+
+
+def write_junction_mid_run(pairs) -> None:
+    """Rewrite one node's junction resistance at t = 5 s, through the
+    public setter, from a task on its engine."""
+    cluster = pairs[1][0]
+    link = cluster.nodes[1].package._net.link("node1.pkg.jhs")
+
+    writes = []
+
+    def write(t: float) -> None:
+        if not writes:
+            writes.append(t)
+            link.resistance = link.resistance * 1.5
+
+    cluster.engine.every(5.0, write)
+
+
+def test_group_steps_on_after_a_frozen_link_write(declines) -> None:
+    """A frozen link written mid-run: the stack declines that tick and
+    every lane steps its networks on its own to the reference bytes."""
+    specs = [small_spec(), small_spec(seed=SEED + 1), small_spec(n_nodes=1)]
+    expected = reference_results(specs, write_junction_mid_run)
+    grouped = lane_results(specs, write_junction_mid_run)
+    assert declines == [5]
+    for a, b in zip(expected, grouped):
+        assert_results_identical(a, b)
+
+
+def test_stopped_lane_raises_the_reference_error() -> None:
+    """A lane whose engine is stopped before its job finishes raises
+    the reference "did not finish" error, type and text."""
+    specs = [small_spec(), small_spec(seed=SEED + 1)]
+
+    def stop_at_5s(pairs) -> None:
+        engine = pairs[0][0].engine
+        engine.every(5.0, lambda t: engine.stop())
+
+    with pytest.raises(SimulationError) as reference:
+        reference_results(specs[:1], stop_at_5s)
+    with pytest.raises(SimulationError) as grouped:
+        lane_results(specs, stop_at_5s)
+    assert "did not finish" in str(reference.value)
+    assert str(grouped.value) == str(reference.value)
+
+
+def test_group_steps_on_after_a_refusal_at_tick_k(monkeypatch) -> None:
+    """A stack that refuses every tick after its first ``k``: the lanes
+    step on network by network to the reference bytes, and the stacks
+    built after a lane finishes refuse from their first tick."""
+    specs = [small_spec(), small_spec(seed=SEED + 1, n_nodes=1)]
+    expected = reference_results(specs)
+    taken = []
+    original = PackageBatch._step_stack
+
+    def refuse_after_k(self, dt):
+        if len(taken) >= 37:
+            return False
+        taken.append(dt)
+        return original(self, dt)
+
+    monkeypatch.setattr(PackageBatch, "_step_stack", refuse_after_k)
+    grouped = lane_results(specs)
+    assert len(taken) == 37
+    for a, b in zip(expected, grouped):
+        assert_results_identical(a, b)
 
 
 # ------------------------------------------------ mixed-lane groups
@@ -690,8 +813,3 @@ def test_telemetry_jsonl_byte_identical_through_batch() -> None:
     grouped.map(specs)
     assert grouped.registry.counter("host.exec.batch_groups").value == 1.0
     assert export_jsonl(grouped.collected) == export_jsonl(serial.collected)
-
-
-def test_unbatchable_is_internal() -> None:
-    """Unbatchable is plain control flow, never a user-facing error."""
-    assert not issubclass(Unbatchable, SimulationError)

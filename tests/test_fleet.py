@@ -241,6 +241,25 @@ class _ReferenceStepper:
         pass
 
 
+def run_against_the_reference_stepper(spec):
+    """Drive a shard and its oracle twin through heating and cooling
+    epochs, requiring equal reports and finals.  Returns whether the
+    shard's stack took the last tick."""
+    runner = ShardRunner(spec, 0, spec.racks)
+    oracle = ShardRunner(spec, 0, spec.racks)
+    oracle._batch.release()
+    oracle._batch = _ReferenceStepper(oracle._nets)
+    duties = set()
+    for inlets in ((70.0, 68.0),) * 3 + ((40.0, 38.0),) * 2:
+        reports = runner.run_epoch(inlets, (100.0, 100.0), spec.epoch_ticks)
+        assert oracle.run_epoch(inlets, (100.0, 100.0), spec.epoch_ticks) == reports
+        duties.update(report.duty for report in reports)
+    assert len(duties) > 2
+    stacked = runner._batch._stacked
+    assert runner.finish().nodes == oracle.finish().nodes
+    return stacked
+
+
 def test_shard_physics_match_the_reference_stepper():
     """A shard's stacked stepping equals the oracle, node for node.
 
@@ -252,18 +271,19 @@ def test_shard_physics_match_the_reference_stepper():
         racks=2, nodes_per_rack=2, workload="uniform",
         dt=1.0, horizon=400.0, epoch_ticks=40, control_ticks=5,
     )
-    runner = ShardRunner(spec, 0, spec.racks)
-    oracle = ShardRunner(spec, 0, spec.racks)
-    oracle._batch.release()
-    oracle._batch = _ReferenceStepper(oracle._nets)
-    duties = set()
-    for inlets in ((70.0, 68.0),) * 3 + ((40.0, 38.0),) * 2:
-        reports = runner.run_epoch(inlets, (100.0, 100.0), 40)
-        assert oracle.run_epoch(inlets, (100.0, 100.0), 40) == reports
-        duties.update(report.duty for report in reports)
-    assert len(duties) > 2
-    assert runner._batch is not None  # the batch stepped every tick
-    assert runner.finish().nodes == oracle.finish().nodes
+    assert run_against_the_reference_stepper(spec)  # the stack took every tick
+
+
+def test_shard_past_the_stability_limit_matches_the_reference_stepper():
+    """At ``dt=2.0`` (past the package's 1.875 s limit) the stack
+    declines its first tick before writing a temperature, and the
+    shard's networks, each stepped on its own with Euler sub-steps,
+    equal the oracle node for node."""
+    spec = small_spec(
+        racks=2, nodes_per_rack=2, workload="uniform",
+        dt=2.0, horizon=400.0, epoch_ticks=20, control_ticks=2,
+    )
+    assert not run_against_the_reference_stepper(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ def test_stacked_node_tick_matches_the_oracle_bitwise(overrides):
         duties.update(report.duty for report in reports)
     assert len(duties) > 2
     assert sum(report.throttles for report in reports) > 0
-    assert (stacked._batch is None) == (spec.dt == 2.0)
+    assert stacked._batch._stacked == (spec.dt != 2.0)
     result = stacked.finish()
     assert repr(result) == repr(oracle.finish())
     # the peaks were tracked: every node cooled below its hottest tick
