@@ -21,16 +21,26 @@ count.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Dict, Mapping, Optional, Union
 
 from ..errors import ConfigurationError
-from ..runtime.spec import DEFAULT_SEED, Params, freeze_params
+from ..runtime.spec import (
+    DEFAULT_SEED,
+    Params,
+    _require_finite,
+    _require_int,
+    _wire_bool,
+    _wire_int,
+    _wire_number,
+    _wire_optional,
+    _wire_params,
+    _wire_str,
+    _WireForm,
+    freeze_params,
+)
 
 __all__ = [
     "FLEET_WORKLOADS",
@@ -90,49 +100,10 @@ class FleetFaultSpec:
                 f"fleet fault kind {self.kind!r} is unknown; "
                 f"available: {list(_FAULT_KINDS)}"
             )
-        if isinstance(self.rack, bool) or not isinstance(self.rack, int):
-            raise ConfigurationError(
-                f"fleet fault 'rack' must be an int, got {self.rack!r}"
-            )
-        if self.rack < 0:
-            raise ConfigurationError(
-                f"fleet fault 'rack' must be >= 0, got {self.rack}"
-            )
-        _require_finite(self.at, "fault 'at'")
-        if self.at < 0.0:
-            raise ConfigurationError(
-                f"fleet fault 'at' must be >= 0, got {self.at}"
-            )
-        _require_finite(self.factor, "fault 'factor'")
-        if self.factor < 1.0:
-            raise ConfigurationError(
-                f"fleet fault 'factor' must be >= 1 (a breach never "
-                f"improves containment), got {self.factor}"
-            )
-
-
-def _require_finite(value: float, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(
-            f"fleet spec {name} must be a number, got {value!r} "
-            f"({type(value).__name__})"
-        )
-    if not math.isfinite(value):
-        raise ConfigurationError(
-            f"fleet spec {name} must be finite, got {value!r}"
-        )
-
-
-def _require_int(value: Any, name: str, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(
-            f"fleet spec {name} must be an int, got {value!r} "
-            f"({type(value).__name__})"
-        )
-    if value < minimum:
-        raise ConfigurationError(
-            f"fleet spec {name} must be >= {minimum}, got {value}"
-        )
+        _require_int(self.rack, "fault 'rack'", 0)
+        _require_finite(self.at, "fault 'at'", 0.0)
+        # >= 1: a breach never improves containment.
+        _require_finite(self.factor, "fault 'factor'", 1.0)
 
 
 @dataclass(frozen=True)
@@ -208,21 +179,8 @@ class FleetSpec:
         _require_int(self.epoch_ticks, "'epoch_ticks'", 1)
         _require_int(self.control_ticks, "'control_ticks'", 1)
         _require_int(self.seed, "'seed'", 0)
-        _require_finite(self.horizon, "'horizon'")
-        if self.horizon <= 0.0:
-            raise ConfigurationError(
-                f"fleet spec 'horizon' must be > 0, got {self.horizon}"
-            )
-        _require_finite(self.dt, "'dt'")
-        if self.dt <= 0.0:
-            raise ConfigurationError(
-                f"fleet spec 'dt' must be > 0, got {self.dt}"
-            )
-        if not isinstance(self.workload, str) or not self.workload:
-            raise ConfigurationError(
-                f"fleet spec 'workload' must be a non-empty string, got "
-                f"{self.workload!r}"
-            )
+        _require_finite(self.horizon, "'horizon'", 0.0, strict=True)
+        _require_finite(self.dt, "'dt'", 0.0, strict=True)
         if self.workload not in FLEET_WORKLOADS:
             raise ConfigurationError(
                 f"fleet workload {self.workload!r} is unknown; "
@@ -230,12 +188,9 @@ class FleetSpec:
             )
         self.profile()
         if self.power_budget is not None:
-            _require_finite(self.power_budget, "'power_budget'")
-            if self.power_budget <= 0.0:
-                raise ConfigurationError(
-                    "fleet spec 'power_budget' must be > 0 (or null), got "
-                    f"{self.power_budget}"
-                )
+            _require_finite(
+                self.power_budget, "'power_budget'", 0.0, strict=True
+            )
         _require_finite(self.recirculation, "'recirculation'")
         if not 0.0 <= self.recirculation <= 0.8:
             raise ConfigurationError(
@@ -348,10 +303,7 @@ class FleetSpec:
         A ``None`` platform is dropped, mirroring
         :meth:`repro.runtime.spec.RunSpec.canonical`.
         """
-        data = dataclasses.asdict(self)
-        if data["platform"] is None:
-            del data["platform"]
-        return json.dumps(data, sort_keys=True)
+        return _FLEET_WIRE.canonical(self)
 
     def to_json(self) -> str:
         """The public JSON wire form (exactly :meth:`canonical`)."""
@@ -363,132 +315,11 @@ class FleetSpec:
 
         Every malformed payload raises
         :class:`~repro.errors.ConfigurationError` naming the offending
-        field — this is the request-validation seam for fleet jobs.
+        field — this is the request-validation seam for fleet jobs, and
+        a shard worker rebuilds its spec through it.  Numbers are
+        coerced to float, so ``120`` and ``120.0`` name one spec.
         """
-        if isinstance(payload, bytes):
-            try:
-                payload = payload.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ConfigurationError(
-                    f"fleet spec payload is not valid UTF-8: {exc}"
-                ) from None
-        try:
-            data = json.loads(payload)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"fleet spec payload is not valid JSON: {exc}"
-            ) from None
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                "fleet spec payload must be a JSON object, got "
-                f"{type(data).__name__}"
-            )
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown fleet spec field(s) {unknown}; known fields: "
-                f"{sorted(known)}"
-            )
-        fields: dict = {}
-        for name in (
-            "racks", "nodes_per_rack", "epoch_ticks", "control_ticks", "seed",
-        ):
-            if name in data:
-                fields[name] = data[name]
-        for name in (
-            "horizon", "dt", "recirculation", "cold_aisle_c",
-        ):
-            if name in data:
-                value = data[name]
-                if isinstance(value, bool) or not isinstance(
-                    value, (int, float)
-                ):
-                    raise ConfigurationError(
-                        f"fleet spec {name!r} must be a number, got "
-                        f"{value!r} ({type(value).__name__})"
-                    )
-                fields[name] = float(value)
-        if "power_budget" in data and data["power_budget"] is not None:
-            value = data["power_budget"]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigurationError(
-                    "fleet spec 'power_budget' must be a number or null, "
-                    f"got {value!r} ({type(value).__name__})"
-                )
-            fields["power_budget"] = float(value)
-        if "workload" in data:
-            fields["workload"] = data["workload"]
-        if "workload_params" in data:
-            raw = data["workload_params"]
-            if isinstance(raw, Mapping):
-                fields["workload_params"] = freeze_params(raw)
-            elif isinstance(raw, (list, tuple)):
-                pairs: dict = {}
-                for entry in raw:
-                    if (
-                        not isinstance(entry, (list, tuple))
-                        or len(entry) != 2
-                        or not isinstance(entry[0], str)
-                    ):
-                        raise ConfigurationError(
-                            "fleet spec workload_params entries must be "
-                            f"[\"key\", value] pairs, got {entry!r}"
-                        )
-                    pairs[entry[0]] = entry[1]
-                fields["workload_params"] = freeze_params(pairs)
-            else:
-                raise ConfigurationError(
-                    "fleet spec workload_params must be an object or a "
-                    f"list of pairs, got {raw!r} ({type(raw).__name__})"
-                )
-        if data.get("platform") is not None:
-            fields["platform"] = data["platform"]
-        if data.get("fault") is not None:
-            raw = data["fault"]
-            if not isinstance(raw, Mapping):
-                raise ConfigurationError(
-                    "fleet spec 'fault' must be an object or null, got "
-                    f"{raw!r} ({type(raw).__name__})"
-                )
-            unknown = sorted(set(raw) - {"kind", "rack", "at", "factor"})
-            if unknown:
-                raise ConfigurationError(
-                    f"fleet spec 'fault' has unknown key(s) {unknown}; "
-                    "expected kind/rack/at/factor"
-                )
-            fault_fields: dict = {}
-            if "kind" in raw:
-                fault_fields["kind"] = raw["kind"]
-            if "rack" in raw:
-                fault_fields["rack"] = raw["rack"]
-            for fname in ("at", "factor"):
-                if fname in raw:
-                    value = raw[fname]
-                    if isinstance(value, bool) or not isinstance(
-                        value, (int, float)
-                    ):
-                        raise ConfigurationError(
-                            f"fleet fault {fname!r} must be a number, got "
-                            f"{value!r} ({type(value).__name__})"
-                        )
-                    fault_fields[fname] = float(value)
-            fields["fault"] = FleetFaultSpec(**fault_fields)
-        if "quick" in data:
-            value = data["quick"]
-            if not isinstance(value, bool):
-                raise ConfigurationError(
-                    f"fleet spec 'quick' must be a boolean, got {value!r}"
-                )
-            fields["quick"] = value
-        try:
-            return cls(**fields)
-        except ConfigurationError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"malformed fleet spec payload: {exc}"
-            ) from None
+        return _FLEET_WIRE.parse(payload)
 
     def digest(self, version: Optional[str] = None) -> str:
         """Content hash naming this spec (plus the package ``version``).
@@ -496,12 +327,7 @@ class FleetSpec:
         The ``repro-fleet/`` domain prefix keeps fleet digests disjoint
         from RunSpec digests even in a shared cache directory.
         """
-        if version is None:
-            from .. import __version__ as version
-        h = hashlib.sha256()
-        h.update(f"repro-fleet/{version}\n".encode("utf-8"))
-        h.update(self.canonical().encode("utf-8"))
-        return h.hexdigest()[:40]
+        return _FLEET_WIRE.digest(self, version)
 
     def describe(self) -> str:
         """Short human-readable label (progress lines, bench reports)."""
@@ -517,3 +343,36 @@ class FleetSpec:
             f"{budget}{fault}/seed={self.seed}{platform}"
             f"{'/quick' if self.quick else ''}"
         )
+
+
+_FLEET_WIRE = _WireForm(
+    FleetSpec,
+    {
+        "racks": _wire_int,
+        "nodes_per_rack": _wire_int,
+        "horizon": _wire_number,
+        "dt": _wire_number,
+        "epoch_ticks": _wire_int,
+        "control_ticks": _wire_int,
+        "seed": _wire_int,
+        "workload": _wire_str,
+        "workload_params": _wire_params,
+        "power_budget": _wire_optional(_wire_number),
+        "recirculation": _wire_number,
+        "cold_aisle_c": _wire_number,
+        "platform": _wire_optional(_wire_str),
+        "fault": _wire_optional(
+            _WireForm(
+                FleetFaultSpec,
+                {
+                    "kind": _wire_str,
+                    "rack": _wire_int,
+                    "at": _wire_number,
+                    "factor": _wire_number,
+                },
+            ).build
+        ),
+        "quick": _wire_bool,
+    },
+    domain="repro-fleet",
+)

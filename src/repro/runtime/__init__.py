@@ -42,7 +42,6 @@ from .spec import (
     RigSpec,
     RunSpec,
     freeze_params,
-    specs_table,
 )
 
 __all__ = [
@@ -58,6 +57,5 @@ __all__ = [
     "first_rise_delay",
     "freeze_params",
     "late_quarter_slope",
-    "specs_table",
     "timed_execute_specs",
 ]

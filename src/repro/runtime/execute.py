@@ -136,8 +136,6 @@ def execute_specs_batch(specs: Sequence[RunSpec]) -> List[RunResult]:
 def _execute_fault(cluster: Cluster, job, spec: RunSpec) -> RunResult:
     """The fault protocol: run to ``at``, inject, ride out the horizon."""
     fault = spec.fault
-    if fault.kind != "fan_fail":
-        raise ConfigurationError(f"unknown fault kind {fault.kind!r}")
     cluster.bind_job(job)
     cluster.run_for(fault.at)
     victim = cluster.node(fault.node)

@@ -1,4 +1,4 @@
-"""Declarative run specifications.
+"""Declarative run specifications and the spec JSON wire seam.
 
 A :class:`RunSpec` *names* one cluster simulation — platform size,
 seed, workload, governor rigging, optional ambient model and fault
@@ -14,6 +14,14 @@ the ``WORKLOAD_REGISTRY`` / ``RIG_REGISTRY`` / ``AMBIENT_REGISTRY``
 tables in :mod:`repro.experiments.platform`); parameters are frozen to
 sorted ``(key, value)`` tuples so a spec's hash is stable across
 processes and sessions.
+
+Every spec dataclass range-checks its values in ``__post_init__``.
+Both spec kinds (:class:`RunSpec` and
+:class:`repro.fleet.spec.FleetSpec`) cross the JSON wire through one
+seam, :class:`_WireForm`: one payload loader, one table-driven field
+parser and one canonical-form/digest body.  Every malformed or hostile
+payload raises :class:`~repro.errors.ConfigurationError` (a 400 when
+served).
 """
 
 from __future__ import annotations
@@ -22,8 +30,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import reprlib
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError
 
@@ -34,7 +44,6 @@ __all__ = [
     "RigSpec",
     "RunSpec",
     "freeze_params",
-    "specs_table",
 ]
 
 #: Seed all paper-reproduction runs use unless overridden.
@@ -43,11 +52,37 @@ DEFAULT_SEED = 20100913
 #: Frozen parameter mapping: sorted ``(key, value)`` pairs.
 Params = Tuple[Tuple[str, Any], ...]
 
+#: Deepest nesting a parameter value may have.  Far beyond any real
+#: parameter, and shallow enough that freezing, rendering and decoding a
+#: spec never come near the interpreter's recursion limit.
+_MAX_PARAM_DEPTH = 32
 
-def _freeze_value(value: Any) -> Any:
+#: Fault kinds :func:`repro.runtime.execute.execute_spec` can inject.
+_FAULT_KINDS = ("fan_fail",)
+
+
+def _freeze_value(value: Any, depth: int = 0) -> Any:
     """Recursively convert ``value`` to a hashable equivalent."""
+    if value is None or isinstance(value, (str, int)):  # bool is an int
+        return value
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            # nan breaks spec equality/dedup (nan != nan) and both nan
+            # and inf have no strict-JSON token in canonical().
+            raise ConfigurationError(
+                f"spec parameter value {value!r} is not finite; specs must "
+                "be built from finite numbers"
+            )
+        return value
+    if depth >= _MAX_PARAM_DEPTH:
+        raise ConfigurationError(
+            f"spec parameter value nests deeper than {_MAX_PARAM_DEPTH} "
+            "levels"
+        )
     if isinstance(value, Mapping):
-        return tuple(sorted((str(k), _freeze_value(v)) for k, v in value.items()))
+        return tuple(sorted(
+            (str(k), _freeze_value(v, depth + 1)) for k, v in value.items()
+        ))
     if isinstance(value, (list, tuple, set, frozenset)):
         if isinstance(value, (set, frozenset)):
             try:
@@ -62,16 +97,7 @@ def _freeze_value(value: Any) -> Any:
                 ) from None
         else:
             items = value
-        return tuple(_freeze_value(v) for v in items)
-    if isinstance(value, float) and not math.isfinite(value):
-        # nan breaks spec equality/dedup (nan != nan) and both nan and
-        # inf have no strict-JSON token in canonical().
-        raise ConfigurationError(
-            f"spec parameter value {value!r} is not finite; specs must "
-            "be built from finite numbers"
-        )
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
+        return tuple(_freeze_value(v, depth + 1) for v in items)
     raise ConfigurationError(
         f"spec parameter value {value!r} ({type(value).__name__}) is not "
         "a primitive; specs must be built from hashable primitives"
@@ -83,6 +109,265 @@ def freeze_params(params: Optional[Mapping[str, Any]]) -> Params:
     if not params:
         return ()
     return tuple(sorted((str(k), _freeze_value(v)) for k, v in params.items()))
+
+
+# -- range checks shared by every spec dataclass ---------------------------
+
+
+def _show(value: Any) -> str:
+    """A bounded rendering of a rejected value (safe on hostile input)."""
+    return f"{reprlib.repr(value)} ({type(value).__name__})"
+
+
+def _require_int(value: Any, name: str, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(
+            f"spec {name} must be an int, got {_show(value)}"
+        )
+    if value < minimum:
+        raise ConfigurationError(
+            f"spec {name} must be >= {minimum}, got {reprlib.repr(value)}"
+        )
+
+
+def _require_finite(
+    value: Any, name: str, minimum: float = -math.inf, strict: bool = False
+) -> None:
+    """``value`` is a finite number >= ``minimum`` (> when ``strict``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(
+            f"spec {name} must be a number, got {_show(value)}"
+        )
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        finite = False
+    if not finite:
+        raise ConfigurationError(
+            f"spec {name} must be finite, got {reprlib.repr(value)}"
+        )
+    if value < minimum or (strict and value == minimum):
+        raise ConfigurationError(
+            f"spec {name} must be {'>' if strict else '>='} {minimum:g}, "
+            f"got {value}"
+        )
+
+
+# -- the JSON wire seam (RunSpec and FleetSpec) ----------------------------
+
+#: One wire kind: ``(decoded value, field path) -> field value``; raises
+#: ConfigurationError naming the field path.
+_Kind = Callable[[Any, str], Any]
+
+
+def _load_payload(payload: Union[str, bytes]) -> dict:
+    """Decode a spec payload (UTF-8 bytes or text) into a JSON object.
+
+    ``NaN``/``Infinity``/``-Infinity`` and overflowing literals such as
+    ``1e999`` decode to non-finite floats, which the field they land in
+    rejects by name (numbers are range-checked at construction,
+    parameters by :func:`freeze_params`): one finite check for both.
+    """
+    try:
+        if isinstance(payload, bytes):
+            payload = payload.decode("utf-8")
+        data = json.loads(payload)
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(
+            f"spec payload is not valid UTF-8: {exc}"
+        ) from None
+    except RecursionError:
+        raise ConfigurationError(
+            "spec payload is not valid JSON: it nests too deeply to decode"
+        ) from None
+    except ValueError as exc:  # JSONDecodeError, or an over-long int literal
+        raise ConfigurationError(
+            f"spec payload is not valid JSON: {exc}"
+        ) from None
+    if not isinstance(data, dict):
+        raise ConfigurationError(
+            f"spec payload must be a JSON object, got {type(data).__name__}"
+        )
+    return data
+
+
+def _wire_exact(kind: type, noun: str) -> _Kind:
+    """A value of exactly type ``kind`` (so an int kind refuses ``true``)."""
+
+    def exact(value: Any, where: str) -> Any:
+        if type(value) is kind:
+            return value
+        raise ConfigurationError(
+            f"spec {where!r} must be {noun}, got {_show(value)}"
+        )
+
+    return exact
+
+
+_wire_int = _wire_exact(int, "an int")
+_wire_bool = _wire_exact(bool, "a boolean")
+_wire_str = _wire_exact(str, "a string")
+
+
+def _wire_number(value: Any, where: str) -> float:
+    """A number, coerced to float so ``3600`` and ``3600.0`` name one spec."""
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigurationError(
+                f"spec {where!r} must be finite, got an integer beyond "
+                "float range"
+            ) from None
+    raise ConfigurationError(
+        f"spec {where!r} must be a number, got {_show(value)}"
+    )
+
+
+def _wire_optional(kind: _Kind) -> _Kind:
+    """``kind``, or ``None`` for a JSON ``null``."""
+
+    def optional(value: Any, where: str) -> Any:
+        return None if value is None else kind(value, where)
+
+    return optional
+
+
+def _wire_params(value: Any, where: str) -> Params:
+    """Parameters as the canonical pair list or a plain JSON object."""
+    if type(value) is list:
+        for entry in value:
+            if (
+                type(entry) is not list
+                or len(entry) != 2
+                or type(entry[0]) is not str
+            ):
+                raise ConfigurationError(
+                    f"spec {where!r} entries must be [\"key\", value] pairs, "
+                    f"got {_show(entry)}"
+                )
+        value = dict(value)
+    elif type(value) is not dict:
+        raise ConfigurationError(
+            f"spec {where!r} must be an object or a list of pairs, got "
+            f"{_show(value)}"
+        )
+    try:
+        return freeze_params(value)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"spec {where!r}: {exc}") from None
+
+
+class _WireForm:
+    """One spec dataclass's JSON wire form.
+
+    ``kinds`` names the wire kind of every dataclass field (checked
+    against the fields once, here).  ``legacy`` maps each retired key to
+    the one value :meth:`canonical` still renders for it, so digests
+    minted while it existed hold; on parse it is type-checked against
+    that value and dropped.  ``domain`` prefixes the digest.  A form's
+    :meth:`build` is itself a wire kind, which is how nested objects
+    (rigs, faults) are parsed.
+    """
+
+    def __init__(
+        self,
+        cls: type,
+        kinds: Mapping[str, _Kind],
+        *,
+        domain: str = "",
+        legacy: Mapping[str, Any] = MappingProxyType({}),
+    ) -> None:
+        fields = dataclasses.fields(cls)
+        if set(kinds) != {f.name for f in fields}:
+            raise TypeError(
+                f"{cls.__name__} wire kinds {sorted(kinds)} do not match "
+                f"its fields {sorted(f.name for f in fields)}"
+            )
+        self.cls = cls
+        self.legacy = MappingProxyType(dict(legacy))
+        self.kinds = MappingProxyType({
+            **kinds,
+            **{
+                key: _wire_exact(type(value), f"a {type(value).__name__}")
+                for key, value in legacy.items()
+            },
+        })
+        self.required = tuple(
+            f.name for f in fields if f.default is dataclasses.MISSING
+        )
+        self.domain = domain
+
+    def parse(self, payload: Union[str, bytes]) -> Any:
+        """The spec a payload names (the ``from_json`` body)."""
+        return self.build(_load_payload(payload), "")
+
+    def build(self, data: Any, where: str) -> Any:
+        """Build the spec a decoded object names; ``where`` is its path."""
+        if type(data) is not dict:
+            raise ConfigurationError(
+                f"spec {where!r} must be an object, got {_show(data)}"
+            )
+        prefix = f"{where}." if where else ""
+        kinds = self.kinds
+        fields = {}
+        for key, value in data.items():
+            kind = kinds.get(key)
+            if kind is None:
+                unknown = sorted(set(data) - set(kinds))
+                raise ConfigurationError(
+                    f"unknown spec field(s) {unknown}"
+                    f"{f' in {where!r}' if where else ''}; known fields: "
+                    f"{sorted(kinds)}"
+                )
+            fields[key] = kind(value, prefix + key)
+        for name in self.legacy:
+            fields.pop(name, None)
+        for name in self.required:
+            if name not in fields:
+                raise ConfigurationError(
+                    f"spec {repr(where) if where else 'payload'} is "
+                    f"missing {name!r}"
+                )
+        try:
+            return self.cls(**fields)
+        except ConfigurationError as exc:
+            if not where:
+                raise
+            raise ConfigurationError(f"spec {where!r}: {exc}") from None
+
+    def canonical(self, spec: Any) -> str:
+        """Deterministic JSON of ``spec``: its fields plus :attr:`legacy`.
+
+        A ``None`` ``platform`` is dropped, so specs from before the
+        field existed keep their canonical form (and digest) byte-for-byte.
+        """
+        text = spec.__dict__.get("_canonical")
+        if text is None:
+            data = dataclasses.asdict(spec)
+            if data["platform"] is None:
+                del data["platform"]
+            data.update(self.legacy)
+            text = json.dumps(data, sort_keys=True)
+            # Memoized beside the fields (the spec is frozen; equality,
+            # hashing and asdict see fields only): every request path
+            # needs it for the digest and again for the store's check.
+            object.__setattr__(spec, "_canonical", text)
+        return text
+
+    def digest(self, spec: Any, version: Optional[str]) -> str:
+        """sha256 over ``<domain>/<version>`` and the canonical form."""
+        if version is None:
+            from .. import __version__ as version
+        h = hashlib.sha256()
+        h.update(f"{self.domain}/{version}\n".encode("utf-8"))
+        h.update(self.canonical(spec).encode("utf-8"))
+        return h.hexdigest()[:40]
+
+
+# -- the run spec dataclasses ----------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -101,10 +386,12 @@ class RigSpec:
     name: str
     params: Params = ()
 
-    @classmethod
-    def of(cls, name: str, **params: Any) -> "RigSpec":
-        """Build a rig spec from keyword arguments."""
-        return cls(name=name, params=freeze_params(params))
+    def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or not self.name:
+            raise ConfigurationError(
+                f"spec rig 'name' must be a non-empty string, got "
+                f"{_show(self.name)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -117,18 +404,28 @@ class FaultSpec:
         Fault type; currently only ``"fan_fail"`` (the rotor coasts to
         a stop and PWM commands are ignored).
     node:
-        Index of the victim node.
+        Index of the victim node, in ``[0, n_nodes)`` of its run.
     at:
-        Simulated seconds into the run at which the fault fires.
+        Simulated seconds into the run at which the fault fires (>= 0).
     horizon:
-        Total simulated seconds the scenario runs (the job is sized to
-        outlast it); the run does not wait for job completion.
+        Total simulated seconds the scenario runs (> 0; the job is
+        sized to outlast it); the run does not wait for job completion.
     """
 
     kind: str = "fan_fail"
     node: int = 0
     at: float = 40.0
     horizon: float = 420.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in _FAULT_KINDS:
+            raise ConfigurationError(
+                f"spec fault 'kind' {reprlib.repr(self.kind)} is unknown; "
+                f"available: {list(_FAULT_KINDS)}"
+            )
+        _require_int(self.node, "fault 'node'", 0)
+        _require_finite(self.at, "fault 'at'", 0.0)
+        _require_finite(self.horizon, "fault 'horizon'", 0.0, strict=True)
 
 
 def _as_rig(entry: Union[str, "RigSpec", Tuple[str, Mapping[str, Any]]]) -> RigSpec:
@@ -139,134 +436,6 @@ def _as_rig(entry: Union[str, "RigSpec", Tuple[str, Mapping[str, Any]]]) -> RigS
         return RigSpec(name=entry)
     name, params = entry
     return RigSpec(name=name, params=freeze_params(params))
-
-
-# -- JSON wire-form parsing helpers (RunSpec.from_json) ----------------------
-
-
-def _typed(data: Mapping[str, Any], key: str, kind: type, default: Any) -> Any:
-    """``data[key]`` checked against ``kind`` (``default`` when absent)."""
-    value = data.get(key, default)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigurationError(
-            f"spec {key!r} must be {kind.__name__}, got {value!r} "
-            f"({type(value).__name__})"
-        )
-    return value
-
-
-def _int_field(data: Mapping[str, Any], key: str, default: int) -> int:
-    return _typed(data, key, int, default)
-
-
-def _float_field(data: Mapping[str, Any], key: str, default: float) -> float:
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(
-            f"spec {key!r} must be a number, got {value!r} "
-            f"({type(value).__name__})"
-        )
-    return float(value)
-
-
-def _bool_field(data: Mapping[str, Any], key: str) -> bool:
-    value = data.get(key, False)
-    if not isinstance(value, bool):
-        raise ConfigurationError(
-            f"spec {key!r} must be a boolean, got {value!r} "
-            f"({type(value).__name__})"
-        )
-    return value
-
-
-def _optional_str_field(data: Mapping[str, Any], key: str) -> Optional[str]:
-    value = data.get(key)
-    if value is not None and not isinstance(value, str):
-        raise ConfigurationError(
-            f"spec {key!r} must be a string or null, got {value!r} "
-            f"({type(value).__name__})"
-        )
-    return value
-
-
-def _params_from_json(raw: Any, where: str) -> Params:
-    """Parse parameters from the pair-list or object wire shapes."""
-    if isinstance(raw, Mapping):
-        return freeze_params(raw)
-    if isinstance(raw, (list, tuple)):
-        pairs = {}
-        for entry in raw:
-            if (
-                not isinstance(entry, (list, tuple))
-                or len(entry) != 2
-                or not isinstance(entry[0], str)
-            ):
-                raise ConfigurationError(
-                    f"spec {where} entries must be [\"key\", value] pairs, "
-                    f"got {entry!r}"
-                )
-            pairs[entry[0]] = entry[1]
-        return freeze_params(pairs)
-    raise ConfigurationError(
-        f"spec {where} must be an object or a list of pairs, got {raw!r} "
-        f"({type(raw).__name__})"
-    )
-
-
-def _rig_from_json(raw: Any, where: str) -> RigSpec:
-    """Parse one rig/ambient entry (``"name"`` or ``{"name", "params"}``)."""
-    if isinstance(raw, str):
-        return RigSpec(name=raw)
-    if not isinstance(raw, Mapping):
-        raise ConfigurationError(
-            f"spec {where} must be a rig name or object, got {raw!r} "
-            f"({type(raw).__name__})"
-        )
-    unknown = sorted(set(raw) - {"name", "params"})
-    if unknown:
-        raise ConfigurationError(
-            f"spec {where} has unknown key(s) {unknown}; expected "
-            "'name' and optional 'params'"
-        )
-    name = raw.get("name")
-    if not isinstance(name, str) or not name:
-        raise ConfigurationError(
-            f"spec {where} 'name' must be a non-empty string, got {name!r}"
-        )
-    return RigSpec(name=name, params=_params_from_json(
-        raw.get("params", ()), f"{where}.params"
-    ))
-
-
-def _fault_from_json(raw: Any) -> Optional[FaultSpec]:
-    """Parse the optional fault object."""
-    if raw is None:
-        return None
-    if not isinstance(raw, Mapping):
-        raise ConfigurationError(
-            f"spec 'fault' must be an object or null, got {raw!r} "
-            f"({type(raw).__name__})"
-        )
-    unknown = sorted(set(raw) - {"kind", "node", "at", "horizon"})
-    if unknown:
-        raise ConfigurationError(
-            f"spec 'fault' has unknown key(s) {unknown}; expected "
-            "kind/node/at/horizon"
-        )
-    kind = raw.get("kind", "fan_fail")
-    if not isinstance(kind, str) or not kind:
-        raise ConfigurationError(
-            f"spec fault 'kind' must be a non-empty string, got {kind!r}"
-        )
-    try:
-        return FaultSpec(
-            kind=kind,
-            node=_int_field(raw, "node", default=0),
-            at=_float_field(raw, "at", default=40.0),
-            horizon=_float_field(raw, "horizon", default=420.0),
-        )
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"in spec 'fault': {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -282,16 +451,17 @@ class RunSpec:
     rigs:
         Governor riggings applied in order (each rigs every node).
     n_nodes / seed:
-        Platform size and root seed.
+        Platform size (>= 1) and root seed (>= 0).
     ambient:
         Optional ambient registry entry (e.g. a rack inlet gradient).
     fault:
         Optional fault injection; when set the run follows the fixed
         fault horizon instead of running the job to completion.
     timeout:
-        Hard ceiling on simulated seconds for job-completion runs.
+        Hard ceiling on simulated seconds for job-completion runs
+        (finite, > 0).
     tail:
-        Extra simulated seconds after job completion.
+        Extra simulated seconds after job completion (finite, >= 0).
     quick:
         Marks shortened (smoke-test) configurations.  Carried so cache
         entries and reports can distinguish quick sweeps from full
@@ -328,6 +498,29 @@ class RunSpec:
     telemetry: bool = False
     platform: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.workload, str) or not self.workload:
+            raise ConfigurationError(
+                "spec 'workload' must be a non-empty string, got "
+                f"{_show(self.workload)}"
+            )
+        if type(self.rigs) is not tuple or not all(
+            type(rig) is RigSpec for rig in self.rigs
+        ):
+            raise ConfigurationError(
+                "spec 'rigs' must be a tuple of RigSpec, got "
+                f"{_show(self.rigs)}"
+            )
+        _require_int(self.n_nodes, "'n_nodes'", 1)
+        _require_int(self.seed, "'seed'", 0)
+        _require_finite(self.timeout, "'timeout'", 0.0, strict=True)
+        _require_finite(self.tail, "'tail'", 0.0)
+        if self.fault is not None and self.fault.node >= self.n_nodes:
+            raise ConfigurationError(
+                f"spec fault 'node' {self.fault.node} is outside the "
+                f"{self.n_nodes}-node platform"
+            )
+
     @classmethod
     def of(
         cls,
@@ -335,30 +528,17 @@ class RunSpec:
         params: Optional[Mapping[str, Any]] = None,
         *,
         rigs: Sequence[Union[str, RigSpec, Tuple[str, Mapping[str, Any]]]] = (),
-        n_nodes: int = 4,
-        seed: int = DEFAULT_SEED,
         ambient: Optional[Union[RigSpec, Tuple[str, Mapping[str, Any]]]] = None,
-        fault: Optional[FaultSpec] = None,
-        timeout: float = 3600.0,
-        tail: float = 0.0,
-        quick: bool = False,
-        telemetry: bool = False,
-        platform: Optional[str] = None,
+        **fields: Any,
     ) -> "RunSpec":
-        """Ergonomic constructor taking plain dicts for all parameters."""
+        """Ergonomic constructor taking plain dicts for all parameters;
+        the remaining fields pass through by keyword."""
         return cls(
             workload=workload,
             workload_params=freeze_params(params),
             rigs=tuple(_as_rig(r) for r in rigs),
-            n_nodes=n_nodes,
-            seed=seed,
             ambient=None if ambient is None else _as_rig(ambient),
-            fault=fault,
-            timeout=timeout,
-            tail=tail,
-            quick=quick,
-            telemetry=telemetry,
-            platform=platform,
+            **fields,
         )
 
     def to_json(self) -> str:
@@ -375,112 +555,27 @@ class RunSpec:
     def from_json(cls, payload: Union[str, bytes]) -> "RunSpec":
         """Parse the JSON wire form back into a spec.
 
-        This is the request-validation seam of the serving layer
-        (``POST /v1/runs`` bodies land here): every malformed payload —
-        bad JSON, wrong top-level type, unknown or missing fields,
-        wrong field types, malformed rigs/fault/params — raises
-        :class:`~repro.errors.ConfigurationError` with a message naming
-        the offending field, never a bare ``KeyError``/``TypeError``.
-
-        Accepted parameter shapes are the canonical pair list
-        (``[["key", value], ...]``) *and* a plain JSON object
-        (``{"key": value}``) — hand-written clients get the friendly
-        form, round-trips get exactness.  Numeric protocol fields
-        (``timeout``, ``tail``, fault ``at``/``horizon``) are coerced
-        to float so ``3600`` and ``3600.0`` name the same spec (and
-        hence the same digest).  A boolean ``fastpath`` key — the wire
-        form of an engine-path flag that no longer exists — is accepted
-        and ignored.
+        The serving layer's request-validation seam: every malformed
+        or hostile payload raises
+        :class:`~repro.errors.ConfigurationError` naming the offending
+        field (or the payload, for faults found before any field is
+        read).  Parameters may be the canonical pair list or a plain
+        object; ``timeout``, ``tail`` and fault ``at``/``horizon`` are
+        coerced to float, so ``3600`` and ``3600.0`` name one spec; a
+        boolean ``fastpath`` key (a retired engine-path flag) is
+        accepted and ignored.
         """
-        if isinstance(payload, bytes):
-            try:
-                payload = payload.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ConfigurationError(
-                    f"spec payload is not valid UTF-8: {exc}"
-                ) from None
-        try:
-            data = json.loads(payload)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"spec payload is not valid JSON: {exc}"
-            ) from None
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                "spec payload must be a JSON object, got "
-                f"{type(data).__name__}"
-            )
-        known = {f.name for f in dataclasses.fields(cls)} | {"fastpath"}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown spec field(s) {unknown}; known fields: "
-                f"{sorted(known)}"
-            )
-        if "workload" not in data:
-            raise ConfigurationError("spec payload is missing 'workload'")
-        workload = data["workload"]
-        if not isinstance(workload, str) or not workload:
-            raise ConfigurationError(
-                f"spec 'workload' must be a non-empty string, got {workload!r}"
-            )
-        # The retired engine-path flag: either value names the same run.
-        _bool_field(data, "fastpath")
-        try:
-            return cls(
-                workload=workload,
-                workload_params=_params_from_json(
-                    data.get("workload_params", ()), "workload_params"
-                ),
-                rigs=tuple(
-                    _rig_from_json(entry, f"rigs[{i}]")
-                    for i, entry in enumerate(
-                        _typed(data, "rigs", list, default=[])
-                    )
-                ),
-                n_nodes=_int_field(data, "n_nodes", default=4),
-                seed=_int_field(data, "seed", default=DEFAULT_SEED),
-                ambient=(
-                    None
-                    if data.get("ambient") is None
-                    else _rig_from_json(data["ambient"], "ambient")
-                ),
-                fault=_fault_from_json(data.get("fault")),
-                timeout=_float_field(data, "timeout", default=3600.0),
-                tail=_float_field(data, "tail", default=0.0),
-                quick=_bool_field(data, "quick"),
-                telemetry=_bool_field(data, "telemetry"),
-                platform=_optional_str_field(data, "platform"),
-            )
-        except ConfigurationError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed spec payload: {exc}") from None
+        return _RUN_WIRE.parse(payload)
 
     def canonical(self) -> str:
         """Deterministic JSON form (the digest input; also debuggable).
 
-        A ``None`` platform is dropped from the rendering: the field
-        was added after digests of platform-less specs were already
-        populating on-disk caches, and ``platform=None`` means "the
-        exact pre-platform behaviour", so those specs must keep their
-        historical canonical form byte-for-byte.  For the same reason
-        the rendering keeps ``"fastpath": false``: the field is gone
+        A ``None`` platform is dropped (see :meth:`_WireForm.canonical`)
+        and the rendering keeps ``"fastpath": false``: the field is gone
         (there is one engine path), but every digest minted while it
         existed — cache keys, served digests — names the same run.
         """
-        text = self.__dict__.get("_canonical")
-        if text is None:
-            data = dataclasses.asdict(self)
-            if data["platform"] is None:
-                del data["platform"]
-            data["fastpath"] = False
-            text = json.dumps(data, sort_keys=True)
-            # Memoized beside the fields (the spec is frozen; equality,
-            # hashing and asdict see fields only): every request path
-            # needs it for the digest and again for the store's check.
-            object.__setattr__(self, "_canonical", text)
-        return text
+        return _RUN_WIRE.canonical(self)
 
     def digest(self, version: Optional[str] = None) -> str:
         """Content hash naming this spec (plus the package ``version``).
@@ -489,12 +584,7 @@ class RunSpec:
         package version invalidates every cached digest, since any code
         change may recalibrate results.
         """
-        if version is None:
-            from .. import __version__ as version
-        h = hashlib.sha256()
-        h.update(f"repro/{version}\n".encode("utf-8"))
-        h.update(self.canonical().encode("utf-8"))
-        return h.hexdigest()[:40]
+        return _RUN_WIRE.digest(self, version)
 
     def describe(self) -> str:
         """Short human-readable label (progress lines, bench reports)."""
@@ -506,6 +596,56 @@ class RunSpec:
         )
 
 
-def specs_table(specs: Iterable[RunSpec]) -> str:
-    """One :meth:`RunSpec.describe` line per spec (debugging helper)."""
-    return "\n".join(s.describe() for s in specs)
+_RIG_WIRE = _WireForm(RigSpec, {"name": _wire_str, "params": _wire_params})
+
+
+def _wire_rig(value: Any, where: str) -> RigSpec:
+    """A rig as its bare name or as ``{"name", "params"}``."""
+    if type(value) is str:
+        value = {"name": value}
+    elif type(value) is not dict:
+        raise ConfigurationError(
+            f"spec {where!r} must be a rig name or object, got {_show(value)}"
+        )
+    return _RIG_WIRE.build(value, where)
+
+
+def _wire_rigs(value: Any, where: str) -> Tuple[RigSpec, ...]:
+    if type(value) is not list:
+        raise ConfigurationError(
+            f"spec {where!r} must be a list, got {_show(value)}"
+        )
+    return tuple(
+        [_wire_rig(entry, f"{where}[{i}]") for i, entry in enumerate(value)]
+    )
+
+
+_RUN_WIRE = _WireForm(
+    RunSpec,
+    {
+        "workload": _wire_str,
+        "workload_params": _wire_params,
+        "rigs": _wire_rigs,
+        "n_nodes": _wire_int,
+        "seed": _wire_int,
+        "ambient": _wire_optional(_wire_rig),
+        "fault": _wire_optional(
+            _WireForm(
+                FaultSpec,
+                {
+                    "kind": _wire_str,
+                    "node": _wire_int,
+                    "at": _wire_number,
+                    "horizon": _wire_number,
+                },
+            ).build
+        ),
+        "timeout": _wire_number,
+        "tail": _wire_number,
+        "quick": _wire_bool,
+        "telemetry": _wire_bool,
+        "platform": _wire_optional(_wire_str),
+    },
+    domain="repro",
+    legacy={"fastpath": False},
+)

@@ -297,7 +297,7 @@ class ReproServer:
         self, request: HttpRequest
     ) -> Tuple[int, bytes, str, Tuple[Tuple[str, str], ...]]:
         try:
-            spec = RunSpec.from_json(request.body.decode("utf-8", "replace"))
+            spec = RunSpec.from_json(request.body)
         except ConfigurationError as exc:
             return 400, error_body(str(exc)), "application/json", ()
         try:

@@ -277,6 +277,31 @@ def test_non_finite_floats_rejected_at_spec_construction() -> None:
         RunSpec.of("mixed_thermal_profile", {"duration": float("nan")})
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("n_nodes", 0),
+        ("seed", -1),
+        ("timeout", float("nan")),
+        ("timeout", 0.0),
+        ("tail", -5.0),
+        ("tail", float("inf")),
+        ("fault", FaultSpec(node=1)),  # cheap_spec has one node
+    ],
+)
+def test_construction_checks_ranges(field, value) -> None:
+    """RunSpec.of, dataclasses.replace and from_json share one set of
+    range checks: the dataclass's own."""
+    import dataclasses as _dc
+
+    with pytest.raises(ConfigurationError, match=field):
+        cheap_spec(**{field: value})
+    with pytest.raises(ConfigurationError, match=field):
+        _dc.replace(cheap_spec(), **{field: value})
+    with pytest.raises(ConfigurationError, match="kind"):
+        FaultSpec(kind="meteor")
+
+
 # -- JSON wire form ------------------------------------------------------
 
 
@@ -359,6 +384,75 @@ def test_from_json_coerces_protocol_floats() -> None:
     assert RunSpec.from_json(_json.dumps(wire)) == cheap_spec()
 
 
+#: Deep enough that the JSON decoder gives up (200 KB, under the serving
+#: layer's 1 MiB body limit).
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
+
+#: An integer literal past the interpreter's 4300-digit conversion limit.
+LONG_INT = "9" * 5000
+
+#: ``(id, payload, needle)``: hostile RunSpec payloads.  Each must raise
+#: a ConfigurationError whose message contains ``needle`` (its field, or
+#: the payload-level fault), and the server must answer each with a 400.
+HOSTILE_RUN_PAYLOADS = [
+    ("nan-timeout", '{"workload": "x", "timeout": NaN}', "timeout"),
+    ("inf-timeout", '{"workload": "x", "timeout": Infinity}', "timeout"),
+    ("overflow-timeout", '{"workload": "x", "timeout": 1e999}', "timeout"),
+    ("nan-tail", '{"workload": "x", "tail": NaN}', "tail"),
+    ("neginf-tail", '{"workload": "x", "tail": -Infinity}', "tail"),
+    ("nan-n_nodes", '{"workload": "x", "n_nodes": NaN}', "n_nodes"),
+    ("inf-seed", '{"workload": "x", "seed": Infinity}', "seed"),
+    ("nan-fault-at", '{"workload": "x", "fault": {"at": NaN}}', "fault 'at'"),
+    (
+        "inf-fault-horizon",
+        '{"workload": "x", "fault": {"horizon": Infinity}}',
+        "fault 'horizon'",
+    ),
+    (
+        "nan-fault-node",
+        '{"workload": "x", "fault": {"node": NaN}}',
+        "fault.node",
+    ),
+    (
+        "nan-workload-param",
+        '{"workload": "x", "workload_params": {"duration": NaN}}',
+        "workload_params",
+    ),
+    (
+        "inf-rig-param",
+        '{"workload": "x", "rigs": [{"name": "f", "params": {"duty": '
+        "-Infinity}}]}",
+        "rigs[0].params",
+    ),
+    ("deep-array-body", DEEP_ARRAY, "nests too deeply"),
+    (
+        "deep-array-field",
+        '{"workload": "x", "workload_params": ' + DEEP_ARRAY + "}",
+        "nests too deeply",
+    ),
+    (
+        "deep-param-value",
+        '{"workload": "x", "workload_params": {"a": '
+        + "[" * 600 + "]" * 600 + "}}",
+        "workload_params",
+    ),
+    ("long-int-seed", '{"workload": "x", "seed": ' + LONG_INT + "}", "digits"),
+    ("negative-seed", '{"workload": "x", "seed": -1}', "seed"),
+    ("zero-nodes", '{"workload": "x", "n_nodes": 0}', "n_nodes"),
+    ("negative-tail", '{"workload": "x", "tail": -5}', "tail"),
+    (
+        "fault-node-out-of-range",
+        '{"workload": "x", "n_nodes": 2, "fault": {"node": 2}}',
+        "fault 'node'",
+    ),
+    ("fault-kind-unknown", '{"workload": "x", "fault": {"kind": "meteor"}}',
+     "fault 'kind'"),
+    ("fault-at-negative", '{"workload": "x", "fault": {"at": -3}}',
+     "fault 'at'"),
+    ("utf8-in-workload", b'{"workload": "bt\xff_b_4"}', "not valid UTF-8"),
+]
+
+
 @pytest.mark.parametrize(
     "payload,needle",
     [
@@ -390,7 +484,9 @@ def test_from_json_coerces_protocol_floats() -> None:
         ('{"workload": "x", "platform": 9}', "platform"),
         ('{"workload": "x", "fastpath": 1}', "fastpath"),
         ('{"workload": "x", "fastpath": "yes"}', "fastpath"),
-    ],
+    ]
+    + [pytest.param(body, needle, id=name) for name, body, needle in
+       HOSTILE_RUN_PAYLOADS],
 )
 def test_from_json_malformed_payloads_are_config_errors(
     payload, needle
@@ -525,6 +621,34 @@ def test_fleet_from_json_accepts_object_params() -> None:
         ('{"racks": 2, "fault": {"rack": 2}}', "rack"),
         ('{"quick": 1}', "quick"),
         ('{"shards": 4}', "unknown"),
+    ]
+    + [
+        pytest.param(body, needle, id=name)
+        for name, body, needle in [
+            ("nan-racks", '{"racks": NaN}', "racks"),
+            ("inf-nodes_per_rack", '{"nodes_per_rack": Infinity}',
+             "nodes_per_rack"),
+            ("nan-horizon", '{"horizon": NaN}', "horizon"),
+            ("inf-dt", '{"dt": Infinity}', "dt"),
+            ("nan-epoch_ticks", '{"epoch_ticks": NaN}', "epoch_ticks"),
+            ("inf-control_ticks", '{"control_ticks": Infinity}',
+             "control_ticks"),
+            ("neginf-seed", '{"seed": -Infinity}', "seed"),
+            ("inf-power_budget", '{"power_budget": Infinity}',
+             "power_budget"),
+            ("nan-recirculation", '{"recirculation": NaN}', "recirculation"),
+            ("neginf-cold_aisle_c", '{"cold_aisle_c": -Infinity}',
+             "cold_aisle_c"),
+            ("overflow-horizon", '{"horizon": 1e999}', "horizon"),
+            ("nan-fault-at", '{"fault": {"at": NaN}}', "fault 'at'"),
+            ("inf-fault-factor", '{"fault": {"factor": Infinity}}',
+             "fault 'factor'"),
+            ("nan-fault-rack", '{"fault": {"rack": NaN}}', "fault.rack"),
+            ("nan-workload-param", '{"workload_params": {"u_hot": NaN}}',
+             "workload_params"),
+            ("deep-array-body", DEEP_ARRAY, "nests too deeply"),
+            ("long-int-seed", '{"seed": ' + LONG_INT + "}", "digits"),
+        ]
     ],
 )
 def test_fleet_from_json_malformed_payloads_are_config_errors(

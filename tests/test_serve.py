@@ -33,6 +33,7 @@ from repro.serve import (
     ServeConfig,
     summary_bytes,
 )
+from tests.test_runtime_spec import HOSTILE_RUN_PAYLOADS
 from tests.test_telemetry_exporters import check_prometheus_text
 
 HOST = "127.0.0.1"
@@ -173,6 +174,9 @@ def test_healthz_and_unknown_routes() -> None:
 
 
 def test_malformed_specs_are_400_with_clear_errors() -> None:
+    """Malformed and hostile bodies are 400s naming the fault; nothing
+    is admitted or executed.  The raw bytes reach the parser, so
+    invalid UTF-8 is refused, not replaced by U+FFFD and admitted."""
     bodies = [
         b"not json at all",
         b"[1, 2, 3]",
@@ -180,12 +184,23 @@ def test_malformed_specs_are_400_with_clear_errors() -> None:
         b'{"workload": "bt_b_4", "bogus_field": 1}',
         b'{"n_nodes": 4}',
     ]
+    hostile = [
+        (body if isinstance(body, bytes) else body.encode("utf-8"), needle)
+        for _, body, needle in HOSTILE_RUN_PAYLOADS
+    ]
 
     async def scenario(server, client):
         for body in bodies:
             response = await client.request("POST", "/v1/runs", body)
             assert response.status == 400, body
             assert "error" in response.json_body(), body
+        for body, needle in hostile:
+            response = await client.request("POST", "/v1/runs", body)
+            assert response.status == 400, (body[:80], response.body)
+            assert needle in response.json_body()["error"], body[:80]
+        snapshot = server.registry.snapshot()
+        assert snapshot.value("serve.runs.submitted") == 0
+        assert snapshot.total("host.exec.executed") == 0
 
     run_with_server(ServeConfig(port=0), scenario)
 

@@ -12,7 +12,9 @@ contract from outside the process:
    contract ``docs/serving.md`` pins),
 4. a duplicate POST answers from the terminal job without re-running,
 5. ``GET /metrics`` parses under the telemetry suite's Prometheus
-   text-format checker and carries the serve instruments.
+   text-format checker and carries the serve instruments,
+6. a hostile body (a ``NaN`` timeout) is answered 400 with an error
+   naming ``timeout``, and ``GET /healthz`` still answers ok after it.
 
 Usage::
 
@@ -117,6 +119,14 @@ async def drive(port: int) -> None:
         ):
             assert needle in text, f"missing metric: {needle}"
         print("metrics: valid Prometheus 0.0.4, serve instruments present")
+
+        hostile = b'{"workload": "bt_b_4", "timeout": NaN}'
+        refused = await client.request("POST", "/v1/runs", hostile)
+        assert refused.status == 400, refused.body
+        assert "timeout" in refused.json_body()["error"], refused.body
+        health = await client.request("GET", "/healthz")
+        assert health.status == 200, health.body
+        print("hostile body: 400 naming 'timeout', server still healthy")
     finally:
         await client.close()
 
