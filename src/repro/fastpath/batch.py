@@ -16,16 +16,23 @@ lockstep.
 Two parts:
 
 * :class:`PackageBatch` — the physics step of N packages.  Two or more
-  packages of equal :func:`batch_signature` step as one stack: the
-  input gather, the boundary rows' coefficient refresh, forcing-vector
-  assembly and the stability predicate are vectorized, and free-node
-  temperatures persist in the stack between ticks (the per-tick
-  writeback keeps the node objects current, and nothing else writes
-  them mid-run).  Otherwise — one package, mixed structures, or a tick
-  the stack declines — it steps each network with
-  :meth:`RCNetwork.step <repro.thermal.rc.RCNetwork.step>`.  Both the
-  cluster lanes and the fleet shards
-  (:class:`~repro.fleet.shard.ShardRunner`) step on it.
+  packages of equal :func:`batch_signature` step as one stack, in three
+  bodies: :meth:`~PackageBatch.gather` reads the inputs (powers,
+  boundary resistances and temperatures) and refreshes the boundary
+  rows' coefficients and the stability predicate,
+  :meth:`~PackageBatch.integrate` takes one stacked Euler step, and
+  :meth:`~PackageBatch.writeback` puts the free-node temperatures back
+  into the objects.  Free-node temperatures persist in the stack
+  between ticks.  The cluster lanes run all three every tick
+  (:meth:`~PackageBatch.step`), so their node objects are current after
+  every tick.  A fleet shard (:class:`~repro.fleet.shard.ShardRunner`)
+  *holds* its inputs: it gathers after each epoch start and control
+  step, integrates every tick with its die powers written straight into
+  the stack, and writes back only before a control step and at an
+  epoch end, so its objects are current there and nowhere else.
+  Otherwise — one package, mixed structures, or a tick the stack
+  declines — each network steps with
+  :meth:`RCNetwork.step <repro.thermal.rc.RCNetwork.step>`.
 * :func:`run_jobs_batch` — the one ``run_job`` protocol: bind, wire
   tasks, reset meters, run every lane on
   :func:`~repro.sim.engine.run_fused` with the nodes' tick halves
@@ -40,15 +47,17 @@ come out bitwise identical to its own tick-by-tick execution.  Stacked
 the per-slice products (einsum does **not**, and is not used),
 elementwise ufuncs are per-element exact, and gather/scatter copies are
 exact — so stacking is a pure layout change.  A tick the stack cannot
-take bitwise (a frozen link's resistance written, a stability limit
-demanding sub-steps, a non-finite result) is declined before any node
-temperature is written: the batch releases the networks and steps each
-on its own from then on, which also reproduces the serial path's exact
-error behaviour.
+take bitwise (a frozen link's resistance written, or a live link's
+since the last gather, a stability limit demanding sub-steps, a
+non-finite result) is declined with the stack's temperatures
+untouched: the batch writes them back, releases the networks and steps
+each on its own from then on, which also reproduces the serial path's
+exact error behaviour.
 """
 
 from __future__ import annotations
 
+import math
 from operator import attrgetter, getitem
 from typing import List, Optional, Sequence
 
@@ -91,10 +100,12 @@ _get_temperature = attrgetter("temperature")
 
 
 class _DirtyTrap:
-    """Observer installed on each member's frozen links while
-    :class:`PackageBatch` steps the stack: the stack freezes their
-    conductances when it is built, so a write through a public setter
-    makes it decline its next tick (checked once per tick)."""
+    """Observer installed on the members' links while
+    :class:`PackageBatch` steps the stack.  The frozen links' trap stays
+    tripped: the stack froze their conductances when it was built.  The
+    live links' trap is reset by each :meth:`PackageBatch.gather`, so a
+    write through a public setter after a gather makes the stack decline
+    its next integration (checked once per tick)."""
 
     __slots__ = ("tripped",)
 
@@ -112,33 +123,41 @@ class PackageBatch:
     Two or more packages whose networks share a :func:`batch_signature`
     stack into ``(N, m)`` arrays: the die/sink
     :class:`~repro.thermal.package.CpuPackage`, or an N-core
-    :class:`~repro.thermal.multicore.MulticorePackage` floorplan.  Each
-    tick gathers every free node's power and, for every link to a
-    boundary node (the convective hop), its live resistance and the
-    boundary temperature; those links' conductances and their rows'
-    diagonals are recomputed in the serial accumulation order, so an
-    unchanged ``1/r`` yields the bits the serial dirty-refresh keeps.
-    Every other link is frozen: :meth:`RCNetwork._assemble` builds its
-    matrix entries once, and a write through its public setter trips a
-    trap.  Free-node temperatures persist in the stack between ticks
-    (the writeback keeps the node objects current; nothing else writes
-    them mid-run).
+    :class:`~repro.thermal.multicore.MulticorePackage` floorplan.  A
+    :meth:`gather` reads every free node's power and, for every link to
+    a boundary node (the convective hop), its live resistance and the
+    boundary temperature; it recomputes those links' conductances, the
+    forcing vectors with their ``g · T_boundary`` terms and the boundary
+    rows' diagonals in the serial accumulation order (so an unchanged
+    ``1/r`` yields the bits the serial dirty-refresh keeps) and checks
+    the stability predicate for the gathered ``dt``.  Every other link
+    is frozen: :meth:`RCNetwork._assemble` builds its matrix entries
+    once.  An :meth:`integrate` takes one Euler step of the whole stack
+    from the held inputs; between two integrations the caller may write
+    the power of a free node without a boundary link through
+    :meth:`columns`.  A :meth:`writeback` puts the free-node
+    temperatures into the node objects.  Free-node temperatures persist
+    in the stack between ticks: the objects are current after a
+    writeback, and nothing else writes them mid-run.
 
-    The stack declines a tick it cannot take bitwise — the tripped
-    trap, a matrix diagonal at the degenerate floor, a stability limit
-    demanding sub-steps (``0.5 · min C/G_ii < dt``: the default
-    package's limit is 1.875 s, ~37x the cluster's 0.05 s tick) or a
-    non-finite result — before any node temperature is written.  The
-    batch then releases the networks and steps each with
-    :meth:`RCNetwork.step` from that tick on, as it does from the start
-    for one package (a one-member stack costs more than it saves) or
-    for packages of differing structure.
+    While the batch is stacked, each link's public setter trips a trap:
+    a frozen link's for good, a live link's until the next gather.  The
+    stack declines a tick it cannot take bitwise — a tripped trap, a
+    matrix diagonal at the degenerate floor, a stability limit demanding
+    sub-steps (``0.5 · min C/G_ii < dt``: the default package's limit is
+    1.875 s, ~37x the cluster's 0.05 s tick) or a non-finite result —
+    with the stack's temperatures untouched.  The caller then steps each
+    network with :meth:`RCNetwork.step` from that tick on
+    (:meth:`decline`), as the batch does from the start for one package
+    (a one-member stack costs more than it saves) or for packages of
+    differing structure.
     """
 
     __slots__ = (
         "_nets",
         "_stacked",
         "_trap",
+        "_live_trap",
         "_power_dicts",
         "_power_keys",
         "_live_links",
@@ -153,6 +172,7 @@ class PackageBatch:
         "_bs_flat",
         "_lim",
         "_tmp",
+        "_dt",
         "_Gs",
         "_Cs",
         "_Ts",
@@ -161,6 +181,7 @@ class PackageBatch:
         "_Gt3",
         "_Gt",
         "_dTs",
+        "_dTs_flat",
     )
 
     def __init__(self, packages: Sequence) -> None:
@@ -175,10 +196,13 @@ class PackageBatch:
         bterms = nets[0]._bterms
         live_slots = {slot for _, slot, _ in bterms}
         self._trap = _DirtyTrap()
+        # Tripped until the first gather: nothing is held yet.
+        self._live_trap = _DirtyTrap()
+        self._live_trap.tripped = True
         for net in nets:
             for slot, link in enumerate(net._link_list):
-                if slot not in live_slots:
-                    link._observer = self._trap
+                live = slot in live_slots
+                link._observer = self._live_trap if live else self._trap
         f64 = np.float64
         g = np.array([[ln.conductance for ln in net._link_list] for net in nets])
         self._Gs = np.array([net._assemble()[1] for net in nets])
@@ -188,8 +212,8 @@ class PackageBatch:
             dtype=f64,
         )
 
-        # Per-tick gathers, member-major: (N, m) powers, (N, nb)
-        # boundary-link resistances and boundary temperatures.
+        # The gathers, member-major: (N, m) powers, (N, nb) boundary-link
+        # resistances and boundary temperatures.
         self._power_dicts = [net._powers for net in nets for _ in range(m)]
         self._power_keys = [name for net in nets for name in net._free_names]
         self._free_nodes = [node for net in nets for node in net._free_nodes]
@@ -210,7 +234,7 @@ class PackageBatch:
             for t, (i, slot, _) in enumerate(bterms)
         )
         # A boundary term's row: its diagonal's frozen prefix, summed
-        # once, then the columns added to it every tick.
+        # once, then the columns added to it at every gather.
         rules = []
         for i in sorted({i for i, _, _ in bterms}):
             slots = [slot for slot, _ in nets[0]._rows[i]]
@@ -224,11 +248,30 @@ class PackageBatch:
         self._diag = self._Gs.diagonal(axis1=1, axis2=2)
         self._lim = np.empty((n, m), dtype=f64)
         self._tmp = np.empty(n, dtype=f64)
+        self._dt = 0.0
         self._Ts_col = self._Ts[:, :, None]
         self._Ts_flat = self._Ts.reshape(-1)
         self._Gt3 = np.empty((n, m, 1), dtype=f64)
         self._Gt = self._Gt3[:, :, 0]
         self._dTs = np.empty((n, m), dtype=f64)
+        self._dTs_flat = self._dTs.reshape(-1)
+
+    def columns(self, i: int) -> tuple:
+        """Free node ``i``'s ``(powers, temperatures)`` over the members.
+
+        Views into the stack, for a caller that holds the inputs: a
+        power written into the first enters the next :meth:`integrate`,
+        and the second holds each member's temperature after it.  The
+        caller owns the powers it writes there and puts them into the
+        networks' power dicts itself before a :meth:`decline`.  A node
+        with a boundary link has no power column: the gather folds its
+        ``g · T_boundary`` terms into its forcing entry.
+        """
+        if any(j == i for j, _, _ in self._nets[0]._bterms):
+            raise SimulationError(
+                f"free node {i} couples to a boundary: its power is not held"
+            )
+        return self._bs[:, i], self._Ts[:, i]
 
     @coldpath
     def release(self) -> None:
@@ -237,8 +280,10 @@ class PackageBatch:
         Every link's observer returns to its network, and every link is
         marked dirty: the next serial step rebuilds the coefficients
         from the live resistances (a full refresh is
-        bitwise-deterministic).  The node objects are already current.
-        A batch that is not stacked has nothing to release.
+        bitwise-deterministic).  The node objects must be current: a
+        caller that holds the inputs writes them back first
+        (:meth:`decline`).  A batch that is not stacked has nothing to
+        release.
         """
         if not self._stacked:
             return
@@ -247,6 +292,15 @@ class PackageBatch:
             for link in net._link_list:
                 link._observer = net
             net._dirty.update(range(len(net._link_list)))
+
+    @coldpath
+    def decline(self, dt: float) -> None:
+        """Give up a held tick: write the temperatures back, release,
+        and step each network on its own with the powers in its dict."""
+        self.writeback()
+        self.release()
+        for net in self._nets:
+            net.step(dt)
 
     @hotpath
     def step(self, dt: float) -> None:
@@ -263,10 +317,29 @@ class PackageBatch:
 
     @hotpath
     def _step_stack(self, dt: float) -> bool:
-        """One stacked tick; False, with no temperature written, when
-        the stack declines it."""
-        if self._trap.tripped:
+        """One stacked tick from the objects to the objects; False, with
+        no temperature written, when the stack declines it."""
+        if not (self.gather(dt) and self.integrate()):
             return False
+        self.writeback()
+        return True
+
+    @hotpath
+    def gather(self, dt: float) -> bool:
+        """Read the inputs and refresh what depends only on them.
+
+        Powers, boundary-link resistances and boundary temperatures come
+        from the objects; the boundary links' conductances, the forcing
+        vectors ``b = P`` plus each ``g · T_boundary`` term in the serial
+        order, and the boundary rows' diagonals are rebuilt, and the
+        diagonal floor and stability limit are checked for ``dt``.
+        False, with the live trap left tripped, when the stack cannot
+        take a ``dt`` step from these inputs.
+        """
+        if not self._stacked:
+            return False
+        live_trap = self._live_trap
+        live_trap.tripped = True
         fromiter = np.fromiter
         f64 = np.float64
         divide = np.divide
@@ -303,19 +376,37 @@ class PackageBatch:
         divide(self._Cs, diag, out=lim)
         if not (0.5 * lim.min() >= dt):
             return False
-        # One stacked integration step (n_sub == 1, h == dt exactly).
-        Ts = self._Ts
+        self._dt = dt
+        live_trap.tripped = False
+        return True
+
+    @hotpath
+    def integrate(self) -> bool:
+        """One stacked Euler step (``n_sub == 1``, ``h == dt``) from the
+        held inputs; False, with the stack's temperatures untouched, when
+        the stack declines it."""
+        if self._trap.tripped or self._live_trap.tripped:
+            return False
         dTs = self._dTs
         np.matmul(self._Gs, self._Ts_col, out=self._Gt3)
         np.subtract(self._bs, self._Gt, out=dTs)
-        divide(dTs, self._Cs, out=dTs)
-        multiply(dTs, dt, out=dTs)
-        add(Ts, dTs, out=Ts)
-        if not np.isfinite(Ts).all():
+        np.divide(dTs, self._Cs, out=dTs)
+        np.multiply(dTs, self._dt, out=dTs)
+        Ts = self._Ts
+        np.add(Ts, dTs, out=dTs)
+        # A non-finite entry makes the sum non-finite.  Finite entries
+        # whose sum overflows only decline a tick the serial step takes
+        # to the same bits.
+        if not math.isfinite(np.add.reduce(self._dTs_flat)):
             return False
+        Ts[...] = dTs
+        return True
+
+    @hotpath
+    def writeback(self) -> None:
+        """Put the stack's free-node temperatures into the node objects."""
         for node, temperature in zip(self._free_nodes, self._Ts_flat.tolist()):
             node.temperature = temperature
-        return True
 
 
 # --------------------------------------------------------------------------

@@ -5,19 +5,27 @@ and advances *all* of its nodes' CPU packages through one
 :class:`~repro.fastpath.batch.PackageBatch` — the stacked stepper whose
 per-member bitwise equality with
 :meth:`RCNetwork.step <repro.thermal.rc.RCNetwork.step>` is exactly
-what makes the partition a pure layout choice.  When the stack cannot
-take a tick (a ``dt`` past the package's stability limit needs
-sub-steps) it declines before writing any temperature, and the batch
-steps every network on its own from then on — the same bits.  Between
-two synchronization epochs a shard touches nothing but its own racks,
-so the trajectory of rack *r* is a function of ``(spec, r, epoch
-commands)`` — never of which shard (or how many shards) hosted it.
+what makes the partition a pure layout choice.  Between two control
+steps a package's only moving input is its die power, so the shard
+*holds* the other inputs in the stack: it gathers them after each epoch
+start and each control step, integrates every tick, and writes the
+temperatures and powers back into the node objects before each control
+step and at the epoch end.  The objects are current there — at gathers,
+control steps and epoch ends — not after every tick.  When the stack
+cannot take a tick (a ``dt`` past the package's stability limit needs
+sub-steps, a link written between gathers) it declines with its
+temperatures untouched, writes back, and the batch steps every network
+on its own from then on — the same bits.  Between two synchronization
+epochs a shard touches nothing but its own racks, so the trajectory of
+rack *r* is a function of ``(spec, r, epoch commands)`` — never of which
+shard (or how many shards) hosted it.
 
 The node work around the physics step is stacked the same way: one
 :class:`NodeStack` pass per tick computes every node's die power,
 energy, rack power sum and running peak as vector operations whose
 per-element arithmetic is the serial per-node tick's, operation for
-operation.
+operation.  While the batch holds its inputs the pass writes the die
+powers into the stack and reads the die temperatures from it directly.
 
 The process protocol is deliberately tiny and synchronous (BSP):
 
@@ -130,12 +138,16 @@ class NodeStack:
     every control step with the model's own Python float operations.
     Per tick :meth:`inject` evaluates the rest elementwise, with
     :func:`math.exp` (``np.exp`` rounds differently on some inputs),
-    writes each power into its network's ``_powers`` dict (what both
-    :class:`PackageBatch` and :meth:`RCNetwork.step` read), adds
-    ``W · dt`` to each node's energy and sums each rack's power node by
-    node from 0.0, the serial order.  After the physics step
-    :meth:`observe` gathers every die temperature in one pass and
-    raises the running peaks.  :meth:`load` and :meth:`store` move the
+    writes each power where the physics step reads it, adds ``W · dt``
+    to each node's energy and sums each rack's power node by node from
+    0.0, the serial order.  After the physics step :meth:`observe`
+    gathers every die temperature in one pass and raises the running
+    peaks.  Between :meth:`hold` and :meth:`unhold` the powers go into
+    the batch's die power column and the temperatures come from its die
+    temperature column, and :meth:`unhold` puts the last powers into
+    the dicts; otherwise the powers go into each network's ``_powers``
+    dict (what :meth:`RCNetwork.step` reads) and the temperatures come
+    from the die nodes.  :meth:`load` and :meth:`store` move the
     accumulators between the node and rack objects and the stack at an
     epoch's start and end.
     """
@@ -162,6 +174,8 @@ class NodeStack:
         "_fan_w",
         "_fan_energy",
         "_fan_dt",
+        "_held_W",
+        "_held_T",
     )
 
     def __init__(
@@ -196,6 +210,26 @@ class NodeStack:
         # Nodes are rack-major, so column j holds every rack's node j.
         by_rack = self._W.reshape(n_racks, len(racks[0].nodes))
         self._columns = tuple(by_rack[:, j] for j in range(by_rack.shape[1]))
+        self._held_W = None
+        self._held_T = None
+
+    def hold(self, batch: PackageBatch) -> bool:
+        """Read and write ``batch``'s die columns until :meth:`unhold`.
+
+        The batch stacks this pass's packages in its order and has just
+        gathered; every package's die is the same free node.  True: the
+        pass can run on held inputs.
+        """
+        die = self._nets[0]._free_names.index(self._die_names[0])
+        self._held_W, self._held_T = batch.columns(die)
+        return True
+
+    def unhold(self) -> None:
+        """Write the held die powers into the power dicts, and go back
+        to the dicts and the die nodes."""
+        self._held_W = None
+        self._held_T = None
+        self._write_powers()
 
     def load(self) -> None:
         """Take the accumulators and die temperatures at an epoch start."""
@@ -243,10 +277,11 @@ class NodeStack:
         np.maximum(W, floor, out=W)
         if not (W.min() >= floor):  # a NaN power
             _reject_nan_power(self._nets, self._die_names, W)
-        for powers, name, watts in zip(
-            self._power_dicts, self._die_names, W.tolist()
-        ):
-            powers[name] = watts
+        held = self._held_W
+        if held is None:
+            self._write_powers()
+        else:
+            held[:] = W
         np.multiply(W, dt, out=x)
         np.add(self._energy, x, out=self._energy)
         rack_w = self._rack_w
@@ -259,12 +294,23 @@ class NodeStack:
         self._ticks += 1
 
     @hotpath
+    def _write_powers(self) -> None:
+        for powers, name, watts in zip(
+            self._power_dicts, self._die_names, self._W.tolist()
+        ):
+            powers[name] = watts
+
+    @hotpath
     def observe(self) -> None:
         """Gather every die temperature and raise the peaks (post-step)."""
         T = self._T
-        T[:] = np.fromiter(
-            map(_get_temperature, self._dies), np.float64, len(T)
-        )
+        held = self._held_T
+        if held is None:
+            T[:] = np.fromiter(
+                map(_get_temperature, self._dies), np.float64, len(T)
+            )
+        else:
+            T[:] = held
         np.maximum(self._peak, T, out=self._peak)
 
     def store(self) -> None:
@@ -343,19 +389,32 @@ class ShardRunner:
         profile = self._profile
         band = self._band
         nodes = self._nodes
-        step_packages = self._batch.step
+        batch = self._batch
         nodes.load()
+        held = False
         for _ in range(n_ticks):
             tick = self._tick
             if tick % control_ticks == 0:
+                if held:
+                    self._unhold()
+                    held = False
                 t = tick * dt
                 for rack in racks:
                     rack.control_step(profile, t, band)
                 nodes.refresh()
+            if not held:
+                held = batch.gather(dt) and nodes.hold(batch)
             nodes.inject(dt)
-            step_packages(dt)
+            if not held:
+                batch.step(dt)
+            elif not batch.integrate():
+                nodes.unhold()
+                batch.decline(dt)
+                held = False
             self._tick += 1
             nodes.observe()
+        if held:
+            self._unhold()
         nodes.store()
         reports: List[RackReport] = []
         for k, rack in enumerate(racks):
@@ -383,14 +442,20 @@ class ShardRunner:
             )
         return reports
 
+    def _unhold(self) -> None:
+        """Write the held temperatures and die powers back into the
+        objects and point the node pass at them again."""
+        self._batch.writeback()
+        self._nodes.unhold()
+
     def finish(self) -> ShardResult:
         """Detach the batch and freeze the shard's final state.
 
-        The shard is spent afterwards.  Every thermal link also drops
-        its network as resistance observer, which breaks the link ↔
-        network reference cycle: the shard's packages are freed with
-        the runner instead of piling up until a full cyclic garbage
-        collection.
+        The shard is spent afterwards.  Releasing the batch takes its
+        traps off every link; each link then also drops its network as
+        resistance observer, which breaks the link ↔ network reference
+        cycle: the shard's packages are freed with the runner instead of
+        piling up until a full cyclic garbage collection.
         """
         self._batch.release()
         for net in self._nets:

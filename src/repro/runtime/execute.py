@@ -28,7 +28,7 @@ from ..errors import ConfigurationError
 from ..telemetry.registry import MetricsRegistry
 from .spec import RunSpec
 
-__all__ = ["execute_spec", "execute_specs_batch"]
+__all__ = ["check_names", "execute_spec", "execute_specs_batch"]
 
 
 def _resolve(registry: Mapping, kind: str, name: str):
@@ -41,22 +41,39 @@ def _resolve(registry: Mapping, kind: str, name: str):
         ) from None
 
 
-def _build_run(spec: RunSpec):
-    """Materialize ``spec`` into a ready-to-run ``(cluster, job)`` pair.
+def check_names(spec: RunSpec) -> None:
+    """Fail if ``spec`` names an ambient model, platform, rig or workload
+    that no registry knows.
 
-    The import of :mod:`repro.experiments.platform` is deferred to call
-    time: the experiments layer imports the runtime layer, so the
-    registries must be resolved lazily to keep the import graph acyclic
-    (and so worker processes resolve them against their own fresh
-    interpreter state).
+    The names are known before a run starts, so a server refuses such a
+    spec before it takes an executor slot.  The import of
+    :mod:`repro.experiments.platform` is deferred to call time: the
+    experiments layer imports the runtime layer, so the registries must
+    be resolved lazily to keep the import graph acyclic (and so worker
+    processes resolve them against their own fresh interpreter state).
     """
     from ..experiments import platform as registries
+    from ..platform import resolve_platform
 
+    if spec.ambient is not None:
+        _resolve(registries.AMBIENT_REGISTRY, "ambient model", spec.ambient.name)
+    if spec.platform is not None:
+        resolve_platform(spec.platform)
+    for rig in spec.rigs:
+        _resolve(registries.RIG_REGISTRY, "rig", rig.name)
+    _resolve(registries.WORKLOAD_REGISTRY, "workload", spec.workload)
+
+
+def _build_run(spec: RunSpec):
+    """Materialize ``spec`` into a ready-to-run ``(cluster, job)`` pair,
+    after :func:`check_names`."""
+    from ..experiments import platform as registries
+    from ..platform import resolve_platform
+
+    check_names(spec)
     ambient_factory = None
     if spec.ambient is not None:
-        maker = _resolve(
-            registries.AMBIENT_REGISTRY, "ambient model", spec.ambient.name
-        )
+        maker = registries.AMBIENT_REGISTRY[spec.ambient.name]
         ambient_factory = maker(spec.n_nodes, **dict(spec.ambient.params))
 
     # A spec without a platform builds the exact pre-platform config —
@@ -66,8 +83,6 @@ def _build_run(spec: RunSpec):
         platform_spec = None
         config = ClusterConfig(n_nodes=spec.n_nodes, seed=spec.seed)
     else:
-        from ..platform import resolve_platform
-
         platform_spec = resolve_platform(spec.platform)
         config = ClusterConfig(
             n_nodes=spec.n_nodes,
@@ -82,11 +97,11 @@ def _build_run(spec: RunSpec):
         platform=platform_spec,
     )
     for rig in spec.rigs:
-        attach = _resolve(registries.RIG_REGISTRY, "rig", rig.name)
-        attach(cluster, **dict(rig.params))
+        registries.RIG_REGISTRY[rig.name](cluster, **dict(rig.params))
 
-    make_job = _resolve(registries.WORKLOAD_REGISTRY, "workload", spec.workload)
-    job = make_job(cluster, **dict(spec.workload_params))
+    job = registries.WORKLOAD_REGISTRY[spec.workload](
+        cluster, **dict(spec.workload_params)
+    )
     return cluster, job
 
 

@@ -8,8 +8,9 @@ Endpoints (all JSON unless noted):
   the digest has failed or is satisfied from the result store,
   ``202`` with a status envelope when queued (or attached to an
   in-flight duplicate as a follower), ``429`` + ``Retry-After`` when
-  admission control sheds the request, ``400`` on a malformed spec.
-  ``?wait=1`` blocks until the run is terminal and returns ``200``.
+  admission control sheds the request, ``400`` on a malformed spec or
+  one naming a workload, rig, ambient model or platform no registry
+  knows.  ``?wait=1`` blocks until the run is terminal and returns ``200``.
 * ``GET /v1/runs/<digest>`` — status envelope for an open or failed
   job in the ledger, or for a done run read from the result store
   (``404`` unknown digest).
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from ..errors import ConfigurationError
+from ..runtime.execute import check_names
 from ..runtime.executor import RunExecutor
 from ..runtime.spec import RunSpec
 from ..telemetry.exporters import export_prometheus
@@ -298,6 +300,7 @@ class ReproServer:
     ) -> Tuple[int, bytes, str, Tuple[Tuple[str, str], ...]]:
         try:
             spec = RunSpec.from_json(request.body)
+            check_names(spec)
         except ConfigurationError as exc:
             return 400, error_body(str(exc)), "application/json", ()
         try:

@@ -457,11 +457,16 @@ def reference_rack_tick(
 class ReferenceNodeTick:
     """Stands in for a shard's :class:`~repro.fleet.shard.NodeStack`:
     every node ticked on its own, the accumulators kept on the node and
-    rack objects throughout, so loading and storing are no-ops."""
+    rack objects throughout, so loading and storing are no-ops.  It never
+    runs on held inputs: the shard's batch steps from the objects every
+    tick."""
 
     def __init__(self, racks, model: CpuPowerModel) -> None:
         self.racks = racks
         self.model = model
+
+    def hold(self, batch) -> bool:
+        return False
 
     def load(self) -> None:
         pass

@@ -205,6 +205,95 @@ def test_package_batch_honours_mid_run_power_writes(kind, node) -> None:
     pack.release()
 
 
+def held_ticks(pack, nets, mirrors, ticks) -> None:
+    """Integrate ``ticks`` held ticks with the die powers written into
+    the stack's column, and the mirrors stepped by the reference; the
+    objects are not written while the inputs are held."""
+    powers, _ = pack.columns(0)
+    before = [net.temperatures() for net in nets]
+    for tick in range(ticks):
+        watts = [20.0 + 3.0 * tick, 35.0 - 2.0 * tick]
+        powers[:] = watts
+        for k, (twin, w) in enumerate(zip(mirrors, watts)):
+            twin.set_power(f"p{k}.die", w)
+            reference_rc_step(twin, 0.05)
+        assert pack.integrate()
+    assert [net.temperatures() for net in nets] == before
+
+
+def unhold(pack, nets) -> None:
+    """What a holder does before it declines: the held die powers go
+    into the networks' power dicts."""
+    powers, _ = pack.columns(0)
+    for k, (net, w) in enumerate(zip(nets, powers.tolist())):
+        net.set_power(f"p{k}.die", w)
+
+
+def test_held_batch_declines_after_a_convective_write_between_gathers() -> None:
+    """While the inputs are held, the live convective links carry a trap
+    too: a write through the public setter after a gather makes the next
+    integration decline, and the declined tick, written back and
+    stepped network by network, equals the reference bits.  A node with
+    a boundary link has no power column to hold."""
+    packages = heated_packages("cpu")
+    nets = [package._net for package in packages]
+    mirrors = [mirror_network(net) for net in nets]
+    pack = PackageBatch(packages)
+    assert not pack.integrate()  # nothing is held before the first gather
+    assert pack.gather(0.05)
+    with pytest.raises(SimulationError, match="couples to a boundary"):
+        pack.columns(1)  # the sink
+    held_ticks(pack, nets, mirrors, 3)
+    pack.writeback()
+    assert_networks_equal(mirrors, nets)
+
+    packages[1]._conv_link.resistance = 0.4
+    mirrors[1].link("p1.conv").resistance = 0.4
+    watts = [12.0, 44.0]
+    powers, _ = pack.columns(0)
+    powers[:] = watts
+    assert not pack.integrate()
+    unhold(pack, nets)
+    pack.decline(0.05)
+    for k, (twin, w) in enumerate(zip(mirrors, watts)):
+        twin.set_power(f"p{k}.die", w)
+        reference_rc_step(twin, 0.05)
+    assert not pack._stacked
+    assert_networks_equal(mirrors, nets)
+    for net in nets:
+        for link in net._links.values():
+            assert link._observer is net
+    step_both(pack, nets, mirrors)
+
+
+def test_held_batch_declines_a_non_finite_tick_with_pre_tick_temperatures() -> None:
+    """A held tick whose stacked result is not finite is declined with
+    the stack's temperatures untouched: written back, the objects hold
+    the pre-tick temperatures, and each network stepped on its own
+    raises the reference error."""
+    packages = heated_packages("cpu")
+    nets = [package._net for package in packages]
+    mirrors = [mirror_network(net) for net in nets]
+    pack = PackageBatch(packages)
+    assert pack.gather(0.05)
+    held_ticks(pack, nets, mirrors, 4)
+    powers, _ = pack.columns(0)
+    powers[1] = float("inf")
+    mirrors[1].set_power("p1.die", float("inf"))
+    assert not pack.integrate()
+    pack.writeback()
+    assert_networks_equal(mirrors, nets)
+    unhold(pack, nets)
+    with pytest.raises(SimulationError) as stacked:
+        pack.decline(0.05)
+    reference_rc_step(mirrors[0], 0.05)
+    with pytest.raises(SimulationError) as reference:
+        reference_rc_step(mirrors[1], 0.05)
+    assert str(stacked.value) == str(reference.value)
+    assert not pack._stacked
+    assert_networks_equal(mirrors, nets)
+
+
 # ------------------------------------------------- run-loop edge cases
 
 

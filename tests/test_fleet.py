@@ -131,12 +131,26 @@ GATE_SPECS = {
     ),
 }
 
-#: sha256 of ``canonical_bytes()`` for gate cases whose bytes are pinned:
-#: the sub-stepped trajectories as a general stacked RC stepper produced
-#: them, which the shards' per-network fallback must reproduce.
+#: sha256 of ``canonical_bytes()`` for every gate case.  ``shards=1 ==
+#: shards=K`` cannot see a change that moves both sides; the pins can.
+#: The sub-stepped trajectories are the ones a general stacked RC
+#: stepper produced, which the shards' per-network fallback must
+#: reproduce.
 GATE_PINS = {
+    "fault": (
+        "42c907fc034a82244c4618d64e7ab803acd6c834d0017e853c42a3a595b58ffc"
+    ),
+    "small-imbalance": (
+        "020b304a0cc9049ffab16a5fcf3500b7ebf9a7af467c2a9eaaa2cd671de8599d"
+    ),
     "substep": (
         "c71838c440f9f79842d76aa2929365af39e973a716a63d3b3079c9c6beb72bcb"
+    ),
+    "uniform-capped": (
+        "fbc50bce9e679be2773d0db873e4f6f1ac13bba8e59fb26f3f6b14074a6f41d6"
+    ),
+    "wave-biglittle": (
+        "80fe73a166ca1f51300a6a44992fc06328b346855c3ea41a307616f2a029c528"
     ),
 }
 
@@ -146,8 +160,7 @@ def test_sharded_run_is_bitwise_identical_to_serial(case):
     spec = GATE_SPECS[case]
     reference = run_fleet(spec, shards=1).canonical_bytes()
     assert run_fleet(spec, shards=2).canonical_bytes() == reference
-    if case in GATE_PINS:
-        assert hashlib.sha256(reference).hexdigest() == GATE_PINS[case]
+    assert hashlib.sha256(reference).hexdigest() == GATE_PINS[case]
 
 
 def test_gate_holds_at_every_feasible_shard_count():
@@ -228,10 +241,14 @@ def test_merged_telemetry_accounts_for_every_node_tick():
 
 
 class _ReferenceStepper:
-    """Stands in for a shard's batch: the oracle's plain Euler, per net."""
+    """Stands in for a shard's batch: the oracle's plain Euler, per net,
+    every tick.  It never holds its inputs: ``gather`` declines."""
 
     def __init__(self, nets):
         self.nets = nets
+
+    def gather(self, dt):
+        return False
 
     def step(self, dt):
         for net in self.nets:
@@ -241,22 +258,26 @@ class _ReferenceStepper:
         pass
 
 
-def run_against_the_reference_stepper(spec):
-    """Drive a shard and its oracle twin through heating and cooling
-    epochs, requiring equal reports and finals.  Returns whether the
-    shard's stack took the last tick."""
+def run_against_the_reference_stepper(spec, hot=3, cool=2):
+    """Drive a shard and its oracle twin through ``hot`` heating and
+    ``cool`` cooling epochs, requiring equal reports and finals.
+    Returns whether the shard's stack took the last tick."""
     runner = ShardRunner(spec, 0, spec.racks)
     oracle = ShardRunner(spec, 0, spec.racks)
     oracle._batch.release()
     oracle._batch = _ReferenceStepper(oracle._nets)
     duties = set()
-    for inlets in ((70.0, 68.0),) * 3 + ((40.0, 38.0),) * 2:
+    for inlets in ((70.0, 68.0),) * hot + ((40.0, 38.0),) * cool:
         reports = runner.run_epoch(inlets, (100.0, 100.0), spec.epoch_ticks)
         assert oracle.run_epoch(inlets, (100.0, 100.0), spec.epoch_ticks) == reports
         duties.update(report.duty for report in reports)
     assert len(duties) > 2
     stacked = runner._batch._stacked
     assert runner.finish().nodes == oracle.finish().nodes
+    # finish takes the batch's traps and the networks off every link
+    assert all(
+        link._observer is None for net in runner._nets for link in net._link_list
+    )
     return stacked
 
 
@@ -284,6 +305,21 @@ def test_shard_past_the_stability_limit_matches_the_reference_stepper():
         dt=2.0, horizon=400.0, epoch_ticks=20, control_ticks=2,
     )
     assert not run_against_the_reference_stepper(spec)
+
+
+@pytest.mark.parametrize("dt", [1.0, 2.0])
+def test_held_shard_off_the_control_grid_matches_the_reference_stepper(dt):
+    """Seven-tick epochs on a three-tick control grid, so epochs start
+    between control steps: the shard gathers after each epoch start and
+    each control step and writes back before each control step and at
+    each epoch end, and equals the oracle node for node while the duty
+    and the inlets move.  At ``dt=2.0`` the stack declines its first
+    gather and every network steps on its own."""
+    spec = small_spec(
+        racks=2, nodes_per_rack=2, workload="uniform",
+        dt=dt, horizon=400.0, epoch_ticks=7, control_ticks=3,
+    )
+    assert run_against_the_reference_stepper(spec, hot=24, cool=8) == (dt == 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ releases), never with a timer, so queue states are deterministic.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import threading
 
@@ -26,7 +27,7 @@ from repro.cli import build_parser, main
 from repro.errors import ConfigurationError
 from repro.experiments import fig07_max_pwm
 from repro.runtime.execute import execute_spec
-from repro.runtime.spec import RunSpec
+from repro.runtime.spec import RigSpec, RunSpec
 from repro.serve import (
     ClientSession,
     ReproServer,
@@ -203,6 +204,38 @@ def test_malformed_specs_are_400_with_clear_errors() -> None:
         assert snapshot.total("host.exec.executed") == 0
 
     run_with_server(ServeConfig(port=0), scenario)
+
+
+@pytest.mark.parametrize(
+    "kind, overrides",
+    [
+        ("workload", {"workload": "no_such_workload"}),
+        ("rig", {"rigs": (RigSpec("no_such_rig"),)}),
+        ("ambient model", {"ambient": RigSpec("no_such_ambient")}),
+        ("platform", {"platform": "no_such_platform"}),
+    ],
+)
+def test_unknown_registry_names_are_400_naming_the_kind(kind, overrides) -> None:
+    """A spec naming a workload, rig, ambient model or platform that no
+    registry knows is refused as a 400 that names the kind, before it
+    is admitted or takes an executor slot."""
+    spec = dataclasses.replace(cheap_spec(), **overrides)
+    body = post_body(spec)
+    assert RunSpec.from_json(body) == spec  # well formed: only a name is unknown
+
+    async def scenario(server, client):
+        for path in ("/v1/runs", "/v1/runs?wait=1"):
+            response = await client.request("POST", path, body)
+            assert response.status == 400, response.body
+            error = response.json_body()["error"]
+            assert f"unknown {kind} " in error, error
+        snapshot = server.registry.snapshot()
+        assert snapshot.value("serve.runs.submitted") == 0
+        assert snapshot.total("host.exec.executed") == 0
+
+    run_with_server(ServeConfig(port=0), scenario)
+    with pytest.raises(ConfigurationError, match=f"unknown {kind} "):
+        execute_spec(spec)
 
 
 # -- the determinism contract ---------------------------------------------
