@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import hashlib
 import json
 import sys
 import time
@@ -475,6 +476,7 @@ def _run_command(args: argparse.Namespace) -> int:
 
     if args.command == "fleet":
         from .fleet import FleetFaultSpec, FleetSpec, run_fleet
+        from .runtime.store import ResultStore
 
         fault = (
             None
@@ -503,6 +505,15 @@ def _run_command(args: argparse.Namespace) -> int:
             f"digest {spec.digest()}  epochs {spec.epochs()}  "
             f"ticks {ticks}  shards {args.shards}"
         )
+        # sha256 of canonical_bytes(), from the entry header when stored.
+        sha = args.cache_dir and ResultStore(args.cache_dir).load(
+            "fleet",
+            spec.digest(),
+            lambda header, _body: header["sha256"],
+            spec=spec.canonical(),
+        )
+        sha = sha or hashlib.sha256(result.canonical_bytes()).hexdigest()
+        print(f"result sha256 {sha}")
         print(
             f"peak die {result.peak_die_c():.2f} C  "
             f"cpu energy {result.total_cpu_energy_j() / 1e3:.1f} kJ  "

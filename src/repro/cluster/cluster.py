@@ -25,8 +25,11 @@ Responsibilities:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import hashlib
+import json
+import math
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 import numpy as np
 
@@ -42,13 +45,23 @@ from ..telemetry.snapshot import TelemetrySnapshot
 from ..workloads.base import Job
 from .node import Node
 
-__all__ = ["Cluster", "RunResult"]
+if TYPE_CHECKING:  # annotations only: the runtime layer sits above
+    from ..runtime.spec import RunSpec
 
-#: The RunResult fields a store record carries verbatim in its JSON.
-_RECORD_SCALARS = (
-    "execution_time", "average_power", "energy_joules", "job_name",
-    "node_shutdown", "retired_cycles",
-)
+__all__ = [
+    "Cluster",
+    "RunResult",
+    "SUMMARY_SCHEMA_VERSION",
+    "canonical_json_bytes",
+    "result_summary",
+    "summary_bytes",
+]
+
+#: Little-endian float64: the trace sample form of the canonical bytes.
+_F8 = np.dtype("<f8")
+
+#: Version stamped on every result summary (bump on shape changes).
+SUMMARY_SCHEMA_VERSION = 1
 
 
 @dataclass
@@ -81,10 +94,16 @@ class RunResult:
     The whole object is cheaply picklable (traces and events are
     numpy/dataclass-backed with no references back into the live
     cluster), which is what lets the runtime layer ship results across
-    process boundaries.  On disk it is a result-store entry
-    (:mod:`repro.runtime.store`): :meth:`to_record` maps it to JSON
-    fields plus float64 trace arrays, and :meth:`from_record` inverts
-    that without unpickling anything.
+    process boundaries.
+
+    :meth:`canonical_bytes` is its one byte form: one canonical JSON
+    line (sorted keys, compact separators) holding every field above,
+    the scalars verbatim, ``traces`` as ``[name, samples]`` pairs,
+    ``events`` as ``[time, category, source, data]`` and ``telemetry``
+    rows or ``null``; then each trace's times and values as
+    little-endian float64, in the trace set's order.  Equal bytes mean the same run; the result store
+    keeps them as its entry body, and :meth:`from_canonical` inverts
+    them exactly, running no code.
     """
 
     execution_time: float
@@ -115,38 +134,101 @@ class RunResult:
         """Number of P-state transitions on ``node`` during the run."""
         return self.events.count("dvfs.change", source=f"node{node}.dvfs")
 
-    # -- result-store mapping (see repro.runtime.store) -------------------
+    # -- canonical form ---------------------------------------------------
 
-    def to_record(self) -> Tuple[dict, List[np.ndarray]]:
-        """JSON fields plus each trace's times and values arrays."""
-        names = list(self.traces)
-        fields = {name: getattr(self, name) for name in _RECORD_SCALARS}
-        fields.update(
-            traces=names,
+    def canonical_bytes(self) -> bytes:
+        """The one canonical byte form (see the class docstring)."""
+        traces = [self.traces[name] for name in self.traces]
+        head = {f.name: getattr(self, f.name) for f in fields(self)}
+        head.update(
+            traces=[[t.name, len(t.times)] for t in traces],
             events=[[e.time, e.category, e.source, e.data] for e in self.events],
             telemetry=None if self.telemetry is None else self.telemetry.to_jsonable(),
         )
-        arrays: List[np.ndarray] = []
-        for name in names:
-            arrays += (self.traces[name].times, self.traces[name].values)
-        return fields, arrays
+        return canonical_json_bytes(head) + b"".join(
+            np.asarray(a, _F8).tobytes() for t in traces for a in (t.times, t.values)
+        )
 
     @classmethod
-    def from_record(cls, fields: dict, arrays: Sequence[np.ndarray]) -> "RunResult":
-        """The result :meth:`to_record` mapped; raises on a malformed record."""
-        traces, events = TraceSet(), EventLog()
-        for i, name in enumerate(fields["traces"]):
+    def from_canonical(cls, data: bytes) -> "RunResult":
+        """The result whose :meth:`canonical_bytes` are ``data``; raises
+        on malformed bytes.  Trace arrays are views into ``data``."""
+        end = data.index(b"\n") + 1
+        head = json.loads(data[:end])
+        samples = np.frombuffer(data, _F8, offset=end)
+        counts = [n for _, n in head["traces"]]
+        if min(counts, default=0) < 0 or len(samples) != 2 * sum(counts):
+            raise ValueError("canonical bytes do not match their trace counts")
+        traces, events, at = TraceSet(), EventLog(), 0
+        for name, n in head.pop("traces"):
             # Adopt the arrays as unpickling a trace does (no copy).
-            traces.trace(name).__setstate__((name, arrays[2 * i], arrays[2 * i + 1]))
-        for time, category, source, data in fields["events"]:
-            events.emit(time, category, source, **data)
-        rows = fields["telemetry"]
+            times, values = samples[at : at + n], samples[at + n : at + 2 * n]
+            traces.trace(name).__setstate__((name, times, values))
+            at += 2 * n
+        for time, category, source, attrs in head.pop("events"):
+            events.emit(time, category, source, **attrs)
+        rows = head.pop("telemetry")
         return cls(
             traces=traces,
             events=events,
             telemetry=None if rows is None else TelemetrySnapshot.from_jsonable(rows),
-            **{name: fields[name] for name in _RECORD_SCALARS},
+            **head,
         )
+
+
+def _finite(value: float):
+    """Floats as JSON; non-finite values as their repr string."""
+    return value if math.isfinite(value) else repr(value)
+
+
+def canonical_json_bytes(document: Dict[str, Any]) -> bytes:
+    """The one JSON rendering of a document: sorted keys, compact
+    separators, a trailing newline, UTF-8 (the canonicalization
+    :meth:`~repro.runtime.spec.RunSpec.canonical` uses too)."""
+    return (
+        json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+    ).encode("utf-8")
+
+
+def result_summary(spec: "RunSpec", result: RunResult) -> Dict[str, Any]:
+    """The JSON-safe summary of one run that ``repro serve`` answers
+    with (stored in each run's result-store header).  Scalars are
+    carried verbatim, traces and events as sample counts plus SHA-256
+    digests, so equal summaries imply bitwise-equal runs."""
+    traces = {}
+    for name in sorted(result.traces.names()):
+        trace = result.traces[name]
+        digest = hashlib.sha256(trace.times.tobytes())
+        digest.update(trace.values.tobytes())
+        traces[name] = {"samples": len(trace.times), "sha256": digest.hexdigest()}
+    events = hashlib.sha256()
+    for event in result.events:
+        events.update(f"{event}\n".encode("utf-8"))
+    return {
+        "schema": SUMMARY_SCHEMA_VERSION,
+        "digest": spec.digest(),
+        "describe": spec.describe(),
+        "workload": spec.workload,
+        "seed": spec.seed,
+        "n_nodes": spec.n_nodes,
+        "quick": spec.quick,
+        "job_name": result.job_name,
+        "execution_time": _finite(result.execution_time),
+        "average_power": [_finite(p) for p in result.average_power],
+        "energy_joules": [_finite(e) for e in result.energy_joules],
+        "node_shutdown": list(result.node_shutdown),
+        "retired_cycles": [_finite(c) for c in result.retired_cycles],
+        "cluster_average_power": _finite(result.cluster_average_power),
+        "cluster_energy": _finite(result.cluster_energy),
+        "traces": traces,
+        "events": {"count": len(result.events), "sha256": events.hexdigest()},
+        "telemetry": result.telemetry is not None,
+    }
+
+
+def summary_bytes(spec: "RunSpec", result: RunResult) -> bytes:
+    """:func:`result_summary` rendered in the canonical byte form."""
+    return canonical_json_bytes(result_summary(spec, result))
 
 
 class Cluster:

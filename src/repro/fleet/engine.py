@@ -21,7 +21,7 @@ equivalence gate the tests and the benchmark both assert on.
 Results ride the runtime layer's
 :class:`~repro.runtime.store.ResultStore` keyed by the spec digest
 alone (no shard count — a fleet simulated once is a hit at any shard
-count); :meth:`FleetResult.to_jsonable` is the on-disk field mapping.
+count); the entry body is :meth:`FleetResult.canonical_bytes`.
 The fleet package deliberately does not import the cluster layer (the
 RPR014 shard-isolation rule pins this): shards rebuild their world
 from the spec wire form only.
@@ -147,9 +147,10 @@ class FleetResult:
         }
 
     @classmethod
-    def from_jsonable(cls, spec: FleetSpec, doc: dict) -> "FleetResult":
-        """Invert :meth:`to_jsonable` (the result-store form); raises on a
-        malformed document."""
+    def from_canonical(cls, spec: FleetSpec, data: bytes) -> "FleetResult":
+        """Invert :meth:`canonical_bytes` (the result-store body); raises
+        on a malformed document."""
+        doc = json.loads(data)
         return cls(
             spec=spec,
             nodes=tuple(NodeFinal(**n) for n in doc["nodes"]),
@@ -350,7 +351,7 @@ def run_fleet(
         cached = store.load(
             "fleet",
             spec.digest(),
-            lambda _spec, doc, _arrays: FleetResult.from_jsonable(spec, doc),
+            lambda _header, body: FleetResult.from_canonical(spec, body),
             spec=spec.canonical(),
         )
         if cached is not None:
@@ -389,6 +390,6 @@ def run_fleet(
     result = _reduce(spec, shard_results, coordinator, series)
     if store is not None:
         store.save(
-            "fleet", spec.digest(), spec.canonical(), result.to_jsonable(), []
+            "fleet", spec.digest(), spec.canonical(), result.canonical_bytes()
         )
     return result

@@ -71,7 +71,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..cluster.cluster import RunResult
+from ..cluster.cluster import RunResult, summary_bytes
 from ..telemetry.registry import MetricsRegistry, SECONDS_BUCKETS
 from ..telemetry.snapshot import TelemetrySnapshot
 from .execute import execute_specs_batch
@@ -94,16 +94,6 @@ def _usable_cpus() -> int:
     if affinity is not None:
         return len(affinity(0))
     return os.cpu_count() or 1
-
-
-def _result(spec: str, fields: dict, arrays: list) -> RunResult:
-    return RunResult.from_record(fields, arrays)
-
-
-def _spec_and_result(
-    spec: str, fields: dict, arrays: list
-) -> Tuple[RunSpec, RunResult]:
-    return RunSpec.from_json(spec), RunResult.from_record(fields, arrays)
 
 
 def timed_execute_specs(
@@ -281,25 +271,41 @@ class RunExecutor:
         """Run (or fetch) a single spec."""
         return self.map([spec])[0]
 
-    def cached(self, spec: RunSpec) -> Optional[RunResult]:
-        """Probe the on-disk cache for a spec without running anything.
+    def cached(self, spec: RunSpec) -> Optional[bytes]:
+        """The :func:`~repro.cluster.cluster.summary_bytes` stored for a
+        spec, or ``None`` (no cache directory, no entry, or a corrupt
+        entry — all indistinguishable by design), read from the entry
+        header: no run is decoded, nothing runs.
 
-        Returns the cached :class:`RunResult` or ``None`` (no cache
-        directory, no entry, or a corrupt entry — all indistinguishable
-        by design).  A probe is *not* a hit: it does not touch the
-        ``host.cache.*`` counters, so :class:`ExecutorStats` keeps
-        meaning "what :meth:`map` did".  The serving layer uses this to
-        answer hot requests without occupying a queue slot.
+        A probe is *not* a hit: it does not touch the ``host.cache.*``
+        counters, so :class:`ExecutorStats` keeps meaning "what
+        :meth:`map` did".  The serving layer answers hot requests with
+        it without occupying a queue slot.
         """
-        return self._cache_load(spec)
-
-    def stored(self, digest: str) -> Optional[Tuple[RunSpec, RunResult]]:
-        """The spec and result stored under ``digest``, or ``None``: a
-        probe like :meth:`cached`, for callers that hold only a digest.
-        The spec comes from the entry header and must hash to ``digest``."""
         if self.store is None:
             return None
-        found = self.store.load("run", digest, _spec_and_result)
+        return self.store.load(
+            "run",
+            spec.digest(),
+            lambda header, _body: header["summary"].encode(),
+            spec=spec.canonical(),
+        )
+
+    def stored(self, digest: str) -> Optional[Tuple[RunSpec, bytes]]:
+        """The spec and summary bytes stored under ``digest``, or
+        ``None``: a probe like :meth:`cached`, for callers that hold only
+        a digest.  The spec comes from the entry header and must hash to
+        ``digest``."""
+        if self.store is None:
+            return None
+        found = self.store.load(
+            "run",
+            digest,
+            lambda header, _body: (
+                RunSpec.from_json(header["spec"]),
+                header["summary"].encode(),
+            ),
+        )
         if found is None or found[0].digest() != digest:
             return None
         return found
@@ -494,13 +500,15 @@ class RunExecutor:
         if self.store is None:
             return None
         return self.store.load(
-            "run", spec.digest(), _result, spec=spec.canonical()
+            "run",
+            spec.digest(),
+            lambda _header, body: RunResult.from_canonical(body),
+            spec=spec.canonical(),
         )
 
     def _cache_store(self, spec: RunSpec, result: RunResult) -> None:
-        fields, arrays = result.to_record()
-        digest, canonical = spec.digest(), spec.canonical()
-        if not self.store.save("run", digest, canonical, fields, arrays):
+        body, summary = result.canonical_bytes(), summary_bytes(spec, result)
+        if not self.store.save("run", spec.digest(), spec.canonical(), body, summary):
             self.registry.counter(
                 "host.cache.write_errors", **self._labels
             ).inc()

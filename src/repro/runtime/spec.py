@@ -39,6 +39,7 @@ from ..errors import ConfigurationError
 
 __all__ = [
     "DEFAULT_SEED",
+    "MAX_NODE_SECONDS",
     "Params",
     "FaultSpec",
     "RigSpec",
@@ -56,6 +57,11 @@ Params = Tuple[Tuple[str, Any], ...]
 #: parameter, and shallow enough that freezing, rendering and decoding a
 #: spec never come near the interpreter's recursion limit.
 _MAX_PARAM_DEPTH = 32
+
+#: Most node-seconds one run may simulate, ``n_nodes * ((fault horizon,
+#: else timeout) + tail)``: about 8.7x the largest shipped spec
+#: (``scaling``, 32 nodes x 3600 s), so no request can hold a worker for days.
+MAX_NODE_SECONDS = 1_000_000.0
 
 #: Fault kinds :func:`repro.runtime.execute.execute_spec` can inject.
 _FAULT_KINDS = ("fan_fail",)
@@ -519,6 +525,12 @@ class RunSpec:
             raise ConfigurationError(
                 f"spec fault 'node' {self.fault.node} is outside the "
                 f"{self.n_nodes}-node platform"
+            )
+        span = self.tail + (self.timeout if self.fault is None else self.fault.horizon)
+        if self.n_nodes > MAX_NODE_SECONDS / span:  # an int past float range is fine
+            raise ConfigurationError(
+                f"spec asks for {self.n_nodes} nodes x {span:g} s, more than "
+                f"the {MAX_NODE_SECONDS:,.0f} node-seconds one run may simulate"
             )
 
     @classmethod

@@ -2,17 +2,17 @@
 
 Runs (:class:`RunExecutor`, ``repro serve``) and fleets
 (:func:`~repro.fleet.run_fleet`) share one directory of
-``<digest>.result`` entries; their digests are domain-separated.  An
-entry is a magic line, an 8-byte little-endian header length, a
-16-byte BLAKE2b checksum of the rest, a JSON header ``{kind, spec,
-fields, arrays}`` and then raw little-endian float64 arrays.  ``spec``
-is the spec's canonical JSON; ``fields`` and the arrays are the result
-type's own mapping, kept beside the type.  Loading parses JSON and
-wraps bytes with :func:`numpy.frombuffer`, so it runs no code.  A
-missing, truncated, corrupt or undecodable entry, a wrong kind or
-another spec's entry is a miss.  Writes go through a unique tmp file
-and :func:`os.replace`; a failed write removes the tmp file and
-returns ``False``.
+``<digest>.result`` entries; their digests are domain-separated.  The
+store keeps each result's canonical bytes as an opaque body.  An entry
+is a magic line, a 16-byte BLAKE2b checksum of the header line, the
+header line ``{kind, spec, sha256, summary}`` (canonical JSON) and the
+body: the result type's ``canonical_bytes()``.  ``spec`` is the spec's
+canonical JSON, ``sha256`` is taken over the body, and ``summary`` is
+the served run summary (``null`` for fleets), so a reader that needs
+only the header decodes no trace.  A missing, truncated, corrupt or
+undecodable entry, a wrong kind or another spec's entry is a miss.
+Writes go through a unique tmp file and :func:`os.replace`; a failed
+write removes the tmp file and returns ``False``.
 """
 
 from __future__ import annotations
@@ -22,25 +22,20 @@ import itertools
 import json
 import os
 import re
-import struct
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
-
-import numpy as np
+from typing import Callable, Optional, TypeVar, Union
 
 from ..errors import ConfigurationError
 
 __all__ = ["ResultStore"]
 
-_MAGIC = b"repro-result/1\n"
-_LENGTH = struct.Struct("<Q")
+_MAGIC = b"repro-result/2\n"
 _CHECK = 16
-_F8 = np.dtype("<f8")
 _DIGEST = re.compile(r"[0-9a-f]{40}")
 _T = TypeVar("_T")
 
-#: Everything a damaged or foreign entry can raise while it is read,
-#: framed or mapped by a result type: each of these is a miss.
+#: Everything a damaged or foreign entry can raise while it is read or
+#: decoded by a result type: each of these is a miss.
 _MISS = (
     OSError,
     ValueError,
@@ -49,7 +44,6 @@ _MISS = (
     IndexError,
     AttributeError,
     RecursionError,
-    struct.error,
 )
 
 #: Tmp names fold in a process-wide sequence number on top of the pid,
@@ -57,32 +51,8 @@ _MISS = (
 _TMP_IDS = itertools.count()
 
 
-def _checksum(body) -> bytes:
-    return hashlib.blake2b(body, digest_size=_CHECK).digest()
-
-
-def _decode(data: bytearray, kind: str) -> Tuple[str, dict, List[np.ndarray]]:
-    """One entry's spec JSON, fields and arrays (writable views into
-    ``data``); raises on any framing or header fault."""
-    if not data.startswith(_MAGIC):
-        raise ValueError("not a result entry")
-    start = len(_MAGIC) + _LENGTH.size + _CHECK
-    if data[start - _CHECK : start] != _checksum(memoryview(data)[start:]):
-        raise ValueError("corrupt entry")
-    end = start + _LENGTH.unpack_from(data, len(_MAGIC))[0]
-    header = json.loads(data[start:end].decode("utf-8"))
-    counts = header["arrays"]
-    if header["kind"] != kind or not isinstance(header["spec"], str):
-        raise ValueError("wrong kind")
-    if not all(type(n) is int and n >= 0 for n in counts):
-        raise ValueError("bad array counts")
-    if len(data) != end + _F8.itemsize * sum(counts):
-        raise ValueError("truncated entry")
-    arrays = []
-    for n in counts:
-        arrays.append(np.frombuffer(data, _F8, count=n, offset=end))
-        end += _F8.itemsize * n
-    return header["spec"], header["fields"], arrays
+def _checksum(line: bytes) -> bytes:
+    return hashlib.blake2b(line, digest_size=_CHECK).digest()
 
 
 class ResultStore:
@@ -108,18 +78,27 @@ class ResultStore:
         self,
         kind: str,
         digest: str,
-        decode: Callable[[str, dict, List[np.ndarray]], _T],
+        decode: Callable[[dict, bytes], _T],
         spec: Optional[str] = None,
     ) -> Optional[_T]:
-        """``decode(spec, fields, arrays)`` for ``digest``'s entry, or
-        ``None`` on a miss: anything the file or ``decode`` raises, or an
-        entry whose spec JSON is not ``spec``."""
+        """``decode(header, body)`` for ``digest``'s entry, or ``None`` on
+        a miss: anything the file or ``decode`` raises, a header or body
+        that fails its checksum or sha256, another kind's entry, or one
+        whose spec JSON is not ``spec``.  A reader that needs only the
+        header leaves the body undecoded."""
         try:
             with open(self._path(digest), "rb") as handle:
-                entry = _decode(bytearray(handle.read()), kind)
-            if spec is not None and entry[0] != spec:
-                return None
-            return decode(*entry)
+                frame = handle.read(len(_MAGIC) + _CHECK)
+                line = handle.readline()
+                body = handle.read()
+            if frame != _MAGIC + _checksum(line):
+                raise ValueError("corrupt entry header")
+            header = json.loads(line)
+            if header["kind"] != kind or spec not in (None, header["spec"]):
+                raise ValueError("another kind's or another spec's entry")
+            if hashlib.sha256(body).hexdigest() != header["sha256"]:
+                raise ValueError("corrupt entry body")
+            return decode(header, body)
         except _MISS:
             return None
 
@@ -128,27 +107,24 @@ class ResultStore:
         kind: str,
         digest: str,
         spec: str,
-        fields: dict,
-        arrays: Sequence[np.ndarray],
+        body: bytes,
+        summary: Optional[bytes] = None,
     ) -> bool:
         """Store one entry atomically; ``False`` when the write failed."""
-        blobs = [np.ascontiguousarray(a, dtype=_F8).tobytes() for a in arrays]
         path = self._path(digest)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.{next(_TMP_IDS)}.tmp")
         try:
-            header = json.dumps(
-                {
-                    "kind": kind,
-                    "spec": spec,
-                    "fields": fields,
-                    "arrays": [len(b) // _F8.itemsize for b in blobs],
-                },
-                separators=(",", ":"),
-            ).encode("utf-8")
-            body = b"".join([header, *blobs])
-            frame = _MAGIC + _LENGTH.pack(len(header)) + _checksum(body)
+            header = {
+                "kind": kind,
+                "spec": spec,
+                "sha256": hashlib.sha256(body).hexdigest(),
+                "summary": None if summary is None else summary.decode("utf-8"),
+            }
+            line = json.dumps(header, sort_keys=True, separators=(",", ":"))
+            line = line.encode("utf-8") + b"\n"
             with open(tmp, "wb") as handle:
-                handle.write(frame + body)
+                handle.write(_MAGIC + _checksum(line) + line)
+                handle.write(body)
             os.replace(tmp, path)
         except (OSError, TypeError, ValueError):
             try:

@@ -11,7 +11,8 @@ summary exists":
   jobs and at most ``queue_depth`` failed ones, oldest dropped first,
   so a poller can still read an error.  A done job leaves the ledger as
   soon as its waiters are answered: its result is in the store, and a
-  repeat request or a ``GET`` by digest reads it from there.
+  repeat request or a ``GET`` by digest reads the summary stored in
+  the entry's header.
 * **Admission control.**  At most ``queue_depth`` jobs may sit queued
   (accepted, not yet dispatched).  Overflow raises :class:`QueueFull`,
   which the server answers with ``429`` + ``Retry-After`` — the caller
@@ -44,15 +45,12 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..runtime.executor import RunExecutor
 from ..runtime.spec import RunSpec
 from ..telemetry.registry import MetricsRegistry
 from .payloads import summary_bytes
-
-if TYPE_CHECKING:  # imported for annotations only
-    from ..cluster.cluster import RunResult
 
 __all__ = ["Job", "JobManager", "QueueFull"]
 
@@ -188,10 +186,11 @@ class JobManager:
         return self._cached_job(stored[0], digest, stored[1])
 
     @staticmethod
-    def _cached_job(spec: RunSpec, digest: str, result: "RunResult") -> Job:
-        """A done job answered from the store (never enters the ledger)."""
+    def _cached_job(spec: RunSpec, digest: str, summary: bytes) -> Job:
+        """A done job answered from the stored summary (never enters
+        the ledger)."""
         job = Job(spec=spec, digest=digest, source="cache")
-        job.finish(summary_bytes(spec, result), None)
+        job.finish(summary, None)
         return job
 
     def submit(self, spec: RunSpec) -> Tuple[Job, str]:

@@ -1,35 +1,25 @@
 """Canonical wire forms: the served result summary and error bodies.
 
 The serving determinism contract (``docs/serving.md``) is pinned at the
-byte level: ``GET /v1/runs/<digest>/result`` must return **exactly**
-the bytes :func:`summary_bytes` produces for ``(spec, result)`` — and
-because :func:`execute_spec` is a pure function of the spec, those
-bytes are identical whether the run executed cold in a server worker,
-came out of the content-addressed cache, ran inside a lockstep batch
-group, or ran locally via ``repro run``.  The tests and the CI serve
-leg compare the server's bytes against a local
-:func:`~repro.runtime.execute.execute_spec` of the same spec.
-
-Traces and events are folded in as SHA-256 digests rather than inlined
-(a full trace set is megabytes of float64 samples); byte-equality of
-two summaries therefore still implies bitwise equality of every trace
-array and every event line, without shipping the arrays themselves.
-
-Everything here is a pure function of its arguments — no clocks, no
-registry reads, no server state — which is what makes the summary
-cacheable and the contract testable.
+byte level: ``GET /v1/runs/<digest>/result`` returns **exactly** the
+bytes :func:`summary_bytes` produces for ``(spec, result)``, whether
+the run executed cold, came out of the result store, ran inside a
+lockstep batch group or ran locally via ``repro run``.  The summary
+lives beside :class:`~repro.cluster.cluster.RunResult` (the executor
+stores it in each run's entry header, so a hit, a repeat or a ``GET``
+decodes no run) and is re-exported here as the serving wire form.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import math
-from typing import TYPE_CHECKING, Any, Dict
+from typing import Any, Dict
 
-if TYPE_CHECKING:  # imported for annotations only: no runtime cycle
-    from ..cluster.cluster import RunResult
-    from ..runtime.spec import RunSpec
+from ..cluster.cluster import (
+    SUMMARY_SCHEMA_VERSION,
+    canonical_json_bytes,
+    result_summary,
+    summary_bytes,
+)
 
 __all__ = [
     "SUMMARY_SCHEMA_VERSION",
@@ -38,91 +28,6 @@ __all__ = [
     "result_summary",
     "summary_bytes",
 ]
-
-#: Version stamped on every result summary (bump on shape changes).
-SUMMARY_SCHEMA_VERSION = 1
-
-
-def _finite(value: float) -> Any:
-    """Floats as JSON; non-finite values as their repr string."""
-    return value if math.isfinite(value) else repr(value)
-
-
-def canonical_json_bytes(document: Dict[str, Any]) -> bytes:
-    """The one JSON rendering the server ever emits for a document.
-
-    Sorted keys, compact separators, a trailing newline, UTF-8 — the
-    same canonicalization :meth:`RunSpec.canonical` uses, so "two
-    summaries are equal" and "two summaries are byte-identical" are the
-    same statement.
-    """
-    return (
-        json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
-
-
-def _trace_digest(times, values) -> str:
-    """SHA-256 over a trace's raw sample arrays (times then values)."""
-    h = hashlib.sha256()
-    h.update(times.tobytes())
-    h.update(values.tobytes())
-    return h.hexdigest()
-
-
-def _events_digest(events) -> str:
-    """SHA-256 over the event log's rendered lines, in order."""
-    h = hashlib.sha256()
-    for event in events:
-        h.update(str(event).encode("utf-8"))
-        h.update(b"\n")
-    return h.hexdigest()
-
-
-def result_summary(spec: "RunSpec", result: "RunResult") -> Dict[str, Any]:
-    """The canonical JSON-safe summary of one run.
-
-    Scalar outcomes (powers, energies, shutdowns, retired cycles) are
-    carried verbatim; the trace set and event log are carried as
-    per-trace sample counts plus SHA-256 digests, so equality of
-    summaries implies bitwise equality of the underlying run.
-    """
-    traces = {
-        name: {
-            "samples": int(len(result.traces[name].times)),
-            "sha256": _trace_digest(
-                result.traces[name].times, result.traces[name].values
-            ),
-        }
-        for name in sorted(result.traces.names())
-    }
-    return {
-        "schema": SUMMARY_SCHEMA_VERSION,
-        "digest": spec.digest(),
-        "describe": spec.describe(),
-        "workload": spec.workload,
-        "seed": spec.seed,
-        "n_nodes": spec.n_nodes,
-        "quick": spec.quick,
-        "job_name": result.job_name,
-        "execution_time": _finite(result.execution_time),
-        "average_power": [_finite(p) for p in result.average_power],
-        "energy_joules": [_finite(e) for e in result.energy_joules],
-        "node_shutdown": list(result.node_shutdown),
-        "retired_cycles": [_finite(c) for c in result.retired_cycles],
-        "cluster_average_power": _finite(result.cluster_average_power),
-        "cluster_energy": _finite(result.cluster_energy),
-        "traces": traces,
-        "events": {
-            "count": len(result.events),
-            "sha256": _events_digest(result.events),
-        },
-        "telemetry": result.telemetry is not None,
-    }
-
-
-def summary_bytes(spec: "RunSpec", result: "RunResult") -> bytes:
-    """:func:`result_summary` rendered in the canonical byte form."""
-    return canonical_json_bytes(result_summary(spec, result))
 
 
 def error_body(message: str, **extra: Any) -> bytes:

@@ -370,13 +370,16 @@ def test_cache_recovers_from_a_corrupt_entry(tmp_path, make):
     assert not sentinel.exists()
     # The recomputed result replaced the bad entry.
     store = ResultStore(cache)
-    stored = store.load(
+    body = reference.canonical_bytes()
+    header, stored = store.load(
         "fleet",
         spec.digest(),
-        lambda _spec, fields, _arrays: FleetResult.from_jsonable(spec, fields),
+        lambda header, data: (header, FleetResult.from_canonical(spec, data)),
         spec=spec.canonical(),
     )
-    assert stored.canonical_bytes() == reference.canonical_bytes()
+    assert stored.canonical_bytes() == body
+    assert header["sha256"] == hashlib.sha256(body).hexdigest()
+    assert header["summary"] is None
 
 
 def test_cache_ignores_an_entry_for_a_different_spec(tmp_path):
@@ -392,6 +395,36 @@ def test_cache_ignores_an_entry_for_a_different_spec(tmp_path):
     assert result_b.spec == spec_b
     result_a = run_fleet(spec_a, shards=1, cache_dir=tmp_path)
     assert result_b.canonical_bytes() != result_a.canonical_bytes()
+
+
+def test_cli_prints_the_result_sha256(tmp_path, capsys, monkeypatch):
+    """``repro fleet`` prints the sha256 of ``canonical_bytes()``: over
+    the fresh bytes without a store, from the entry header with one (a
+    warm run never re-encodes the result), the same hash every way."""
+    from repro.cli import main
+
+    argv = ["fleet", "--quick", "--racks", "3", "--nodes-per-rack", "2"]
+    cache = ["--cache-dir", str(tmp_path)]
+
+    def result_line():
+        out = capsys.readouterr().out.splitlines()
+        digest = out[1].split()[1]
+        (line,) = [ln for ln in out if ln.startswith("result sha256 ")]
+        return digest, line.split()[2]
+
+    assert main(argv) == 0
+    digest, uncached = result_line()
+    assert main(argv + ["--shards", "2"] + cache) == 0
+    assert result_line() == (digest, uncached)
+    body = ResultStore(tmp_path).load("fleet", digest, lambda _header, data: data)
+    assert hashlib.sha256(body).hexdigest() == uncached
+
+    def no_encoding(self):
+        raise AssertionError("a warm run reads the hash from the header")
+
+    monkeypatch.setattr(FleetResult, "canonical_bytes", no_encoding)
+    assert main(argv + cache) == 0
+    assert result_line() == (digest, uncached)
 
 
 # ---------------------------------------------------------------------------

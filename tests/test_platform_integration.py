@@ -39,26 +39,6 @@ from repro.runtime.execute import execute_spec
 from tests.reference_engine import UngroupedExecutor, reference_path
 
 
-def assert_results_equal(a, b) -> None:
-    """Field-wise bitwise identity of two RunResults (traces, events,
-    summaries) — the executor-suite comparison, restated here because
-    test modules are not importable from one another."""
-    assert a.job_name == b.job_name
-    assert a.execution_time == b.execution_time
-    assert a.average_power == b.average_power
-    assert a.energy_joules == b.energy_joules
-    assert a.node_shutdown == b.node_shutdown
-    assert a.retired_cycles == b.retired_cycles
-    assert a.traces.names() == b.traces.names()
-    for name in a.traces.names():
-        ta, tb = a.traces[name], b.traces[name]
-        assert (ta.times == tb.times).all(), name
-        assert (ta.values == tb.values).all(), name
-    assert len(a.events) == len(b.events)
-    for ea, eb in zip(a.events, b.events):
-        assert str(ea) == str(eb)
-
-
 MULTICORE_PLATFORMS = sorted(
     name for name, spec in PLATFORM_REGISTRY.items() if spec.is_multicore
 )
@@ -223,7 +203,8 @@ def test_fastpath_bitwise_identical_on_platform(name) -> None:
     spec = platform_spec_of(name)
     with reference_path():
         reference = RunExecutor().run(spec)
-    assert_results_equal(reference, UngroupedExecutor().run(spec))
+    ungrouped = UngroupedExecutor().run(spec)
+    assert reference.canonical_bytes() == ungrouped.canonical_bytes()
 
 
 GROUPED_FIGURES = ("fig7", "table1", "fig10")
@@ -266,7 +247,7 @@ def test_multicore_specs_group_and_match_ungrouped(
     filled = [dataclasses.replace(spec, platform=name) for spec in specs]
     for spec, a, b in zip(filled, serial, grouped):
         assert summary_bytes(spec, b) == summary_bytes(spec, a)
-        assert_results_equal(a, b)
+        assert a.canonical_bytes() == b.canonical_bytes()
 
 
 def prochot_lanes():
@@ -303,7 +284,7 @@ def test_run_jobs_batch_steps_multicore_lanes_in_lockstep() -> None:
         cluster.run_job(job, timeout=3600.0) for cluster, job in prochot_lanes()
     ]
     for a, b in zip(serial, batched):
-        assert_results_equal(a, b)
+        assert a.canonical_bytes() == b.canonical_bytes()
         categories = [event.category for event in b.events]
         assert "hw.prochot.assert" in categories
         assert "hw.prochot.deassert" in categories
@@ -318,7 +299,7 @@ def test_parallel_jobs_identical_with_platform_specs() -> None:
     serial = RunExecutor(jobs=1).map(specs)
     parallel = RunExecutor(jobs=2).map(specs)
     for a, b in zip(serial, parallel):
-        assert_results_equal(a, b)
+        assert a.canonical_bytes() == b.canonical_bytes()
 
 
 # -- executor platform semantics -----------------------------------------
@@ -329,14 +310,10 @@ def test_executor_fills_platform_only_when_unset() -> None:
     explicit = platform_spec_of("athlon64_4000", params={"iterations": 20})
     executor = RunExecutor(platform="multicore_8c_45nm")
     filled, kept = executor.map([bare, explicit])
-    assert_results_equal(
-        filled,
-        execute_spec(
-            platform_spec_of("multicore_8c_45nm", params={"iterations": 20})
-        ),
-    )
+    retargeted = platform_spec_of("multicore_8c_45nm", params={"iterations": 20})
+    assert filled.canonical_bytes() == execute_spec(retargeted).canonical_bytes()
     # An explicit spec platform wins over the executor-level default.
-    assert_results_equal(kept, execute_spec(explicit))
+    assert kept.canonical_bytes() == execute_spec(explicit).canonical_bytes()
 
 
 def test_explicit_default_platform_matches_historical_path() -> None:
@@ -344,4 +321,6 @@ def test_explicit_default_platform_matches_historical_path() -> None:
     reproduce the historical direct construction exactly."""
     bare = platform_spec_of(None)
     named = platform_spec_of("athlon64_4000")
-    assert_results_equal(execute_spec(bare), execute_spec(named))
+    assert (
+        execute_spec(bare).canonical_bytes() == execute_spec(named).canonical_bytes()
+    )

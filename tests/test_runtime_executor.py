@@ -3,8 +3,8 @@
 The executor's headline guarantee is that ``jobs=N`` is an exact
 optimization — every RunResult that comes back from a worker process is
 identical to the one the historical in-process path produces.  The
-simulator is a pure function of the spec, so these tests compare full
-trace sets, events and per-node summaries field by field.
+simulator is a pure function of the spec, so these tests compare whole
+results by their canonical bytes (scalars, traces, events, telemetry).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster.cluster import RunResult
+from repro.cluster.cluster import summary_bytes
 from repro.errors import ConfigurationError
 from repro.runtime import RunExecutor, RunSpec
 
@@ -35,35 +35,19 @@ def specs_pair():
     ]
 
 
-def assert_results_equal(a: RunResult, b: RunResult) -> None:
-    assert a.job_name == b.job_name
-    assert a.execution_time == b.execution_time
-    assert a.average_power == b.average_power
-    assert a.energy_joules == b.energy_joules
-    assert a.node_shutdown == b.node_shutdown
-    assert a.retired_cycles == b.retired_cycles
-    assert a.traces.names() == b.traces.names()
-    for name in a.traces.names():
-        ta, tb = a.traces[name], b.traces[name]
-        assert (ta.times == tb.times).all(), name
-        assert (ta.values == tb.values).all(), name
-    assert len(a.events) == len(b.events)
-    for ea, eb in zip(a.events, b.events):
-        assert str(ea) == str(eb)
-
-
 def test_parallel_results_match_serial_exactly() -> None:
     specs = specs_pair()
     serial = RunExecutor(jobs=1).map(specs)
     parallel = RunExecutor(jobs=2).map(specs)
     for s, p in zip(serial, parallel):
-        assert_results_equal(s, p)
+        assert s.canonical_bytes() == p.canonical_bytes()
 
 
 def test_run_is_map_of_one() -> None:
     spec = specs_pair()[0]
     executor = RunExecutor()
-    assert_results_equal(executor.run(spec), executor.map([spec])[0])
+    run, (mapped,) = executor.run(spec), executor.map([spec])
+    assert run.canonical_bytes() == mapped.canonical_bytes()
 
 
 def test_duplicate_specs_execute_once() -> None:
@@ -97,7 +81,7 @@ def test_results_keep_spec_order() -> None:
     results = RunExecutor(jobs=2).map(specs)
     expected = [RunExecutor().run(s) for s in specs]
     for got, want in zip(results, expected):
-        assert_results_equal(got, want)
+        assert got.canonical_bytes() == want.canonical_bytes()
 
 
 def test_stats_track_cache_across_maps(tmp_path) -> None:
@@ -122,7 +106,7 @@ def test_cached_result_matches_fresh(tmp_path) -> None:
     fresh = RunExecutor().run(spec)
     warm = RunExecutor(cache_dir=tmp_path)
     warm.run(spec)  # populate
-    assert_results_equal(warm.run(spec), fresh)
+    assert warm.run(spec).canonical_bytes() == fresh.canonical_bytes()
 
 
 class PlantedPickle:
@@ -148,10 +132,20 @@ HOSTILE_ENTRIES = {
     "foreign-spec": lambda valid, foreign, sentinel: foreign,
     "truncated": lambda valid, foreign, sentinel: valid[:-8],
     "truncated-header": lambda valid, foreign, sentinel: valid[:40],
+    # A flipped byte near the end of the body (a run's last trace).
     "flipped-bit": lambda valid, foreign, sentinel: valid[:-4]
     + bytes([valid[-4] ^ 1])
     + valid[-3:],
+    # A flipped byte in the header's stored summary.
+    "flipped-summary": lambda valid, foreign, sentinel: flip(
+        valid, valid.index(b'"summary":') + 12
+    ),
 }
+
+
+def flip(data: bytes, at: int) -> bytes:
+    """``data`` with the byte at ``at`` changed."""
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :]
 
 
 def test_planted_pickle_is_live(tmp_path) -> None:
@@ -178,21 +172,21 @@ def test_cache_recovers_from_a_corrupt_entry(tmp_path, make) -> None:
     executor = RunExecutor(cache_dir=cache)
     assert executor.cached(spec) is None
     assert executor.stored(spec.digest()) is None
-    assert_results_equal(executor.run(spec), fresh)
+    assert executor.run(spec).canonical_bytes() == fresh.canonical_bytes()
     assert executor.stats.cache_misses == 1
     assert executor.stats.executed == 1
     assert not sentinel.exists()
-    assert_results_equal(executor.cached(spec), fresh)
+    assert executor.cached(spec) == summary_bytes(spec, fresh)
 
 
 def test_stored_reads_a_result_by_digest(tmp_path) -> None:
     """``stored`` rebuilds the spec from the entry header, so a caller
-    holding only the digest gets the spec and its result back."""
+    holding only the digest gets the spec and its summary back."""
     spec = specs_pair()[0]
     RunExecutor(cache_dir=tmp_path).run(spec)
     found_spec, found = RunExecutor(cache_dir=tmp_path).stored(spec.digest())
     assert found_spec == spec
-    assert_results_equal(found, RunExecutor().run(spec))
+    assert found == summary_bytes(spec, RunExecutor().run(spec))
     assert RunExecutor(cache_dir=tmp_path).stored("0" * 40) is None
 
 
@@ -229,7 +223,8 @@ def test_failed_cache_write_fails_no_run(tmp_path, monkeypatch, break_store) -> 
     cache = tmp_path / "cache"
     executor = RunExecutor(cache_dir=cache)
     break_store(cache, monkeypatch)
-    assert_results_equal(executor.run(spec), RunExecutor().run(spec))
+    fresh = RunExecutor().run(spec)
+    assert executor.run(spec).canonical_bytes() == fresh.canonical_bytes()
     assert executor.stats.executed == 1
     assert executor.registry.snapshot().value("host.cache.write_errors") == 1.0
     if cache.is_dir():
@@ -294,7 +289,7 @@ def test_clamped_serial_fallback_matches_serial(monkeypatch) -> None:
     serial_results = RunExecutor(jobs=1).map(specs)
     clamped_results = clamped.map(specs)
     for s, c in zip(serial_results, clamped_results):
-        assert_results_equal(s, c)
+        assert s.canonical_bytes() == c.canonical_bytes()
     # The serial fallback never opened a pool.
     assert clamped.telemetry_snapshot().value("host.exec.pool_batches") == 0.0
     assert clamped._pool is None
@@ -324,7 +319,7 @@ def test_pool_is_reused_across_map_calls(monkeypatch) -> None:
         assert snap.value("host.exec.pool_batches") == 2.0
         assert snap.value("host.exec.pools_created") == 1.0
         for s, p in zip(serial, first + second):
-            assert_results_equal(s, p)
+            assert s.canonical_bytes() == p.canonical_bytes()
     assert executor._pool is None  # context exit released the workers
 
 
@@ -340,7 +335,7 @@ def test_close_is_idempotent_and_executor_stays_usable(monkeypatch) -> None:
     second = executor.map(specs_pair())
     assert executor._pool is not None
     for a, b in zip(first, second):
-        assert_results_equal(a, b)
+        assert a.canonical_bytes() == b.canonical_bytes()
     executor.close()
 
 
@@ -439,7 +434,7 @@ def test_cache_store_tmp_names_never_collide(tmp_path, monkeypatch) -> None:
     assert len(tmp_names) == 2
     assert tmp_names[0] != tmp_names[1]
     # Both renamed into the same final entry, which loads cleanly.
-    assert_results_equal(first._cache_load(spec), result)
+    assert first._cache_load(spec).canonical_bytes() == result.canonical_bytes()
     # Nothing left behind but the entry itself.
     assert [p.name for p in tmp_path.iterdir()] == [f"{spec.digest()}.result"]
 
@@ -463,7 +458,8 @@ def test_concurrent_cache_stores_share_a_dir(tmp_path) -> None:
         t.start()
     for t in threads:
         t.join()
-    assert_results_equal(executors[0]._cache_load(spec), result)
+    loaded = executors[0]._cache_load(spec)
+    assert loaded.canonical_bytes() == result.canonical_bytes()
     assert [p.name for p in tmp_path.iterdir()] == [f"{spec.digest()}.result"]
 
 

@@ -424,6 +424,14 @@ HOSTILE_RUN_PAYLOADS = [
         "-Infinity}}]}",
         "rigs[0].params",
     ),
+    # Well formed, but past the one-run budget (MAX_NODE_SECONDS).
+    ("huge-n_nodes", '{"workload": "x", "n_nodes": 1000000000}', "node-seconds"),
+    (
+        "huge-fault-horizon",
+        '{"workload": "x", "fault": {"horizon": 1e12}}',
+        "node-seconds",
+    ),
+    ("huge-timeout", '{"workload": "x", "timeout": 1e300}', "node-seconds"),
     ("deep-array-body", DEEP_ARRAY, "nests too deeply"),
     (
         "deep-array-field",
@@ -498,6 +506,23 @@ def test_from_json_malformed_payloads_are_config_errors(
 
     with pytest.raises(ConfigurationError, match="(?s)" + re.escape(needle)):
         RunSpec.from_json(payload)
+
+
+def test_run_budget_admits_every_shipped_spec_and_nothing_past_it() -> None:
+    """``n_nodes * (horizon or timeout + tail)`` is capped at
+    MAX_NODE_SECONDS: the cap itself is admitted, a step past it is
+    not, and every full-length experiment spec fits under it."""
+    from repro.runtime.spec import MAX_NODE_SECONDS
+
+    at_cap = dict(n_nodes=100, timeout=9000.0, tail=1000.0)
+    assert MAX_NODE_SECONDS == 100 * (9000.0 + 1000.0)
+    RunSpec(workload="x", **at_cap)
+    for over in (dict(n_nodes=101), dict(tail=1000.5)):
+        with pytest.raises(ConfigurationError, match="node-seconds"):
+            RunSpec(workload="x", **{**at_cap, **over})
+    for _name, (module, _description) in REGISTRY.items():
+        if hasattr(module, "specs"):
+            module.specs(quick=False)  # constructing them is the check
 
 
 # -- FleetSpec: the fleet topology rides the same spec discipline --------

@@ -24,8 +24,10 @@ import threading
 import pytest
 
 from repro.cli import build_parser, main
+from repro.cluster.cluster import RunResult
 from repro.errors import ConfigurationError
 from repro.experiments import fig07_max_pwm
+from repro.runtime import RunExecutor
 from repro.runtime.execute import execute_spec
 from repro.runtime.spec import RigSpec, RunSpec
 from repro.serve import (
@@ -34,6 +36,8 @@ from repro.serve import (
     ServeConfig,
     summary_bytes,
 )
+from repro.serve.payloads import canonical_json_bytes
+from tests.test_runtime_executor import flip
 from tests.test_runtime_spec import HOSTILE_RUN_PAYLOADS
 from tests.test_telemetry_exporters import check_prometheus_text
 
@@ -326,6 +330,68 @@ def test_hot_cache_path_is_byte_identical(tmp_path) -> None:
     assert hot_bytes == cold_bytes
     for spec in specs:
         assert hot_bytes[spec.digest()] == summary_bytes(spec, execute_spec(spec))
+
+
+def test_stored_summary_answers_warm_repeat_and_get(tmp_path, monkeypatch) -> None:
+    """Acceptance pin: a warm request, a repeat and a ``GET`` by digest
+    are answered from the summary in the entry header, byte for byte,
+    while decoding a stored run and rebuilding a summary both raise."""
+    spec = cheap_spec(seed=700)
+    expected = summary_bytes(spec, execute_spec(spec))
+    RunExecutor(cache_dir=tmp_path).run(spec)
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the stored summary must answer")
+
+    monkeypatch.setattr(RunResult, "from_canonical", broken)
+    for module in (
+        "repro.cluster.cluster",
+        "repro.runtime.executor",
+        "repro.serve.payloads",
+        "repro.serve.jobs",
+    ):
+        monkeypatch.setattr(f"{module}.summary_bytes", broken)
+
+    async def scenario(server, client):
+        answers = []
+        for _warm_then_repeat in range(2):
+            posted = await client.request("POST", "/v1/runs", post_body(spec))
+            assert posted.status == 200, posted.body
+            assert posted.json_body()["disposition"] == "cache"
+            answers.append(canonical_json_bytes(posted.json_body()["result"]))
+        got = await client.request("GET", f"/v1/runs/{spec.digest()}/result")
+        assert got.status == 200, got.body
+        assert server.executor.stats.executed == 0
+        return answers + [got.body]
+
+    config = ServeConfig(port=0, cache_dir=str(tmp_path))
+    assert run_with_server(config, scenario) == [expected] * 3
+
+
+@pytest.mark.parametrize("where", ["summary", "trace"])
+def test_a_damaged_entry_is_never_served(tmp_path, where) -> None:
+    """A flipped byte in the header's summary or in a trace makes the
+    entry a miss: a ``GET`` finds no run, and a ``POST`` re-runs the
+    spec and serves the true bytes."""
+    spec = cheap_spec(seed=710)
+    expected = summary_bytes(spec, execute_spec(spec))
+    RunExecutor(cache_dir=tmp_path).run(spec)
+    entry = tmp_path / f"{spec.digest()}.result"
+    data = entry.read_bytes()
+    at = data.index(b'"summary":') + 12 if where == "summary" else len(data) - 4
+    entry.write_bytes(flip(data, at))
+
+    async def scenario(server, client):
+        missing = await client.request("GET", f"/v1/runs/{spec.digest()}/result")
+        assert missing.status == 404, missing.body
+        posted = await client.request("POST", "/v1/runs?wait=1", post_body(spec))
+        assert posted.json_body()["disposition"] == "queued"
+        got = await client.request("GET", f"/v1/runs/{spec.digest()}/result")
+        assert server.executor.stats.executed == 1
+        return got.body
+
+    config = ServeConfig(port=0, cache_dir=str(tmp_path))
+    assert run_with_server(config, scenario) == expected
 
 
 def test_batch_coalescing_on_and_off_are_byte_identical() -> None:
