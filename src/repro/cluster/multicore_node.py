@@ -20,7 +20,15 @@ silicon without modification:
 Per tick, each core's power is computed from its *class* model at the
 class's current P-state and that core's own temperature (per-core
 leakage feedback), under the node-wide utilization of the bound rank —
-the job spans the node, so all cores share its duty cycle.
+the job spans the node, so all cores share its duty cycle.  The pass
+follows the model's own split: the dynamic term and the leakage
+prefactor depend only on the class's V/f point, so
+:meth:`CpuPowerModel.pstate_terms
+<repro.cpu.power.CpuPowerModel.pstate_terms>` computes them once per
+class, and each core adds its own ``math.exp`` leakage factor and the
+idle floor.  That is :meth:`CpuPowerModel.power
+<repro.cpu.power.CpuPowerModel.power>`'s expression evaluated in its
+own order, so every core power has the same bits as a per-core call.
 
 That power and the hottest-core diode are all :meth:`_package_io`
 overrides; the tick is :meth:`~repro.cluster.node.Node.tick_pair`, and
@@ -29,6 +37,7 @@ specs on a multicore platform form lockstep groups like any other.
 
 from __future__ import annotations
 
+import math
 from operator import attrgetter
 from typing import Callable, List, Tuple
 
@@ -110,19 +119,37 @@ class MulticoreNode(Node):
         powers at each core's temperature, summed into :attr:`cpu_power`,
         into the package and its network (a negative or NaN one raises
         through :meth:`MulticorePackage.set_core_power
-        <repro.thermal.multicore.MulticorePackage.set_core_power>`)."""
+        <repro.thermal.multicore.MulticorePackage.set_core_power>`).
+
+        Per class, ``io`` takes the P-state terms once and loops over
+        that class's cores in floorplan order, so the writes and the
+        index-order sum are those of one ``power`` call per core."""
         package = self.package
         set_core_power = package.set_core_power
         core_powers = package._powers
         net_powers = package._net._powers
-        class_power = tuple(model.power for model in self._class_models)
-        domains = self.domains
         core = self.core
-        core_nodes = tuple(package._net._nodes[key] for key in package._cores)
+        exp = math.exp
+        core_keys = package._cores
+        core_nodes = tuple(package._net._nodes[key] for key in core_keys)
         temperature_of = attrgetter("temperature")
-        cores = tuple(
-            zip(range(package.n_cores), self._core_class, core_nodes,
-                package._cores)
+        members = [[] for _ in self.domains]
+        for i, (k, node, key) in enumerate(
+            zip(self._core_class, core_nodes, core_keys)
+        ):
+            members[k].append((i, node, key))
+        classes = tuple(
+            (
+                domain,
+                model.pstate_terms,
+                model.params.leak_temp_scale,
+                model.params.t_ref,
+                model.params.idle_floor,
+                tuple(cores),
+            )
+            for domain, model, cores in zip(
+                self.domains, self._class_models, members
+            )
         )
 
         @hotpath
@@ -131,18 +158,23 @@ class MulticoreNode(Node):
 
         @hotpath
         def io(on: bool) -> None:
+            if not on:
+                for i, key in enumerate(core_keys):
+                    core_powers[i] = 0.0
+                    net_powers[key] = 0.0
+                self._cpu_power = 0.0
+                return
             utilization = core._utilization
-            for i, k, node, key in cores:
-                if on:
-                    power = class_power[k](
-                        domains[k].pstate, utilization, node.temperature
-                    )
+            for domain, terms, scale, t_ref, floor, cores in classes:
+                dynamic, leak = terms(domain.pstate, utilization)
+                for i, node, key in cores:
+                    power = dynamic + leak * exp(scale * (node.temperature - t_ref))
+                    if floor > power:
+                        power = floor
                     if not (power >= 0.0):
                         set_core_power(i, power)  # raises the setter's error
-                else:
-                    power = 0.0
-                core_powers[i] = power
-                net_powers[key] = power
-            self._cpu_power = sum(core_powers) if on else 0.0
+                    core_powers[i] = power
+                    net_powers[key] = power
+            self._cpu_power = sum(core_powers)
 
         return diode, io

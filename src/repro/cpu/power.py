@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 from ..sim.marker import hotpath, reject
 from ..units import require_in_range, require_non_negative, require_positive
@@ -95,6 +96,27 @@ class CpuPowerModel:
         return p.leak_ref * v_scale * t_scale
 
     @hotpath
+    def pstate_terms(
+        self, pstate: PState, utilization: float
+    ) -> Tuple[float, float]:
+        """The P-state half of :meth:`power`: ``(dynamic, leak)``.
+
+        ``dynamic`` is ``u · C_eff · V² · f`` and ``leak`` the leakage
+        prefactor ``leak_ref · V/V_ref``; neither depends on die
+        temperature.  A core at temperature ``T`` then draws
+        ``dynamic + leak · exp(scale · (T − t_ref))``, floored at
+        ``idle_floor`` — the bits of :meth:`power` (see there).
+        """
+        if not (0.0 <= utilization <= 1.0):
+            reject(require_in_range, utilization, 0.0, 1.0, "utilization")
+        p = self.params
+        voltage = pstate.voltage
+        return (
+            float(utilization) * p.c_eff * voltage**2 * pstate.frequency,
+            p.leak_ref * (voltage / p.v_ref),
+        )
+
+    @hotpath
     def power(
         self, pstate: PState, utilization: float, die_temperature: float
     ) -> float:
@@ -102,6 +124,14 @@ class CpuPowerModel:
 
         :meth:`dynamic_power` plus :meth:`leakage_power`, written out as
         one expression with the same operations in the same order.
+
+        Python evaluates it left to right, so the dynamic term and the
+        leakage prefactor ``leak_ref · (V/V_ref)`` are each complete
+        before the temperature factor multiplies in: they are exactly
+        :meth:`pstate_terms`, and a caller that shares them across the
+        cores of one P-state domain (one ``math.exp`` per core, then
+        ``if floor > p: p = floor``, which is ``max(p, floor)`` with a
+        NaN kept) gets this method's bits.
         """
         if not (0.0 <= utilization <= 1.0):
             reject(require_in_range, utilization, 0.0, 1.0, "utilization")

@@ -74,6 +74,15 @@ def node_band(spec: FleetSpec) -> Tuple[PStateTable, PowerParams, float, float]:
     return lead.table(), lead.power, plat.t_min, plat.t_max
 
 
+def _hot_spot(dies: List[float]) -> float:
+    """The largest of ``dies`` by strict ``>`` in list order (exact)."""
+    peak = dies[0]
+    for die in dies[1:]:
+        if die > peak:
+            peak = die
+    return peak
+
+
 def _phase(seed: int, rack: int, node: int) -> float:
     """Stable per-node phase offset in [0, 1) by pure integer mixing."""
     mixed = (seed * _MIX_A + rack * _MIX_RACK + node * _MIX_NODE) % _MIX_MOD
@@ -159,15 +168,15 @@ class FleetNode:
         self.energy_j = 0.0
         self.max_die_c = package.die_temperature
 
-    def dvfs_step(self, t_min: float, t_max: float, pp: float) -> None:
-        """One in-band governor decision against the rack's ``P_p`` budget.
+    def dvfs_step(self, die: float, t_min: float, t_max: float, pp: float) -> None:
+        """One in-band governor decision against the rack's ``P_p`` budget,
+        from the die temperature ``die`` (°C) read for this control step.
 
         The trigger slides across the safe band with the performance
         preference: ``t_trig = t_min + (t_max - t_min) · pp / 100`` —
         a low budget throttles early, a 100 budget only at ``t_max``.
         """
         t_trig = t_min + (t_max - t_min) * pp / 100.0
-        die = self.package.die_temperature
         if die > t_trig:
             if self.pstate < len(self.table) - 1:
                 self.pstate += 1
@@ -237,14 +246,13 @@ class FleetRack:
             package = node.package
             package._net.set_temperature(package._amb, inlet_c)
 
+    def die_temperatures(self) -> List[float]:
+        """Each node's current die temperature, °C (node order)."""
+        return [node.package.die_temperature for node in self.nodes]
+
     def max_die_c(self) -> float:
         """Current rack hot spot, °C (fixed node order; max is exact)."""
-        peak = self.nodes[0].package.die_temperature
-        for node in self.nodes[1:]:
-            die = node.package.die_temperature
-            if die > peak:
-                peak = die
-        return peak
+        return _hot_spot(self.die_temperatures())
 
     def control_step(
         self, profile: WorkloadProfile, t: float, band: Tuple
@@ -252,14 +260,16 @@ class FleetRack:
         """One control period: workload refresh, DVFS, fan wall.
 
         Order is load-bearing for reproducibility and fixed here once:
-        hot spot read first, then per-node utilization + DVFS in node
-        order, then the fan-wall duty update.
+        die temperatures read first (once each: the hot spot and every
+        node's DVFS decision share them), then per-node utilization +
+        DVFS in node order, then the fan-wall duty update.
         """
         _table, _power, t_min, t_max = band
-        hot_spot = self.max_die_c()
-        for node in self.nodes:
+        dies = self.die_temperatures()
+        hot_spot = _hot_spot(dies)
+        for node, die in zip(self.nodes, dies):
             node.util = profile.utilization(self.index, node.index, t)
-            node.dvfs_step(t_min, t_max, self.pp)
+            node.dvfs_step(die, t_min, t_max, self.pp)
         target = t_max - _FAN_HEADROOM_K
         duty = self.duty + _DUTY_GAIN * (hot_spot - target)
         duty = min(1.0, max(_DUTY_MIN, duty))

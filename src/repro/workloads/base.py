@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigurationError, WorkloadError
+from ..sim.marker import reject
 from ..units import require_in_range, require_non_negative, require_positive
 
 __all__ = [
@@ -85,7 +86,8 @@ class ComputeSegment(Segment):
         self.utilization = require_in_range(utilization, 0.0, 1.0, "utilization")
 
     def advance(self, dt: float, frequency: float) -> Tuple[float, float, bool]:
-        require_positive(frequency, "frequency")
+        if not (frequency > 0.0):
+            reject(require_positive, frequency, "frequency")
         time_needed = self.remaining / frequency
         if time_needed <= dt:
             self.remaining = 0.0

@@ -19,6 +19,7 @@ from dataclasses import is_dataclass
 
 import pytest
 
+from repro.cluster.multicore_node import MulticoreNode
 from repro.cluster.node import Node
 from repro.cluster.power_meter import PowerMeter
 from repro.config import NodeConfig
@@ -29,9 +30,11 @@ from repro.cpu.pstate import ATHLON64_4000
 from repro.fan.adt7467 import ADT7467, Adt7467Config
 from repro.fan.aero import FanAero
 from repro.fan.motor import FanMotor
+from repro.platform import resolve_platform
 from repro.sim.marker import reject
 from repro.thermal.convection import ConvectionModel
-from repro.units import require_in_range
+from repro.units import require_in_range, require_positive
+from repro.workloads.base import ComputeSegment
 from tests.reference_engine import (
     reference_airflow,
     reference_auto_curve_duty,
@@ -189,6 +192,16 @@ def test_power_utilization_guard(util):
     assert got[0] == "raise"
 
 
+@pytest.mark.parametrize("frequency", (0.0, -1.0, NAN))
+def test_compute_segment_frequency_guard(frequency):
+    got = _assert_parity(
+        lambda: ComputeSegment(1e9),
+        lambda s: s.advance(0.05, frequency),
+        lambda s: require_positive(frequency, "frequency"),
+    )
+    assert got[0] == "raise"
+
+
 @pytest.mark.parametrize("rpm", BAD_NON_NEGATIVE)
 @pytest.mark.parametrize(
     "method, oracle",
@@ -327,6 +340,98 @@ def test_core_and_power_match_oracle_across_pstates(util):
                 assert model.power(
                     new.dvfs.pstate, new.utilization, die
                 ) == reference_power(model, ref.dvfs.pstate, ref.utilization, die)
+
+
+def _multicore():
+    """A big.LITTLE node (two core classes) and its bound power ``io``."""
+    node = MulticoreNode(
+        "n0", config=resolve_platform("biglittle_4p4e").node_config()
+    )
+    _diode, io = node._package_io()
+    return node, io
+
+
+def _set_core_temperatures(node, temperatures):
+    package = node.package
+    for key, celsius in zip(package._cores, temperatures):
+        package._net.set_temperature(key, celsius)
+
+
+def _per_core_powers(node):
+    """One ``CpuPowerModel.power`` call per core (the oracle's pass)."""
+    utilization = node.core._utilization
+    temperatures = node.package.core_temperatures()
+    return [
+        node._class_models[k].power(
+            node.domains[k].pstate, utilization, temperatures[i]
+        )
+        for i, k in enumerate(node._core_class)
+    ]
+
+
+def _written(node):
+    """Core powers as ``io`` left them: package, network and sum."""
+    package = node.package
+    net = [package._net._powers[key] for key in package._cores]
+    return repr((node.core_powers(), net, node.cpu_power))
+
+
+@pytest.mark.parametrize("util", (0.0, 1e-9, 0.25, 0.5, 1.0))
+def test_multicore_io_matches_per_core_power(util):
+    """Each class's P-state terms taken once per tick give every core the
+    bits of a per-core ``power`` call, across lead-index changes through
+    the gang, core temperatures from -40 to 110 °C and the idle floor."""
+    node, io = _multicore()
+    node.core._utilization = util
+    n = node.package.n_cores
+    spread = [-40.0 + 150.0 * i / (n - 1) for i in range(n)]
+    floors = [node._class_models[k].params.idle_floor for k in node._core_class]
+    floored = 0
+    last = len(node.dvfs.table) - 1
+    for tick, index in enumerate((0, last, 3, 5, 1, last - 1, 2, 4, 0)):
+        node.dvfs.set_index(index, 0.05 * (tick + 1))
+        for shift in range(n):
+            _set_core_temperatures(node, spread[shift:] + spread[:shift])
+            want = _per_core_powers(node)
+            io(True)
+            assert _written(node) == repr((want, want, sum(want)))
+            floored += sum(p == f for p, f in zip(want, floors))
+    if util == 0.0:
+        assert floored > 0  # the floor branch ran
+
+
+@pytest.mark.parametrize("util", (NAN, -0.1, 1.5))
+def test_multicore_io_utilization_guard(util):
+    """A bad utilization raises the per-core call's error before any
+    core power is written."""
+    node, io = _multicore()
+    io(True)
+    before = _written(node)
+    node.core._utilization = util
+    want = _outcome(lambda: _per_core_powers(node))
+    assert want[0] == "raise"
+    assert _outcome(lambda: io(True)) == want
+    assert _written(node) == before
+
+
+def test_multicore_io_nan_core_temperature_raises_through_the_setter():
+    node, io = _multicore()
+    node.core._utilization = 0.5
+    _set_core_temperatures(node, [45.0, 50.0, NAN] + [40.0] * 5)
+    power = _per_core_powers(node)[2]
+    want = _outcome(lambda: node.package.set_core_power(2, power))
+    assert want[0] == "raise"
+    assert _outcome(lambda: io(True)) == want
+
+
+def test_multicore_io_off_writes_zero_power():
+    node, io = _multicore()
+    node.core._utilization = 1.0
+    io(True)
+    assert node.cpu_power > 0.0
+    io(False)
+    zeros = [0.0] * node.package.n_cores
+    assert _written(node) == repr((zeros, zeros, 0.0))
 
 
 def test_leaf_models_match_oracle():

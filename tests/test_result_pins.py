@@ -1,8 +1,10 @@
 """Result pins: the summary and canonical bytes of every quick spec.
 
-Two sets of runs are pinned: every distinct quick experiment spec on
+Three sets of runs are pinned: every distinct quick experiment spec on
 the default platform, and the fig7/table1/fig10 quick specs on
-``biglittle_4p4e``.  Each pin is a pair of sha256 digests:
+``biglittle_4p4e`` (two core classes) and on ``multicore_8c_45nm``
+(one homogeneous eight-core class).  Each pin is a pair of sha256
+digests:
 
 * ``summary_bytes(spec, result)`` — the served wire form.  These were
   recorded before :meth:`RunResult.canonical_bytes` existed and must
@@ -230,9 +232,69 @@ BIGLITTLE_PINS = {
     ),
 }
 
+MULTICORE_8C_PINS = {
+    "fig7[0]": (
+        "ead138e5a0f6f2cf9e51c401cbc46f72d70df2326ab0ec3308a056f0c3045d3d",
+        "c9f042358799b5e566a868f6bb6d23207e5c5a5a156cb587c61736bc3e7236a2",
+    ),
+    "fig7[1]": (
+        "f2dbbae32c840d7187db14f5073e88f6184062a1f1a2374db585bdf6af91e148",
+        "14b963d717ac22af245c7006558cbbb7b322b1902b078bc7e16407c060444b76",
+    ),
+    "fig7[2]": (
+        "2d8b3a0fd5a505ce96322c3f42db4af5b954a50e4af0032d569932cb063b8187",
+        "92f700441fc24727e2c50e7a2587c06bc540e6f9ffa61c39a177ce8cce498c4c",
+    ),
+    "fig7[3]": (
+        "c3a56f73f61e28e109c7666fbab6fa6e0b0eb3f128dbfabbb9ae24cc7f03d052",
+        "12221c044cda0283ed831752201e827877e657501afe41710b5b556017079e07",
+    ),
+    "table1[0]": (
+        "f89adbfe45c51051619728d8dba2c474e46f25a4ad7e77a04d158960959863ee",
+        "3291774233133772c4ef3b184920460c64ec6293f093d4c2a51c9abbc48d74c0",
+    ),
+    "table1[1]": (
+        "b94b42dadd902c266a249c70bb26d30313a512d04c99d7670e74eb397503b54c",
+        "f7d194b4526620d96e3c8501115b03b2a269606093d22966c35cd458d2c51abc",
+    ),
+    "table1[2]": (
+        "4df3302dac9d612a9cf09b6eef74d620838449a2e392dca91c4933afb6911958",
+        "439ecba341f4aa39a70cd5454bd00714d7f18735314fc29d2b53fc0be3a9c8ae",
+    ),
+    "table1[3]": (
+        "51a47475a11fd8e4834b8d6f825b27979409451a8cec0a722c5601851e8b5551",
+        "6946928c19939b7ac3d97b7281ae867ea53a12ab98821f67c009fbba0daab465",
+    ),
+    "table1[4]": (
+        "53ff42c56e5f9f87105f31aee46df13a34fa2ea2e257cc357f021991e2191fb1",
+        "1662e9dc00a19a744e0713a164eac99446d9cd3d9980ce45ed11a7021136b997",
+    ),
+    "table1[5]": (
+        "4241ff211619b16f77c3a7ae386ca57566040d9568a25c9a6a4c5950f8636b0d",
+        "8ca6f40fae7a0e1e47b459532d839701065815114f4e9f67a05afdacbbee9544",
+    ),
+    "fig10[0]": (
+        "3d3e72d4caacd163131811961735e2fab0fa46307e593293ef9683897263f722",
+        "fd8fe2db58ea951074c4df99126b778ee02774e141f39476428314abdec6a74d",
+    ),
+    "fig10[1]": (
+        "cf78a7a8f3b4e15e63d924ca30110e8b7caff0ada1bb3b39c9194d3d3dc5dc7b",
+        "6946928c19939b7ac3d97b7281ae867ea53a12ab98821f67c009fbba0daab465",
+    ),
+    "fig10[2]": (
+        "fd69ae903b22fc6832c2decefc3e10a4deb776a5bd7acd03faafc64230bbda93",
+        "c192c73cb0bb9eaa34d545bfde19d0301f70ac43a44f86b80e4fe61cc3807ad3",
+    ),
+}
+
+PLATFORM_EXPERIMENTS = ("fig7", "table1", "fig10")
+
 PLATFORMS = {
     "default": (None, None, DEFAULT_PINS),
-    "biglittle_4p4e": ("biglittle_4p4e", ("fig7", "table1", "fig10"), BIGLITTLE_PINS),
+    "biglittle_4p4e": ("biglittle_4p4e", PLATFORM_EXPERIMENTS, BIGLITTLE_PINS),
+    "multicore_8c_45nm": (
+        "multicore_8c_45nm", PLATFORM_EXPERIMENTS, MULTICORE_8C_PINS
+    ),
 }
 
 
@@ -285,7 +347,8 @@ def pinned_runs(tmp_path_factory):
 
 def test_the_pinned_sets_are_every_quick_spec():
     assert len(quick_specs()) == len(DEFAULT_PINS) == 34
-    assert len(quick_specs(PLATFORMS["biglittle_4p4e"][1])) == len(BIGLITTLE_PINS)
+    for key in ("biglittle_4p4e", "multicore_8c_45nm"):
+        assert len(quick_specs(PLATFORM_EXPERIMENTS)) == len(PLATFORMS[key][2])
 
 
 @pytest.mark.parametrize("key", sorted(PLATFORMS))
