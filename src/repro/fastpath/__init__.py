@@ -25,9 +25,11 @@ what spans runs and samples:
   :func:`~repro.sim.engine.run_fused`, the one tick loop.
 
 The contract is **byte-identical equivalence** with the tick-by-tick
-reference oracle in ``tests/reference_engine.py``, enforced by
-``tests/test_fastpath_equivalence.py`` and
-``tests/test_fastpath_batch.py``.
+reference oracle in ``tests/reference_engine.py``: a spec's result
+bytes are the oracle's, whatever path the engine takes to them.
+``tests/test_reference_oracle.py`` compares the two over a seeded
+corpus of run and fleet specs, and ``tests/test_package_batch.py`` pins
+the stack's own contracts.
 
 :mod:`~repro.fastpath.batch` is imported lazily by
 :mod:`repro.cluster.cluster` and :mod:`repro.runtime.execute`: it

@@ -11,12 +11,16 @@ guarantees beyond strict request-at-a-time per connection.
 Framing errors raise :class:`HttpError` with the right status code
 (400 malformed, 413 oversized, 505 unsupported version) so the
 connection handler can answer with a proper error response instead of
-slamming the socket shut.
+slamming the socket shut.  A body's length is never ambiguous: a
+``Content-Length`` is ASCII digits only, and a repeated
+``Content-Length`` or any ``Transfer-Encoding`` is a 400, so a request
+cannot frame its body one way and leave bytes behind for the next.
 """
 
 from __future__ import annotations
 
 import asyncio
+import re
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qsl, unquote
@@ -38,6 +42,9 @@ _MAX_HEADER_LINE = 8192
 
 #: Most header lines accepted per request.
 _MAX_HEADER_COUNT = 100
+
+#: A ``Content-Length`` value (``int`` would also take ``+3`` or ``0_3``).
+_DIGITS = re.compile(r"[0-9]+")
 
 #: Reason phrases for every status the server emits.
 STATUS_REASONS: Dict[int, str] = {
@@ -139,28 +146,31 @@ async def read_request(
         name, sep, value = raw.decode("latin-1").partition(":")
         if not sep or not name.strip() or name != name.strip():
             raise HttpError(400, f"malformed header line {raw!r}")
-        headers[name.strip().lower()] = value.strip()
+        name = name.lower()
+        if name == "content-length" and name in headers:
+            raise HttpError(400, "repeated Content-Length")
+        headers[name] = value.strip()
     else:
         raise HttpError(400, "too many header lines")
+    if "transfer-encoding" in headers:
+        raise HttpError(400, "transfer encodings are not supported")
 
     body = b""
     length_text = headers.get("content-length")
     if length_text is not None:
-        try:
-            length = int(length_text)
-        except ValueError:
-            raise HttpError(400, "malformed Content-Length") from None
-        if length < 0:
+        if not _DIGITS.fullmatch(length_text):
             raise HttpError(400, "malformed Content-Length")
-        if length > max_body:
+        # More significant digits than max_body has are over the limit
+        # whatever they say (and int() refuses very long digit runs).
+        digits = length_text.lstrip("0") or "0"
+        if len(digits) > len(str(max_body)) or int(digits) > max_body:
             raise HttpError(413, f"body exceeds {max_body} bytes")
+        length = int(digits)
         if length:
             try:
                 body = await reader.readexactly(length)
             except asyncio.IncompleteReadError:
                 raise HttpError(400, "truncated body") from None
-    elif "transfer-encoding" in headers:
-        raise HttpError(400, "transfer encodings are not supported")
 
     raw_path, _, query_string = target.partition("?")
     query = dict(parse_qsl(query_string, keep_blank_values=True))

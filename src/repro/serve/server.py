@@ -57,6 +57,13 @@ from .payloads import canonical_json_bytes, error_body
 
 __all__ = ["ServeConfig", "ReproServer", "serve_forever"]
 
+#: Paths the ``serve.http.requests`` counter labels as themselves; the
+#: run routes label as templates, and every other path as ``{other}``.
+_PLAIN_ROUTES = frozenset({"/healthz", "/metrics", "/v1/runs"})
+
+#: Methods the router handles; any other labels as ``OTHER``.
+_ROUTED_METHODS = frozenset({"GET", "POST"})
+
 #: Latency histogram bounds, seconds: request handling spans ~100 µs
 #: (memory hit) to multi-second cold simulations.
 _LATENCY_BUCKETS: Tuple[float, ...] = (
@@ -202,16 +209,24 @@ class ReproServer:
     def _observe(
         self, request: HttpRequest, status: int, started: float
     ) -> None:
-        """Fold one handled request into the serve.http.* instruments."""
-        route = request.path
-        if route.startswith("/v1/runs/"):
+        """Fold one handled request into the serve.http.* instruments.
+
+        Labels come from fixed sets, so no client can add a series by
+        choosing a path or a method."""
+        path = request.path
+        if path.startswith("/v1/runs/"):
             route = "/v1/runs/{digest}"
-            if request.path.endswith("/result"):
+            if path.endswith("/result"):
                 route += "/result"
+        elif path in _PLAIN_ROUTES:
+            route = path
+        else:
+            route = "{other}"
+        method = request.method
         self._requests(
             "serve.http.requests",
             route=route,
-            method=request.method,
+            method=method if method in _ROUTED_METHODS else "OTHER",
             status=str(status),
         ).inc()
         self._latency.observe(clockshim.perf_counter() - started)

@@ -1,64 +1,54 @@
-"""The tick-by-tick reference engine: the equivalence oracle.
+"""The reference oracle: a spec's result, computed one tick at a time.
 
-The simulator runs every spec on one engine path:
-:func:`~repro.sim.engine.run_fused` steps pre-bound component closures
-in tick batches between task boundaries,
-:meth:`Cluster.run_job <repro.cluster.cluster.Cluster.run_job>` runs
-as one lane of :func:`~repro.fastpath.batch.run_jobs_batch` with a
-multi-node cluster's packages stacked, :class:`~repro.cluster.cluster.Cluster`
-records samples through block writers, and
-:class:`~repro.runtime.RunExecutor` runs sweeps as lockstep groups.
-This module keeps the plain semantics all of that must reproduce byte
-for byte:
+:func:`reference_result` takes a :class:`~repro.runtime.RunSpec` or a
+:class:`~repro.fleet.FleetSpec` and returns the canonical bytes of its
+result.  The engine must produce the same bytes, whatever path it takes
+to them; a test that compares the two pins the model, not the path.
 
-* :func:`reference_run` — one tick at a time: advance the clock, call
-  every component's ``step`` in registration order, then
-  ``PeriodicTask.maybe_fire`` for every task; ``until`` and ``stop``
-  after every tick.
-* :func:`reference_run_job` — a job run as one :func:`reference_run`
-  to its end, then the tail: one spec at a time, every node stepping
-  its own network.
-* :func:`reference_sampler` — each sample written through
-  :meth:`TraceSet.record <repro.sim.trace.TraceSet.record>` from the
-  public node properties.
+The oracle shares only model assembly with the engine: a spec built
+into its cluster and job (``_build_run``: the registries of
+:mod:`repro.experiments.platform`, the
+:class:`~repro.cluster.cluster.Cluster` constructor, the rigs), the
+fleet's racks, nodes and :class:`~repro.fleet.FleetCoordinator`, and
+the result records.  It steps every run with its own loop and its own
+plain bodies, and sets no attribute on any class:
+
+* :func:`reference_run` — the engine loop: advance the clock, tick every
+  component in registration order, then fire every due task; ``until``
+  and ``stop`` after every tick.  A cluster node ticks through
+  :func:`reference_node_step` or :func:`reference_multicore_step`.
+* :func:`reference_job_result` and :func:`reference_fault_result` — a
+  cluster's two run protocols: a job run to its end (then its tail), and
+  the fan-fail fault, on the sensor task of :func:`reference_sampler`,
+  which records every sample through
+  :meth:`TraceSet.record <repro.sim.trace.TraceSet.record>`.
 * :func:`reference_rc_step` — the RC network integrated by
   re-assembling ``G``, ``b`` and ``C`` from the node/link graph every
   step, with no cached coefficients.
-* :func:`reference_node_step` — one cluster node's tick written out
-  through the public sub-model interfaces, with no hoisting.
-* :func:`reference_multicore_step` — the same for an N-core node:
-  per-core class powers at each core's temperature, the hottest core
-  on the fan chip's diode.
-* the **device oracle** — the per-tick device methods as plain
+* :func:`reference_node_step` — one cluster node's tick through the
+  public sub-model interfaces and the device oracle, with nothing
+  hoisted; :func:`reference_multicore_step` is the same for an N-core
+  node: per-core class powers at each core's temperature, the hottest
+  core on the fan chip's diode.
+* the **device oracle** — each per-tick device method as plain
   validator calls and register accessors, with no cached handles,
   factors or inline guards: :func:`reference_chip_update` (with
   :func:`reference_auto_curve_duty` and
   :func:`reference_commanded_duty`), :func:`reference_motor_step`,
   :func:`reference_core_step`, :func:`reference_power`, the P-state
-  looked up from the table on every read
-  (:func:`reference_pstate`), and the aero, convection and meter
-  leaf models (:data:`DEVICE_ORACLE` lists every one).
-* the **fleet node oracle** — a fleet shard's per-node tick as it ran
-  before :class:`~repro.fleet.shard.NodeStack` stacked it:
-  :func:`reference_apply_power`, :func:`reference_observe` and
-  :func:`reference_rack_tick`, driven by :class:`ReferenceNodeTick`,
-  which stands in for a shard's stack.
-* :func:`reference_path` — installs all of these (and runs every
-  spec an executor maps through ``execute_spec``, so through
-  :func:`reference_run_job`, never in lockstep)
-  for the duration of a ``with`` block, so whatever runs inside — an
-  experiment, a series, a served spec — runs on the reference.
-* :class:`UngroupedExecutor` — the engine without grouping: every spec
-  runs through ``execute_spec`` on its own (a multi-node spec still
-  stacks its own nodes), the one-lane baseline the grouping tests
-  compare against.
+  looked up from the table on every read (:func:`reference_pstate`),
+  and the aero, convection and meter leaf models.
+* :func:`reference_fleet` — a fleet's epochs: the coordinator's
+  commands, each rack's control steps, and every node's tick on its own
+  (:func:`reference_rack_tick`, :func:`reference_rc_step`,
+  :func:`reference_observe`), with the rack telemetry a shard records.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from contextlib import contextmanager
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -88,10 +78,25 @@ from repro.fan.adt7467 import (
 )
 from repro.fan.aero import FanAero
 from repro.fan.motor import FanMotor
-from repro.fleet.model import FleetNode, FleetRack
-from repro.runtime import RunExecutor, execute_spec
-from repro.sim.engine import SimulationEngine
+from repro.fleet import (
+    FleetCoordinator,
+    FleetResult,
+    FleetSpec,
+    NodeFinal,
+    RackFinal,
+    RackReport,
+)
+from repro.fleet.model import (
+    FleetNode,
+    FleetRack,
+    WorkloadProfile,
+    build_rack,
+    node_band,
+)
+from repro.runtime.execute import _build_run
+from repro.telemetry import MetricsRegistry, TelemetrySnapshot
 from repro.thermal.convection import ConvectionModel
+from repro.thermal.multicore import MulticorePackage
 from repro.thermal.rc import RCNetwork
 from repro.units import (
     clamp,
@@ -100,38 +105,9 @@ from repro.units import (
     require_positive,
 )
 
-__all__ = [
-    "DEVICE_ORACLE",
-    "ReferenceNodeTick",
-    "UngroupedExecutor",
-    "reference_airflow",
-    "reference_apply_power",
-    "reference_auto_curve_duty",
-    "reference_chip_update",
-    "reference_commanded_duty",
-    "reference_core_step",
-    "reference_fan_power",
-    "reference_frequency",
-    "reference_meter_record",
-    "reference_motor_set_duty",
-    "reference_motor_step",
-    "reference_multicore_step",
-    "reference_node_step",
-    "reference_observe",
-    "reference_path",
-    "reference_power",
-    "reference_pstate",
-    "reference_rack_tick",
-    "reference_rc_step",
-    "reference_resistance",
-    "reference_run",
-    "reference_run_job",
-    "reference_sampler",
-]
-
 
 def reference_rc_step(net: RCNetwork, dt: float) -> None:
-    """``net.step(dt)``: forward Euler on the freshly assembled system.
+    """One RC step: forward Euler on the freshly assembled system.
 
     The sub-step is half the stability limit ``min_i C_i / G_ii``, so
     the integration is stable for any (positive-resistance) network.
@@ -236,7 +212,7 @@ def reference_pstate(dvfs: Dvfs) -> PState:
 
 def reference_frequency(dvfs: Dvfs) -> float:
     """``Dvfs.frequency``."""
-    return dvfs.pstate.frequency
+    return reference_pstate(dvfs).frequency
 
 
 def reference_core_step(core: CpuCore, t: float, dt: float) -> None:
@@ -249,7 +225,7 @@ def reference_core_step(core: CpuCore, t: float, dt: float) -> None:
     util_work = 0.0
     if dt_work > 0 and not core._rank.finished:
         util_work = require_in_range(
-            core._rank.advance(dt_work, core.dvfs.frequency),
+            core._rank.advance(dt_work, reference_frequency(core.dvfs)),
             0.0,
             1.0,
             f"utilization from rank on {core.name!r}",
@@ -260,7 +236,7 @@ def reference_core_step(core: CpuCore, t: float, dt: float) -> None:
     core._utilization = busy / dt
     core._busy_seconds += busy
     core._elapsed += dt
-    core._retired_cycles += util_work * dt_work * core.dvfs.frequency
+    core._retired_cycles += util_work * dt_work * reference_frequency(core.dvfs)
 
 
 def reference_power(
@@ -305,121 +281,255 @@ def reference_meter_record(meter: PowerMeter, power_watts: float, dt: float) -> 
     meter._peak = max(meter._peak, power_watts)
 
 
-#: ``(class, attribute, oracle)`` for every device method the oracle
-#: replaces inside :func:`reference_path`.
-DEVICE_ORACLE = (
-    (ADT7467, "update", reference_chip_update),
-    (ADT7467, "auto_curve_duty", reference_auto_curve_duty),
-    (ADT7467, "commanded_duty", property(reference_commanded_duty)),
-    (FanMotor, "set_duty", reference_motor_set_duty),
-    (FanMotor, "step", reference_motor_step),
-    (Dvfs, "pstate", property(reference_pstate)),
-    (Dvfs, "frequency", property(reference_frequency)),
-    (CpuCore, "step", reference_core_step),
-    (CpuPowerModel, "power", reference_power),
-    (FanAero, "airflow", reference_airflow),
-    (FanAero, "power", reference_fan_power),
-    (ConvectionModel, "resistance", reference_resistance),
-    (PowerMeter, "record", reference_meter_record),
-)
+# ---------------------------------------------------------------- node tick
+
+
+def _reference_execute(node: Node, t: float, dt: float) -> None:
+    """Run the bound rank at the current frequency.  PROCHOT re-clamps
+    every tick (governors cannot out-vote the hardware while it is
+    asserted); on an N-core node the gang drags every follower class to
+    its own floor."""
+    if node._prochot:
+        node.dvfs.set_index(len(node.dvfs.table) - 1, t)
+    reference_core_step(node.core, t, dt)
+
+
+def _reference_fan_package_meter(node: Node, t: float, dt: float) -> None:
+    """The rest of a node's tick, after its CPU power is in the package:
+    fan chip, rotor, airflow, thermal integration and wall power."""
+    package = node.package
+    motor = node.fan_motor
+    # the fan chip ingests measurements; auto mode updates its PWM
+    reference_chip_update(
+        node.fan_chip,
+        remote_temp=package.die_temperature,
+        local_temp=package.ambient_temperature,
+        rpm=motor.rpm,
+    )
+    # the rotor tracks the chip's PWM output
+    reference_motor_set_duty(motor, reference_commanded_duty(node.fan_chip))
+    reference_motor_step(motor, t, dt)
+    airflow = reference_airflow(node.fan_aero, motor.rpm)
+    fan_power = reference_fan_power(node.fan_aero, motor.rpm)
+    # thermal integration: the package's inputs through its network's
+    # public setters, then one RC step
+    package.set_airflow(airflow)
+    net = package._net
+    package._conv_link.resistance = reference_resistance(
+        package.convection, airflow
+    )
+    net.set_temperature(package._amb, package.ambient.temperature(t))
+    if isinstance(package, MulticorePackage):
+        for core, watts in zip(package._cores, package._powers):
+            net.set_power(core, watts)
+    else:
+        net.set_power(package._die, package._power)
+    reference_rc_step(net, dt)
+    # wall power (a shut-down node still draws standby power)
+    if node._shutdown:
+        node._wall_power = 5.0 + fan_power
+    else:
+        node._wall_power = (
+            node.config.baseboard_power + node._cpu_power + fan_power
+        )
+    reference_meter_record(node.meter, node._wall_power, dt)
 
 
 def reference_node_step(node: Node, t: float, dt: float) -> None:
-    """``node.step(t, dt)``: the tick through the sub-model interfaces."""
-    cfg = node.config
+    """One tick of a single-core cluster node."""
     node._protection(t)
-    # 1. workload execution at the current frequency
     if node._shutdown:
-        # powered off: no execution, no CPU heat; the (possibly
-        # failed) fan and the package keep evolving passively.
+        # powered off: no execution, no CPU heat; the (possibly failed)
+        # fan and the package keep evolving passively.
         node._cpu_power = 0.0
-    elif node._prochot:
-        # PROCHOT re-clamps every tick (governors cannot out-vote
-        # the hardware while it is asserted).
-        node.dvfs.set_index(len(node.dvfs.table) - 1, t)
-        node.core.step(t, dt)
-        node._cpu_power = node.power_model.power(
-            node.dvfs.pstate,
-            node.core.utilization,
-            node.package.die_temperature,
-        )
     else:
-        node.core.step(t, dt)
-        node._cpu_power = node.power_model.power(
-            node.dvfs.pstate,
+        _reference_execute(node, t, dt)
+        node._cpu_power = reference_power(
+            node.power_model,
+            reference_pstate(node.dvfs),
             node.core.utilization,
             node.package.die_temperature,
         )
-    # 3. fan chip ingests measurements; auto mode updates its PWM
-    node.fan_chip.update(
-        remote_temp=node.package.die_temperature,
-        local_temp=node.package.ambient_temperature,
-        rpm=node.fan_motor.rpm,
-    )
-    # 4. rotor tracks the chip's PWM output
-    node.fan_motor.set_duty(node.fan_chip.commanded_duty)
-    node.fan_motor.step(t, dt)
-    airflow = node.fan_aero.airflow(node.fan_motor.rpm)
-    fan_power = node.fan_aero.power(node.fan_motor.rpm)
-    # 5. thermal integration
     node.package.set_power(node._cpu_power)
-    node.package.set_airflow(airflow)
-    node.package.step(t, dt)
-    # 6. wall power (a shut-down node still draws standby power)
-    if node._shutdown:
-        node._wall_power = 5.0 + fan_power
-    else:
-        node._wall_power = cfg.baseboard_power + node._cpu_power + fan_power
-    node.meter.record(node._wall_power, dt)
+    _reference_fan_package_meter(node, t, dt)
 
 
 def reference_multicore_step(node: MulticoreNode, t: float, dt: float) -> None:
-    """``node.step(t, dt)`` for an N-core node, through the public
-    package interfaces."""
-    cfg = node.config
+    """One tick of an N-core cluster node: each core's power from its
+    class's model at that class's P-state and the core's own
+    temperature."""
     package = node.package
     node._protection(t)
-    # 1. workload execution at the lead frequency; 2. per-core power
-    # from each class's model at that core's temperature.
     if node._shutdown:
         powers = [0.0] * package.n_cores
-        node._cpu_power = 0.0
     else:
-        if node._prochot:
-            # PROCHOT re-clamps the lead every tick; the gang drags
-            # every follower class to its own floor.
-            node.dvfs.set_index(len(node.dvfs.table) - 1, t)
-        node.core.step(t, dt)
+        _reference_execute(node, t, dt)
         utilization = node.core.utilization
         temps = package.core_temperatures()
         powers = [
-            node._class_models[k].power(
-                node.domains[k].pstate, utilization, temps[i]
+            reference_power(
+                node._class_models[k],
+                reference_pstate(node.domains[k]),
+                utilization,
+                temps[i],
             )
             for i, k in enumerate(node._core_class)
         ]
-        node._cpu_power = sum(powers)
-    # 3. fan chip ingests measurements; auto mode updates its PWM
-    node.fan_chip.update(
-        remote_temp=package.die_temperature,
-        local_temp=package.ambient_temperature,
-        rpm=node.fan_motor.rpm,
-    )
-    # 4. rotor tracks the chip's PWM output
-    node.fan_motor.set_duty(node.fan_chip.commanded_duty)
-    node.fan_motor.step(t, dt)
-    airflow = node.fan_aero.airflow(node.fan_motor.rpm)
-    fan_power = node.fan_aero.power(node.fan_motor.rpm)
-    # 5. thermal integration across the floorplan
+    node._cpu_power = sum(powers)
     package.set_powers(powers)
-    package.set_airflow(airflow)
-    package.step(t, dt)
-    # 6. wall power (a shut-down node still draws standby power)
-    if node._shutdown:
-        node._wall_power = 5.0 + fan_power
+    _reference_fan_package_meter(node, t, dt)
+
+
+def _reference_tick(component, t: float, dt: float) -> None:
+    """A cluster node ticks through the oracle; any other component
+    through its own ``step``."""
+    if isinstance(component, MulticoreNode):
+        reference_multicore_step(component, t, dt)
+    elif isinstance(component, Node):
+        reference_node_step(component, t, dt)
     else:
-        node._wall_power = cfg.baseboard_power + node._cpu_power + fan_power
-    node.meter.record(node._wall_power, dt)
+        component.step(t, dt)
+
+
+# ----------------------------------------------------------------- run loop
+
+
+def reference_run(
+    engine,
+    duration: Optional[float] = None,
+    until: Optional[Callable[[], bool]] = None,
+    max_ticks: Optional[int] = None,
+) -> float:
+    """Run ``engine`` one tick at a time: the engine loop's arguments,
+    stop rules and errors."""
+    if duration is None and until is None and max_ticks is None:
+        raise ConfigurationError(
+            "run() needs at least one of duration/until/max_ticks"
+        )
+    if engine._running:
+        raise SimulationError("run() is not re-entrant")
+    deadline_tick = None
+    if duration is not None:
+        if duration < 0:
+            raise ConfigurationError(f"duration must be >= 0, got {duration!r}")
+        deadline_tick = engine.clock.ticks + engine.clock.ticks_for(duration)
+    engine._running = True
+    engine._stop_requested = False
+    clock = engine.clock
+    ticks_done = 0
+    try:
+        while True:
+            if deadline_tick is not None and clock.ticks >= deadline_tick:
+                break
+            if max_ticks is not None and ticks_done >= max_ticks:
+                if deadline_tick is not None or until is not None:
+                    raise SimulationError(
+                        f"max_ticks={max_ticks} exhausted before the stop "
+                        "condition was reached"
+                    )
+                break
+            t = clock.advance()
+            for component in engine._components:
+                _reference_tick(component, t, clock.dt)
+            for task in engine._tasks:
+                task.maybe_fire(clock)
+            ticks_done += 1
+            if engine._stop_requested:
+                break
+            if until is not None and until():
+                break
+    finally:
+        engine._running = False
+    return clock.now
+
+
+# ------------------------------------------------------------ run protocols
+
+
+def reference_sampler(cluster: Cluster) -> Callable[[float], None]:
+    """The cluster's sensor task, recording every sample immediately."""
+    traces = cluster.traces
+    sensor_rounds = cluster.telemetry.counter("sim.sensor_rounds")
+    sensor_samples = cluster.telemetry.counter("sim.samples")
+    n_nodes = float(len(cluster.nodes))
+
+    def sample_and_record(t: float) -> None:
+        sensor_rounds.inc()
+        sensor_samples.inc(n_nodes)
+        for node in cluster.nodes:
+            temp = node.sensor.sample(t)
+            traces.record(f"{node.name}.temp", t, temp)
+            traces.record(f"{node.name}.duty", t, node.fan_duty)
+            traces.record(f"{node.name}.rpm", t, node.fan_rpm)
+            traces.record(
+                f"{node.name}.freq_ghz", t, reference_pstate(node.dvfs).frequency_ghz
+            )
+            traces.record(f"{node.name}.power", t, node.wall_power)
+            traces.record(f"{node.name}.util", t, node.core.utilization)
+            for governor in cluster._governors[node.name]:
+                governor.on_sample(t, temp)
+
+    return sample_and_record
+
+
+def _reference_wire(cluster: Cluster) -> None:
+    """The sensor task, then one task per governor at its own period,
+    then every governor started."""
+    engine = cluster.engine
+    engine.every(cluster.config.node.sensor_period, reference_sampler(cluster))
+    governors = [g for node in cluster.nodes for g in cluster._governors[node.name]]
+    for governor in governors:
+        engine.every(governor.period, governor.on_interval)
+    for governor in governors:
+        governor.start(engine.clock.now)
+
+
+def reference_job_result(
+    cluster: Cluster, job, timeout: float = 3600.0, tail: float = 0.0
+) -> RunResult:
+    """The job protocol: bind, wire, reset the meters, run until the job
+    finishes (within ``timeout``), then the tail, and summarize."""
+    cluster.bind_job(job)
+    _reference_wire(cluster)
+    for node in cluster.nodes:
+        node.meter.reset()
+    engine = cluster.engine
+    t0 = engine.clock.now
+    reference_run(
+        engine,
+        until=lambda: job.finished,
+        max_ticks=engine.clock.ticks_for(timeout),
+    )
+    if not job.finished:
+        raise SimulationError(
+            f"job {job.name!r} did not finish within {timeout}s of "
+            "simulated time"
+        )
+    execution_time = engine.clock.now - t0
+    if tail > 0:
+        reference_run(engine, duration=tail)
+    telemetry = cluster.telemetry
+    if telemetry.enabled:
+        telemetry.gauge("sim.execution_seconds", job=job.name).set(
+            execution_time
+        )
+        telemetry.gauge("sim.final_time_seconds").set(engine.clock.now)
+    return cluster.result(job.name, execution_time)
+
+
+def reference_fault_result(cluster: Cluster, job, fault) -> RunResult:
+    """The fan-fail fault protocol: run to ``fault.at``, fail the victim's
+    fan, ride out the horizon, and summarize over it."""
+    cluster.bind_job(job)
+    _reference_wire(cluster)
+    engine = cluster.engine
+    reference_run(engine, duration=fault.at)
+    cluster.node(fault.node).fail_fan(t=engine.clock.now)
+    reference_run(engine, duration=fault.horizon - fault.at)
+    return cluster.result(job.name, fault.horizon)
+
+
+# -------------------------------------------------------------------- fleet
 
 
 def reference_apply_power(
@@ -427,8 +537,8 @@ def reference_apply_power(
 ) -> float:
     """A fleet node's die power into its network; returns watts."""
     package = node.package
-    watts = model.power(
-        node.table[node.pstate], node.util, package.die_temperature
+    watts = reference_power(
+        model, node.table[node.pstate], node.util, package.die_temperature
     )
     package._net.set_power(package._die, watts)
     node.energy_j += watts * dt
@@ -454,192 +564,112 @@ def reference_rack_tick(
     rack.fan_energy_j += rack.fan_power_w * dt
 
 
-class ReferenceNodeTick:
-    """Stands in for a shard's :class:`~repro.fleet.shard.NodeStack`:
-    every node ticked on its own, the accumulators kept on the node and
-    rack objects throughout, so loading and storing are no-ops.  It never
-    runs on held inputs: the shard's batch steps from the objects every
-    tick."""
-
-    def __init__(self, racks, model: CpuPowerModel) -> None:
-        self.racks = racks
-        self.model = model
-
-    def hold(self, batch) -> bool:
-        return False
-
-    def load(self) -> None:
-        pass
-
-    def refresh(self) -> None:
-        pass
-
-    def inject(self, dt: float) -> None:
-        for rack in self.racks:
-            reference_rack_tick(rack, self.model, dt)
-
-    def observe(self) -> None:
-        for rack in self.racks:
-            for node in rack.nodes:
-                reference_observe(node)
-
-    def store(self) -> None:
-        pass
-
-
-def _reference_step(engine: SimulationEngine) -> float:
-    clock = engine.clock
-    t = clock.advance()
-    dt = clock.dt
-    for component in engine._components:
-        component.step(t, dt)
-    for task in engine._tasks:
-        task.maybe_fire(clock)
-    return t
-
-
-def reference_run(
-    engine: SimulationEngine,
-    duration: Optional[float] = None,
-    until: Optional[Callable[[], bool]] = None,
-    max_ticks: Optional[int] = None,
-) -> float:
-    """``engine.run(...)`` one tick at a time (same arguments, errors)."""
-    if duration is None and until is None and max_ticks is None:
-        raise ConfigurationError(
-            "run() needs at least one of duration/until/max_ticks"
-        )
-    if engine._running:
-        raise SimulationError("run() is not re-entrant")
-    deadline_tick = None
-    if duration is not None:
-        if duration < 0:
-            raise ConfigurationError(f"duration must be >= 0, got {duration!r}")
-        deadline_tick = engine.clock.ticks + engine.clock.ticks_for(duration)
-    engine._running = True
-    engine._stop_requested = False
-    ticks_done = 0
-    try:
-        while True:
-            if deadline_tick is not None and engine.clock.ticks >= deadline_tick:
-                break
-            if max_ticks is not None and ticks_done >= max_ticks:
-                if deadline_tick is not None or until is not None:
-                    raise SimulationError(
-                        f"max_ticks={max_ticks} exhausted before the stop "
-                        "condition was reached"
-                    )
-                break
-            _reference_step(engine)
-            ticks_done += 1
-            if engine._stop_requested:
-                break
-            if until is not None and until():
-                break
-    finally:
-        engine._running = False
-    return engine.clock.now
-
-
-def reference_run_job(
-    cluster: Cluster, job, timeout: float = 3600.0, tail: float = 0.0
-) -> RunResult:
-    """``cluster.run_job(...)``: one ``engine.run`` to the job's end,
-    then the tail, every node stepping its own network."""
-    cluster.bind_job(job)
-    cluster._wire_tasks()
-    for node in cluster.nodes:
-        node.meter.reset()
-    engine = cluster.engine
-    t0 = engine.clock.now
-    try:
-        engine.run(
-            until=lambda: job.finished,
-            max_ticks=engine.clock.ticks_for(timeout),
-        )
-    finally:
-        cluster._flush_traces()
-    if not job.finished:
-        raise SimulationError(
-            f"job {job.name!r} did not finish within {timeout}s of "
-            "simulated time"
-        )
-    execution_time = engine.clock.now - t0
-    if tail > 0:
-        try:
-            engine.run(duration=tail)
-        finally:
-            cluster._flush_traces()
-    telemetry = cluster.telemetry
-    if telemetry.enabled:
-        telemetry.gauge("sim.execution_seconds", job=job.name).set(
-            execution_time
-        )
-        telemetry.gauge("sim.final_time_seconds").set(engine.clock.now)
-    return RunResult(
-        execution_time=execution_time,
-        traces=cluster.traces,
-        events=cluster.events,
-        average_power=[n.meter.average_power for n in cluster.nodes],
-        energy_joules=[n.meter.energy_joules for n in cluster.nodes],
-        job_name=job.name,
-        node_shutdown=[n.is_shutdown for n in cluster.nodes],
-        retired_cycles=[float(n.core.retired_cycles) for n in cluster.nodes],
-        telemetry=telemetry.snapshot() if telemetry.enabled else None,
+def _reference_report(
+    rack: FleetRack, registry: MetricsRegistry, reported: list, n_ticks: int
+) -> RackReport:
+    """A rack's epoch-end report and the telemetry a shard records."""
+    throttles = sum(node.throttles for node in rack.nodes)
+    delta = throttles - reported[rack.index]
+    reported[rack.index] = throttles
+    label = f"{rack.index:03d}"
+    registry.counter("fleet.shard.node_ticks", rack=label).inc(
+        len(rack.nodes) * n_ticks
+    )
+    if delta:
+        registry.counter("fleet.shard.throttles", rack=label).inc(delta)
+    registry.gauge("fleet.rack.duty", rack=label).set(rack.duty)
+    return RackReport(
+        rack=rack.index,
+        outlet_c=rack.outlet_c(),
+        mean_power_w=rack.mean_power_w(),
+        max_die_c=rack.max_die_c(),
+        throttles=throttles,
+        duty=rack.duty,
     )
 
 
-def reference_sampler(
-    cluster: Cluster, sensor_rounds, sensor_samples, n_nodes: float
-) -> Callable[[float], None]:
-    """The cluster's sensor task, recording every sample immediately."""
-    traces = cluster.traces
-
-    def sample_and_record(t: float) -> None:
-        sensor_rounds.inc()
-        sensor_samples.inc(n_nodes)
-        for node in cluster.nodes:
-            temp = node.sensor.sample(t)
-            traces.record(f"{node.name}.temp", t, temp)
-            traces.record(f"{node.name}.duty", t, node.fan_duty)
-            traces.record(f"{node.name}.rpm", t, node.fan_rpm)
-            traces.record(
-                f"{node.name}.freq_ghz", t, node.dvfs.pstate.frequency_ghz
+def reference_fleet(spec: FleetSpec) -> FleetResult:
+    """The whole fleet on one tick counter, every node on its own."""
+    racks = [build_rack(spec, r) for r in range(spec.racks)]
+    band = node_band(spec)
+    model = CpuPowerModel(band[1])
+    profile = WorkloadProfile(spec)
+    coordinator = FleetCoordinator(spec)
+    registry = MetricsRegistry()
+    reported = [0] * spec.racks
+    nodes = [node for rack in racks for node in rack.nodes]
+    dt = spec.dt
+    series = []
+    tick, total, t = 0, spec.total_ticks(), 0.0
+    while tick < total:
+        n_ticks = min(spec.epoch_ticks, total - tick)
+        inlets, pps = coordinator.begin_epoch(t)
+        for rack, inlet, pp in zip(racks, inlets, pps):
+            rack.begin_epoch(inlet, pp)
+        for _ in range(n_ticks):
+            if tick % spec.control_ticks == 0:
+                for rack in racks:
+                    rack.control_step(profile, tick * dt, band)
+            for rack in racks:
+                reference_rack_tick(rack, model, dt)
+            for node in nodes:
+                reference_rc_step(node.package._net, dt)
+            for node in nodes:
+                reference_observe(node)
+            tick += 1
+        reports = [_reference_report(r, registry, reported, n_ticks) for r in racks]
+        t += n_ticks * dt
+        coordinator.end_epoch(t, reports)
+        last = coordinator.events[len(coordinator.events) - 1].data
+        series.append(
+            (t, last["total_power_w"], last["max_die_c"], last["pp_global"])
+        )
+    return FleetResult(
+        spec=spec,
+        nodes=tuple(
+            NodeFinal(
+                rack=node.rack,
+                node=node.index,
+                final_die_c=node.package.die_temperature,
+                final_sink_c=node.package.sink_temperature,
+                max_die_c=node.max_die_c,
+                energy_j=node.energy_j,
+                pstate_index=node.pstate,
+                throttles=node.throttles,
             )
-            traces.record(f"{node.name}.power", t, node.wall_power)
-            traces.record(f"{node.name}.util", t, node.core.utilization)
-            for governor in cluster._governors[node.name]:
-                governor.on_sample(t, temp)
+            for node in nodes
+        ),
+        racks=tuple(
+            RackFinal(
+                rack=rack.index,
+                inlet_c=rack.inlet_c,
+                duty=rack.duty,
+                fan_energy_j=rack.fan_energy_j,
+            )
+            for rack in racks
+        ),
+        series=tuple(series),
+        events=tuple(coordinator.events),
+        telemetry=TelemetrySnapshot.merge(
+            coordinator.registry.snapshot(), registry.snapshot()
+        ),
+    )
 
-    return sample_and_record
+
+# ------------------------------------------------------------------- oracle
 
 
-class UngroupedExecutor(RunExecutor):
-    """A :class:`RunExecutor` that runs every spec on its own, in this
-    process, through ``execute_spec`` (wall time is not measured)."""
-
-    def _execute(self, specs):
-        return [(execute_spec(spec), 0.0) for spec in specs]
-
-
-@contextmanager
-def reference_path() -> Iterator[None]:
-    """Run everything inside the block on the reference semantics."""
-    patches = (
-        (SimulationEngine, "run", reference_run),
-        (Cluster, "run_job", reference_run_job),
-        (Cluster, "_compile_sampler", reference_sampler),
-        (RunExecutor, "_execute", UngroupedExecutor.__dict__["_execute"]),
-        (Node, "step", reference_node_step),
-        (RCNetwork, "step", reference_rc_step),
-    ) + DEVICE_ORACLE
-    saved = [(cls, name, cls.__dict__[name]) for cls, name, _ in patches]
-    for cls, name, oracle in patches:
-        setattr(cls, name, oracle)
-    MulticoreNode.step = reference_multicore_step
-    try:
-        yield
-    finally:
-        for cls, name, original in saved:
-            setattr(cls, name, original)
-        del MulticoreNode.step
+@functools.lru_cache(maxsize=None)
+def reference_result(spec) -> bytes:
+    """The canonical bytes of ``spec``'s result (computed once per
+    process): a :class:`~repro.fleet.FleetSpec` through
+    :func:`reference_fleet`, a :class:`~repro.runtime.RunSpec` through
+    its run protocol."""
+    if isinstance(spec, FleetSpec):
+        return reference_fleet(spec).canonical_bytes()
+    cluster, job = _build_run(spec)
+    if spec.fault is None:
+        result = reference_job_result(cluster, job, spec.timeout, spec.tail)
+    else:
+        result = reference_fault_result(cluster, job, spec.fault)
+    return result.canonical_bytes()

@@ -7,14 +7,14 @@ factors, the current P-state).  ``tests/reference_engine.py`` keeps each
 method as plain validator calls and ``peek``/``poke`` register accesses.
 Here every guarded input is fed to both: a rejected input must raise the
 same exception type with the same text, and an accepted one must leave
-bitwise-identical state.  (The whole-run comparison is every
-``reference_path`` test, which installs the oracle.)
+bitwise-identical state.  (Whole runs are compared by
+``tests/test_reference_oracle.py``, whose oracle ticks every node
+through these functions.)
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import is_dataclass
 
 import pytest
@@ -46,7 +46,7 @@ from tests.reference_engine import (
     reference_meter_record,
     reference_motor_set_duty,
     reference_motor_step,
-    reference_path,
+    reference_node_step,
     reference_power,
     reference_pstate,
     reference_resistance,
@@ -449,41 +449,18 @@ def test_leaf_models_match_oracle():
         assert _state(meter) == _state(ref_meter)
 
 
-def test_reference_path_installs_and_restores_the_device_oracle():
-    methods = (
-        ADT7467.__dict__["update"],
-        FanMotor.__dict__["step"],
-        CpuCore.__dict__["step"],
-        CpuPowerModel.__dict__["power"],
-        Dvfs.__dict__["pstate"],
-    )
-    with reference_path():
-        assert ADT7467.update is reference_chip_update
-        assert FanMotor.step is reference_motor_step
-        assert CpuCore.step is reference_core_step
-        assert CpuPowerModel.power is reference_power
-        assert Dvfs.__dict__["pstate"].fget is reference_pstate
-    assert (
-        ADT7467.__dict__["update"],
-        FanMotor.__dict__["step"],
-        CpuCore.__dict__["step"],
-        CpuPowerModel.__dict__["power"],
-        Dvfs.__dict__["pstate"],
-    ) == methods
-
-
-def _protection_states(by_reference: bool, temperatures) -> list:
-    """A node ticked once from each die temperature in turn."""
+def _protection_states(step, temperatures) -> list:
+    """A node ticked once by ``step(node, t, dt)`` from each die
+    temperature in turn."""
     config = NodeConfig(
         prochot_temp=60.0, prochot_hysteresis=5.0, shutdown_temp=90.0
     )
     node = Node("n0", config=config)
     states = []
-    with reference_path() if by_reference else nullcontext():
-        for i, celsius in enumerate(temperatures):
-            node.package._net.set_temperature(node.package._die, celsius)
-            node.step(0.05 * (i + 1), 0.05)
-            states.append((node.prochot_active, node.is_shutdown, node.dvfs.index))
+    for i, celsius in enumerate(temperatures):
+        node.package._net.set_temperature(node.package._die, celsius)
+        step(node, 0.05 * (i + 1), 0.05)
+        states.append((node.prochot_active, node.is_shutdown, node.dvfs.index))
     return states
 
 
@@ -498,6 +475,6 @@ def test_protection_transitions_at_exact_thresholds(temperatures):
     """The tick runs the PROCHOT/THERMTRIP state machine only on a
     threshold crossing; at each threshold exactly it still fires where
     the oracle (which runs it every tick) does."""
-    states = _protection_states(False, temperatures)
-    assert states == _protection_states(True, temperatures)
+    states = _protection_states(Node.step, temperatures)
+    assert states == _protection_states(reference_node_step, temperatures)
     assert any(s[0] for s in states) and states[-1][1]

@@ -9,11 +9,13 @@ fault, power capping, a non-default platform and a ``dt`` that needs
 Euler sub-steps — every case crosses the real multiprocessing worker
 path.
 
-Around the gate: partition/kernel unit tests, a shard's stacked package
-stepping against the reference RC step, engine invariants
+Around the gate: partition/kernel unit tests, engine invariants
 (series shape, node ordering, telemetry accounting), the
 content-addressed result cache (hit, corrupt-entry recovery,
 shard-count independence of the key), and worker failure propagation.
+``tests/test_reference_oracle.py`` holds every gate case, and fleets
+sized so the fan walls move and nodes throttle, to the reference
+oracle at one and two shards.
 """
 
 import hashlib
@@ -34,7 +36,6 @@ from repro.fleet import (
 from repro.fleet.engine import FleetResult, _ProcessShard
 from repro.fleet.shard import RackReport
 from repro.runtime.store import ResultStore
-from tests.reference_engine import reference_rc_step
 from tests.test_runtime_executor import HOSTILE_ENTRIES
 
 
@@ -156,18 +157,18 @@ GATE_PINS = {
 
 
 @pytest.mark.parametrize("case", sorted(GATE_SPECS))
-def test_sharded_run_is_bitwise_identical_to_serial(case):
+def test_sharded_run_is_bitwise_identical_to_serial(fleet_bytes, case):
     spec = GATE_SPECS[case]
-    reference = run_fleet(spec, shards=1).canonical_bytes()
-    assert run_fleet(spec, shards=2).canonical_bytes() == reference
+    reference = fleet_bytes(spec, 1)
+    assert fleet_bytes(spec, 2) == reference
     assert hashlib.sha256(reference).hexdigest() == GATE_PINS[case]
 
 
-def test_gate_holds_at_every_feasible_shard_count():
+def test_gate_holds_at_every_feasible_shard_count(fleet_bytes):
     spec = small_spec()
-    reference = run_fleet(spec, shards=1).canonical_bytes()
+    reference = fleet_bytes(spec, 1)
     for shards in (2, 3, 7):  # 7 clamps to the 3-rack maximum
-        assert run_fleet(spec, shards=shards).canonical_bytes() == reference
+        assert fleet_bytes(spec, shards) == reference
 
 
 # ---------------------------------------------------------------------------
@@ -240,86 +241,26 @@ def test_merged_telemetry_accounts_for_every_node_tick():
         ) is not None
 
 
-class _ReferenceStepper:
-    """Stands in for a shard's batch: the oracle's plain Euler, per net,
-    every tick.  It never holds its inputs: ``gather`` declines."""
-
-    def __init__(self, nets):
-        self.nets = nets
-
-    def gather(self, dt):
-        return False
-
-    def step(self, dt):
-        for net in self.nets:
-            reference_rc_step(net, dt)
-
-    def release(self):
-        pass
-
-
-def run_against_the_reference_stepper(spec, hot=3, cool=2):
-    """Drive a shard and its oracle twin through ``hot`` heating and
-    ``cool`` cooling epochs, requiring equal reports and finals.
-    Returns whether the shard's stack took the last tick."""
-    runner = ShardRunner(spec, 0, spec.racks)
-    oracle = ShardRunner(spec, 0, spec.racks)
-    oracle._batch.release()
-    oracle._batch = _ReferenceStepper(oracle._nets)
-    duties = set()
-    for inlets in ((70.0, 68.0),) * hot + ((40.0, 38.0),) * cool:
-        reports = runner.run_epoch(inlets, (100.0, 100.0), spec.epoch_ticks)
-        assert oracle.run_epoch(inlets, (100.0, 100.0), spec.epoch_ticks) == reports
-        duties.update(report.duty for report in reports)
-    assert len(duties) > 2
-    stacked = runner._batch._stacked
-    assert runner.finish().nodes == oracle.finish().nodes
-    # finish takes the batch's traps and the networks off every link
-    assert all(
-        link._observer is None for net in runner._nets for link in net._link_list
-    )
-    return stacked
-
-
-def test_shard_physics_match_the_reference_stepper():
-    """A shard's stacked stepping equals the oracle, node for node.
-
-    The epochs heat the racks past the fan-wall target (so the duty
-    moves, through the convective link's public setter) and then cool
-    the inlet.
-    """
-    spec = small_spec(
-        racks=2, nodes_per_rack=2, workload="uniform",
-        dt=1.0, horizon=400.0, epoch_ticks=40, control_ticks=5,
-    )
-    assert run_against_the_reference_stepper(spec)  # the stack took every tick
-
-
-def test_shard_past_the_stability_limit_matches_the_reference_stepper():
-    """At ``dt=2.0`` (past the package's 1.875 s limit) the stack
-    declines its first tick before writing a temperature, and the
-    shard's networks, each stepped on its own with Euler sub-steps,
-    equal the oracle node for node."""
-    spec = small_spec(
-        racks=2, nodes_per_rack=2, workload="uniform",
-        dt=2.0, horizon=400.0, epoch_ticks=20, control_ticks=2,
-    )
-    assert not run_against_the_reference_stepper(spec)
-
-
 @pytest.mark.parametrize("dt", [1.0, 2.0])
-def test_held_shard_off_the_control_grid_matches_the_reference_stepper(dt):
-    """Seven-tick epochs on a three-tick control grid, so epochs start
-    between control steps: the shard gathers after each epoch start and
-    each control step and writes back before each control step and at
-    each epoch end, and equals the oracle node for node while the duty
-    and the inlets move.  At ``dt=2.0`` the stack declines its first
-    gather and every network steps on its own."""
+def test_a_shard_holds_its_stack_across_control_steps(dt):
+    """A shard gathers after each epoch start and each control step, so
+    the fan-wall moves written in a control step never make its stack
+    decline: at ``dt=1.0`` the stack takes every tick of epochs that
+    start between control steps while the duty moves.  Past the
+    package's 1.875 s stability limit it declines its first tick and
+    every network steps on its own.  (The bytes are the same either
+    way; ``tests/test_reference_oracle.py`` checks those.)"""
     spec = small_spec(
         racks=2, nodes_per_rack=2, workload="uniform",
         dt=dt, horizon=400.0, epoch_ticks=7, control_ticks=3,
     )
-    assert run_against_the_reference_stepper(spec, hot=24, cool=8) == (dt == 1.0)
+    runner = ShardRunner(spec, 0, spec.racks)
+    duties = set()
+    for inlets in ((70.0, 68.0),) * 24 + ((40.0, 38.0),) * 8:
+        reports = runner.run_epoch(inlets, (100.0, 100.0), spec.epoch_ticks)
+        duties.update(report.duty for report in reports)
+    assert len(duties) > 2
+    assert runner._batch._stacked == (dt == 1.0)
 
 
 # ---------------------------------------------------------------------------

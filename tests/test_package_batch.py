@@ -1,39 +1,30 @@
-"""Lockstep grouping equivalence: grouped runs == serial runs, bitwise.
+"""Lockstep grouping: the package stack and the executor's groups.
 
-Three layers of the batch stack, each pinned against its serial
-counterpart:
+Two layers of the batch stack:
 
 * :class:`repro.fastpath.batch.PackageBatch` against the reference
-  stepper, on the die/sink package and an N-core floorplan — power
+  RC step, on the die/sink package and an N-core floorplan — power
   writes into any free node and public-setter writes to the convective
   link honoured on the next tick; a write to any other link, mixed
   structures and a lone package stepped network by network, with the
-  release contract;
+  release contract; held inputs declined with the pre-tick
+  temperatures after a trap or a non-finite step;
 * :func:`repro.runtime.execute.execute_specs_batch` and the grouping
-  :class:`~repro.runtime.RunExecutor` against one-spec-at-a-time
-  execution — full sweep results (tables, curves, traces, cache
-  entries, telemetry bytes), at ``jobs=1`` and dealt over a ``jobs=2``
-  pool, for sweeps and for one group whose lanes differ in everything
-  but the platform; the lockstep counters; the reference oracle and
-  the fault protocol kept out of lockstep; and a stack that declines a
-  tick mid-run (a frozen link written, a refusal after ``k`` steps)
-  stepping on network by network to the reference oracle's bytes;
-* the run-loop edge cases (budget landing exactly on a task boundary,
-  zero-task engines, far task phases), pinned against the tick-by-tick
-  reference loop.
+  :class:`~repro.runtime.RunExecutor` — groups against one-spec-at-a-time
+  runs, at ``jobs=1`` and dealt over a ``jobs=2`` pool, for sweeps and
+  for one group whose lanes differ in everything but the platform; the
+  lockstep counters; the fault protocol kept out of lockstep; and a
+  stack that declines a tick mid-run (a frozen link written, a refusal
+  after ``k`` steps) stepping on network by network to the reference
+  oracle's results.
 
-One-spec-at-a-time execution (``execute_spec``) is itself pinned
-byte-identical to the reference oracle by
-``tests/test_fastpath_equivalence.py``, so equality against it here is
-transitively equality against the reference.  The fleet's use of
-:class:`~repro.fastpath.batch.PackageBatch` is pinned against the same
-oracle in ``tests/test_fleet.py``.
+Every quick experiment spec, grouped as in production, is held to the
+reference oracle by ``tests/test_reference_oracle.py``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import os
 
 import numpy as np
@@ -41,21 +32,18 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.experiments import REGISTRY
-from repro.experiments.series import SERIES_REGISTRY
 from repro.fastpath.batch import PackageBatch, run_jobs_batch
 from repro.runtime import RunExecutor, RunSpec
 from repro.runtime.spec import FaultSpec
 from repro.runtime.execute import _build_run, execute_spec, execute_specs_batch
 from repro.serve.payloads import summary_bytes
-from repro.sim.engine import Component, SimulationEngine
 from repro.thermal.multicore import MulticorePackage
 from repro.thermal.package import CpuPackage
 from repro.thermal.rc import RCNetwork, ThermalLink, ThermalNode
 from tests.reference_engine import (
-    UngroupedExecutor,
-    reference_path,
+    reference_job_result,
     reference_rc_step,
-    reference_run,
+    reference_result,
 )
 
 SEED = 7
@@ -294,90 +282,6 @@ def test_held_batch_declines_a_non_finite_tick_with_pre_tick_temperatures() -> N
     assert_networks_equal(mirrors, nets)
 
 
-# ------------------------------------------------- run-loop edge cases
-
-
-class Accumulator(Component):
-    """Counts steps at each tick time."""
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-        self.calls = []
-
-    def step(self, t: float, dt: float) -> None:
-        self.calls.append(t)
-
-
-def engines_pair():
-    """``(engine, run)`` pairs: the reference loop, then the engine's own."""
-    return (
-        (SimulationEngine(dt=0.05), reference_run),
-        (SimulationEngine(dt=0.05), SimulationEngine.run),
-    )
-
-
-def test_fused_budget_expires_exactly_on_task_boundary() -> None:
-    """max_ticks landing on a firing tick: the task fires, then the
-    budget error raises — identically on both loops."""
-    results = []
-    for engine, run in engines_pair():
-        comp = engine.add_component(Accumulator("a"))
-        fires = []
-        engine.every(0.5, fires.append)  # fires every 10 ticks
-        with pytest.raises(SimulationError, match="max_ticks=10 exhausted"):
-            run(engine, duration=100.0, max_ticks=10)
-        results.append(
-            (comp.calls, fires, engine.clock.ticks, engine._tasks[0].fire_count)
-        )
-    assert results[0] == results[1]
-    assert results[0][3] == 1  # the boundary tick's firing happened
-
-
-def test_fused_zero_task_engine_runs_to_deadline() -> None:
-    """No tasks: the fused loop's no-boundary sentinel still honors the
-    deadline and leaves the clock identical to the reference."""
-    results = []
-    for engine, run in engines_pair():
-        comp = engine.add_component(Accumulator("a"))
-        run(engine, duration=2.0)
-        results.append((comp.calls, engine.clock.ticks))
-    assert results[0] == results[1]
-    assert results[0][1] == 40
-
-
-def test_fused_zero_task_engine_until_only() -> None:
-    """No tasks, until-only: both loops stop on the same tick."""
-    results = []
-    for engine, run in engines_pair():
-        comp = engine.add_component(Accumulator("a"))
-        run(engine, until=lambda: len(comp.calls) >= 23, max_ticks=1000)
-        results.append((comp.calls, engine.clock.ticks))
-    assert results[0] == results[1]
-    assert results[0][1] == 23
-
-
-def test_fused_task_phase_beyond_first_batch_boundary() -> None:
-    """A phase larger than another task's period: firings interleave
-    across batch boundaries identically on both loops."""
-    results = []
-    for engine, run in engines_pair():
-        comp = engine.add_component(Accumulator("a"))
-        early, late = [], []
-        engine.every(0.25, early.append)  # every 5 ticks
-        engine.every(1.0, late.append, phase=2.35)  # first fires at tick 47
-        run(engine, duration=5.0)
-        results.append(
-            (
-                comp.calls,
-                early,
-                late,
-                [task.fire_count for task in engine._tasks],
-            )
-        )
-    assert results[0] == results[1]
-    assert results[0][2][0] == pytest.approx(2.35)
-
-
 # ------------------------------------------------- executor grouping
 
 
@@ -387,23 +291,7 @@ def fig07_specs():
 
 
 def assert_results_identical(a, b) -> None:
-    assert a.execution_time == b.execution_time
-    assert a.job_name == b.job_name
-    assert a.average_power == b.average_power
-    assert a.energy_joules == b.energy_joules
-    assert a.node_shutdown == b.node_shutdown
-    assert a.retired_cycles == b.retired_cycles
-    assert len(a.events) == len(b.events)
-    for x, y in zip(a.events, b.events):
-        assert str(x) == str(y)
-    a_traces, b_traces = a.traces._traces, b.traces._traces
-    assert set(a_traces) == set(b_traces)
-    for key in a_traces:
-        ta, tb = a_traces[key], b_traces[key]
-        assert np.asarray(ta.times).tobytes() == np.asarray(tb.times).tobytes()
-        assert (
-            np.asarray(ta.values).tobytes() == np.asarray(tb.values).tobytes()
-        )
+    assert a.canonical_bytes() == b.canonical_bytes()
 
 
 def test_execute_specs_batch_bitwise_identical_fig07() -> None:
@@ -445,20 +333,19 @@ def test_execute_specs_batch_lone_spec_by_node_count(stacks) -> None:
 def test_batch_executor_counts_groups_and_populates_cache(tmp_path) -> None:
     specs = fig07_specs()
     executor = RunExecutor(cache_dir=tmp_path)
-    executor.map(specs)
+    fresh = executor.map(specs)
     assert executor.stats.executed == len(specs)
     assert executor.stats.cache_misses == len(specs)
     assert executor.registry.counter("host.exec.batch_groups").value == 1.0
     assert executor.registry.counter("host.exec.batched_specs").value == float(
         len(specs)
     )
-    # Each spec got its own cache entry, readable spec by spec — and
-    # bitwise equal to a fresh serial run.
-    serial = UngroupedExecutor(cache_dir=tmp_path)
-    cached = serial.map(specs)
-    assert serial.stats.cache_hits == len(specs)
-    for a, b in zip(UngroupedExecutor().map(specs), cached):
-        assert_results_identical(a, b)
+    # Each spec got its own cache entry, readable spec by spec, with
+    # the fresh run's bytes.
+    warm = RunExecutor(cache_dir=tmp_path)
+    for spec, result in zip(specs, fresh):
+        assert warm.run(spec).canonical_bytes() == result.canonical_bytes()
+    assert warm.stats.cache_hits == len(specs)
 
 
 def test_batch_executor_mixed_group_sizes(tmp_path) -> None:
@@ -485,9 +372,8 @@ def test_batch_executor_mixed_group_sizes(tmp_path) -> None:
     mixed = [specs[0], singleton, specs[1], fault, specs[2], specs[3]]
     grouped_exec = RunExecutor()
     grouped = grouped_exec.map(mixed)
-    serial = UngroupedExecutor().map(mixed)
-    for a, b in zip(serial, grouped):
-        assert_results_identical(a, b)
+    for spec, result in zip(mixed, grouped):
+        assert result.canonical_bytes() == reference_result(spec)
     # The fault spec ran solo; everything else stepped as one group.
     assert (
         grouped_exec.registry.counter("host.exec.batched_specs").value == 5.0
@@ -580,24 +466,6 @@ def test_lockstep_counters_count_only_what_ran_in_lockstep() -> None:
     assert executor.stats.executed == 4
 
 
-def test_serial_oracle_builds_no_package_batch(stacks) -> None:
-    """``reference_path()`` runs every spec tick by tick, one spec at a
-    time, each node stepping its own network: no package batch is ever
-    built, for a group or for a lone multi-node spec.  Outside it, a
-    lone multi-node spec stacks its nodes, through the executor or
-    ``execute_spec`` alike."""
-    specs = [small_spec(), small_spec(seed=SEED + 1)]
-    with reference_path():
-        UngroupedExecutor().map(specs)
-        RunExecutor().map(specs)
-        RunExecutor().map(specs[:1])
-        execute_spec(specs[0])
-    assert stacks == []
-    RunExecutor().map(specs[:1])
-    UngroupedExecutor().map(specs[:1])
-    assert stacks == [2, 2]
-
-
 def test_fault_specs_never_reach_lockstep(monkeypatch) -> None:
     """A fault spec runs its own protocol, alone or beside specs that
     run as lanes."""
@@ -633,13 +501,12 @@ def test_fault_specs_never_reach_lockstep(monkeypatch) -> None:
 
 def reference_results(specs, prepare=lambda pairs: None):
     """Each spec run on the reference oracle, one at a time."""
-    with reference_path():
-        pairs = [_build_run(spec) for spec in specs]
-        prepare(pairs)
-        return [
-            cluster.run_job(job, timeout=spec.timeout, tail=spec.tail)
-            for spec, (cluster, job) in zip(specs, pairs)
-        ]
+    pairs = [_build_run(spec) for spec in specs]
+    prepare(pairs)
+    return [
+        reference_job_result(cluster, job, spec.timeout, spec.tail)
+        for spec, (cluster, job) in zip(specs, pairs)
+    ]
 
 
 def lane_results(specs, prepare=lambda pairs: None):
@@ -843,62 +710,3 @@ def test_mixed_lane_timeout_raises_the_serial_error(mixed_lanes) -> None:
         RunExecutor().map([specs[1], short, specs[2], specs[4]])
     assert type(grouped.value) is type(serial.value)
     assert str(grouped.value) == str(serial.value)
-
-
-# ------------------------------------- full sweep gates through grouping
-
-
-@pytest.fixture(scope="module")
-def executors():
-    return UngroupedExecutor(jobs=1), RunExecutor(jobs=1)
-
-
-@pytest.mark.parametrize("name", sorted(REGISTRY))
-def test_quick_tables_match_through_batch(name: str, executors) -> None:
-    """Every experiment renders the identical quick-mode table whether
-    its specs ran one by one or through lockstep groups."""
-    serial, grouped = executors
-    module, _ = REGISTRY[name]
-    serial_table = module.render(
-        module.run(seed=SEED, quick=True, executor=serial)
-    )
-    grouped_table = module.render(
-        module.run(seed=SEED, quick=True, executor=grouped)
-    )
-    assert grouped_table == serial_table
-
-
-def _curve_hashes(curves) -> dict:
-    hashes = {}
-    for label, (times, values) in curves.items():
-        digest = hashlib.sha256()
-        digest.update(np.asarray(times, dtype=np.float64).tobytes())
-        digest.update(np.asarray(values, dtype=np.float64).tobytes())
-        hashes[label] = digest.hexdigest()
-    return hashes
-
-
-@pytest.mark.parametrize("figure", sorted(SERIES_REGISTRY))
-def test_series_curve_hashes_match_through_batch(figure, executors) -> None:
-    """Every figure's raw curves hash identically through grouping."""
-    serial, grouped = executors
-    make = SERIES_REGISTRY[figure]
-    serial_hashes = _curve_hashes(make(seed=SEED, quick=True, executor=serial))
-    grouped_hashes = _curve_hashes(
-        make(seed=SEED, quick=True, executor=grouped)
-    )
-    assert grouped_hashes == serial_hashes
-
-
-def test_telemetry_jsonl_byte_identical_through_batch() -> None:
-    """Per-run telemetry exported from a grouped sweep is byte-equal to
-    the serial export (grouping is not part of the spec)."""
-    from repro.telemetry import export_jsonl
-
-    specs = fig07_specs()
-    serial = UngroupedExecutor(telemetry=True)
-    grouped = RunExecutor(telemetry=True)
-    serial.map(specs)
-    grouped.map(specs)
-    assert grouped.registry.counter("host.exec.batch_groups").value == 1.0
-    assert export_jsonl(grouped.collected) == export_jsonl(serial.collected)

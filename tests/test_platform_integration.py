@@ -6,7 +6,7 @@ does, the per-package sensor tracks the hottest core of an N-core
 floorplan, the ganged DVFS maps heterogeneous ladders onto the paper's
 single-ladder actuation model, and every performance path (the
 compiled engine, lockstep grouping, process fan-out) stays bitwise
-identical to the serial reference on platform-bearing specs, the
+identical to the reference oracle on platform-bearing specs, the
 N-core floorplans stacked in lockstep groups included.
 """
 
@@ -25,7 +25,6 @@ from repro.core.control_array import DEFAULT_ARRAY_SIZE, ThermalControlArray
 from repro.cpu.dvfs import Dvfs, GangedDvfs
 from repro.cpu.pstate import PState, PStateTable
 from repro.errors import ConfigurationError
-from repro.experiments import REGISTRY
 from repro.experiments.platform import (
     WORKLOAD_REGISTRY,
     attach_hybrid,
@@ -36,7 +35,8 @@ from repro.fastpath.batch import run_jobs_batch
 from repro.platform import PLATFORM_REGISTRY, resolve_platform
 from repro.runtime import RunExecutor, RunSpec
 from repro.runtime.execute import execute_spec
-from tests.reference_engine import UngroupedExecutor, reference_path
+from tests.reference_engine import reference_result
+from tests.test_result_pins import PLATFORM_EXPERIMENTS, quick_specs
 
 
 MULTICORE_PLATFORMS = sorted(
@@ -199,55 +199,26 @@ def test_control_array_accepts_any_ladder_length() -> None:
 @pytest.mark.parametrize("name", MULTICORE_PLATFORMS)
 def test_fastpath_bitwise_identical_on_platform(name) -> None:
     """The engine (N-core RC network on its cached stepper) equals the
-    reference."""
+    reference oracle."""
     spec = platform_spec_of(name)
-    with reference_path():
-        reference = RunExecutor().run(spec)
-    ungrouped = UngroupedExecutor().run(spec)
-    assert reference.canonical_bytes() == ungrouped.canonical_bytes()
-
-
-GROUPED_FIGURES = ("fig7", "table1", "fig10")
-
-
-def grouped_figure_specs():
-    specs = []
-    for figure in GROUPED_FIGURES:
-        module, _ = REGISTRY[figure]
-        specs.extend(module.specs(seed=7, quick=True))
-    return specs
-
-
-@pytest.fixture(scope="module")
-def ungrouped_figures():
-    """Each platform's figure specs run one by one: the serial bytes."""
-    specs = grouped_figure_specs()
-    return {
-        name: UngroupedExecutor(platform=name).map(specs)
-        for name in ("biglittle_4p4e", "multicore_8c_45nm")
-    }
+    assert RunExecutor().run(spec).canonical_bytes() == reference_result(spec)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("name", ["biglittle_4p4e", "multicore_8c_45nm"])
-def test_multicore_specs_group_and_match_ungrouped(
-    name, jobs, ungrouped_figures, monkeypatch
-) -> None:
-    """fig7/table1/fig10 on N-core floorplans form lockstep groups and
-    come out byte for byte as they do one spec at a time."""
-    from repro.serve.payloads import summary_bytes
-
+def test_multicore_specs_group_and_match_ungrouped(name, jobs, monkeypatch) -> None:
+    """fig7/table1/fig10 on N-core floorplans form lockstep groups, dealt
+    over the pool at ``jobs=2``, and come out byte for byte as the
+    reference oracle runs them one at a time."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    specs = grouped_figure_specs()
+    specs = list(quick_specs(PLATFORM_EXPERIMENTS).values())
     with RunExecutor(jobs=jobs, platform=name) as executor:
         grouped = executor.map(specs)
         snapshot = executor.registry.snapshot()
     assert snapshot.value("host.exec.batch_groups") > 0.0
-    serial = ungrouped_figures[name]
-    filled = [dataclasses.replace(spec, platform=name) for spec in specs]
-    for spec, a, b in zip(filled, serial, grouped):
-        assert summary_bytes(spec, b) == summary_bytes(spec, a)
-        assert a.canonical_bytes() == b.canonical_bytes()
+    for spec, result in zip(specs, grouped):
+        filled = dataclasses.replace(spec, platform=name)
+        assert result.canonical_bytes() == reference_result(filled)
 
 
 def prochot_lanes():

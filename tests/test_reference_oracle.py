@@ -1,56 +1,185 @@
-"""The engine equivalence gate: engine == reference oracle, byte for byte.
+"""The engine against the reference oracle, byte for byte.
 
-The simulator has one engine path — compiled component closures, tick
-batches between task boundaries, block-buffered trace writes — and it
-promises *exact* equivalence with the tick-by-tick reference kept in
-``tests/reference_engine.py``: the same IEEE-754 operations in the same
-order.  Every comparison here is bitwise (``==`` on float arrays),
-never approximate:
+The oracle (``tests/reference_engine.py``) computes a spec's result one
+tick at a time and returns its canonical bytes.  Here the engine's
+bytes must equal them over one seeded corpus:
 
-* randomized RC networks (mixed boundary/interior nodes, link
-  resistances, powers and structure edited mid-run), divergence;
-* a node stepped directly through PROCHOT, a fan failure and THERMTRIP;
-* the run loop's control semantics (task fire counts, ``until``/
-  ``stop``/``max_ticks``) against the reference loop;
-* every registered experiment's quick-mode table;
-* every figure's regenerated series curves, compared by content hash;
-* the telemetry JSONL export, byte-identical per ``(spec, seed)``.
+* every distinct quick experiment spec on the default platform, and the
+  fig7/table1/fig10 quick specs on ``biglittle_4p4e`` and
+  ``multicore_8c_45nm``: the runs ``tests/test_result_pins.py`` pins,
+  from one grouped ``RunExecutor.map`` (the ``fan_fail`` fault specs of
+  ``emergency`` among them);
+* one telemetry-on spec per experiment, and the quick specs of the two
+  experiments without a ``specs()`` of their own (ablation,
+  robustness) that the pins do not run, grouped the same way;
+* the fleet experiment's quick specs, every fleet gate case of
+  ``tests/test_fleet.py``, fleets whose epochs
+  start off the control grid at ``dt`` 1.0 and 2.0, and the wave,
+  imbalance and ``biglittle_4p4e`` fleets with nine-node racks, each run
+  at ``shards=1`` and ``shards=2``.  These are sized so the fan walls
+  move and nodes throttle.
 
-Lockstep grouping is held equal to this serial engine by
-``tests/test_fastpath_batch.py``.
+A failing case means a result bit moved.  Below the corpus, the
+oracle's parts are held to the engine's on their own: random RC
+networks against :func:`reference_rc_step`, a node ticked through
+PROCHOT, a fan failure and THERMTRIP against the oracle's node tick, and
+the run loop's control semantics (task fire counts, ``until``, ``stop``,
+``max_ticks``, budget errors) against :func:`reference_run`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
+import json
 import random
-from contextlib import nullcontext
 
-import numpy as np
 import pytest
 
 from repro.cluster.multicore_node import MulticoreNode
 from repro.cluster.node import Node
 from repro.config import NodeConfig
 from repro.errors import SimulationError
-from repro.experiments import REGISTRY
-from repro.experiments.series import SERIES_REGISTRY
+from repro.experiments import ablation, fleet_capping, robustness
+from repro.experiments.table1_tdvfs_cpuspeed import specs as table1_specs
 from repro.fan.adt7467 import REG_REMOTE1_TEMP
+from repro.fleet import FleetFaultSpec, FleetSpec
 from repro.platform import resolve_platform
-from repro.runtime import RunSpec
+from repro.runtime import DEFAULT_SEED, RunExecutor
 from repro.sim.engine import Component, SimulationEngine
 from repro.sim.events import EventLog
 from repro.thermal.rc import RCNetwork, ThermalLink, ThermalNode
 from repro.workloads.base import ComputeSegment, RankProgram
 from tests.reference_engine import (
-    UngroupedExecutor,
-    reference_path,
+    reference_multicore_step,
+    reference_node_step,
     reference_rc_step,
+    reference_result,
     reference_run,
 )
+from tests.test_fleet import GATE_SPECS
+from tests.test_result_pins import PLATFORMS, quick_specs
 
-SEED = 7
+# ------------------------------------------------------------------ corpus
+
+RUN_CASES = [
+    (key, label)
+    for key, (platform, names, _pins) in sorted(PLATFORMS.items())
+    for label in quick_specs(names, platform)
+]
+
+
+@pytest.mark.parametrize("key, label", RUN_CASES)
+def test_run_matches_the_oracle(pinned_runs, key, label):
+    spec, result, _loaded, _stored = pinned_runs[key][label]
+    assert result.canonical_bytes() == reference_result(spec)
+
+
+def extra_specs() -> dict:
+    """Corpus runs beyond the pins: each experiment's first quick spec
+    with telemetry on, and the quick specs ablation and robustness map
+    that the pins do not run (neither module has a ``specs()``)."""
+    pinned = quick_specs()
+    specs = {}
+    for label, spec in pinned.items():
+        name = f"telemetry-{label.split('[')[0]}"
+        specs.setdefault(name, dataclasses.replace(spec, telemetry=True))
+    seed = DEFAULT_SEED
+    mapped = {
+        "ablation": ablation._window_specs(seed, ablation._WINDOW_SIZES, True)
+        + ablation._l2_specs(seed, True)
+        + ablation._escalation_specs(seed, True)
+        + ablation._split_specs(seed, True),
+        "robustness": [
+            spec
+            for s in robustness.QUICK_SEEDS
+            for spec in table1_specs(seed=s, quick=True)
+        ],
+    }
+    seen = set(pinned.values())
+    for name, listed in mapped.items():
+        for index, spec in enumerate(listed):
+            if spec not in seen:
+                seen.add(spec)
+                specs[f"{name}[{index}]"] = spec
+    return specs
+
+
+EXTRA_SPECS = extra_specs()
+
+
+@pytest.fixture(scope="module")
+def extra_runs():
+    return dict(zip(EXTRA_SPECS, RunExecutor().map(list(EXTRA_SPECS.values()))))
+
+
+@pytest.mark.parametrize("label", list(EXTRA_SPECS))
+def test_extra_run_matches_the_oracle(extra_runs, label):
+    spec, result = EXTRA_SPECS[label], extra_runs[label]
+    assert (result.telemetry is not None) == spec.telemetry
+    assert result.canonical_bytes() == reference_result(spec)
+
+
+def hot_fleet(**overrides) -> FleetSpec:
+    """Two racks of nine nodes on a 1 s tick behind a 55 °C cold aisle,
+    half their exhaust recirculating and rack 1's containment breached
+    at 120 s.  The dies run hot enough that a last-bit change in a
+    node's power reaches the result bytes."""
+    base = dict(
+        racks=2,
+        nodes_per_rack=9,
+        workload="wave",
+        dt=1.0,
+        horizon=400.0,
+        epoch_ticks=40,
+        control_ticks=5,
+        cold_aisle_c=55.0,
+        recirculation=0.5,
+        fault=FleetFaultSpec(rack=1, at=120.0, factor=3.0),
+        quick=True,
+    )
+    base.update(overrides)
+    return FleetSpec(**base)
+
+
+#: Seven-tick epochs on a three-tick control grid start between control
+#: steps; at ``dt=2.0`` (past the package's 1.875 s stability limit)
+#: every network steps on its own with Euler sub-steps.
+OFF_GRID = dict(
+    nodes_per_rack=2, workload="uniform", epoch_ticks=7, control_ticks=3,
+    power_budget=200.0,
+)
+
+FLEET_CASES = {
+    **{f"experiment-{name}": spec for name, spec in fleet_capping.specs(quick=True)},
+    **{f"gate-{name}": spec for name, spec in GATE_SPECS.items()},
+    "off-grid-dt1": hot_fleet(horizon=224.0, **OFF_GRID),
+    "off-grid-dt2": hot_fleet(dt=2.0, horizon=448.0, **OFF_GRID),
+    "wave": hot_fleet(power_budget=800.0),
+    "imbalance": hot_fleet(workload="imbalance", power_budget=800.0),
+    # a cooler platform: a hotter aisle and longer epochs reach its
+    # fan-wall target, and a tight budget throttles it
+    "biglittle": hot_fleet(
+        platform="biglittle_4p4e",
+        horizon=900.0,
+        epoch_ticks=150,
+        control_ticks=10,
+        cold_aisle_c=66.0,
+        power_budget=110.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLEET_CASES))
+def test_fleet_matches_the_oracle(fleet_bytes, case):
+    spec = FLEET_CASES[case]
+    expected = reference_result(spec)
+    assert fleet_bytes(spec, 1) == expected
+    assert fleet_bytes(spec, 2) == expected
+    if case.split("-")[0] not in ("experiment", "gate"):
+        doc = json.loads(expected)
+        assert doc["summary"]["total_throttles"] > 0
+        # every fan wall moved off its initial 0.35 duty
+        assert all(rack["duty"] != 0.35 for rack in doc["racks"])
 
 
 # ------------------------------------------------------- randomized RC nets
@@ -202,9 +331,9 @@ def test_resistance_write_moves_the_sub_step_count() -> None:
 # ------------------------------------------------------------- node tick
 
 
-def _node_trace(stepped_by_reference: bool, node_type=Node, **config) -> tuple:
+def _node_trace(step, node_type=Node, **config) -> tuple:
     """A node through PROCHOT assert/deassert, a fan failure and
-    THERMTRIP, stepped by direct ``step`` calls; per-tick state."""
+    THERMTRIP, each tick taken by ``step(node, t, dt)``; per-tick state."""
     events = EventLog()
     base = config.pop("base", NodeConfig())
     node = node_type(
@@ -213,29 +342,28 @@ def _node_trace(stepped_by_reference: bool, node_type=Node, **config) -> tuple:
     node.bind_rank(RankProgram([ComputeSegment(2.4e9 * 900)], name="burn"))
     dt = 0.05
     rows = []
-    with reference_path() if stepped_by_reference else nullcontext():
-        for i in range(1, 10001):
-            t = i * dt
-            if i == 2000:
-                node.fail_fan(t)
-            node.step(t, dt)
-            rows.append(
-                (
-                    node.die_temperature,
-                    node.package.sink_temperature,
-                    node.cpu_power,
-                    node.wall_power,
-                    node.fan_rpm,
-                    node.dvfs.index,
-                    node.fan_chip.peek(REG_REMOTE1_TEMP),
-                )
+    for i in range(1, 10001):
+        t = i * dt
+        if i == 2000:
+            node.fail_fan(t)
+        step(node, t, dt)
+        rows.append(
+            (
+                node.die_temperature,
+                node.package.sink_temperature,
+                node.cpu_power,
+                node.wall_power,
+                node.fan_rpm,
+                node.dvfs.index,
+                node.fan_chip.peek(REG_REMOTE1_TEMP),
             )
+        )
     return rows, [str(event) for event in events], node.meter.energy_joules
 
 
-def _assert_trace_matches_reference(node_type=Node, **config) -> None:
-    rows, events, energy = _node_trace(False, node_type, **config)
-    ref_rows, ref_events, ref_energy = _node_trace(True, node_type, **config)
+def _assert_trace_matches_reference(oracle, node_type=Node, **config) -> None:
+    rows, events, energy = _node_trace(node_type.step, node_type, **config)
+    ref_rows, ref_events, ref_energy = _node_trace(oracle, node_type, **config)
     assert rows == ref_rows
     assert events == ref_events
     assert energy == ref_energy
@@ -248,7 +376,10 @@ def _assert_trace_matches_reference(node_type=Node, **config) -> None:
 def test_node_step_matches_reference_through_protection() -> None:
     """``Node.step`` called directly equals the oracle's tick bitwise."""
     _assert_trace_matches_reference(
-        prochot_temp=44.0, prochot_hysteresis=3.0, shutdown_temp=46.5
+        reference_node_step,
+        prochot_temp=44.0,
+        prochot_hysteresis=3.0,
+        shutdown_temp=46.5,
     )
 
 
@@ -258,6 +389,7 @@ def test_multicore_node_step_matches_reference_through_protection() -> None:
     tick, shut-down (zero-power) cores included.  The floorplan runs
     cooler, so its thresholds sit lower."""
     _assert_trace_matches_reference(
+        reference_multicore_step,
         MulticoreNode,
         base=resolve_platform("biglittle_4p4e").node_config(),
         prochot_temp=38.5,
@@ -282,7 +414,7 @@ def test_multicore_fan_chip_reads_the_hottest_core() -> None:
     assert spread > 2.0
 
 
-# ------------------------------------------------------ fused loop semantics
+# --------------------------------------------------------- run loop semantics
 
 
 class Accumulator(Component):
@@ -355,64 +487,63 @@ def test_fused_max_ticks_only_run() -> None:
         assert len(comp.calls) == 37
 
 
-# ------------------------------------------------ experiment / series gates
-
-
-@pytest.mark.parametrize("name", sorted(REGISTRY))
-def test_quick_tables_match(name: str) -> None:
-    """Every experiment renders the identical quick-mode table."""
-    module, _ = REGISTRY[name]
-    with reference_path():
-        ref_table = module.render(
-            module.run(seed=SEED, quick=True, executor=UngroupedExecutor())
+def test_fused_budget_expires_exactly_on_task_boundary() -> None:
+    """max_ticks landing on a firing tick: the task fires, then the
+    budget error raises — identically on both loops."""
+    results = []
+    for engine, run in engines_pair():
+        comp = engine.add_component(Accumulator("a"))
+        fires = []
+        engine.every(0.5, fires.append)  # fires every 10 ticks
+        with pytest.raises(SimulationError, match="max_ticks=10 exhausted"):
+            run(engine, duration=100.0, max_ticks=10)
+        results.append(
+            (comp.calls, fires, engine.clock.ticks, engine._tasks[0].fire_count)
         )
-    table = module.render(
-        module.run(seed=SEED, quick=True, executor=UngroupedExecutor())
-    )
-    assert table == ref_table
+    assert results[0] == results[1]
+    assert results[0][3] == 1  # the boundary tick's firing happened
 
 
-def _curve_hashes(curves) -> dict:
-    hashes = {}
-    for label, (times, values) in curves.items():
-        digest = hashlib.sha256()
-        digest.update(np.asarray(times, dtype=np.float64).tobytes())
-        digest.update(np.asarray(values, dtype=np.float64).tobytes())
-        hashes[label] = digest.hexdigest()
-    return hashes
+def test_fused_zero_task_engine_runs_to_deadline() -> None:
+    """No tasks: the fused loop's no-boundary sentinel still honors the
+    deadline and leaves the clock identical to the reference."""
+    results = []
+    for engine, run in engines_pair():
+        comp = engine.add_component(Accumulator("a"))
+        run(engine, duration=2.0)
+        results.append((comp.calls, engine.clock.ticks))
+    assert results[0] == results[1]
+    assert results[0][1] == 40
 
 
-@pytest.mark.parametrize("figure", sorted(SERIES_REGISTRY))
-def test_series_curve_hashes_match(figure: str) -> None:
-    """Every figure's raw curves hash identically on the engine."""
-    make = SERIES_REGISTRY[figure]
-    with reference_path():
-        ref_hashes = _curve_hashes(
-            make(seed=SEED, quick=True, executor=UngroupedExecutor())
+def test_fused_zero_task_engine_until_only() -> None:
+    """No tasks, until-only: both loops stop on the same tick."""
+    results = []
+    for engine, run in engines_pair():
+        comp = engine.add_component(Accumulator("a"))
+        run(engine, until=lambda: len(comp.calls) >= 23, max_ticks=1000)
+        results.append((comp.calls, engine.clock.ticks))
+    assert results[0] == results[1]
+    assert results[0][1] == 23
+
+
+def test_fused_task_phase_beyond_first_batch_boundary() -> None:
+    """A phase larger than another task's period: firings interleave
+    across batch boundaries identically on both loops."""
+    results = []
+    for engine, run in engines_pair():
+        comp = engine.add_component(Accumulator("a"))
+        early, late = [], []
+        engine.every(0.25, early.append)  # every 5 ticks
+        engine.every(1.0, late.append, phase=2.35)  # first fires at tick 47
+        run(engine, duration=5.0)
+        results.append(
+            (
+                comp.calls,
+                early,
+                late,
+                [task.fire_count for task in engine._tasks],
+            )
         )
-    hashes = _curve_hashes(make(seed=SEED, quick=True, executor=UngroupedExecutor()))
-    assert hashes == ref_hashes
-
-
-# -------------------------------------------------- telemetry JSONL bytes
-
-
-def test_telemetry_jsonl_byte_identical() -> None:
-    from repro.telemetry import export_jsonl
-
-    spec = RunSpec.of(
-        "mixed_thermal_profile",
-        {"duration": 30.0},
-        rigs=["dynamic_fan"],
-        n_nodes=2,
-        seed=SEED,
-        timeout=120.0,
-    )
-    with reference_path():
-        reference = UngroupedExecutor(telemetry=True)
-        reference.map([spec])
-    engine = UngroupedExecutor(telemetry=True)
-    engine.map([spec])
-    ref_text = export_jsonl(reference.collected)
-    assert len(ref_text.splitlines()) > 1
-    assert export_jsonl(engine.collected) == ref_text
+    assert results[0] == results[1]
+    assert results[0][2][0] == pytest.approx(2.35)

@@ -13,13 +13,15 @@ digests:
   the result store keeps as its entry body.
 
 The summaries fold in spec digests, which fold in the package version;
-the pins were recorded at :data:`PIN_VERSION`, so the fixture runs
-under it.  As with ``tests/test_fleet.py``'s ``GATE_PINS``, the pins
+the pins were recorded at :data:`PIN_VERSION`, so the runs and this
+module's tests run under it.  As with ``tests/test_fleet.py``'s ``GATE_PINS``, the pins
 hold on a host whose BLAS kernel uses FMA (ROADMAP item 3).
 
 Every run is also read back from a result store: the loaded result's
 canonical bytes, and the summary the store keeps in the entry header,
-must equal the fresh ones exactly.
+must equal the fresh ones exactly.  The runs come from the session
+fixture ``pinned_runs`` (``tests/conftest.py``), which
+``tests/test_reference_oracle.py`` holds to the reference oracle.
 """
 
 from __future__ import annotations
@@ -323,26 +325,11 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def pinned_runs(tmp_path_factory):
-    """Per platform: label -> (spec, fresh result, result read back from
-    the store, the store's summary for the spec)."""
+@pytest.fixture(scope="module", autouse=True)
+def pin_version():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(repro, "__version__", PIN_VERSION)
-        runs = {}
-        for key, (platform, names, _pins) in PLATFORMS.items():
-            specs = quick_specs(names, platform)
-            cache = tmp_path_factory.mktemp(f"pins-{key}")
-            fresh = RunExecutor(cache_dir=cache).map(list(specs.values()))
-            warm = RunExecutor(cache_dir=cache)
-            loaded = warm.map(list(specs.values()))
-            assert warm.stats.cache_hits == len(specs)
-            assert warm.stats.executed == 0
-            runs[key] = {
-                label: (spec, a, b, warm.cached(spec))
-                for (label, spec), a, b in zip(specs.items(), fresh, loaded)
-            }
-        yield runs
+        yield
 
 
 def test_the_pinned_sets_are_every_quick_spec():

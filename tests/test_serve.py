@@ -748,6 +748,33 @@ def test_metrics_endpoint_is_valid_prometheus() -> None:
         assert needle in text, needle
 
 
+def test_request_counter_labels_are_bounded() -> None:
+    """Unknown paths and methods the router does not handle each share
+    one label value, so a client cannot add series by its choice of
+    path or method."""
+
+    async def scenario(server, client):
+        for i in range(5):
+            assert (await client.request("GET", f"/probe-{i}")).status == 404
+        assert (await client.request("PUT", "/probe-9")).status == 404
+        for method in ("DELETE", "PATCH", "BREW"):
+            assert (await client.request(method, "/healthz")).status == 405
+        return server.registry.snapshot()
+
+    snapshot = run_with_server(ServeConfig(port=0), scenario)
+    series = {
+        tuple(value for _, value in sorted(sample.labels)): sample.value
+        for sample in snapshot.samples
+        if sample.name == "serve.http.requests"
+    }
+    # labels sort as (method, route, status)
+    assert series == {
+        ("GET", "{other}", "404"): 5.0,
+        ("OTHER", "{other}", "404"): 1.0,
+        ("OTHER", "/healthz", "405"): 3.0,
+    }
+
+
 # -- CLI wiring ------------------------------------------------------------
 
 
