@@ -1,39 +1,21 @@
 """Measurement and evaluation utilities.
 
-* :mod:`repro.analysis.metrics` — the quantities the paper reports:
-  average/max temperature, stabilization time, average wall power,
-  power-delay product, frequency-change counts, trigger times.
-* :mod:`repro.analysis.summarize` — one-call summaries of a
-  :class:`~repro.cluster.cluster.RunResult` and comparisons between
-  runs.
+* :mod:`repro.analysis.metrics` — the stabilization time of a
+  temperature trace (the paper's Figure 6 criterion).
+* :mod:`repro.analysis.thermal_stats` — the degree-seconds stress
+  integral over a temperature trace.
 * :mod:`repro.analysis.tables` — plain-text table rendering used by
   the benchmark harnesses to print paper-style rows.
-* :mod:`repro.analysis.export` — CSV/JSON export of run artifacts for
-  external plotting tools.
 * :mod:`repro.analysis.rows` — keyed lookup over collected result
   rows (the shared replacement for per-experiment linear scans).
 """
 
-from .export import export_run, export_trace_csv
-from .metrics import (
-    RunMetrics,
-    compute_metrics,
-    frequency_residency,
-    stabilization_time,
-)
+from .metrics import stabilization_time
 from .rows import lookup_row
-from .summarize import compare_runs, summarize_run
 from .tables import Table
 
 __all__ = [
-    "RunMetrics",
-    "compute_metrics",
     "stabilization_time",
-    "frequency_residency",
-    "summarize_run",
-    "compare_runs",
     "Table",
-    "export_trace_csv",
-    "export_run",
     "lookup_row",
 ]

@@ -7,21 +7,12 @@ All functions take the standard traces recorded by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
-
 import numpy as np
 
-from ..cluster.cluster import RunResult
 from ..errors import ConfigurationError
 from ..sim.trace import Trace
 
-__all__ = [
-    "stabilization_time",
-    "frequency_residency",
-    "RunMetrics",
-    "compute_metrics",
-]
+__all__ = ["stabilization_time"]
 
 
 def stabilization_time(
@@ -51,80 +42,3 @@ def stabilization_time(
     if last_outside + 1 >= len(t):
         return float(t[-1])
     return float(t[last_outside + 1])
-
-
-def frequency_residency(trace: Trace) -> Dict[float, float]:
-    """Fraction of time spent at each frequency (GHz) in a freq trace.
-
-    Uses holding-time weights (each sample holds until the next), so it
-    is exact for the cluster's evenly-sampled ``freq_ghz`` traces.
-    """
-    if len(trace) == 0:
-        return {}
-    v = trace.values
-    out: Dict[float, float] = {}
-    total = float(len(v))
-    for ghz in np.unique(v):
-        out[float(ghz)] = float(np.sum(v == ghz)) / total
-    return out
-
-
-@dataclass(frozen=True)
-class RunMetrics:
-    """The paper's Table-1 row (plus thermal context) for one node.
-
-    Attributes
-    ----------
-    execution_time:
-        Job wall time, seconds.
-    average_power:
-        Mean wall power, W.
-    power_delay_product:
-        ``average_power × execution_time``, W·s.
-    energy:
-        Wall energy, J.
-    freq_changes:
-        DVFS transition count.
-    mean_temperature / max_temperature / final_temperature:
-        °C over the sensor trace (final = last 15 s mean).
-    mean_duty:
-        Mean PWM duty fraction.
-    stabilization:
-        :func:`stabilization_time` of the temperature trace, s.
-    residency:
-        Frequency residency map (GHz → fraction).
-    """
-
-    execution_time: float
-    average_power: float
-    power_delay_product: float
-    energy: float
-    freq_changes: int
-    mean_temperature: float
-    max_temperature: float
-    final_temperature: float
-    mean_duty: float
-    stabilization: float
-    residency: Dict[float, float]
-
-
-def compute_metrics(result: RunResult, node: int = 0) -> RunMetrics:
-    """Extract a :class:`RunMetrics` for one node of a finished run."""
-    prefix = f"node{node}"
-    temp = result.traces[f"{prefix}.temp"]
-    duty = result.traces[f"{prefix}.duty"]
-    freq = result.traces[f"{prefix}.freq_ghz"]
-    t_end = float(temp.times[-1])
-    return RunMetrics(
-        execution_time=result.execution_time,
-        average_power=result.average_power[node],
-        power_delay_product=result.power_delay_product(node),
-        energy=result.energy_joules[node],
-        freq_changes=result.dvfs_change_count(node),
-        mean_temperature=temp.mean(),
-        max_temperature=temp.max(),
-        final_temperature=temp.window(t_end - 15.0, t_end).mean(),
-        mean_duty=duty.mean(),
-        stabilization=stabilization_time(temp),
-        residency=frequency_residency(freq),
-    )

@@ -2,41 +2,18 @@
 
 The paper's case for thermal control is ultimately reliability:
 *"higher temperatures can reduce system reliability and life
-expectancy"* (§1).  These functions quantify that over a recorded
-temperature trace:
-
-* :func:`time_above` — seconds spent at/above a threshold (thermal
-  emergency exposure).
-* :func:`degree_seconds_above` — the ∫max(T−T₀, 0)dt stress integral
-  (both *how long* and *how far* over).
-* :func:`arrhenius_acceleration` — the mean Arrhenius aging
-  acceleration relative to a reference temperature: failure mechanisms
-  (electromigration, TDDB) accelerate as ``exp(Ea/k · (1/T_ref −
-  1/T))``; a trace-averaged factor of 2 means the part aged twice as
-  fast as it would have at the reference temperature.
-* :func:`thermal_cycles` — count of excursions above a band, the
-  fatigue-cycle driver for solder joints (the paper cites a solder
-  reliability study [34] for good reason).
+expectancy"* (§1).  :func:`degree_seconds_above` quantifies that over
+a recorded temperature trace: the ∫max(T−T₀, 0)dt stress integral
+(both *how long* and *how far* over).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigurationError
 from ..sim.trace import Trace
-from ..units import celsius_to_kelvin
 
-__all__ = [
-    "time_above",
-    "degree_seconds_above",
-    "arrhenius_acceleration",
-    "thermal_cycles",
-    "BOLTZMANN_EV",
-]
-
-#: Boltzmann constant in eV/K.
-BOLTZMANN_EV = 8.617333262e-5
+__all__ = ["degree_seconds_above"]
 
 
 def _holding_weights(times: np.ndarray) -> np.ndarray:
@@ -48,15 +25,6 @@ def _holding_weights(times: np.ndarray) -> np.ndarray:
     return np.concatenate([dt, [tail]])
 
 
-def time_above(trace: Trace, threshold: float) -> float:
-    """Seconds the trace spent at/above ``threshold`` °C."""
-    if len(trace) == 0:
-        return 0.0
-    weights = _holding_weights(np.asarray(trace.times))
-    mask = np.asarray(trace.values) >= threshold
-    return float(np.sum(weights[mask]))
-
-
 def degree_seconds_above(trace: Trace, threshold: float) -> float:
     """∫ max(T − threshold, 0) dt in kelvin-seconds."""
     if len(trace) == 0:
@@ -64,63 +32,3 @@ def degree_seconds_above(trace: Trace, threshold: float) -> float:
     weights = _holding_weights(np.asarray(trace.times))
     excess = np.maximum(np.asarray(trace.values) - threshold, 0.0)
     return float(np.sum(excess * weights))
-
-
-def arrhenius_acceleration(
-    trace: Trace,
-    reference_celsius: float = 45.0,
-    activation_energy_ev: float = 0.7,
-) -> float:
-    """Mean Arrhenius aging acceleration vs ``reference_celsius``.
-
-    Parameters
-    ----------
-    trace:
-        Temperature trace, °C.
-    reference_celsius:
-        The baseline operating temperature.
-    activation_energy_ev:
-        Apparent activation energy; 0.7 eV is the JEDEC default for
-        silicon wear-out mechanisms.
-
-    Returns
-    -------
-    float
-        Time-weighted mean of ``exp(Ea/k · (1/T_ref − 1/T))``; 1.0
-        means "ages like the reference", 2.0 means twice as fast.
-    """
-    if activation_energy_ev <= 0:
-        raise ConfigurationError(
-            f"activation energy must be > 0 eV, got {activation_energy_ev!r}"
-        )
-    if len(trace) == 0:
-        return 1.0
-    t_ref_k = celsius_to_kelvin(reference_celsius)
-    t_k = np.asarray([celsius_to_kelvin(v) for v in trace.values])
-    factors = np.exp(
-        (activation_energy_ev / BOLTZMANN_EV) * (1.0 / t_ref_k - 1.0 / t_k)
-    )
-    weights = _holding_weights(np.asarray(trace.times))
-    return float(np.sum(factors * weights) / np.sum(weights))
-
-
-def thermal_cycles(
-    trace: Trace, threshold: float, hysteresis: float = 1.0
-) -> int:
-    """Number of excursions above ``threshold`` (with hysteresis).
-
-    An excursion starts when the trace crosses up through ``threshold``
-    and ends when it falls below ``threshold − hysteresis``; each
-    completed or ongoing excursion counts one cycle.
-    """
-    if hysteresis <= 0:
-        raise ConfigurationError(f"hysteresis must be > 0, got {hysteresis!r}")
-    cycles = 0
-    above = False
-    for value in trace.values:
-        if not above and value >= threshold:
-            above = True
-            cycles += 1
-        elif above and value < threshold - hysteresis:
-            above = False
-    return cycles

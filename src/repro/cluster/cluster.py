@@ -314,10 +314,6 @@ class Cluster:
         self._governors[node.name].append(governor)
         return governor
 
-    def add_governor_per_node(self, factory) -> List[Governor]:
-        """Attach ``factory(node)``'s governor to every node; returns them."""
-        return [self.add_governor(n, factory(n)) for n in self.nodes]
-
     def bind_job(self, job: Job) -> None:
         """Assign job ranks to nodes (rank i → node i).
 

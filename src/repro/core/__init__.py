@@ -16,8 +16,8 @@ controller drives any of them.
   classification (§3.1).
 * :mod:`repro.core.mode_select` — target-mode identification
   (``i + c·Δt``).
-* :mod:`repro.core.actuator` — adapters wrapping the fan driver, DVFS
-  and the sleep-state throttler as mode actuators.
+* :mod:`repro.core.actuator` — adapters wrapping the fan driver and
+  DVFS as mode actuators.
 * :mod:`repro.core.controller` — the unified controller tying window +
   array + selector + actuator together.
 * :mod:`repro.core.coordinator` — multi-technique coordination under a

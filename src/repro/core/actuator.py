@@ -32,7 +32,7 @@ class ModeActuator:
     implement :meth:`apply` / :meth:`current_mode`.
     """
 
-    #: Short technique tag used in events ("fan", "dvfs", "sleep").
+    #: Short technique tag used in events ("fan", "dvfs").
     technique: str = "abstract"
 
     @property

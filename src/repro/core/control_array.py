@@ -38,7 +38,7 @@ __all__ = ["ThermalControlArray", "DEFAULT_ARRAY_SIZE"]
 
 #: Default slot count.  100 gives every technique the same index
 #: geometry as the paper's 100-step fan ladder, so one ``P_p`` has the
-#: same meaning across fan, DVFS and sleep-state actuators.
+#: same meaning across fan and DVFS actuators.
 DEFAULT_ARRAY_SIZE = 100
 
 

@@ -75,7 +75,6 @@ class CpuCore:
         self._utilization = 0.0
         self._busy_seconds = 0.0
         self._elapsed = 0.0
-        self._throttle = 0.0
         self._retired_cycles = 0.0
 
     def bind_rank(self, rank: RankInterface) -> None:
@@ -116,21 +115,6 @@ class CpuCore:
         """True when the bound rank has completed its program."""
         return self._rank.finished
 
-    @property
-    def throttle(self) -> float:
-        """Current ACPI-style duty throttle fraction in [0, 1)."""
-        return self._throttle
-
-    def set_throttle(self, fraction: float) -> None:
-        """Duty-throttle the core: ``fraction`` of each tick is gated off.
-
-        Models ACPI processor throttling (T-states): the clock is gated
-        for a fixed duty, so both progress *and* switching activity
-        (hence dynamic power, via utilization) scale by
-        ``1 - fraction``.  Used by the sleep-state extension governor.
-        """
-        self._throttle = require_in_range(fraction, 0.0, 0.9999, "throttle")
-
     @coldpath
     def _reject_dt(self, dt: float) -> None:
         raise SimulationError(f"core {self.name!r}: non-positive dt {dt!r}")
@@ -151,7 +135,7 @@ class CpuCore:
         frequency = dvfs.frequency
         dvfs.note_time(t)
         stall = dvfs.consume_stall(dt)
-        dt_work = (dt - stall) * (1.0 - self._throttle)
+        dt_work = dt - stall
         util_work = 0.0
         if dt_work > 0 and not rank.finished:
             util_work = rank.advance(dt_work, frequency)

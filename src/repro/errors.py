@@ -42,7 +42,7 @@ class SimulationError(ReproError, RuntimeError):
 
 
 class ActuatorError(ReproError, RuntimeError):
-    """An actuator (fan, DVFS, sleep-state) rejected a requested mode."""
+    """An actuator (fan, DVFS) rejected a requested mode."""
 
 
 class BusError(ReproError, RuntimeError):

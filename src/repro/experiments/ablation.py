@@ -8,19 +8,20 @@ The paper asserts (without showing data) that:
 * the level-two FIFO is what tracks **gradual** drift, consulted only
   when level one is silent (§3.2.2).
 
-This module measures those claims on the simulated platform:
+This module's :func:`run` measures those claims on the simulated
+platform in four studies:
 
-* :func:`window_size_sweep` — for L1 sizes {2, 4, 8, 16}: the fan's
+* **window size** — for L1 sizes {2, 4, 8, 16}: the fan's
   response delay to a Type-I step and its spurious movement under a
   Type-III jitter load.
-* :func:`l2_fallback_ablation` — dynamic fan with and without the
+* **level-two fallback** — dynamic fan with and without the
   level-two fallback under a Type-II slow ramp: without it the fan
   never tracks the drift and the plant runs hotter.
-* :func:`escalation_ablation` — tDVFS's depth-escalated trigger
+* **escalation** — tDVFS's depth-escalated trigger
   threshold (the mechanism behind Figure 9's plateau) on vs off: with
   a fixed threshold the daemon chases the plant down the frequency
   ladder, trading much more performance for little extra cooling.
-* :func:`split_policy_ablation` — the paper insists on ONE ``P_p``
+* **split policy** — the paper insists on ONE ``P_p``
   shared by both techniques ("we fill out the arrays in a unified
   way").  What if the fan and DVFS each got their own?  Splitting the
   knob fan-lazy/DVFS-aggressive hands the work to the expensive
@@ -49,14 +50,10 @@ __all__ = [
     "WindowSizeRow",
     "L2FallbackRow",
     "AblationResult",
-    "window_size_sweep",
-    "l2_fallback_ablation",
     "run",
     "render",
     "EscalationRow",
     "SplitPolicyRow",
-    "escalation_ablation",
-    "split_policy_ablation",
 ]
 
 
@@ -215,20 +212,6 @@ def _window_rows(
     return rows
 
 
-def window_size_sweep(
-    seed: int = DEFAULT_SEED,
-    sizes: Optional[List[int]] = None,
-    quick: bool = False,
-    executor: Optional[RunExecutor] = None,
-) -> List[WindowSizeRow]:
-    """Measure sudden-response delay and jitter chasing per L1 size."""
-    if sizes is None:
-        sizes = _WINDOW_SIZES
-    executor = executor if executor is not None else RunExecutor()
-    results = executor.map(_window_specs(seed, sizes, quick))
-    return _window_rows(sizes, quick, results)
-
-
 def _l2_specs(seed: int, quick: bool) -> List[RunSpec]:
     duration = 150.0 if quick else 300.0
     return [
@@ -257,16 +240,6 @@ def _l2_rows(results: List[RunResult]) -> List[L2FallbackRow]:
             )
         )
     return rows
-
-
-def l2_fallback_ablation(
-    seed: int = DEFAULT_SEED,
-    quick: bool = False,
-    executor: Optional[RunExecutor] = None,
-) -> List[L2FallbackRow]:
-    """Gradual-drift tracking with and without the level-two fallback."""
-    executor = executor if executor is not None else RunExecutor()
-    return _l2_rows(executor.map(_l2_specs(seed, quick)))
 
 
 def _escalation_specs(seed: int, quick: bool) -> List[RunSpec]:
@@ -303,17 +276,10 @@ def _escalation_rows(results: List[RunResult]) -> List[EscalationRow]:
     return rows
 
 
-def escalation_ablation(
-    seed: int = DEFAULT_SEED,
-    quick: bool = False,
-    executor: Optional[RunExecutor] = None,
-) -> List[EscalationRow]:
-    """tDVFS with/without the depth-escalated threshold (BT, 25 % fan)."""
-    executor = executor if executor is not None else RunExecutor()
-    return _escalation_rows(executor.map(_escalation_specs(seed, quick)))
-
-
 def _split_specs(seed: int, quick: bool) -> List[RunSpec]:
+    # The paper's hybrid (§4.4) applies one P_p to both techniques, and
+    # HybridControl refuses a split knob, so the halves are rigged as
+    # separate governors here.
     iterations = 70 if quick else 200
     return [
         RunSpec.of(
@@ -348,22 +314,6 @@ def _split_rows(results: List[RunResult]) -> List[SplitPolicyRow]:
             )
         )
     return rows
-
-
-def split_policy_ablation(
-    seed: int = DEFAULT_SEED,
-    quick: bool = False,
-    executor: Optional[RunExecutor] = None,
-) -> List[SplitPolicyRow]:
-    """Shared vs independent P_p for the fan and DVFS halves.
-
-    The paper's hybrid (§4.4) applies one P_p to both techniques; this
-    study deliberately splits the knob (which our
-    :class:`~repro.governors.hybrid.HybridControl` refuses — the halves
-    are rigged as separate governors here).
-    """
-    executor = executor if executor is not None else RunExecutor()
-    return _split_rows(executor.map(_split_specs(seed, quick)))
 
 
 def run(

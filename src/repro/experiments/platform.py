@@ -21,7 +21,6 @@ from types import MappingProxyType
 from typing import Callable, List, Mapping, Optional
 
 from ..cluster.cluster import Cluster
-from ..config import ClusterConfig
 from ..core.policy import Policy
 from ..governors.base import Governor
 from ..governors.cpuspeed import CpuSpeed, CpuSpeedParams
@@ -52,7 +51,6 @@ from ..workloads.synthetic import (
 
 __all__ = [
     "DEFAULT_SEED",
-    "standard_cluster",
     "platform_policy",
     "attach_dynamic_fan",
     "attach_traditional_fan",
@@ -65,29 +63,6 @@ __all__ = [
     "WORKLOAD_REGISTRY",
     "AMBIENT_REGISTRY",
 ]
-
-
-def standard_cluster(
-    n_nodes: int = 4,
-    seed: int = DEFAULT_SEED,
-    platform: Optional[str] = None,
-) -> Cluster:
-    """The paper's testbed: ``n_nodes`` §4.1 nodes under one engine.
-
-    With ``platform`` set to a :data:`repro.platform.PLATFORM_REGISTRY`
-    key, the same chassis carries that silicon instead of the default
-    Athlon64 — the rigging helpers below then scale their policies to
-    the platform's safe band.
-    """
-    if platform is None:
-        return Cluster(ClusterConfig(n_nodes=n_nodes, seed=seed))
-    from ..platform import resolve_platform
-
-    spec = resolve_platform(platform)
-    return Cluster(
-        ClusterConfig(n_nodes=n_nodes, seed=seed, node=spec.node_config()),
-        platform=spec,
-    )
 
 
 def platform_policy(cluster: Cluster, pp: int = 50) -> Policy:

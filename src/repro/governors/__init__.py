@@ -1,6 +1,7 @@
 """Complete thermal-control daemons (the paper's §4 actors).
 
-Out-of-band (fan) governors:
+Out-of-band (fan) governors, all driving the ADT7467 over i2c (the
+paper's out-of-band path):
 
 * :class:`~repro.governors.fan_traditional.TraditionalFanControl` —
   the static PWM(T) map of Figure 1, executed by the ADT7467's
@@ -10,9 +11,6 @@ Out-of-band (fan) governors:
 * :class:`~repro.governors.fan_dynamic.DynamicFanControl` — the
   paper's contribution applied to the fan: unified controller with a
   two-level window and a P_p-filled thermal control array.
-* :class:`~repro.governors.fan_pid.PidFanControl` — a textbook PID
-  loop: the "formal control" baseline the paper's related work
-  discusses.
 
 In-band (DVFS) governors:
 
@@ -28,19 +26,12 @@ Combined:
 
 * :func:`~repro.governors.hybrid.hybrid_governors` — dynamic fan +
   tDVFS sharing one P_p (§4.4).
-
-Extension (paper §3.2.2 names sleep states as a third technique):
-
-* :class:`~repro.governors.acpi_sleep.AcpiSleepControl` — drives
-  simulated ACPI processor sleep states from the same control array.
 """
 
-from .acpi_sleep import AcpiSleepControl, SleepStateDevice
 from .base import Governor
 from .cpuspeed import CpuSpeed, CpuSpeedParams
 from .fan_constant import ConstantFanControl
 from .fan_dynamic import DynamicFanControl
-from .fan_pid import PidFanControl, PidGains
 from .fan_traditional import TraditionalFanControl
 from .hybrid import HybridControl, hybrid_governors
 from .ondemand import Ondemand, OndemandParams
@@ -51,8 +42,6 @@ __all__ = [
     "TraditionalFanControl",
     "ConstantFanControl",
     "DynamicFanControl",
-    "PidFanControl",
-    "PidGains",
     "TDvfs",
     "TDvfsParams",
     "CpuSpeed",
@@ -61,6 +50,4 @@ __all__ = [
     "OndemandParams",
     "HybridControl",
     "hybrid_governors",
-    "AcpiSleepControl",
-    "SleepStateDevice",
 ]

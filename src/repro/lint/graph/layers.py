@@ -27,7 +27,7 @@ LAYER_TABLE: Tuple[Tuple[int, Tuple[str, ...]], ...] = (
     (1, ("sim", "i2c", "workloads", "lint")),
     (2, ("thermal", "cpu", "fan", "telemetry")),
     (3, ("core", "config", "platform")),
-    (4, ("governors", "ipmi")),
+    (4, ("governors",)),
     (5, ("cluster",)),
     (6, ("fastpath", "runtime", "analysis")),
     (7, ("experiments", "fleet")),

@@ -47,7 +47,7 @@ _MUTABLE_CONSTRUCTORS = frozenset(
 #: trees that mirror the package shape (see :func:`module_component`).
 KNOWN_COMPONENTS = frozenset(
     {"analysis", "cli", "cluster", "config", "core", "cpu", "errors",
-     "experiments", "fan", "fastpath", "governors", "i2c", "ipmi",
+     "experiments", "fan", "fastpath", "governors", "i2c",
      "lint", "runtime", "sim", "telemetry", "thermal", "units",
      "workloads", "__main__"}
 )

@@ -9,7 +9,7 @@ sensor (:mod:`repro.thermal.sensor`) emulates the lm-sensors readings
 the paper sampled at 4 Hz.
 """
 
-from .ambient import AmbientModel, ConstantAmbient, RackAmbient, SinusoidalAmbient
+from .ambient import AmbientModel, ConstantAmbient
 from .convection import ConvectionModel
 from .multicore import MulticorePackage
 from .package import CpuPackage, PackageParams
@@ -26,8 +26,6 @@ __all__ = [
     "MulticorePackage",
     "AmbientModel",
     "ConstantAmbient",
-    "SinusoidalAmbient",
-    "RackAmbient",
     "SensorParams",
     "ThermalSensor",
 ]

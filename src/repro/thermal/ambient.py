@@ -4,28 +4,18 @@ The boundary node of every CPU package is the local ambient air.  In a
 rack, that air is not constant: it drifts with the HVAC duty cycle and
 it rises when neighbouring nodes dump heat into the shared airstream —
 the "hot spots or pockets of elevated temperatures" the paper's
-introduction motivates.  Three models are provided:
-
-* :class:`ConstantAmbient` — fixed inlet temperature (the paper's
-  single-rack testbed approximation).
-* :class:`SinusoidalAmbient` — slow periodic drift (HVAC cycling).
-* :class:`RackAmbient` — inlet temperature increases with the heat
-  recirculated from other nodes in the same rack, producing the
-  vertical thermal gradient used by the scaling experiment.
+introduction motivates.  A node's inlet is a :class:`ConstantAmbient`
+(the paper's single-rack testbed approximation); rack recirculation is
+modelled at fleet scope (:mod:`repro.fleet`).
 """
 
 from __future__ import annotations
 
-import math
-
 from ..errors import ConfigurationError
-from ..units import require_non_negative, require_positive
 
 __all__ = [
     "AmbientModel",
     "ConstantAmbient",
-    "SinusoidalAmbient",
-    "RackAmbient",
 ]
 
 
@@ -55,64 +45,3 @@ class ConstantAmbient(AmbientModel):
 
     def temperature(self, t: float) -> float:
         return self._celsius
-
-
-class SinusoidalAmbient(AmbientModel):
-    """Slow sinusoidal ambient drift around a mean.
-
-    Models HVAC duty cycling: ``T(t) = mean + amplitude·sin(2πt/period)``.
-    """
-
-    def __init__(
-        self,
-        mean: float = 28.0,
-        amplitude: float = 1.0,
-        period: float = 600.0,
-        phase: float = 0.0,
-    ) -> None:
-        self._mean = float(mean)
-        self._amplitude = require_non_negative(amplitude, "amplitude")
-        self._period = require_positive(period, "period")
-        self._phase = float(phase)
-
-    def temperature(self, t: float) -> float:
-        return self._mean + self._amplitude * math.sin(
-            2.0 * math.pi * t / self._period + self._phase
-        )
-
-
-class RackAmbient(AmbientModel):
-    """Inlet temperature coupled to heat recirculating within a rack.
-
-    Each node sees ``T = inlet + kappa · P_recirc`` where ``P_recirc``
-    is the recirculated power (set by the cluster each step from the
-    other nodes' dissipation) and ``kappa`` converts watts of
-    recirculated heat to degrees of inlet rise.  This is the simplest
-    form of the cross-interference matrices used by data-center thermal
-    models (Moore et al.'s Weatherman learns exactly this map).
-
-    Parameters
-    ----------
-    inlet:
-        Cold-aisle supply temperature, °C.
-    kappa:
-        Inlet rise per recirculated watt, K/W.  Typical rack values are
-        small (0.001–0.02 K/W).
-    """
-
-    def __init__(self, inlet: float = 26.0, kappa: float = 0.004) -> None:
-        self._inlet = float(inlet)
-        self._kappa = require_non_negative(kappa, "kappa")
-        self._recirc_watts = 0.0
-
-    def set_recirculated_power(self, watts: float) -> None:
-        """Update the recirculated power seen by this node (W >= 0)."""
-        self._recirc_watts = require_non_negative(watts, "recirculated power")
-
-    @property
-    def recirculated_power(self) -> float:
-        """The most recently set recirculated power in watts."""
-        return self._recirc_watts
-
-    def temperature(self, t: float) -> float:
-        return self._inlet + self._kappa * self._recirc_watts

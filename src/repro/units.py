@@ -33,20 +33,14 @@ __all__ = [
     "GHZ",
     "MHZ",
     "KHZ",
-    "CELSIUS_TO_KELVIN_OFFSET",
     "ghz",
     "to_ghz",
     "duty_from_percent",
     "duty_to_percent",
-    "celsius_to_kelvin",
-    "kelvin_to_celsius",
     "clamp",
-    "lerp",
-    "inv_lerp",
     "require_positive",
     "require_non_negative",
     "require_in_range",
-    "almost_equal",
 ]
 
 #: Number of hertz in one gigahertz.
@@ -55,10 +49,6 @@ GHZ: float = 1.0e9
 MHZ: float = 1.0e6
 #: Number of hertz in one kilohertz.
 KHZ: float = 1.0e3
-
-#: Additive offset between Celsius and Kelvin scales.
-CELSIUS_TO_KELVIN_OFFSET: float = 273.15
-
 
 def ghz(value: float) -> float:
     """Convert a frequency given in GHz to Hz.
@@ -107,16 +97,6 @@ def duty_to_percent(duty: float) -> float:
     return float(duty) * 100.0
 
 
-def celsius_to_kelvin(celsius: float) -> float:
-    """Convert a temperature from Celsius to Kelvin."""
-    return float(celsius) + CELSIUS_TO_KELVIN_OFFSET
-
-
-def kelvin_to_celsius(kelvin: float) -> float:
-    """Convert a temperature from Kelvin to Celsius."""
-    return float(kelvin) - CELSIUS_TO_KELVIN_OFFSET
-
-
 def clamp(value: float, low: float, high: float) -> float:
     """Clamp ``value`` into the closed interval ``[low, high]``.
 
@@ -128,28 +108,6 @@ def clamp(value: float, low: float, high: float) -> float:
     if low > high:
         raise ConfigurationError(f"clamp bounds reversed: [{low}, {high}]")
     return max(low, min(high, value))
-
-
-def lerp(a: float, b: float, t: float) -> float:
-    """Linear interpolation between ``a`` and ``b`` at parameter ``t``.
-
-    ``t`` is not clamped; ``t=0`` gives ``a``, ``t=1`` gives ``b``.
-    """
-    return a + (b - a) * t
-
-
-def inv_lerp(a: float, b: float, value: float) -> float:
-    """Inverse of :func:`lerp`: the parameter ``t`` at which ``lerp(a, b, t)
-    == value``.
-
-    Raises
-    ------
-    ConfigurationError
-        If ``a == b`` (the mapping is not invertible).
-    """
-    if a == b:
-        raise ConfigurationError("inv_lerp requires a != b")
-    return (value - a) / (b - a)
 
 
 def require_positive(value: float, name: str) -> float:
@@ -173,8 +131,3 @@ def require_in_range(value: float, low: float, high: float, name: str) -> float:
             f"{name} must be in [{low}, {high}], got {value!r}"
         )
     return float(value)
-
-
-def almost_equal(a: float, b: float, *, rel: float = 1e-9, abs_: float = 1e-12) -> bool:
-    """Floating-point comparison with both relative and absolute tolerance."""
-    return math.isclose(a, b, rel_tol=rel, abs_tol=abs_)

@@ -37,7 +37,6 @@ from .npb import (
     ep_b_4,
     lu_a_4,
     mg_b_4,
-    sp_b_4,
 )
 from .synthetic import (
     SyntheticRank,
@@ -46,7 +45,6 @@ from .synthetic import (
     mixed_thermal_profile,
     sudden_profile,
 )
-from .traces import TraceRank, UtilizationTrace
 
 __all__ = [
     "Segment",
@@ -62,7 +60,6 @@ __all__ = [
     "NpbJob",
     "bt_b_4",
     "lu_a_4",
-    "sp_b_4",
     "cg_b_4",
     "ep_b_4",
     "mg_b_4",
@@ -71,6 +68,4 @@ __all__ = [
     "gradual_profile",
     "jitter_profile",
     "mixed_thermal_profile",
-    "UtilizationTrace",
-    "TraceRank",
 ]

@@ -276,9 +276,3 @@ class Job:
     def finished(self) -> bool:
         """True when every rank has completed."""
         return all(r.finished for r in self.ranks)
-
-    def make_barriers(self, count: int, label_prefix: str = "b") -> List[Barrier]:
-        """Create ``count`` barriers sized for this job's rank count."""
-        return [
-            Barrier(self.n_ranks, f"{label_prefix}{i}") for i in range(count)
-        ]

@@ -47,7 +47,6 @@ __all__ = [
     "NpbJob",
     "bt_b_4",
     "lu_a_4",
-    "sp_b_4",
     "cg_b_4",
     "ep_b_4",
     "mg_b_4",
@@ -243,22 +242,6 @@ def lu_a_4(
             (0.55, 0.63, 1.0),   # heavy sweeps
             (0.45, 0.30, 0.55),  # lighter tail (pipelined wavefronts)
         ),
-    )
-    return NpbJob(params, rng=rng).build()
-
-
-def sp_b_4(rng: Optional[np.random.Generator] = None) -> Job:
-    """NPB SP class B on 4 ranks — an extra workload for examples/ablations.
-
-    Shorter iterations than BT with a higher communication share.
-    """
-    params = NpbParams(
-        name="SP.B.4",
-        n_ranks=4,
-        iterations=320,
-        compute_seconds=0.42,
-        comm_seconds=0.22,
-        comm_utilization=0.15,
     )
     return NpbJob(params, rng=rng).build()
 

@@ -221,7 +221,7 @@ def reference_core_step(core: CpuCore, t: float, dt: float) -> None:
         raise SimulationError(f"core {core.name!r}: non-positive dt {dt!r}")
     core.dvfs.note_time(t)
     stall = core.dvfs.consume_stall(dt)
-    dt_work = (dt - stall) * (1.0 - core._throttle)
+    dt_work = dt - stall
     util_work = 0.0
     if dt_work > 0 and not core._rank.finished:
         util_work = require_in_range(

@@ -1,28 +1,11 @@
-"""Analysis utilities: metrics, tables, summaries."""
+"""Analysis utilities: stabilization time and tables."""
 
 import pytest
 
-from repro.analysis.metrics import (
-    compute_metrics,
-    frequency_residency,
-    stabilization_time,
-)
-from repro.analysis.summarize import compare_runs, summarize_run
+from repro.analysis.metrics import stabilization_time
 from repro.analysis.tables import Table
-from repro.cluster.cluster import Cluster
-from repro.config import ClusterConfig
 from repro.errors import ConfigurationError
 from repro.sim.trace import Trace
-from repro.workloads.base import ComputeSegment, Job, RankProgram
-
-
-@pytest.fixture(scope="module")
-def finished_run():
-    cluster = Cluster(ClusterConfig(n_nodes=1, seed=42))
-    job = Job(
-        [RankProgram([ComputeSegment(2.4e9 * 10)], name="r")], name="mini"
-    )
-    return cluster.run_job(job, timeout=600)
 
 
 class TestStabilizationTime:
@@ -48,44 +31,6 @@ class TestStabilizationTime:
     def test_empty_trace_rejected(self):
         with pytest.raises(ConfigurationError):
             stabilization_time(Trace("t"))
-
-
-class TestFrequencyResidency:
-    def test_single_frequency(self):
-        trace = Trace("f")
-        for i in range(10):
-            trace.append(i * 0.25, 2.4)
-        assert frequency_residency(trace) == {2.4: 1.0}
-
-    def test_mixed(self):
-        trace = Trace("f")
-        for i in range(6):
-            trace.append(i * 0.25, 2.4)
-        for i in range(6, 10):
-            trace.append(i * 0.25, 2.2)
-        res = frequency_residency(trace)
-        assert res[2.4] == pytest.approx(0.6)
-        assert res[2.2] == pytest.approx(0.4)
-
-    def test_empty(self):
-        assert frequency_residency(Trace("f")) == {}
-
-
-class TestComputeMetrics:
-    def test_fields_populated(self, finished_run):
-        m = compute_metrics(finished_run)
-        assert m.execution_time == pytest.approx(
-            finished_run.execution_time
-        )
-        assert m.average_power > 40.0
-        assert m.power_delay_product == pytest.approx(
-            m.average_power * m.execution_time
-        )
-        assert m.freq_changes == 0
-        assert 30.0 < m.mean_temperature < 80.0
-        assert m.max_temperature >= m.mean_temperature
-        assert 0.0 < m.mean_duty <= 1.0
-        assert m.residency == {2.4: 1.0}
 
 
 class TestTable:
@@ -126,20 +71,3 @@ class TestTable:
         table = Table(["x"], formats=[".1f"])
         table.add_row("n/a")  # strings pass through
         assert "n/a" in table.render()
-
-
-class TestSummaries:
-    def test_summarize_run(self, finished_run):
-        text = summarize_run(finished_run)
-        assert "execution time" in text
-        assert "power-delay" in text
-        assert "mini" in text
-
-    def test_compare_runs(self, finished_run):
-        table = compare_runs({"a": finished_run, "b": finished_run})
-        assert table.n_rows == 2
-        assert "a" in table.render()
-
-    def test_compare_runs_empty(self):
-        with pytest.raises(ConfigurationError):
-            compare_runs({})

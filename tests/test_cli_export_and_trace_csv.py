@@ -1,12 +1,8 @@
-"""CLI --export and UtilizationTrace.from_csv round trips."""
+"""CLI --export and the JSON conversion behind it."""
 
 import json
 
-import pytest
-
 from repro.cli import main, to_jsonable
-from repro.errors import ConfigurationError
-from repro.workloads.traces import UtilizationTrace
 
 
 class TestToJsonable:
@@ -65,54 +61,3 @@ class TestCliExport:
         main(["run", "fig2", "--quick"])
         capsys.readouterr()
         assert list(tmp_path.iterdir()) == []
-
-
-class TestTraceFromCsv:
-    def write(self, tmp_path, text):
-        path = tmp_path / "trace.csv"
-        path.write_text(text)
-        return path
-
-    def test_basic_roundtrip(self, tmp_path):
-        path = self.write(tmp_path, "0.0,0.2\n1.0,0.8\n2.0,0.5\n")
-        trace = UtilizationTrace.from_csv(path)
-        assert len(trace) == 3
-        assert trace.utilization_at(1.5) == pytest.approx(0.8)
-
-    def test_header_skipped(self, tmp_path):
-        path = self.write(tmp_path, "time_s,util\n0.0,0.2\n1.0,0.8\n")
-        trace = UtilizationTrace.from_csv(path)
-        assert len(trace) == 2
-
-    def test_percent_normalization(self, tmp_path):
-        path = self.write(tmp_path, "0.0,20\n1.0,85\n")
-        trace = UtilizationTrace.from_csv(path, normalize_percent=True)
-        assert trace.utilization_at(0.0) == pytest.approx(0.20)
-
-    def test_custom_columns(self, tmp_path):
-        path = self.write(tmp_path, "x,0.0,0.3\nx,1.0,0.6\n")
-        trace = UtilizationTrace.from_csv(path, time_column=1, util_column=2)
-        assert trace.utilization_at(1.0) == pytest.approx(0.6)
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = self.write(tmp_path, "")
-        with pytest.raises(ConfigurationError):
-            UtilizationTrace.from_csv(path)
-
-    def test_bad_mid_file_row_rejected(self, tmp_path):
-        path = self.write(tmp_path, "0.0,0.2\nbroken\n")
-        with pytest.raises(ConfigurationError):
-            UtilizationTrace.from_csv(path)
-
-    def test_export_import_roundtrip(self, tmp_path):
-        """A trace exported by analysis.export loads back identically."""
-        from repro.analysis.export import export_trace_csv
-        from repro.sim.trace import Trace
-
-        trace = Trace("util")
-        for i, u in enumerate([0.1, 0.5, 0.9, 0.4]):
-            trace.append(i * 1.0, u)
-        path = export_trace_csv(trace, tmp_path / "u.csv")
-        loaded = UtilizationTrace.from_csv(path)
-        assert len(loaded) == 4
-        assert loaded.utilization_at(2.0) == pytest.approx(0.9)

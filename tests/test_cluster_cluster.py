@@ -139,12 +139,6 @@ class TestGovernorDelivery:
         with pytest.raises(ConfigurationError):
             small_cluster.add_governor(stranger, RecordingGovernor())
 
-    def test_add_governor_per_node(self, small_cluster):
-        govs = small_cluster.add_governor_per_node(
-            lambda node: RecordingGovernor()
-        )
-        assert len(govs) == 2
-
     def test_cannot_attach_after_run(self, small_cluster):
         small_cluster.run_job(short_job())
         with pytest.raises(SimulationError):

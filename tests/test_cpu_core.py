@@ -97,40 +97,3 @@ class TestStallInteraction:
         assert core.utilization == pytest.approx(
             (0.98 * (0.05 - 2e-4) + 2e-4) / 0.05, rel=1e-6
         )
-
-
-class TestThrottle:
-    def test_default_unthrottled(self):
-        assert make_core().throttle == 0.0
-
-    def test_throttle_slows_progress(self):
-        core = make_core()
-        core.set_throttle(0.5)
-        core.bind_rank(RankProgram([ComputeSegment(2.4e9)], name="r"))
-        steps = 0
-        while not core.rank_finished and steps < 200:
-            core.step((steps + 1) * 0.05, 0.05)
-            steps += 1
-        assert steps == 40  # twice the unthrottled 20
-
-    def test_throttle_reduces_utilization(self):
-        core = make_core()
-        core.set_throttle(0.75)
-        core.bind_rank(FixedUtilRank(1.0))
-        core.step(0.05, 0.05)
-        assert core.utilization == pytest.approx(0.25)
-
-    def test_throttle_range(self):
-        core = make_core()
-        with pytest.raises(Exception):
-            core.set_throttle(1.0)
-        with pytest.raises(Exception):
-            core.set_throttle(-0.1)
-
-    def test_throttle_zero_restores(self):
-        core = make_core()
-        core.set_throttle(0.5)
-        core.set_throttle(0.0)
-        core.bind_rank(FixedUtilRank(1.0))
-        core.step(0.05, 0.05)
-        assert core.utilization == pytest.approx(1.0)

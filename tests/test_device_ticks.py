@@ -314,7 +314,7 @@ def test_chip_matches_oracle_over_a_sweep():
 
 @pytest.mark.parametrize("util", (0.0, 1e-9, 0.25, 0.5, 1.0))
 def test_core_and_power_match_oracle_across_pstates(util):
-    """Stall, throttle and every P-state change (plain and ganged DVFS):
+    """Stall and every P-state change (plain and ganged DVFS):
     core state, ``pstate``, ``frequency`` and power match the oracle."""
     for make_dvfs in (
         lambda: Dvfs(ATHLON64_4000),
@@ -328,9 +328,6 @@ def test_core_and_power_match_oracle_across_pstates(util):
             t = 0.05 * (tick + 1)
             new.dvfs.set_index(index, t)
             ref.dvfs.set_index(index, t)
-            if tick == 5:
-                new.set_throttle(0.4)
-                ref.set_throttle(0.4)
             new.step(t, 0.05)
             reference_core_step(ref, t, 0.05)
             assert _state(new) == _state(ref)

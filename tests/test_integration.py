@@ -4,22 +4,17 @@ Each test exercises a realistic end-to-end path through several
 subsystems at once — the kind of wiring mistakes unit tests cannot see.
 """
 
-import pytest
-
 from repro import Cluster, ClusterConfig, Policy
-from repro.analysis.metrics import compute_metrics
 from repro.core.classify import ThermalBehavior, classify_profile
 from repro.governors import (
-    AcpiSleepControl,
     ConstantFanControl,
-    CpuSpeed,
     DynamicFanControl,
     TDvfs,
     TraditionalFanControl,
     hybrid_governors,
 )
 from repro.governors.tdvfs import TDvfsParams
-from repro.workloads import bt_b_4, cpu_burn_session, sp_b_4
+from repro.workloads import bt_b_4, cpu_burn_session
 from repro.workloads.synthetic import sudden_profile
 
 
@@ -72,33 +67,6 @@ class TestFullStackScenarios:
             >= result.traces["node3.duty"].mean()
         )
 
-    def test_three_technique_node(self):
-        """Fan + DVFS + sleep states coexisting on one node under a
-        shared policy — the full unification story."""
-        cluster = Cluster(ClusterConfig(n_nodes=1, seed=5))
-        node = cluster.nodes[0]
-        policy = Policy(pp=50)
-        cluster.add_governor(
-            node,
-            DynamicFanControl(
-                node.make_fan_driver(max_duty=0.25), policy, events=cluster.events
-            ),
-        )
-        cluster.add_governor(
-            node, TDvfs(node.dvfs, policy, events=cluster.events)
-        )
-        cluster.add_governor(
-            node, AcpiSleepControl(node.core, policy, events=cluster.events)
-        )
-        job = cpu_burn_session(
-            instances=1, burn_duration=120.0, gap_duration=0.0,
-            rng=cluster.rngs.stream("burn"), warmup=5.0,
-        )
-        result = cluster.run_job(job, timeout=3600)
-        # all three must have acted on this deliberately hot setup
-        assert result.traces["node0.duty"].max() > 0.2
-        assert result.events.count("ctrl.mode.sleep") >= 1
-
     def test_sensor_trace_classifiable(self):
         """The recorded sensor trace feeds straight into the classifier."""
         cluster = Cluster(ClusterConfig(n_nodes=1, seed=9))
@@ -111,28 +79,6 @@ class TestFullStackScenarios:
         temp = result.traces["node0.temp"]
         fractions = classify_profile(temp.times, temp.values)
         assert fractions[ThermalBehavior.SUDDEN] > 0.0
-
-    def test_metrics_pipeline(self):
-        cluster = Cluster(ClusterConfig(n_nodes=2, seed=11))
-        for node in cluster.nodes:
-            cluster.add_governor(node, CpuSpeed(node.core, events=cluster.events))
-        job = sp_b_4(rng=cluster.rngs.stream("wl"))
-        job.ranks = job.ranks[:2]
-        # rebuild with 2 ranks to match the cluster
-        from repro.workloads.npb import NpbJob, NpbParams
-
-        params = NpbParams(
-            name="SP-mini",
-            n_ranks=2,
-            iterations=40,
-            compute_seconds=0.42,
-            comm_seconds=0.22,
-        )
-        job = NpbJob(params, rng=cluster.rngs.stream("wl2")).build()
-        result = cluster.run_job(job, timeout=3600)
-        metrics = compute_metrics(result, node=0)
-        assert metrics.freq_changes == result.dvfs_change_count(0)
-        assert sum(metrics.residency.values()) == pytest.approx(1.0)
 
     def test_tdvfs_parameters_flow_through(self):
         """Custom thresholds reach the daemon through the whole stack."""

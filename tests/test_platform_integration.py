@@ -29,11 +29,10 @@ from repro.experiments.platform import (
     WORKLOAD_REGISTRY,
     attach_hybrid,
     platform_policy,
-    standard_cluster,
 )
 from repro.fastpath.batch import run_jobs_batch
 from repro.platform import PLATFORM_REGISTRY, resolve_platform
-from repro.runtime import RunExecutor, RunSpec
+from repro.runtime import DEFAULT_SEED, RunExecutor, RunSpec
 from repro.runtime.execute import execute_spec
 from tests.reference_engine import reference_result
 from tests.test_result_pins import PLATFORM_EXPERIMENTS, quick_specs
@@ -55,6 +54,18 @@ def platform_spec_of(name: str, **overrides) -> RunSpec:
     return RunSpec.of("bt_b_4", **kwargs)
 
 
+def platform_cluster(n_nodes: int, platform=None) -> Cluster:
+    """``n_nodes`` §4.1 chassis carrying ``platform``'s silicon (or the
+    default Athlon64), configured as ``execute_spec`` configures them."""
+    if platform is None:
+        return Cluster(ClusterConfig(n_nodes=n_nodes, seed=DEFAULT_SEED))
+    spec = resolve_platform(platform)
+    return Cluster(
+        ClusterConfig(n_nodes=n_nodes, seed=DEFAULT_SEED, node=spec.node_config()),
+        platform=spec,
+    )
+
+
 def ladder(points) -> PStateTable:
     return PStateTable([PState(frequency=f, voltage=v) for f, v in points])
 
@@ -68,10 +79,10 @@ def test_multicore_node_requires_floorplan() -> None:
 
 
 def test_cluster_picks_node_class_from_floorplan() -> None:
-    classic = standard_cluster(n_nodes=1)
+    classic = platform_cluster(1)
     assert type(classic.nodes[0]) is Node
     assert classic.platform is None
-    multi = standard_cluster(n_nodes=1, platform="multicore_8c_45nm")
+    multi = platform_cluster(1, "multicore_8c_45nm")
     node = multi.nodes[0]
     assert type(node) is MulticoreNode
     assert node.package.n_cores == 8
@@ -79,7 +90,7 @@ def test_cluster_picks_node_class_from_floorplan() -> None:
 
 
 def test_heterogeneous_node_wires_one_domain_per_class() -> None:
-    cluster = standard_cluster(n_nodes=1, platform="biglittle_4p4e")
+    cluster = platform_cluster(1, "biglittle_4p4e")
     node = cluster.nodes[0]
     spec = resolve_platform("biglittle_4p4e")
     assert isinstance(node.dvfs, GangedDvfs)
@@ -96,7 +107,7 @@ def test_heterogeneous_node_wires_one_domain_per_class() -> None:
 def test_package_sensor_reports_hottest_core() -> None:
     """A per-package diode reports max over cores; the node's noiseless
     sensor must agree with it through the whole stack."""
-    cluster = standard_cluster(n_nodes=1, platform="multicore_8c_45nm")
+    cluster = platform_cluster(1, "multicore_8c_45nm")
     node = cluster.nodes[0]
     # Heat core 5 hard, everything else lightly: an on-chip hotspot.
     powers = [2.0] * node.package.n_cores
@@ -118,7 +129,7 @@ def test_control_loop_converges_on_platform(name) -> None:
     """The full hybrid stack holds every registered N-core part inside
     its own safe band on the quick BT run: no THERMTRIP, no PROCHOT,
     die settles at or below the platform's t_max."""
-    cluster = standard_cluster(n_nodes=4, platform=name)
+    cluster = platform_cluster(4, name)
     attach_hybrid(cluster, pp=50)
     job = WORKLOAD_REGISTRY["bt_b_4"](cluster, iterations=40)
     result = cluster.run_job(job)
@@ -160,7 +171,7 @@ def test_ganged_dvfs_propagates_only_real_changes() -> None:
 
 
 def test_prochot_slams_every_class_to_its_floor() -> None:
-    cluster = standard_cluster(n_nodes=1, platform="biglittle_4p4e")
+    cluster = platform_cluster(1, "biglittle_4p4e")
     node = cluster.nodes[0]
     node.dvfs.set_index(len(node.dvfs.table) - 1, 0.0)
     for domain in node.domains:
@@ -170,7 +181,7 @@ def test_prochot_slams_every_class_to_its_floor() -> None:
 def test_follower_events_do_not_pollute_lead_source() -> None:
     """Table-1 change counts filter on source ``node<i>.dvfs``; the
     per-class follower domains must emit under their own names."""
-    cluster = standard_cluster(n_nodes=1, platform="biglittle_4p4e")
+    cluster = platform_cluster(1, "biglittle_4p4e")
     node = cluster.nodes[0]
     node.dvfs.set_index(3, 1.0)
     sources = {

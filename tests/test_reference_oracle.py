@@ -4,9 +4,11 @@ The oracle (``tests/reference_engine.py``) computes a spec's result one
 tick at a time and returns its canonical bytes.  Here the engine's
 bytes must equal them over one seeded corpus:
 
-* every distinct quick experiment spec on the default platform, and the
-  fig7/table1/fig10 quick specs on ``biglittle_4p4e`` and
-  ``multicore_8c_45nm``: the runs ``tests/test_result_pins.py`` pins,
+* every distinct quick experiment spec on the default platform, the
+  fig6/fig7/table1/fig10 quick specs on ``biglittle_4p4e`` (fig6's
+  auto-mode fan reads the hottest core's diode) and the
+  fig7/table1/fig10 ones on ``multicore_8c_45nm``: the runs
+  ``tests/test_result_pins.py`` pins,
   from one grouped ``RunExecutor.map`` (the ``fan_fail`` fault specs of
   ``emergency`` among them);
 * one telemetry-on spec per experiment, and the quick specs of the two

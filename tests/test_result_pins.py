@@ -1,9 +1,9 @@
 """Result pins: the summary and canonical bytes of every quick spec.
 
 Three sets of runs are pinned: every distinct quick experiment spec on
-the default platform, and the fig7/table1/fig10 quick specs on
-``biglittle_4p4e`` (two core classes) and on ``multicore_8c_45nm``
-(one homogeneous eight-core class).  Each pin is a pair of sha256
+the default platform, the fig6/fig7/table1/fig10 quick specs on
+``biglittle_4p4e`` (two core classes), and the fig7/table1/fig10 ones on
+``multicore_8c_45nm`` (one homogeneous eight-core class).  Each pin is a pair of sha256
 digests:
 
 * ``summary_bytes(spec, result)`` — the served wire form.  These were
@@ -180,6 +180,18 @@ DEFAULT_PINS = {
 }
 
 BIGLITTLE_PINS = {
+    "fig6[0]": (
+        "9cfaf43ee50d4ec0feac08a0e12ff56cfc01f2caf3bdd9511015cb274b74ca98",
+        "32b04ef02f707d4a2f6614ce3d51cb1a63bf26c7ac98c059c382a09820742b12",
+    ),
+    "fig6[1]": (
+        "fee46a25acf8af3f36a78e630e34c0614871b5d5e99e31e61977e3747604ebb0",
+        "19635efb4791044c1273333dccd8e275e16e04e033ffcc3aa1a1e35577600999",
+    ),
+    "fig6[2]": (
+        "4d518fa8816ec7b689d6ed7d030ee30b8263101bf09e061545c4368eb644ed89",
+        "86ad507ca104d7c542e6c1c76302c32c4ff0d1aed6ed884e715715d38e1dd711",
+    ),
     "fig7[0]": (
         "512e45b1882e3d075403ad601da32d956d793568edf58ccf0f3924faa8f4027d",
         "c959691247d8067556b8b5e9a190af5c669df446b7e118699d07d1bdd5c32baa",
@@ -187,10 +199,6 @@ BIGLITTLE_PINS = {
     "fig7[1]": (
         "aec4777ce901d822fd125291f305c85a079733d9ffd6675293eecd300cfd2bb3",
         "32df4e748e88b0a427fad6501c12e4d94cfa6bf70fbfd9ba58ffb9a787502dab",
-    ),
-    "fig7[2]": (
-        "fee46a25acf8af3f36a78e630e34c0614871b5d5e99e31e61977e3747604ebb0",
-        "19635efb4791044c1273333dccd8e275e16e04e033ffcc3aa1a1e35577600999",
     ),
     "fig7[3]": (
         "04d0a66f677eb84d947aa7b912f775825c61c65ec6181d3d1b392141dbb2df67",
@@ -291,9 +299,14 @@ MULTICORE_8C_PINS = {
 
 PLATFORM_EXPERIMENTS = ("fig7", "table1", "fig10")
 
+#: fig6 adds the auto-mode traditional fan, the one corpus rig whose
+#: duty follows the chip's remote diode (the package's hottest core).
+#: Its dynamic-fan spec is fig7's third, so it takes the label fig6[1].
+BIGLITTLE_EXPERIMENTS = ("fig6", *PLATFORM_EXPERIMENTS)
+
 PLATFORMS = {
     "default": (None, None, DEFAULT_PINS),
-    "biglittle_4p4e": ("biglittle_4p4e", PLATFORM_EXPERIMENTS, BIGLITTLE_PINS),
+    "biglittle_4p4e": ("biglittle_4p4e", BIGLITTLE_EXPERIMENTS, BIGLITTLE_PINS),
     "multicore_8c_45nm": (
         "multicore_8c_45nm", PLATFORM_EXPERIMENTS, MULTICORE_8C_PINS
     ),
@@ -335,7 +348,8 @@ def pin_version():
 def test_the_pinned_sets_are_every_quick_spec():
     assert len(quick_specs()) == len(DEFAULT_PINS) == 34
     for key in ("biglittle_4p4e", "multicore_8c_45nm"):
-        assert len(quick_specs(PLATFORM_EXPERIMENTS)) == len(PLATFORMS[key][2])
+        _platform, names, pins = PLATFORMS[key]
+        assert len(quick_specs(names)) == len(pins)
 
 
 @pytest.mark.parametrize("key", sorted(PLATFORMS))

@@ -1,15 +1,9 @@
-"""Ambient models: constants, drift, rack recirculation."""
-
-import math
+"""The constant ambient model."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.thermal.ambient import (
-    ConstantAmbient,
-    RackAmbient,
-    SinusoidalAmbient,
-)
+from repro.thermal.ambient import ConstantAmbient
 
 
 class TestConstantAmbient:
@@ -23,54 +17,3 @@ class TestConstantAmbient:
     def test_time_invariant(self):
         amb = ConstantAmbient(28.0)
         assert amb.temperature(0.0) == amb.temperature(9999.0)
-
-
-class TestSinusoidalAmbient:
-    def test_mean_at_zero_phase_zero_time(self):
-        amb = SinusoidalAmbient(mean=28.0, amplitude=2.0, period=600.0)
-        assert amb.temperature(0.0) == pytest.approx(28.0)
-
-    def test_peak_at_quarter_period(self):
-        amb = SinusoidalAmbient(mean=28.0, amplitude=2.0, period=600.0)
-        assert amb.temperature(150.0) == pytest.approx(30.0)
-
-    def test_periodicity(self):
-        amb = SinusoidalAmbient(mean=28.0, amplitude=1.5, period=100.0)
-        assert amb.temperature(37.0) == pytest.approx(amb.temperature(137.0))
-
-    def test_phase(self):
-        amb = SinusoidalAmbient(mean=0.0, amplitude=1.0, period=2 * math.pi, phase=math.pi / 2)
-        assert amb.temperature(0.0) == pytest.approx(1.0)
-
-    def test_bad_period(self):
-        with pytest.raises(ConfigurationError):
-            SinusoidalAmbient(period=0.0)
-
-    def test_negative_amplitude_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SinusoidalAmbient(amplitude=-1.0)
-
-
-class TestRackAmbient:
-    def test_no_recirculation_is_inlet(self):
-        amb = RackAmbient(inlet=26.0, kappa=0.01)
-        assert amb.temperature(0.0) == 26.0
-
-    def test_recirculated_power_raises_inlet(self):
-        amb = RackAmbient(inlet=26.0, kappa=0.01)
-        amb.set_recirculated_power(500.0)
-        assert amb.temperature(0.0) == pytest.approx(31.0)
-
-    def test_power_readback(self):
-        amb = RackAmbient()
-        amb.set_recirculated_power(123.0)
-        assert amb.recirculated_power == 123.0
-
-    def test_negative_recirculation_rejected(self):
-        amb = RackAmbient()
-        with pytest.raises(ConfigurationError):
-            amb.set_recirculated_power(-1.0)
-
-    def test_negative_kappa_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RackAmbient(kappa=-0.1)

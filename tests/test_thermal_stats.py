@@ -1,15 +1,8 @@
-"""Thermal-stress / reliability statistics."""
+"""Thermal-stress statistics: the degree-seconds integral."""
 
-import numpy as np
 import pytest
 
-from repro.analysis.thermal_stats import (
-    arrhenius_acceleration,
-    degree_seconds_above,
-    thermal_cycles,
-    time_above,
-)
-from repro.errors import ConfigurationError
+from repro.analysis.thermal_stats import degree_seconds_above
 from repro.sim.trace import Trace
 
 
@@ -18,26 +11,6 @@ def make_trace(values, dt=1.0):
     for i, v in enumerate(values):
         trace.append(i * dt, v)
     return trace
-
-
-class TestTimeAbove:
-    def test_all_below(self):
-        assert time_above(make_trace([40.0] * 10), 50.0) == 0.0
-
-    def test_all_above(self):
-        trace = make_trace([60.0] * 10)
-        assert time_above(trace, 50.0) == pytest.approx(10.0)
-
-    def test_partial(self):
-        trace = make_trace([40.0] * 5 + [60.0] * 5)
-        assert time_above(trace, 50.0) == pytest.approx(5.0)
-
-    def test_empty(self):
-        assert time_above(Trace("t"), 50.0) == 0.0
-
-    def test_threshold_inclusive(self):
-        trace = make_trace([50.0, 50.0])
-        assert time_above(trace, 50.0) == pytest.approx(2.0)
 
 
 class TestDegreeSeconds:
@@ -53,56 +26,3 @@ class TestDegreeSeconds:
         mild = degree_seconds_above(make_trace([52.0] * 10), 50.0)
         harsh = degree_seconds_above(make_trace([58.0] * 10), 50.0)
         assert harsh == pytest.approx(4 * mild)
-
-
-class TestArrhenius:
-    def test_reference_temperature_is_unity(self):
-        trace = make_trace([45.0] * 20)
-        assert arrhenius_acceleration(trace, reference_celsius=45.0) == pytest.approx(1.0)
-
-    def test_hotter_ages_faster(self):
-        hot = arrhenius_acceleration(make_trace([65.0] * 20))
-        cool = arrhenius_acceleration(make_trace([45.0] * 20))
-        assert hot > cool
-
-    def test_roughly_doubles_per_decade_at_0p7ev(self):
-        """The classic rule of thumb: ~2x per 10 K near 50 °C."""
-        base = arrhenius_acceleration(make_trace([45.0] * 5), 45.0)
-        plus10 = arrhenius_acceleration(make_trace([55.0] * 5), 45.0)
-        assert plus10 / base == pytest.approx(2.0, rel=0.15)
-
-    def test_activation_energy_validated(self):
-        with pytest.raises(ConfigurationError):
-            arrhenius_acceleration(make_trace([50.0]), activation_energy_ev=0.0)
-
-    def test_empty_trace(self):
-        assert arrhenius_acceleration(Trace("t")) == 1.0
-
-
-class TestThermalCycles:
-    def test_no_excursions(self):
-        assert thermal_cycles(make_trace([40.0] * 20), 50.0) == 0
-
-    def test_single_excursion(self):
-        trace = make_trace([40.0] * 5 + [55.0] * 5 + [40.0] * 5)
-        assert thermal_cycles(trace, 50.0) == 1
-
-    def test_multiple_excursions(self):
-        pattern = [40.0] * 3 + [55.0] * 3
-        trace = make_trace(pattern * 4)
-        assert thermal_cycles(trace, 50.0) == 4
-
-    def test_hysteresis_suppresses_chatter(self):
-        # wobbles around the threshold stay one excursion with a wide band
-        values = [49.6, 50.2, 49.7, 50.3, 49.8, 50.1]
-        assert thermal_cycles(make_trace(values), 50.0, hysteresis=1.0) == 1
-        # a tight band counts each recrossing
-        assert thermal_cycles(make_trace(values), 50.0, hysteresis=0.1) == 3
-
-    def test_hysteresis_validated(self):
-        with pytest.raises(ConfigurationError):
-            thermal_cycles(make_trace([50.0]), 50.0, hysteresis=0.0)
-
-    def test_ongoing_excursion_counts(self):
-        trace = make_trace([40.0] * 5 + [60.0] * 5)  # never comes back
-        assert thermal_cycles(trace, 50.0) == 1

@@ -6,15 +6,10 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.units import (
-    almost_equal,
-    celsius_to_kelvin,
     clamp,
     duty_from_percent,
     duty_to_percent,
     ghz,
-    inv_lerp,
-    kelvin_to_celsius,
-    lerp,
     require_in_range,
     require_non_negative,
     require_positive,
@@ -56,18 +51,7 @@ class TestDuty:
             duty_to_percent(1.5)
 
 
-class TestTemperature:
-    def test_celsius_to_kelvin(self):
-        assert celsius_to_kelvin(0.0) == pytest.approx(273.15)
-
-    def test_kelvin_to_celsius(self):
-        assert kelvin_to_celsius(373.15) == pytest.approx(100.0)
-
-    def test_roundtrip(self):
-        assert kelvin_to_celsius(celsius_to_kelvin(51.0)) == pytest.approx(51.0)
-
-
-class TestClampLerp:
+class TestClamp:
     def test_clamp_inside(self):
         assert clamp(5.0, 0.0, 10.0) == 5.0
 
@@ -80,25 +64,6 @@ class TestClampLerp:
     def test_clamp_reversed_bounds(self):
         with pytest.raises(ConfigurationError):
             clamp(5.0, 10.0, 0.0)
-
-    def test_lerp_endpoints(self):
-        assert lerp(2.0, 8.0, 0.0) == 2.0
-        assert lerp(2.0, 8.0, 1.0) == 8.0
-
-    def test_lerp_midpoint(self):
-        assert lerp(2.0, 8.0, 0.5) == pytest.approx(5.0)
-
-    def test_inv_lerp(self):
-        assert inv_lerp(2.0, 8.0, 5.0) == pytest.approx(0.5)
-
-    def test_inv_lerp_degenerate(self):
-        with pytest.raises(ConfigurationError):
-            inv_lerp(3.0, 3.0, 3.0)
-
-    def test_lerp_inv_lerp_roundtrip(self):
-        t = inv_lerp(38.0, 82.0, 51.0)
-        assert lerp(38.0, 82.0, t) == pytest.approx(51.0)
-
 
 class TestValidators:
     def test_require_positive_accepts(self):
@@ -136,14 +101,3 @@ class TestValidators:
     def test_require_in_range_rejects_nan(self):
         with pytest.raises(ConfigurationError):
             require_in_range(math.nan, 0.0, 1.0, "x")
-
-
-class TestAlmostEqual:
-    def test_equal(self):
-        assert almost_equal(1.0, 1.0)
-
-    def test_close(self):
-        assert almost_equal(1.0, 1.0 + 1e-12)
-
-    def test_not_close(self):
-        assert not almost_equal(1.0, 1.001)

@@ -1,5 +1,4 @@
-"""Concrete workloads: cpu-burn, NPB-like jobs, synthetic profiles,
-trace replay."""
+"""Concrete workloads: cpu-burn, NPB-like jobs, synthetic profiles."""
 
 import numpy as np
 import pytest
@@ -7,14 +6,13 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.workloads.base import Job
 from repro.workloads.cpuburn import CpuBurn, cpu_burn_session
-from repro.workloads.npb import NpbJob, NpbParams, bt_b_4, lu_a_4, sp_b_4
+from repro.workloads.npb import NpbJob, NpbParams, bt_b_4, lu_a_4
 from repro.workloads.synthetic import (
     gradual_profile,
     jitter_profile,
     mixed_thermal_profile,
     sudden_profile,
 )
-from repro.workloads.traces import TraceRank, UtilizationTrace
 
 FREQ = 2.4e9
 
@@ -128,9 +126,8 @@ class TestNpbJob:
         t_clean = drive(clean, dt=0.005)
         assert t_noisy != pytest.approx(t_clean, abs=1e-9)
 
-    def test_lu_and_sp_builders(self):
+    def test_lu_builder(self):
         assert lu_a_4(iterations=4).n_ranks == 4
-        assert sp_b_4().name == "SP.B.4"
 
     def test_frequency_stretches_execution(self):
         fast = drive(bt_b_4(iterations=5), freq=2.4e9)
@@ -163,34 +160,3 @@ class TestSynthetic:
         job = mixed_thermal_profile(duration=10.0).build()
         elapsed = drive(job)
         assert elapsed == pytest.approx(10.0, abs=0.1)
-
-
-class TestTraceWorkload:
-    def test_trace_validation(self):
-        with pytest.raises(ConfigurationError):
-            UtilizationTrace([0.0, 0.0], [0.5, 0.5])  # non-increasing times
-        with pytest.raises(ConfigurationError):
-            UtilizationTrace([0.0, 1.0], [0.5, 1.5])  # util > 1
-        with pytest.raises(ConfigurationError):
-            UtilizationTrace([], [])
-
-    def test_step_function_semantics(self):
-        trace = UtilizationTrace([0.0, 10.0, 20.0], [0.2, 0.8, 0.4])
-        assert trace.utilization_at(5.0) == 0.2
-        assert trace.utilization_at(10.0) == 0.8
-        assert trace.utilization_at(15.0) == 0.8
-        assert trace.utilization_at(25.0) == 0.4  # clamps past end
-
-    def test_clamps_before_start(self):
-        trace = UtilizationTrace([1.0, 2.0], [0.3, 0.6])
-        assert trace.utilization_at(0.0) == 0.3
-
-    def test_replay_duration(self):
-        trace = UtilizationTrace([0.0, 5.0], [1.0, 1.0])
-        job = TraceRank(trace, tail=1.0).build()
-        assert drive(job) == pytest.approx(6.0, abs=0.1)
-
-    def test_len_and_duration(self):
-        trace = UtilizationTrace([0.0, 5.0], [1.0, 0.0])
-        assert len(trace) == 2
-        assert trace.duration == 5.0
