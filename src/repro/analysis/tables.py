@@ -83,8 +83,3 @@ class Table:
 
     def __str__(self) -> str:
         return self.render()
-
-    @property
-    def n_rows(self) -> int:
-        """Number of data rows added so far."""
-        return len(self._rows)

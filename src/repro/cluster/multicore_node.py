@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from operator import attrgetter
-from typing import Callable, List, Tuple
+from typing import Callable, Tuple
 
 from ..config import NodeConfig
 from ..cpu.core import CpuCore
@@ -106,17 +106,11 @@ class MulticoreNode(Node):
             for _ in range(cls.count)
         )
 
-    # -- observables -----------------------------------------------------
-
-    def core_powers(self) -> List[float]:
-        """Per-core power over the last tick, W (floorplan order)."""
-        return list(self.package._powers)
-
     # -- dynamics ----------------------------------------------------------
 
     def _package_io(self) -> Tuple[Callable[[], float], Callable[[bool], None]]:
         """The diode reads the hottest core; ``io`` writes per-core class
-        powers at each core's temperature, summed into :attr:`cpu_power`,
+        powers at each core's temperature, summed into ``_cpu_power``,
         into the package and its network (a negative or NaN one raises
         through :meth:`MulticorePackage.set_core_power
         <repro.thermal.multicore.MulticorePackage.set_core_power>`).

@@ -6,9 +6,8 @@ dependency order:
 1. **CPU core** — runs the bound workload rank at the current DVFS
    frequency; yields utilization.
 2. **CPU power** — from P-state, utilization and die temperature.
-3. **Fan chip** — the ADT7467 ingests the thermal-diode temperature and
-   tach; in auto mode it recomputes its PWM output (hardware static
-   control).
+3. **Fan chip** — the ADT7467 ingests the thermal-diode temperature;
+   in auto mode it recomputes its PWM output (hardware static control).
 4. **Fan motor** — rotor tracks the chip's PWM with inertia; aero maps
    RPM to airflow and fan power.
 5. **Thermal package** — die/heatsink RC network integrates under the
@@ -32,7 +31,6 @@ from ..cpu.core import CpuCore, RankInterface
 from ..cpu.dvfs import Dvfs
 from ..cpu.power import CpuPowerModel
 from ..fan.adt7467 import ADT7467
-from ..fan.aero import FanAero
 from ..fan.driver import FanDriver
 from ..fan.motor import FanMotor
 from ..i2c.bus import I2cBus
@@ -144,31 +142,6 @@ class Node(Component):
         return self.package.die_temperature
 
     @property
-    def cpu_power(self) -> float:
-        """CPU power over the last tick, W."""
-        return self._cpu_power
-
-    @property
-    def wall_power(self) -> float:
-        """Wall power over the last tick, W."""
-        return self._wall_power
-
-    @property
-    def fan_duty(self) -> float:
-        """PWM duty currently commanded to the fan motor."""
-        return self.fan_motor.duty
-
-    @property
-    def fan_rpm(self) -> float:
-        """Current fan speed, RPM."""
-        return self.fan_motor.rpm
-
-    @property
-    def prochot_active(self) -> bool:
-        """True while the hardware thermal throttle is asserted."""
-        return self._prochot
-
-    @property
     def is_shutdown(self) -> bool:
         """True once THERMTRIP has powered the node off."""
         return self._shutdown
@@ -178,12 +151,6 @@ class Node(Component):
         self.fan_motor.fail()
         if self._events is not None:
             self._events.emit(t, "hw.fan_failure", self.name)
-
-    def repair_fan(self, t: float = 0.0) -> None:
-        """Hot-swap the failed fan."""
-        self.fan_motor.repair()
-        if self._events is not None:
-            self._events.emit(t, "hw.fan_repair", self.name)
 
     # -- hardware thermal protection ----------------------------------------
 
@@ -224,7 +191,7 @@ class Node(Component):
         Returns ``(diode, io)``.  ``diode()`` is the remote-diode reading
         protection and the fan chip see: the die's temperature.
         ``io(on)`` sets the CPU power at the die's temperature (0 W when
-        off) as :attr:`cpu_power` and in the package and its network,
+        off) as ``_cpu_power`` and in the package and its network,
         raising through :meth:`CpuPackage.set_power` if negative or NaN.
         Subclasses override only this."""
         package = self.package
@@ -347,9 +314,9 @@ class Node(Component):
                     dvfs.set_index(last_pstate, t)
                 core_step(t, dt)
             package_io(on)
-            # the fan chip ingests measurements; auto mode updates its
-            # PWM, and the rotor tracks it
-            chip_update(die, amb_node.temperature, motor._rpm)
+            # the fan chip ingests the diode reading; auto mode updates
+            # its PWM, and the rotor tracks it
+            chip_update(die)
             motor_set_duty(fan_chip.commanded_duty)
             motor_step(t, dt)
             airflow = aero_airflow(motor._rpm)

@@ -42,16 +42,6 @@ class PowerMeter:
         self._peak = max(self._peak, power_watts)
 
     @property
-    def last_power(self) -> float:
-        """Most recent instantaneous wall power, W."""
-        return self._last_power
-
-    @property
-    def peak_power(self) -> float:
-        """Highest instantaneous power observed, W."""
-        return self._peak
-
-    @property
     def energy_joules(self) -> float:
         """Total energy since construction (or reset), J."""
         return self._energy

@@ -131,22 +131,9 @@ class ThermalControlArray:
             )
         return self.modes[self._slot_mode_pos[slot]]
 
-    def mode_position(self, slot: int) -> int:
-        """Index into the physical mode set of the value at ``slot``."""
-        if not 0 <= slot < self.size:
-            raise IndexError(
-                f"slot {slot} out of range [0, {self.size - 1}]"
-            )
-        return self._slot_mode_pos[slot]
-
     def values(self) -> List[Any]:
         """All slot values, in slot order."""
         return [self.modes[p] for p in self._slot_mode_pos]
-
-    @property
-    def pinned_slots(self) -> int:
-        """Number of slots pinned at the most effective mode."""
-        return self.size - (self.n_p - 1)
 
     def slot_for_mode(self, mode: Any) -> int:
         """The lowest slot whose value is nearest to ``mode``.
@@ -187,14 +174,6 @@ class ThermalControlArray:
             if self._slot_mode_pos[s] != current:
                 return s
         return slot
-
-    def is_monotone(self) -> bool:
-        """True when slot values are non-descending in effectiveness.
-
-        Holds by construction; exposed for the property-based tests.
-        """
-        pos = self._slot_mode_pos
-        return all(a <= b for a, b in zip(pos, pos[1:]))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -194,11 +194,6 @@ class UnifiedThermalController:
     # -- introspection ------------------------------------------------------
 
     @property
-    def current_slot(self) -> int:
-        """The controller's current 0-based slot."""
-        return self.state.slot
-
-    @property
     def current_mode(self):
         """The mode value at the current slot."""
         return self.array[self.state.slot]

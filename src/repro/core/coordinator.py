@@ -77,11 +77,6 @@ class Coordinator:
         self._techniques.append((label, sink, cost_rank))
         self._techniques.sort(key=lambda item: item[2])
 
-    @property
-    def techniques(self) -> List[str]:
-        """Registered technique labels, cheapest first."""
-        return [label for label, _, _ in self._techniques]
-
     def on_sample(self, t: float, temperature: float) -> None:
         """Deliver one sensor sample to every technique, cheapest first."""
         for _, sink, _ in self._techniques:

@@ -17,7 +17,7 @@ platform: 38–82 °C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import PolicyError
 
@@ -62,21 +62,9 @@ class Policy:
             )
 
     @property
-    def aggressiveness(self) -> float:
-        """Normalized aggressiveness in [0, 1]: 1 = most aggressive.
-
-        (Inverse of the raw scale: small ``P_p`` is aggressive.)
-        """
-        return 1.0 - (self.pp - self.p_min) / (self.p_max - self.p_min)
-
-    @property
     def temperature_span(self) -> float:
         """Width of the safe band, K."""
         return self.t_max - self.t_min
-
-    def with_pp(self, pp: int) -> "Policy":
-        """Same policy with a different aggressiveness value."""
-        return replace(self, pp=pp)
 
     def scale_coefficient(self, array_size: int) -> float:
         """The paper's ``c = (N−1)/(t_max − t_min)`` for an N-slot array."""

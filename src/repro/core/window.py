@@ -100,19 +100,9 @@ class TwoLevelWindow:
         self._samples = 0
 
     @property
-    def rounds(self) -> int:
-        """Completed level-one rounds so far."""
-        return self._rounds
-
-    @property
     def samples(self) -> int:
         """Total samples pushed so far."""
         return self._samples
-
-    @property
-    def l1_fill(self) -> int:
-        """Samples currently in the (partial) level-one array."""
-        return len(self._l1)
 
     @property
     def l2_values(self) -> Tuple[float, ...]:

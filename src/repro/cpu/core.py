@@ -16,7 +16,7 @@ the thermal package.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
+from typing import Protocol
 
 from ..errors import SimulationError
 from ..sim.marker import coldpath, hotpath
@@ -96,11 +96,6 @@ class CpuCore:
         return self._busy_seconds
 
     @property
-    def elapsed_seconds(self) -> float:
-        """Cumulative stepped time, seconds."""
-        return self._elapsed
-
-    @property
     def retired_cycles(self) -> float:
         """Approximate work retired so far, in CPU cycles.
 
@@ -109,11 +104,6 @@ class CpuCore:
         each control strategy salvaged, independent of wall time.
         """
         return self._retired_cycles
-
-    @property
-    def rank_finished(self) -> bool:
-        """True when the bound rank has completed its program."""
-        return self._rank.finished
 
     @coldpath
     def _reject_dt(self, dt: float) -> None:

@@ -78,16 +78,6 @@ class Dvfs:
         """Current core clock in Hz."""
         return self._pstate.frequency
 
-    @property
-    def change_count(self) -> int:
-        """Total number of P-state transitions so far."""
-        return self._change_count
-
-    @property
-    def stalled_fraction_pending(self) -> float:
-        """Seconds of pipeline stall not yet consumed by :meth:`consume_stall`."""
-        return self._stall_remaining
-
     # -- actuation ------------------------------------------------------------
 
     def set_index(self, index: int, t: Optional[float] = None) -> bool:
@@ -125,20 +115,10 @@ class Dvfs:
             )
         return True
 
-    def set_frequency(self, frequency: float, t: Optional[float] = None) -> bool:
-        """Switch to the P-state with the given frequency (Hz)."""
-        return self.set_index(self.table.index_of_frequency(frequency), t)
-
     def step_down(self, t: Optional[float] = None) -> bool:
         """Move one P-state slower, if possible; returns True on change."""
         if self._index + 1 < len(self.table):
             return self.set_index(self._index + 1, t)
-        return False
-
-    def step_up(self, t: Optional[float] = None) -> bool:
-        """Move one P-state faster, if possible; returns True on change."""
-        if self._index > 0:
-            return self.set_index(self._index - 1, t)
         return False
 
     # -- time ------------------------------------------------------------

@@ -79,22 +79,6 @@ class CpuPowerModel:
     def __init__(self, params: PowerParams | None = None) -> None:
         self.params = params if params is not None else PowerParams()
 
-    def dynamic_power(self, pstate: PState, utilization: float) -> float:
-        """Switching power ``u · C_eff · V² · f`` in watts."""
-        u = require_in_range(utilization, 0.0, 1.0, "utilization")
-        return u * self.params.c_eff * pstate.voltage**2 * pstate.frequency
-
-    def leakage_power(self, pstate: PState, die_temperature: float) -> float:
-        """Leakage in watts at the given voltage and die temperature.
-
-        Scales linearly with ``V/V_ref`` (a mild simplification of the
-        V·I_sub dependence) and exponentially with temperature.
-        """
-        p = self.params
-        v_scale = pstate.voltage / p.v_ref
-        t_scale = math.exp(p.leak_temp_scale * (die_temperature - p.t_ref))
-        return p.leak_ref * v_scale * t_scale
-
     @hotpath
     def pstate_terms(
         self, pstate: PState, utilization: float
@@ -122,8 +106,10 @@ class CpuPowerModel:
     ) -> float:
         """Total CPU power in watts (never below ``idle_floor``).
 
-        :meth:`dynamic_power` plus :meth:`leakage_power`, written out as
-        one expression with the same operations in the same order.
+        Switching power ``u · C_eff · V² · f`` plus leakage
+        ``leak_ref · V/V_ref · exp(scale · (T − t_ref))`` (linear in
+        ``V/V_ref``, a mild simplification of the V·I_sub dependence,
+        and exponential in die temperature), as one expression.
 
         Python evaluates it left to right, so the dynamic term and the
         leakage prefactor ``leak_ref · (V/V_ref)`` are each complete

@@ -95,16 +95,6 @@ class PStateTable:
     def __iter__(self) -> Iterator[PState]:
         return iter(self._pstates)
 
-    @property
-    def fastest(self) -> PState:
-        """The highest-frequency point (index 0)."""
-        return self._pstates[0]
-
-    @property
-    def slowest(self) -> PState:
-        """The lowest-frequency point (last index)."""
-        return self._pstates[-1]
-
     def index_of_frequency(self, frequency: float, tol: float = 1e6) -> int:
         """Index of the P-state whose frequency matches within ``tol`` Hz.
 

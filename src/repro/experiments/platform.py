@@ -22,7 +22,6 @@ from typing import Callable, List, Mapping, Optional
 
 from ..cluster.cluster import Cluster
 from ..core.policy import Policy
-from ..governors.base import Governor
 from ..governors.cpuspeed import CpuSpeed, CpuSpeedParams
 from ..governors.fan_constant import ConstantFanControl
 from ..governors.fan_dynamic import DynamicFanControl

@@ -6,7 +6,6 @@ This module models the subset of the chip the paper exercises:
 
 * a remote temperature channel fed by the CPU's thermal diode,
 * a PWM output with an 8-bit duty register,
-* a tachometer input reporting fan speed,
 * the hardware **automatic fan control** mode, which implements exactly
   the static PWM(T) ramp of the paper's Figure 1: duty is ``PWM_min``
   up to ``T_min`` and rises linearly to ``PWM_max`` at
@@ -15,12 +14,13 @@ This module models the subset of the chip the paper exercises:
 The register map is an abridged, self-consistent subset of the ADT746x
 family layout (device/company ID registers included so drivers can
 probe).  Temperatures are stored as two's-complement °C in one-degree
-steps, tach counts as ``90 kHz · 60 / RPM`` in a 16-bit pair, and duty
-as 0–255 — all matching the real part's conventions.
+steps and duty as 0–255, matching the real part's conventions.  The
+local-temperature and tachometer registers are not modelled: the
+paper's driver talks only to the PWM registers.
 
 The chip is a *device model*: the host side talks to it only through
 :class:`~repro.i2c.bus.I2cBus` transactions, while the node physics
-feeds measurements in through :meth:`ADT7467.update`.
+feeds the diode reading in through :meth:`ADT7467.update`.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ __all__ = [
     "Adt7467Config",
     "ADT7467",
     "REG_REMOTE1_TEMP",
-    "REG_LOCAL_TEMP",
-    "REG_TACH1_LOW",
-    "REG_TACH1_HIGH",
     "REG_PWM1_DUTY",
     "REG_PWM1_MAX",
     "REG_DEVICE_ID",
@@ -51,16 +48,12 @@ __all__ = [
     "COMPANY_ID",
     "CONFIG_MANUAL",
     "CONFIG_AUTO_REMOTE1",
-    "TACH_CLOCK_PER_MINUTE",
     "T_RANGE_MIN",
     "T_RANGE_MAX",
 ]
 
 # -- register addresses (abridged ADT746x-style map) -------------------------
 REG_REMOTE1_TEMP = 0x25
-REG_LOCAL_TEMP = 0x26
-REG_TACH1_LOW = 0x28
-REG_TACH1_HIGH = 0x29
 REG_PWM1_DUTY = 0x30
 REG_PWM1_MAX = 0x38
 REG_DEVICE_ID = 0x3D
@@ -78,9 +71,6 @@ COMPANY_ID = 0x41
 #: PWM1 behaviour field values (config register).
 CONFIG_MANUAL = 0xE0
 CONFIG_AUTO_REMOTE1 = 0xA0
-
-#: Tachometer clock: counts of a 90 kHz clock per revolution pair.
-TACH_CLOCK_PER_MINUTE = 90_000 * 60
 
 #: Range of the T_RANGE register (ramp width, K) the chip accepts.
 T_RANGE_MIN = 1
@@ -165,11 +155,6 @@ class ADT7467(I2cDevice):
         self._r_remote = self.define(
             REG_REMOTE1_TEMP, "remote1_temp", value=_temp_to_byte(25.0)
         )
-        self._r_local = self.define(
-            REG_LOCAL_TEMP, "local_temp", value=_temp_to_byte(25.0)
-        )
-        self._r_tach_low = self.define(REG_TACH1_LOW, "tach1_low", value=0xFF)
-        self._r_tach_high = self.define(REG_TACH1_HIGH, "tach1_high", value=0xFF)
         self._r_duty = self.define(
             REG_PWM1_DUTY,
             "pwm1_duty",
@@ -223,11 +208,6 @@ class ADT7467(I2cDevice):
     # -- device-model side -----------------------------------------------
 
     @property
-    def auto_mode(self) -> bool:
-        """True when PWM1 follows the hardware automatic curve."""
-        return self._r_config.value == CONFIG_AUTO_REMOTE1
-
-    @property
     def commanded_duty(self) -> float:
         """Duty fraction currently on the PWM1 output (what the motor sees)."""
         return self._r_duty.value / 255.0
@@ -250,11 +230,11 @@ class ADT7467(I2cDevice):
         return d_min + (d_max - d_min) * frac
 
     @hotpath
-    def update(self, remote_temp: float, local_temp: float, rpm: float) -> None:
-        """Feed one round of measurements into the chip.
+    def update(self, remote_temp: float) -> None:
+        """Feed one thermal-diode reading into the chip.
 
         Called by the node wiring every chip sample period.  Updates the
-        temperature and tach registers and, in auto mode, recomputes the
+        remote temperature register and, in auto mode, recomputes the
         PWM1 duty from the automatic curve.  Each register write keeps
         :meth:`poke`'s byte-range check as an inline guard; the failing
         branch raises through :meth:`poke` itself
@@ -264,22 +244,6 @@ class ADT7467(I2cDevice):
         if not (0 <= remote <= 0xFF):
             reject(self.poke, REG_REMOTE1_TEMP, remote)
         self._r_remote.value = remote
-        local = int(round(max(-128.0, min(127.0, local_temp)))) & 0xFF
-        if not (0 <= local <= 0xFF):
-            reject(self.poke, REG_LOCAL_TEMP, local)
-        self._r_local.value = local
-        if rpm <= 0.0:
-            count = 0xFFFF  # stalled fan reads as all-ones
-        else:
-            count = min(0xFFFF, int(round(TACH_CLOCK_PER_MINUTE / rpm)))
-        low = count & 0xFF
-        if not (0 <= low <= 0xFF):
-            reject(self.poke, REG_TACH1_LOW, low)
-        self._r_tach_low.value = low
-        high = (count >> 8) & 0xFF
-        if not (0 <= high <= 0xFF):
-            reject(self.poke, REG_TACH1_HIGH, high)
-        self._r_tach_high.value = high
         if self._r_config.value == CONFIG_AUTO_REMOTE1:
             duty = self.auto_curve_duty(_byte_to_temp(remote))
             # Auto mode never exceeds the PWM1 max register.

@@ -3,8 +3,8 @@
 :class:`FanDriver` is the only path governors use to touch the fan: it
 speaks SMBus transactions to the :class:`~repro.fan.adt7467.ADT7467`
 exactly as a kernel driver would — probe the ID registers, switch the
-chip between manual and automatic modes, write duty setpoints, read
-back temperature and tach.
+chip between manual and automatic modes, write and read back duty
+setpoints.
 
 The driver owns the **100-step duty discretization** of §4.1 (requests
 are snapped to the ladder) and the **maximum-allowed-duty cap** used by
@@ -30,15 +30,10 @@ from .adt7467 import (
     REG_PWM1_DUTY,
     REG_PWM1_MAX,
     REG_PWM1_MIN,
-    REG_REMOTE1_TEMP,
-    REG_TACH1_HIGH,
-    REG_TACH1_LOW,
     REG_TMIN,
     REG_TRANGE,
-    TACH_CLOCK_PER_MINUTE,
     T_RANGE_MAX,
     T_RANGE_MIN,
-    _byte_to_temp,
     _duty_to_byte,
     _temp_to_byte,
 )
@@ -137,20 +132,3 @@ class FanDriver:
     def get_duty(self) -> float:
         """Read back the duty currently on the PWM1 output."""
         return self._bus.read_byte_data(self._address, REG_PWM1_DUTY) / 255.0
-
-    # -- sensors -----------------------------------------------------------
-
-    def read_temperature(self) -> float:
-        """Remote (CPU diode) temperature in °C as the chip reports it."""
-        return _byte_to_temp(
-            self._bus.read_byte_data(self._address, REG_REMOTE1_TEMP)
-        )
-
-    def read_rpm(self) -> float:
-        """Fan speed in RPM decoded from the tach registers (0 if stalled)."""
-        low = self._bus.read_byte_data(self._address, REG_TACH1_LOW)
-        high = self._bus.read_byte_data(self._address, REG_TACH1_HIGH)
-        count = (high << 8) | low
-        if count in (0, 0xFFFF):
-            return 0.0
-        return TACH_CLOCK_PER_MINUTE / count

@@ -108,10 +108,6 @@ class FanMotor:
         """
         self._failed = True
 
-    def repair(self) -> None:
-        """Undo :meth:`fail` (hot-swap): the rotor spins back up."""
-        self._failed = False
-
     @property
     def failed(self) -> bool:
         """True while the motor is failed."""
@@ -128,11 +124,6 @@ class FanMotor:
     def duty(self) -> float:
         """Currently commanded duty fraction."""
         return self._duty
-
-    @property
-    def rpm(self) -> float:
-        """Current rotor speed in RPM."""
-        return self._rpm
 
     @coldpath
     def _refresh_alphas(self, dt: float) -> None:

@@ -66,11 +66,6 @@ class DutyCycleLadder:
         return tuple(self._duties)
 
     @property
-    def min_duty(self) -> float:
-        """Lowest duty in the ladder."""
-        return self._duties[0]
-
-    @property
     def max_duty(self) -> float:
         """Highest duty in the ladder."""
         return self._duties[-1]
@@ -84,21 +79,3 @@ class DutyCycleLadder:
         require_in_range(duty, 0.0, 1.0, "duty")
         arr = np.asarray(self._duties)
         return float(arr[int(np.argmin(np.abs(arr - duty)))])
-
-    def index_of(self, duty: float) -> int:
-        """Index of the ladder step nearest to ``duty``."""
-        require_in_range(duty, 0.0, 1.0, "duty")
-        arr = np.asarray(self._duties)
-        return int(np.argmin(np.abs(arr - duty)))
-
-    def capped(self, max_duty: float) -> "DutyCycleLadder":
-        """A new ladder with the same step count but a lower ceiling.
-
-        Keeps the number of modes constant so the thermal control array
-        geometry (Eq. 1) is unchanged by the cap — only the physical
-        effectiveness of the top modes shrinks, exactly like bolting on
-        a weaker fan.
-        """
-        return DutyCycleLadder(
-            steps=len(self._duties), min_duty=self.min_duty, max_duty=max_duty
-        )

@@ -81,8 +81,3 @@ class DynamicFanControl(Governor):
 
     def on_sample(self, t: float, temperature: float) -> None:
         self.controller.push_sample(t, temperature)
-
-    @property
-    def current_duty(self) -> float:
-        """The duty the controller currently commands."""
-        return float(self.controller.current_mode)

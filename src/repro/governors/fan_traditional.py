@@ -66,10 +66,3 @@ class TraditionalFanControl(Governor):
             duty_min=self.duty_min,
             duty_max=self.duty_max,
         )
-
-    def expected_duty(self, temperature: float) -> float:
-        """The Figure-1 curve value (for tests/analysis)."""
-        if temperature <= self.t_min:
-            return self.duty_min
-        frac = min(1.0, (temperature - self.t_min) / (self.t_max - self.t_min))
-        return self.duty_min + (self.duty_max - self.duty_min) * frac

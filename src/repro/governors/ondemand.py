@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..cpu.core import CpuCore
-from ..errors import ConfigurationError
 from ..sim.events import EventLog
 from ..units import require_in_range, require_positive
 from .base import Governor

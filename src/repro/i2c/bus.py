@@ -3,13 +3,12 @@
 Connects :class:`~repro.i2c.device.I2cDevice` models to drivers via
 SMBus-style ``read_byte_data`` / ``write_byte_data`` transactions,
 mirroring the Linux ``i2c_smbus_*`` kernel API the paper's fan driver
-would have used.  Transactions are counted per device, which lets tests
-assert that drivers poll at the cadence they claim to.
+would have used.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from ..errors import BusError, ConfigurationError
 from .device import I2cDevice
@@ -36,12 +35,6 @@ class I2cBus:
         self._transaction_count[device.address] = 0
         return device
 
-    def detach(self, address: int) -> None:
-        """Remove the device at ``address`` (simulates hot-unplug/failure)."""
-        if address not in self._devices:
-            raise BusError(f"{self.name}: no device at {address:#04x} to detach")
-        del self._devices[address]
-
     def _device(self, address: int) -> I2cDevice:
         dev = self._devices.get(address)
         if dev is None:
@@ -58,11 +51,3 @@ class I2cBus:
     def write_byte_data(self, address: int, register: int, value: int) -> None:
         """SMBus write-byte-data transaction."""
         self._device(address).write_register(register, value)
-
-    def scan(self) -> List[int]:
-        """Addresses that acknowledge (like ``i2cdetect``), sorted."""
-        return sorted(self._devices)
-
-    def transactions(self, address: int) -> int:
-        """Number of transactions issued to ``address`` so far."""
-        return self._transaction_count.get(address, 0)

@@ -10,7 +10,7 @@ registers.  :class:`I2cDevice` captures that structure:
   :class:`~repro.errors.DeviceError` on undefined registers, like a
   NACKing chip),
 * the *model-facing* interface is :meth:`poke` (used by the device's
-  own physics to update measurement registers) and :meth:`peek`.
+  own physics to update measurement registers).
 """
 
 from __future__ import annotations
@@ -147,7 +147,3 @@ class I2cDevice:
                 f"{self.name}: poke value {value!r} out of byte range"
             )
         reg.value = value
-
-    def peek(self, register: int) -> int:
-        """Read a register from the model side (same as read, no side effects)."""
-        return self.read_register(register)

@@ -20,7 +20,7 @@ single sanctioned place where named deterministic streams are built.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Set
+from typing import Dict, Iterator
 
 from ..base import Finding, Rule, RuleContext, dotted_name
 

@@ -32,7 +32,7 @@ lint`` rule RPR007 keeps experiments on this path by banning direct
 ``Cluster``/``run_job`` use outside the platform/runtime layers.
 """
 
-from .executor import ExecutorStats, RunExecutor, timed_execute_specs
+from .executor import RunExecutor, timed_execute_specs
 from .execute import execute_spec
 from .measure import Measure, first_rise_delay, late_quarter_slope
 from .spec import (
@@ -46,7 +46,6 @@ from .spec import (
 
 __all__ = [
     "DEFAULT_SEED",
-    "ExecutorStats",
     "FaultSpec",
     "Measure",
     "Params",

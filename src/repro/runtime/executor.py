@@ -49,8 +49,8 @@ happens once and the same result object is returned at each position.
 
 Every executor owns a host-side
 :class:`~repro.telemetry.registry.MetricsRegistry`.  Its lifetime
-counters (``host.exec.*`` / ``host.cache.*``) back
-:class:`ExecutorStats`, so the numbers are identical whether specs ran
+counters (``host.exec.*`` / ``host.cache.*``, read through
+:meth:`RunExecutor.telemetry_snapshot`) are identical whether specs ran
 serially or across the pool — workers measure their own wall time and
 the parent folds it in (wall-clock reads are **only** legal here, in
 ``host.*`` metrics; sim-side telemetry is sim-clock-only, see lint rule
@@ -78,7 +78,7 @@ from .execute import execute_specs_batch
 from .spec import RunSpec
 from .store import ResultStore
 
-__all__ = ["ExecutorStats", "RunExecutor", "timed_execute_specs"]
+__all__ = ["RunExecutor", "timed_execute_specs"]
 
 #: Distinguishes executors that share one metrics registry: each gets an
 #: ``executor=<ordinal>`` label on its host-side instruments so two
@@ -110,84 +110,6 @@ def timed_execute_specs(
     return results, time.perf_counter() - started
 
 
-class ExecutorStats:
-    """One executor's lifetime counters (cache efficacy, fan-out).
-
-    A read-only view over the executor's ``host.*`` registry counters;
-    because workers report back through the registry, the numbers are
-    the same under ``jobs=1`` and ``jobs=N``.
-    """
-
-    __slots__ = (
-        "_executed",
-        "_cache_hits",
-        "_cache_misses",
-        "_deduplicated",
-        "_jobs_requested",
-        "_jobs_effective",
-    )
-
-    def __init__(self, registry: MetricsRegistry, **labels: object) -> None:
-        self._executed = registry.counter("host.exec.executed", **labels)
-        self._cache_hits = registry.counter("host.cache.hits", **labels)
-        self._cache_misses = registry.counter("host.cache.misses", **labels)
-        self._deduplicated = registry.counter(
-            "host.exec.deduplicated", **labels
-        )
-        self._jobs_requested = registry.gauge(
-            "host.exec.jobs_requested", **labels
-        )
-        self._jobs_effective = registry.gauge(
-            "host.exec.jobs_effective", **labels
-        )
-
-    @property
-    def executed(self) -> int:
-        """Specs actually simulated (not cached, not deduplicated)."""
-        return int(self._executed.value)
-
-    @property
-    def cache_hits(self) -> int:
-        """Specs satisfied from the on-disk cache."""
-        return int(self._cache_hits.value)
-
-    @property
-    def cache_misses(self) -> int:
-        """Specs simulated and then stored in the cache."""
-        return int(self._cache_misses.value)
-
-    @property
-    def deduplicated(self) -> int:
-        """Duplicate specs that reused an earlier position's result."""
-        return int(self._deduplicated.value)
-
-    @property
-    def jobs_requested(self) -> int:
-        """Worker count the executor was configured with."""
-        return int(self._jobs_requested.value)
-
-    @property
-    def jobs_effective(self) -> int:
-        """Worker count after clamping to the CPUs this process may use."""
-        return int(self._jobs_effective.value)
-
-    @property
-    def jobs_clamped(self) -> bool:
-        """Whether the requested fan-out exceeded the available CPUs."""
-        return self.jobs_effective < self.jobs_requested
-
-    def as_dict(self) -> Dict[str, int]:
-        """Plain-dict view (for JSON reports)."""
-        return {
-            "executed": self.executed,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "deduplicated": self.deduplicated,
-            "jobs_requested": self.jobs_requested,
-            "jobs_effective": self.jobs_effective,
-        }
-
-
 @dataclass
 class RunExecutor:
     """Maps :class:`RunSpec` lists to :class:`RunResult` lists.
@@ -202,7 +124,8 @@ class RunExecutor:
         costs pickling and scheduling overhead without any parallelism
         to pay for it — and a clamp down to one worker falls back to
         the serial path entirely.  The requested and effective counts
-        are surfaced through :class:`ExecutorStats`.
+        are the ``host.exec.jobs_requested`` and ``jobs_effective``
+        gauges.
     cache_dir:
         Directory of the :class:`~repro.runtime.store.ResultStore`;
         ``None`` (default) disables caching.  Created here, so a path
@@ -252,9 +175,19 @@ class RunExecutor:
         self._labels: Dict[str, object] = (
             {"executor": next(_EXECUTOR_IDS)} if shared_registry else {}
         )
-        self.stats = ExecutorStats(self.registry, **self._labels)
-        self.stats._jobs_requested.set(float(self.jobs))
-        self.stats._jobs_effective.set(float(self.effective_jobs))
+        labels = self._labels
+        self._executed = self.registry.counter("host.exec.executed", **labels)
+        self._cache_hits = self.registry.counter("host.cache.hits", **labels)
+        self._cache_misses = self.registry.counter("host.cache.misses", **labels)
+        self._deduplicated = self.registry.counter(
+            "host.exec.deduplicated", **labels
+        )
+        self.registry.gauge("host.exec.jobs_requested", **labels).set(
+            float(self.jobs)
+        )
+        self.registry.gauge("host.exec.jobs_effective", **labels).set(
+            float(self.effective_jobs)
+        )
         #: ``(spec, result)`` pairs accumulated across map() calls when
         #: ``telemetry=True`` (primary specs only; duplicates collapse).
         self.collected: List[Tuple[RunSpec, RunResult]] = []
@@ -278,8 +211,7 @@ class RunExecutor:
         header: no run is decoded, nothing runs.
 
         A probe is *not* a hit: it does not touch the ``host.cache.*``
-        counters, so :class:`ExecutorStats` keeps meaning "what
-        :meth:`map` did".  The serving layer answers hot requests with
+        counters, so they keep meaning "what :meth:`map` did".  The serving layer answers hot requests with
         it without occupying a queue slot.
         """
         if self.store is None:
@@ -339,12 +271,12 @@ class RunExecutor:
         pending: List[int] = []
         for i, spec in enumerate(specs):
             if spec in primary:
-                self.stats._deduplicated.inc()
+                self._deduplicated.inc()
                 continue
             primary[spec] = i
             cached = self._cache_load(spec)
             if cached is not None:
-                self.stats._cache_hits.inc()
+                self._cache_hits.inc()
                 results[i] = cached
             else:
                 pending.append(i)
@@ -355,9 +287,9 @@ class RunExecutor:
                 results[i] = result
                 self._wall_hist.observe(wall_seconds)
                 if self.store is not None:
-                    self.stats._cache_misses.inc()
+                    self._cache_misses.inc()
                     self._cache_store(specs[i], result)
-            self.stats._executed.inc(len(pending))
+            self._executed.inc(len(pending))
 
         for i, spec in enumerate(specs):
             if results[i] is None:

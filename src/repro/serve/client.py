@@ -28,12 +28,6 @@ class ClientResponse:
     headers: Dict[str, str] = field(default_factory=dict)
     body: bytes = b""
 
-    def json_body(self) -> object:
-        """The body parsed as JSON (callers know which routes are JSON)."""
-        import json
-
-        return json.loads(self.body.decode("utf-8"))
-
 
 class ClientSession:
     """One keep-alive connection to a serve endpoint."""

@@ -228,11 +228,6 @@ class JobManager:
         self._wakeup.set()
         return job, "queued"
 
-    @property
-    def queued_count(self) -> int:
-        """Jobs currently awaiting dispatch."""
-        return len(self._queued)
-
     # -- dispatch --------------------------------------------------------
 
     async def _dispatch_loop(self) -> None:

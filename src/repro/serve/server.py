@@ -36,7 +36,7 @@ import asyncio
 import json
 import tempfile
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..runtime.execute import check_names

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..errors import ConfigurationError, SimulationError
+from ..errors import ConfigurationError
 from ..units import require_positive
 
 __all__ = ["SimClock", "PeriodicTask"]
@@ -125,22 +125,3 @@ class PeriodicTask:
         self._period_ticks = ticks
         self._phase_ticks = round(self.phase / clock.dt)
         self._bound = True
-
-    def maybe_fire(self, clock: SimClock) -> bool:
-        """Fire the callback if the current tick is a firing tick.
-
-        Returns ``True`` when the callback ran.
-
-        Raises
-        ------
-        SimulationError
-            If the task was never bound to a clock.
-        """
-        if not self._bound:
-            raise SimulationError("PeriodicTask.maybe_fire before bind()")
-        offset = clock.ticks - self._phase_ticks
-        if offset >= 0 and offset % self._period_ticks == 0:
-            self.callback(clock.now)
-            self.fire_count += 1
-            return True
-        return False

@@ -32,10 +32,10 @@ every node's tick halves are the ``pre`` and ``post`` callables, and one
 :class:`~repro.fastpath.batch.PackageBatch` step integrates all their
 packages between them.
 
-Each task's next firing tick is computed arithmetically from the same
-integer tick counts :meth:`~repro.sim.clock.PeriodicTask.maybe_fire`
-uses, and the microticks between task boundaries run back to back with
-no task scan — tasks fire at ≥ 1 s periods while physics runs at
+Each task's next firing tick is computed arithmetically from the
+integer period and phase ticks :meth:`~repro.sim.clock.PeriodicTask.bind`
+resolves, and the microticks between task boundaries run back to back
+with no task scan — tasks fire at ≥ 1 s periods while physics runs at
 dt = 0.05 s.  ``until`` and ``stop`` are still evaluated after
 **every** tick, and the deadline / ``max_ticks`` checks keep the
 one-tick-at-a-time order and error, so tick counts, task
@@ -99,8 +99,7 @@ def task_schedule(
     """Next firing tick and period, per task, after tick ``ticks``.
 
     The next firing tick is the smallest ``T > ticks`` with
-    ``T >= phase`` and ``(T - phase) % period == 0`` — the same set of
-    ticks :meth:`~repro.sim.clock.PeriodicTask.maybe_fire` fires on.
+    ``T >= phase`` and ``(T - phase) % period == 0``.
     """
     fires: List[int] = []
     periods: List[int] = []
@@ -258,11 +257,6 @@ class SimulationEngine:
             )
         self._components.append(component)
         return component
-
-    def add_components(self, components: Sequence[Component]) -> None:
-        """Register several components in order."""
-        for c in components:
-            self.add_component(c)
 
     def add_task(self, task: PeriodicTask) -> PeriodicTask:
         """Register a periodic task; binds it to this engine's clock."""

@@ -95,8 +95,3 @@ class EventLog:
     def count(self, category: str, source: Optional[str] = None) -> int:
         """Number of events whose category starts with ``category``."""
         return len(self.filter(category=category, source=source))
-
-    def first_time(self, category: str) -> Optional[float]:
-        """Time of the first event in ``category`` (prefix match), or None."""
-        matches = self.filter(category=category)
-        return matches[0].time if matches else None

@@ -59,10 +59,3 @@ class RngStreams:
             gen = np.random.default_rng(seq)
             self._streams[name] = gen
         return gen
-
-    def fork(self, salt: int) -> "RngStreams":
-        """A new independent :class:`RngStreams` derived from this one.
-
-        Used to give each node of a cluster its own family of streams.
-        """
-        return RngStreams(seed=(self._seed * 1_000_003 + int(salt)) & 0x7FFFFFFF)

@@ -169,32 +169,6 @@ class Trace:
         """Minimum sample (nan when empty)."""
         return float(np.min(self.values)) if self._n else float("nan")
 
-    def last(self) -> float:
-        """Most recent sample (nan when empty)."""
-        return float(self._v[self._n - 1]) if self._n else float("nan")
-
-    def time_weighted_mean(self) -> float:
-        """Mean weighted by the holding time of each sample.
-
-        Each sample is assumed to hold until the next sample; the final
-        sample carries the mean of the preceding intervals.  For evenly
-        sampled traces this equals :meth:`mean`.  Returns nan for empty
-        traces and the sole value for singleton traces.
-        """
-        if self._n == 0:
-            return float("nan")
-        if self._n == 1:
-            return float(self._v[0])
-        t = self.times
-        v = self.values
-        dt = np.diff(t)
-        tail = float(np.mean(dt)) if dt.size else 0.0
-        weights = np.concatenate([dt, [tail]])
-        total = float(np.sum(weights))
-        if total <= 0.0:
-            return float(np.mean(v))
-        return float(np.sum(v * weights) / total)
-
     def integrate(self) -> float:
         """Trapezoidal integral of value over time.
 
@@ -214,25 +188,6 @@ class Trace:
         for t, v in zip(self.times[mask], self.values[mask]):
             sub.append(float(t), float(v))
         return sub
-
-    def resample(self, period: float) -> "Trace":
-        """Downsample to one point per ``period`` via block averaging.
-
-        Used to emulate the paper's plots (e.g. "sample points" on the x
-        axis) from high-rate internal traces.
-        """
-        if period <= 0:
-            raise ConfigurationError(f"period must be > 0, got {period!r}")
-        out = Trace(self.name)
-        if self._n == 0:
-            return out
-        t = self.times
-        v = self.values
-        bins = np.floor((t - t[0]) / period).astype(np.int64)
-        for b in np.unique(bins):
-            mask = bins == b
-            out.append(float(t[0] + (b + 0.5) * period), float(np.mean(v[mask])))
-        return out
 
     def __iter__(self) -> Iterator[Tuple[float, float]]:
         return zip(self.times.tolist(), self.values.tolist())

@@ -23,7 +23,7 @@ and the whole controller stack unchanged.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..errors import ConfigurationError
 from ..units import require_non_negative, require_positive
@@ -122,28 +122,11 @@ class MulticorePackage:
             )
         self._powers[core] = require_non_negative(watts, "core power")
 
-    def set_powers(self, watts: Sequence[float]) -> None:
-        """Set all core powers at once."""
-        if len(watts) != self.n_cores:
-            raise ConfigurationError(
-                f"need {self.n_cores} powers, got {len(watts)}"
-            )
-        for i, w in enumerate(watts):
-            self.set_core_power(i, w)
-
     def set_airflow(self, cfm: float) -> None:
         """Set the airflow over the shared sink, CFM."""
         self._airflow = require_non_negative(cfm, "airflow")
 
     # -- outputs -----------------------------------------------------------
-
-    def core_temperature(self, core: int) -> float:
-        """Temperature of one core, °C."""
-        if not 0 <= core < self.n_cores:
-            raise ConfigurationError(
-                f"core index {core} out of range [0, {self.n_cores - 1}]"
-            )
-        return self._net.temperature(self._cores[core])
 
     def core_temperatures(self) -> List[float]:
         """All core temperatures, index order."""
@@ -159,17 +142,6 @@ class MulticorePackage:
         """Shared heatsink temperature, °C."""
         return self._net.temperature(self._sink)
 
-    @property
-    def ambient_temperature(self) -> float:
-        """Inlet air temperature, °C — the fan chip's local diode."""
-        return self._net.temperature(self._amb)
-
-    @property
-    def hotspot_spread(self) -> float:
-        """Hottest minus coolest core, K — the on-chip gradient."""
-        temps = self.core_temperatures()
-        return max(temps) - min(temps)
-
     # -- dynamics ----------------------------------------------------------
 
     def step(self, t: float, dt: float) -> None:
@@ -179,11 +151,3 @@ class MulticorePackage:
         for core, power in zip(self._cores, self._powers):
             self._net.set_power(core, power)
         self._net.step(dt)
-
-    def steady_state(self) -> List[float]:
-        """Equilibrium core temperatures under the current inputs."""
-        self._conv_link.resistance = self.convection.resistance(self._airflow)
-        for core, power in zip(self._cores, self._powers):
-            self._net.set_power(core, power)
-        solution = self._net.steady_state()
-        return [solution[c] for c in self._cores]

@@ -21,7 +21,7 @@ the ≈8 °C spread of the paper's Figure 7.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from ..units import require_non_negative, require_positive
@@ -147,11 +147,6 @@ class CpuPackage:
         return self._net.temperature(self._sink)
 
     @property
-    def ambient_temperature(self) -> float:
-        """Current boundary (inlet air) temperature in °C."""
-        return self._net.temperature(self._amb)
-
-    @property
     def power(self) -> float:
         """Heat currently injected into the die, W."""
         return self._power
@@ -161,11 +156,6 @@ class CpuPackage:
         """Airflow currently applied over the sink, CFM."""
         return self._airflow
 
-    @property
-    def convective_resistance(self) -> float:
-        """Sink-to-air resistance at the current airflow, K/W."""
-        return self._conv_link.resistance
-
     # -- dynamics --------------------------------------------------------
 
     def step(self, t: float, dt: float) -> None:
@@ -174,20 +164,6 @@ class CpuPackage:
         self._net.set_temperature(self._amb, self.ambient.temperature(t))
         self._net.set_power(self._die, self._power)
         self._net.step(dt)
-
-    def steady_state_die_temperature(
-        self, watts: float | None = None, airflow: float | None = None
-    ) -> float:
-        """Equilibrium die temperature for given (or current) inputs.
-
-        Does not disturb the dynamic state — used for calibration and by
-        tests as an analytic oracle:
-        ``T_die = T_amb + P·(R_jhs + R_conv(Q))``.
-        """
-        p = self._power if watts is None else require_non_negative(watts, "watts")
-        q = self._airflow if airflow is None else require_non_negative(airflow, "airflow")
-        r_total = self.params.r_junction_sink + self.convection.resistance(q)
-        return self._net.temperature(self._amb) + p * r_total
 
     def reset(self, temperature: float | None = None) -> None:
         """Reset die and sink to ``temperature`` (default: initial temp)."""

@@ -225,20 +225,6 @@ class RCNetwork:
                 f"no thermal node named {name!r}; have {sorted(self._nodes)}"
             ) from None
 
-    def link(self, name: str) -> ThermalLink:
-        """Look up a link by name."""
-        try:
-            return self._links[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"no thermal link named {name!r}; have {sorted(self._links)}"
-            ) from None
-
-    @property
-    def node_names(self) -> List[str]:
-        """Node names in insertion order."""
-        return list(self._order)
-
     # -- state -------------------------------------------------------------
 
     def set_power(self, name: str, watts: float) -> None:
@@ -260,10 +246,6 @@ class RCNetwork:
     def set_temperature(self, name: str, celsius: float) -> None:
         """Force a node's temperature (initial conditions, boundary drive)."""
         self.node(name).temperature = float(celsius)
-
-    def temperatures(self) -> Dict[str, float]:
-        """Mapping of node name to current temperature."""
-        return {n: self._nodes[n].temperature for n in self._order}
 
     # -- dynamics ------------------------------------------------------------
 
@@ -476,40 +458,3 @@ class RCNetwork:
                 _raise_diverged()
         for i in range(m):
             free_nodes[i].temperature = item(i)
-
-    def steady_state(self) -> Dict[str, float]:
-        """Equilibrium temperatures under the current powers/resistances.
-
-        Solves ``G T = b`` directly.  Boundary nodes keep their held
-        temperature.  Raises :class:`SimulationError` if the network has
-        a free node with no path to any boundary (singular system).
-        """
-        free, G, b, _ = self._assemble()
-        out = {
-            n: self._nodes[n].temperature
-            for n in self._order
-            if self._nodes[n].is_boundary
-        }
-        if free:
-            try:
-                T = np.linalg.solve(G, b)
-            except np.linalg.LinAlgError as exc:
-                raise SimulationError(
-                    "steady state is singular: some free node has no "
-                    "path to a boundary node"
-                ) from exc
-            out.update({n: float(t) for n, t in zip(free, T)})
-        return out
-
-    def total_stored_energy(self, reference: float = 0.0) -> float:
-        """Thermal energy stored relative to ``reference`` °C, in joules.
-
-        Useful for conservation checks in tests: with no injected power
-        and adiabatic (boundary-free) networks this is invariant.
-        """
-        total = 0.0
-        for name in self._order:
-            node = self._nodes[name]
-            if node.capacitance is not None:
-                total += node.capacitance * (node.temperature - reference)
-        return total

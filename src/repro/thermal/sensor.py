@@ -22,8 +22,7 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from ..errors import SimulationError
-from ..units import require_non_negative, require_positive
+from ..units import require_non_negative
 
 __all__ = ["TemperatureSource", "SensorParams", "ThermalSensor"]
 
@@ -118,21 +117,3 @@ class ThermalSensor:
         self._last_time = t
         self._count += 1
         return value
-
-    @property
-    def last_sample(self) -> float:
-        """The most recent reading.
-
-        Raises
-        ------
-        SimulationError
-            If no sample has been taken yet.
-        """
-        if self._last_sample is None:
-            raise SimulationError("sensor read before first sample")
-        return self._last_sample
-
-    @property
-    def sample_count(self) -> int:
-        """Number of readings taken so far."""
-        return self._count

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigurationError, WorkloadError
 from ..sim.marker import reject
-from ..units import require_in_range, require_non_negative, require_positive
+from ..units import require_in_range, require_positive
 
 __all__ = [
     "Segment",
@@ -138,11 +138,6 @@ class Barrier:
     def released(self) -> bool:
         """True once every rank has arrived."""
         return self._arrived == self.n_ranks
-
-    @property
-    def arrived(self) -> int:
-        """Number of ranks that have arrived so far."""
-        return self._arrived
 
 
 class BarrierSegment(Segment):

@@ -10,7 +10,7 @@ fan control is designed to ignore.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -73,10 +73,6 @@ class CpuBurn:
             yield ComputeSegment(cycles, utilization=1.0)
             if i < n_dropouts:
                 yield IdleSegment(self.jitter_duration)
-
-    def rank(self, name: str = "cpu-burn") -> RankProgram:
-        """Build a fresh single-rank program for one burn."""
-        return RankProgram(self._segments(), name=name)
 
 
 def cpu_burn_session(

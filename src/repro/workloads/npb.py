@@ -116,13 +116,6 @@ class NpbParams:
                     f"intensity_schedule fractions must sum to 1, got {total}"
                 )
 
-    def nominal_runtime(self) -> float:
-        """Ideal runtime at the reference frequency, ignoring imbalance."""
-        scale = 1.0
-        if self.intensity_schedule is not None:
-            scale = sum(f * cs for f, _, cs in self.intensity_schedule)
-        return self.iterations * (self.compute_seconds * scale + self.comm_seconds)
-
 
 class NpbJob:
     """Builds the rank programs of one NPB-like run.

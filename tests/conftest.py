@@ -9,7 +9,7 @@ import pytest
 
 import repro
 from repro.cluster.cluster import Cluster
-from repro.config import ClusterConfig, NodeConfig
+from repro.config import ClusterConfig
 from repro.core.policy import Policy
 from repro.fan.adt7467 import ADT7467, Adt7467Config
 from repro.fan.driver import FanDriver
@@ -94,8 +94,9 @@ def pinned_runs(tmp_path_factory):
             fresh = RunExecutor(cache_dir=cache).map(list(specs.values()))
             warm = RunExecutor(cache_dir=cache)
             loaded = warm.map(list(specs.values()))
-            assert warm.stats.cache_hits == len(specs)
-            assert warm.stats.executed == 0
+            snapshot = warm.telemetry_snapshot()
+            assert snapshot.value("host.cache.hits") == len(specs)
+            assert snapshot.value("host.exec.executed") == 0
             runs[key] = {
                 label: (spec, a, b, warm.cached(spec))
                 for (label, spec), a, b in zip(specs.items(), fresh, loaded)

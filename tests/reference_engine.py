@@ -64,17 +64,13 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.fan.adt7467 import (
     ADT7467,
     CONFIG_AUTO_REMOTE1,
-    REG_LOCAL_TEMP,
     REG_PWM1_CONFIG,
     REG_PWM1_DUTY,
     REG_PWM1_MAX,
     REG_PWM1_MIN,
     REG_REMOTE1_TEMP,
-    REG_TACH1_HIGH,
-    REG_TACH1_LOW,
     REG_TMIN,
     REG_TRANGE,
-    TACH_CLOCK_PER_MINUTE,
 )
 from repro.fan.aero import FanAero
 from repro.fan.motor import FanMotor
@@ -137,7 +133,8 @@ def reference_rc_step(net: RCNetwork, dt: float) -> None:
 # ------------------------------------------------------------ device oracle
 #
 # Each device method as a sequence of public validator calls and
-# ``peek``/``poke`` register accesses, with nothing cached between calls.
+# ``read_register``/``poke`` register accesses, with nothing cached
+# between calls.
 
 
 def _temp_to_byte(celsius: float) -> int:
@@ -154,39 +151,30 @@ def _duty_to_byte(duty: float) -> int:
 
 def reference_commanded_duty(chip: ADT7467) -> float:
     """``ADT7467.commanded_duty``."""
-    return chip.peek(REG_PWM1_DUTY) / 255.0
+    return chip.read_register(REG_PWM1_DUTY) / 255.0
 
 
 def reference_auto_curve_duty(chip: ADT7467, celsius: float) -> float:
-    """``ADT7467.auto_curve_duty``: every register peeked per call."""
-    d_min = chip.peek(REG_PWM1_MIN) / 255.0
-    d_max = chip.peek(REG_PWM1_MAX) / 255.0
-    t_min = _byte_to_temp(chip.peek(REG_TMIN))
-    t_range = float(chip.peek(REG_TRANGE))
+    """``ADT7467.auto_curve_duty``: every register read per call."""
+    d_min = chip.read_register(REG_PWM1_MIN) / 255.0
+    d_max = chip.read_register(REG_PWM1_MAX) / 255.0
+    t_min = _byte_to_temp(chip.read_register(REG_TMIN))
+    t_range = float(chip.read_register(REG_TRANGE))
     if celsius <= t_min:
         return d_min
     frac = clamp((celsius - t_min) / t_range, 0.0, 1.0)
     return d_min + (d_max - d_min) * frac
 
 
-def reference_chip_update(
-    chip: ADT7467, remote_temp: float, local_temp: float, rpm: float
-) -> None:
+def reference_chip_update(chip: ADT7467, remote_temp: float) -> None:
     """``ADT7467.update``: every register write through ``poke``."""
     chip.poke(REG_REMOTE1_TEMP, _temp_to_byte(remote_temp))
-    chip.poke(REG_LOCAL_TEMP, _temp_to_byte(local_temp))
-    if rpm <= 0.0:
-        count = 0xFFFF  # stalled fan reads as all-ones
-    else:
-        count = min(0xFFFF, int(round(TACH_CLOCK_PER_MINUTE / rpm)))
-    chip.poke(REG_TACH1_LOW, count & 0xFF)
-    chip.poke(REG_TACH1_HIGH, (count >> 8) & 0xFF)
-    if chip.peek(REG_PWM1_CONFIG) == CONFIG_AUTO_REMOTE1:
+    if chip.read_register(REG_PWM1_CONFIG) == CONFIG_AUTO_REMOTE1:
         duty = reference_auto_curve_duty(
-            chip, _byte_to_temp(chip.peek(REG_REMOTE1_TEMP))
+            chip, _byte_to_temp(chip.read_register(REG_REMOTE1_TEMP))
         )
         # Auto mode never exceeds the PWM1 max register.
-        duty = min(duty, chip.peek(REG_PWM1_MAX) / 255.0)
+        duty = min(duty, chip.read_register(REG_PWM1_MAX) / 255.0)
         chip.poke(REG_PWM1_DUTY, _duty_to_byte(duty))
 
 
@@ -245,11 +233,15 @@ def reference_power(
     utilization: float,
     die_temperature: float,
 ) -> float:
-    """``CpuPowerModel.power``: the sum of the two public terms."""
-    total = model.dynamic_power(pstate, utilization) + model.leakage_power(
-        pstate, die_temperature
-    )
-    return max(total, model.params.idle_floor)
+    """``CpuPowerModel.power``: switching power ``u · C_eff · V² · f``
+    plus leakage ``leak_ref · V/V_ref · exp(scale · (T − t_ref))``, in
+    the engine's operand order, floored at ``idle_floor``."""
+    p = model.params
+    u = require_in_range(utilization, 0.0, 1.0, "utilization")
+    dynamic = u * p.c_eff * pstate.voltage**2 * pstate.frequency
+    v_scale = pstate.voltage / p.v_ref
+    t_scale = math.exp(p.leak_temp_scale * (die_temperature - p.t_ref))
+    return max(dynamic + p.leak_ref * v_scale * t_scale, p.idle_floor)
 
 
 def reference_airflow(aero: FanAero, rpm: float) -> float:
@@ -299,18 +291,13 @@ def _reference_fan_package_meter(node: Node, t: float, dt: float) -> None:
     fan chip, rotor, airflow, thermal integration and wall power."""
     package = node.package
     motor = node.fan_motor
-    # the fan chip ingests measurements; auto mode updates its PWM
-    reference_chip_update(
-        node.fan_chip,
-        remote_temp=package.die_temperature,
-        local_temp=package.ambient_temperature,
-        rpm=motor.rpm,
-    )
+    # the fan chip ingests the diode reading; auto mode updates its PWM
+    reference_chip_update(node.fan_chip, package.die_temperature)
     # the rotor tracks the chip's PWM output
     reference_motor_set_duty(motor, reference_commanded_duty(node.fan_chip))
     reference_motor_step(motor, t, dt)
-    airflow = reference_airflow(node.fan_aero, motor.rpm)
-    fan_power = reference_fan_power(node.fan_aero, motor.rpm)
+    airflow = reference_airflow(node.fan_aero, motor._rpm)
+    fan_power = reference_fan_power(node.fan_aero, motor._rpm)
     # thermal integration: the package's inputs through its network's
     # public setters, then one RC step
     package.set_airflow(airflow)
@@ -376,7 +363,8 @@ def reference_multicore_step(node: MulticoreNode, t: float, dt: float) -> None:
             for i, k in enumerate(node._core_class)
         ]
     node._cpu_power = sum(powers)
-    package.set_powers(powers)
+    for core, watts in enumerate(powers):
+        package.set_core_power(core, watts)
     _reference_fan_package_meter(node, t, dt)
 
 
@@ -416,6 +404,11 @@ def reference_run(
     engine._running = True
     engine._stop_requested = False
     clock = engine.clock
+    # each task fires on the ticks T >= phase with (T - phase) % period == 0
+    schedule = [
+        (task, round(task.period / clock.dt), round(task.phase / clock.dt))
+        for task in engine._tasks
+    ]
     ticks_done = 0
     try:
         while True:
@@ -431,8 +424,11 @@ def reference_run(
             t = clock.advance()
             for component in engine._components:
                 _reference_tick(component, t, clock.dt)
-            for task in engine._tasks:
-                task.maybe_fire(clock)
+            for task, period, phase in schedule:
+                offset = clock.ticks - phase
+                if offset >= 0 and offset % period == 0:
+                    task.callback(clock.now)
+                    task.fire_count += 1
             ticks_done += 1
             if engine._stop_requested:
                 break
@@ -459,12 +455,12 @@ def reference_sampler(cluster: Cluster) -> Callable[[float], None]:
         for node in cluster.nodes:
             temp = node.sensor.sample(t)
             traces.record(f"{node.name}.temp", t, temp)
-            traces.record(f"{node.name}.duty", t, node.fan_duty)
-            traces.record(f"{node.name}.rpm", t, node.fan_rpm)
+            traces.record(f"{node.name}.duty", t, node.fan_motor.duty)
+            traces.record(f"{node.name}.rpm", t, node.fan_motor._rpm)
             traces.record(
                 f"{node.name}.freq_ghz", t, reference_pstate(node.dvfs).frequency_ghz
             )
-            traces.record(f"{node.name}.power", t, node.wall_power)
+            traces.record(f"{node.name}.power", t, node._wall_power)
             traces.record(f"{node.name}.util", t, node.core.utilization)
             for governor in cluster._governors[node.name]:
                 governor.on_sample(t, temp)

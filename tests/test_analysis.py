@@ -62,11 +62,6 @@ class TestTable:
         lines = table.render().splitlines()
         assert len(set(len(line) for line in lines)) == 1
 
-    def test_n_rows(self):
-        table = Table(["x"])
-        table.add_row(1)
-        assert table.n_rows == 1
-
     def test_non_numeric_cells_with_format(self):
         table = Table(["x"], formats=[".1f"])
         table.add_row("n/a")  # strings pass through

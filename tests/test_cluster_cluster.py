@@ -8,7 +8,6 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.governors.base import Governor
 from repro.thermal.ambient import ConstantAmbient
 from repro.workloads.base import ComputeSegment, Job, RankProgram
-from repro.workloads.npb import bt_b_4
 
 
 def short_job(n_ranks=2, seconds=2.0) -> Job:
@@ -58,7 +57,7 @@ class TestConstruction:
             ClusterConfig(n_nodes=3, seed=1),
             ambient_factory=lambda i: ConstantAmbient(28.0 + i),
         )
-        temps = [n.package.ambient_temperature for n in cluster.nodes]
+        temps = [n.package.ambient.temperature(0.0) for n in cluster.nodes]
         assert temps == pytest.approx([28.0, 29.0, 30.0])
 
 

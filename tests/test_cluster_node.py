@@ -19,7 +19,7 @@ class TestIdleNode:
         node = Node("n0")
         run_node(node, 5.0)
         # baseboard + CPU idle floor-ish + fan electronics
-        assert 46.0 < node.wall_power < 75.0
+        assert 46.0 < node._wall_power < 75.0
 
     def test_idle_cools_toward_ambient(self):
         node = Node("n0")
@@ -36,29 +36,29 @@ class TestLoadedNode:
             RankProgram([ComputeSegment(2.4e9 * 60)], name="burn")
         )
         run_node(node, 30.0)
-        assert node.cpu_power > 50.0
-        assert node.wall_power > 95.0
+        assert node._cpu_power > 50.0
+        assert node._wall_power > 95.0
         assert node.die_temperature > idle_temp + 5.0
 
     def test_auto_fan_reacts_to_heat(self):
         node = Node("n0")  # chip powers on in auto mode
-        duty_cold = node.fan_duty
+        duty_cold = node.fan_motor.duty
         node.bind_rank(RankProgram([ComputeSegment(2.4e9 * 600)], name="burn"))
         run_node(node, 120.0)
-        assert node.fan_duty > duty_cold + 0.05
+        assert node.fan_motor.duty > duty_cold + 0.05
 
     def test_fan_rpm_follows_duty(self):
         node = Node("n0")
         node.bind_rank(RankProgram([ComputeSegment(2.4e9 * 600)], name="burn"))
         run_node(node, 120.0)
-        expected = node.fan_motor.steady_state_rpm(node.fan_duty)
-        assert node.fan_rpm == pytest.approx(expected, rel=0.1)
+        expected = node.fan_motor.steady_state_rpm(node.fan_motor.duty)
+        assert node.fan_motor._rpm == pytest.approx(expected, rel=0.1)
 
     def test_meter_integrates(self):
         node = Node("n0")
         run_node(node, 10.0)
         assert node.meter.elapsed == pytest.approx(10.0)
-        assert node.meter.average_power == pytest.approx(node.wall_power, rel=0.2)
+        assert node.meter.average_power == pytest.approx(node._wall_power, rel=0.2)
 
 
 class TestDvfsPath:
@@ -76,7 +76,7 @@ class TestDvfsPath:
                 RankProgram([ComputeSegment(2.4e9 * 600)], name="burn")
             )
             run_node(node, 20.0)
-            return node.cpu_power
+            return node._cpu_power
 
         assert power_at(4) < power_at(0) - 20.0
 
@@ -95,8 +95,8 @@ class TestFanDriverIntegration:
         driver.set_manual_mode()
         driver.set_duty(0.8)
         run_node(node, 10.0)
-        assert node.fan_duty == pytest.approx(0.8, abs=0.01)
-        assert node.fan_rpm == pytest.approx(
+        assert node.fan_motor.duty == pytest.approx(0.8, abs=0.01)
+        assert node.fan_motor._rpm == pytest.approx(
             node.fan_motor.steady_state_rpm(0.8), rel=0.05
         )
 
@@ -105,7 +105,7 @@ class TestConfigPropagation:
     def test_custom_baseboard_power(self):
         node = Node("n0", config=NodeConfig(baseboard_power=10.0))
         run_node(node, 1.0)
-        assert node.wall_power < 40.0
+        assert node._wall_power < 40.0
 
     def test_mismatched_rpm_constants_rejected(self):
         from repro.errors import ConfigurationError

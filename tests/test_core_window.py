@@ -64,16 +64,15 @@ class TestLevelOne:
 
     def test_rounds_counter(self):
         window = TwoLevelWindow(l1_size=2)
-        for i in range(10):
-            window.push(i * 0.25, 50.0)
-        assert window.rounds == 5
+        updates = [window.push(i * 0.25, 50.0) for i in range(10)]
+        assert sum(u is not None for u in updates) == 5
         assert window.samples == 10
 
     def test_l1_fill_tracks_partial(self):
         window = TwoLevelWindow(l1_size=4)
-        window.push(0.0, 50.0)
-        window.push(0.25, 50.0)
-        assert window.l1_fill == 2
+        assert window.push(0.0, 50.0) is None
+        assert window.push(0.25, 50.0) is None
+        assert window.samples == 2
 
     def test_larger_window_integrates_more_signal(self):
         """For a constant ramp, Δt_l1 grows quadratically with window
@@ -141,5 +140,7 @@ class TestLevelTwo:
         for i in range(12):
             window.push(i * 0.25, 50.0)
         window.reset()
-        assert window.l1_fill == 0
         assert window.l2_values == ()
+        # a fresh level-one round: the first update after l1_size pushes
+        updates = [window.push(3.0 + i * 0.25, 50.0) for i in range(4)]
+        assert updates[:3] == [None] * 3 and updates[3] is not None

@@ -14,6 +14,12 @@ def dvfs():
     return Dvfs(ATHLON64_4000, transition_latency=1e-4)
 
 
+def counted():
+    """A DVFS actuator and the event log its transitions go to."""
+    events = EventLog()
+    return Dvfs(ATHLON64_4000, events=events), events
+
+
 class TestTransitions:
     def test_starts_fastest(self, dvfs):
         assert dvfs.index == 0
@@ -23,9 +29,10 @@ class TestTransitions:
         assert dvfs.set_index(2) is True
         assert dvfs.frequency == pytest.approx(ghz(2.0))
 
-    def test_same_index_is_noop(self, dvfs):
+    def test_same_index_is_noop(self):
+        dvfs, events = counted()
         assert dvfs.set_index(0) is False
-        assert dvfs.change_count == 0
+        assert events.count("dvfs.change") == 0
 
     def test_out_of_range(self, dvfs):
         with pytest.raises(ActuatorError):
@@ -33,19 +40,11 @@ class TestTransitions:
         with pytest.raises(ActuatorError):
             dvfs.set_index(-1)
 
-    def test_set_frequency(self, dvfs):
-        dvfs.set_frequency(ghz(1.8))
-        assert dvfs.index == 3
-
-    def test_step_down_up(self, dvfs):
+    def test_step_down(self, dvfs):
         assert dvfs.step_down() is True
         assert dvfs.index == 1
-        assert dvfs.step_up() is True
-        assert dvfs.index == 0
-
-    def test_step_up_at_top_noop(self, dvfs):
-        assert dvfs.step_up() is False
-        assert dvfs.change_count == 0
+        assert dvfs.step_down() is True
+        assert dvfs.index == 2
 
     def test_step_down_at_bottom_noop(self, dvfs):
         dvfs.set_index(4)
@@ -53,12 +52,13 @@ class TestTransitions:
 
 
 class TestAccounting:
-    def test_change_count(self, dvfs):
+    def test_change_count(self):
+        dvfs, events = counted()
         dvfs.set_index(1)
         dvfs.set_index(2)
         dvfs.set_index(2)  # no-op
         dvfs.set_index(0)
-        assert dvfs.change_count == 3
+        assert events.count("dvfs.change") == 3
 
     def test_events_emitted(self):
         events = EventLog()
@@ -81,24 +81,24 @@ class TestAccounting:
 class TestStall:
     def test_transition_adds_stall(self, dvfs):
         dvfs.set_index(1)
-        assert dvfs.stalled_fraction_pending == pytest.approx(1e-4)
+        assert dvfs.consume_stall(1.0) == pytest.approx(1e-4)
 
     def test_stall_accumulates(self, dvfs):
         dvfs.set_index(1)
         dvfs.set_index(2)
-        assert dvfs.stalled_fraction_pending == pytest.approx(2e-4)
+        assert dvfs.consume_stall(1.0) == pytest.approx(2e-4)
 
     def test_consume_stall_partial(self, dvfs):
         dvfs.set_index(1)
         consumed = dvfs.consume_stall(5e-5)
         assert consumed == pytest.approx(5e-5)
-        assert dvfs.stalled_fraction_pending == pytest.approx(5e-5)
+        assert dvfs.consume_stall(1.0) == pytest.approx(5e-5)
 
     def test_consume_stall_bounded_by_pending(self, dvfs):
         dvfs.set_index(1)
         consumed = dvfs.consume_stall(1.0)
         assert consumed == pytest.approx(1e-4)
-        assert dvfs.stalled_fraction_pending == 0.0
+        assert dvfs.consume_stall(1.0) == 0.0
 
     def test_no_stall_without_transition(self, dvfs):
         assert dvfs.consume_stall(1.0) == 0.0
@@ -106,4 +106,4 @@ class TestStall:
     def test_zero_latency(self):
         dvfs = Dvfs(ATHLON64_4000, transition_latency=0.0)
         dvfs.set_index(1)
-        assert dvfs.stalled_fraction_pending == 0.0
+        assert dvfs.consume_stall(1.0) == 0.0

@@ -36,8 +36,8 @@ class TestPStateTable:
         assert table.frequencies_ghz() == pytest.approx([2.4, 1.8, 1.0])
 
     def test_fastest_slowest(self):
-        assert ATHLON64_4000.fastest.frequency_ghz == pytest.approx(2.4)
-        assert ATHLON64_4000.slowest.frequency_ghz == pytest.approx(1.0)
+        assert ATHLON64_4000[0].frequency_ghz == pytest.approx(2.4)
+        assert ATHLON64_4000[-1].frequency_ghz == pytest.approx(1.0)
 
     def test_needs_two_pstates(self):
         with pytest.raises(ConfigurationError):

@@ -14,7 +14,7 @@ class TestDutyCycleLadder:
     def test_paper_default_100_steps(self):
         ladder = DutyCycleLadder()
         assert len(ladder) == 100
-        assert ladder.min_duty == pytest.approx(0.01)
+        assert ladder[0] == pytest.approx(0.01)
         assert ladder.max_duty == pytest.approx(1.0)
 
     def test_ascending(self):
@@ -27,18 +27,8 @@ class TestDutyCycleLadder:
 
     def test_quantize_clamps_to_ends(self):
         ladder = DutyCycleLadder()
-        assert ladder.quantize(0.0) == ladder.min_duty
+        assert ladder.quantize(0.0) == ladder[0]
         assert ladder.quantize(1.0) == ladder.max_duty
-
-    def test_index_of(self):
-        ladder = DutyCycleLadder()
-        assert ladder.index_of(ladder.min_duty) == 0
-        assert ladder.index_of(ladder.max_duty) == len(ladder) - 1
-
-    def test_capped_keeps_step_count(self):
-        capped = DutyCycleLadder().capped(0.25)
-        assert len(capped) == 100
-        assert capped.max_duty == pytest.approx(0.25)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -54,7 +44,7 @@ class TestDutyCycleLadder:
 class TestFanMotor:
     def test_initial_state_matches_duty(self):
         motor = FanMotor(initial_duty=0.5)
-        assert motor.rpm == pytest.approx(motor.steady_state_rpm(0.5))
+        assert motor._rpm == pytest.approx(motor.steady_state_rpm(0.5))
 
     def test_steady_state_map(self):
         motor = FanMotor(MotorParams(rpm_max=4300.0, k0=0.12))
@@ -73,25 +63,25 @@ class TestFanMotor:
 
         params = MotorParams(tau_up=1.0, tau_down=2.0)
         motor = FanMotor(params, initial_duty=0.1)
-        start = motor.rpm
+        start = motor._rpm
         motor.set_duty(1.0)
         motor.step(0.0, 1.0)  # exactly one tau
         target = motor.steady_state_rpm(1.0)
         expected = start + (target - start) * (1 - math.exp(-1.0))
-        assert motor.rpm == pytest.approx(expected, rel=0.01)
+        assert motor._rpm == pytest.approx(expected, rel=0.01)
 
     def test_coast_down_slower_than_spin_up(self):
         params = MotorParams(tau_up=1.0, tau_down=4.0)
         up = FanMotor(params, initial_duty=0.1)
         up.set_duty(1.0)
         up.step(0.0, 1.0)
-        up_progress = (up.rpm - up.steady_state_rpm(0.1)) / (
+        up_progress = (up._rpm - up.steady_state_rpm(0.1)) / (
             up.steady_state_rpm(1.0) - up.steady_state_rpm(0.1)
         )
         down = FanMotor(params, initial_duty=1.0)
         down.set_duty(0.1)
         down.step(0.0, 1.0)
-        down_progress = (down.steady_state_rpm(1.0) - down.rpm) / (
+        down_progress = (down.steady_state_rpm(1.0) - down._rpm) / (
             down.steady_state_rpm(1.0) - down.steady_state_rpm(0.1)
         )
         assert down_progress < up_progress
@@ -101,7 +91,7 @@ class TestFanMotor:
         motor.set_duty(0.8)
         for i in range(1000):
             motor.step(i * 0.05, 0.05)
-        assert motor.rpm == pytest.approx(motor.steady_state_rpm(0.8), rel=1e-4)
+        assert motor._rpm == pytest.approx(motor.steady_state_rpm(0.8), rel=1e-4)
 
     def test_tau_down_must_exceed_tau_up(self):
         with pytest.raises(ConfigurationError):
@@ -111,7 +101,7 @@ class TestFanMotor:
         motor = FanMotor(initial_duty=0.1)
         motor.set_duty(1.0)
         motor.step(0.0, 1000.0)
-        assert motor.rpm == pytest.approx(motor.steady_state_rpm(1.0), rel=1e-6)
+        assert motor._rpm == pytest.approx(motor.steady_state_rpm(1.0), rel=1e-6)
 
     def test_lag_factors_follow_dt(self):
         """After a change of ``dt`` (or of the motor constants) the cached
@@ -120,13 +110,13 @@ class TestFanMotor:
         motor = FanMotor(initial_duty=0.1)
         for dt in (0.05, 0.05, 0.25, 2.0, 0.05):
             target = motor.steady_state_rpm(1.0)
-            rpm = motor.rpm
+            rpm = motor._rpm
             motor.set_duty(1.0)
             motor.step(0.0, dt)
             p = motor.params
             assert motor._alpha_up == 1.0 - math.exp(-dt / p.tau_up)
             assert motor._alpha_down == 1.0 - math.exp(-dt / p.tau_down)
-            assert motor.rpm == rpm + (1.0 - math.exp(-dt / p.tau_up)) * (
+            assert motor._rpm == rpm + (1.0 - math.exp(-dt / p.tau_up)) * (
                 target - rpm
             )
             motor.set_duty(0.1)

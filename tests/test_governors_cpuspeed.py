@@ -7,6 +7,7 @@ from repro.cpu.dvfs import Dvfs
 from repro.cpu.pstate import ATHLON64_4000
 from repro.errors import ConfigurationError
 from repro.governors.cpuspeed import CpuSpeed, CpuSpeedParams
+from repro.sim.events import EventLog
 
 
 class ScriptedRank:
@@ -23,8 +24,8 @@ class ScriptedRank:
         return util
 
 
-def make(schedule, params=None):
-    dvfs = Dvfs(ATHLON64_4000)
+def make(schedule, params=None, events=None):
+    dvfs = Dvfs(ATHLON64_4000, events=events)
     core = CpuCore(dvfs, name="c0")
     core.bind_rank(ScriptedRank(schedule))
     gov = CpuSpeed(core, params=params)
@@ -84,19 +85,21 @@ class TestUtilizationGoverning:
         assert dvfs.index == len(ATHLON64_4000) - 1
 
     def test_mid_utilization_holds(self):
-        gov, core, dvfs = make([0.6] * 1000)
+        events = EventLog()
+        gov, core, dvfs = make([0.6] * 1000, events=events)
         run(gov, core, 2.0)
         assert dvfs.index == 0
-        assert dvfs.change_count == 0
+        assert events.count("dvfs.change") == 0
 
     def test_oscillating_load_flaps(self):
         """The Table-1 pathology: alternating busy/idle intervals make
         the daemon flap continuously."""
         # one 0.25 s interval busy, one idle, at dt=0.05 -> 5 ticks each
         pattern = ([1.0] * 5 + [0.0] * 5) * 200
-        gov, core, dvfs = make(pattern)
+        events = EventLog()
+        gov, core, dvfs = make(pattern, events=events)
         run(gov, core, 10.0)
-        assert dvfs.change_count >= 15
+        assert events.count("dvfs.change") >= 15
 
     def test_utilization_measured_per_interval(self):
         gov, core, dvfs = make([1.0] * 10 + [0.0] * 1000)

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.core.policy import Policy
+from repro.fan.adt7467 import CONFIG_AUTO_REMOTE1, REG_PWM1_CONFIG
 from repro.governors.fan_constant import ConstantFanControl
 from repro.governors.fan_dynamic import DynamicFanControl
 from repro.governors.fan_traditional import TraditionalFanControl
@@ -22,6 +23,11 @@ def one_node(seed=42) -> Cluster:
     return Cluster(ClusterConfig(n_nodes=1, seed=seed))
 
 
+def auto_mode(node) -> bool:
+    """Whether the node's fan chip follows its hardware curve."""
+    return node.fan_chip.read_register(REG_PWM1_CONFIG) == CONFIG_AUTO_REMOTE1
+
+
 class TestTraditional:
     def test_programs_chip_auto_mode(self):
         cluster = one_node()
@@ -29,20 +35,22 @@ class TestTraditional:
         gov = TraditionalFanControl(node.make_fan_driver())
         cluster.add_governor(node, gov)
         cluster.run_job(burn_job(1.0))
-        assert node.fan_chip.auto_mode
+        assert auto_mode(node)
 
     def test_expected_duty_curve(self):
+        """Starting the governor programs the chip's Figure-1 curve
+        (within one 8-bit register quantum)."""
+        node = one_node().nodes[0]
+        chip = node.fan_chip
         gov = TraditionalFanControl(
-            one_node().nodes[0].make_fan_driver(),
-            t_min=38.0,
-            t_max=82.0,
-            duty_min=0.10,
-            duty_max=1.0,
+            node.make_fan_driver(), t_min=38.0, t_max=82.0, duty_min=0.10, duty_max=1.0
         )
-        assert gov.expected_duty(30.0) == pytest.approx(0.10)
-        assert gov.expected_duty(82.0) == pytest.approx(1.0)
-        assert gov.expected_duty(60.0) == pytest.approx(
-            0.10 + (60 - 38) / 44 * 0.90
+        gov.start(0.0)
+        quantum = 1.0 / 255.0
+        assert chip.auto_curve_duty(30.0) == pytest.approx(0.10, abs=quantum)
+        assert chip.auto_curve_duty(82.0) == pytest.approx(1.0, abs=quantum)
+        assert chip.auto_curve_duty(60.0) == pytest.approx(
+            0.10 + (60 - 38) / 44 * 0.90, abs=quantum
         )
 
     def test_duty_max_respects_driver_cap(self):
@@ -61,9 +69,8 @@ class TestTraditional:
         temp = result.traces["node0.temp"]
         # duty tracks the chip curve of the measured temperature
         late_duty = duty.values[-1]
-        gov = TraditionalFanControl(node.make_fan_driver())
         assert late_duty == pytest.approx(
-            gov.expected_duty(temp.values[-1]), abs=0.05
+            node.fan_chip.auto_curve_duty(temp.values[-1]), abs=0.05
         )
 
 
@@ -104,7 +111,7 @@ class TestDynamic:
         gov = DynamicFanControl(node.make_fan_driver(), Policy(pp=50))
         cluster.add_governor(node, gov)
         cluster.run_job(burn_job(1.0))
-        assert not node.fan_chip.auto_mode
+        assert not auto_mode(node)
 
     def test_responds_to_load(self):
         result, gov = self.run_with(pp=50)
@@ -130,7 +137,3 @@ class TestDynamic:
         result, _ = self.run_with(pp=25, max_duty=0.25)
         # within one 8-bit PWM register quantum of the cap
         assert result.traces["node0.duty"].max() <= 0.25 + 1.0 / 255.0
-
-    def test_current_duty_property(self):
-        _, gov = self.run_with(pp=50, seconds=30.0)
-        assert 0.0 < gov.current_duty <= 1.0

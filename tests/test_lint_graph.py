@@ -16,9 +16,6 @@ import sys
 import os
 from pathlib import Path
 from textwrap import dedent
-from typing import List
-
-import pytest
 
 from repro.lint import (
     FileAnalysis,

@@ -45,6 +45,7 @@ from tests.reference_engine import (
     reference_rc_step,
     reference_result,
 )
+from tests.test_runtime_executor import stats
 
 SEED = 7
 
@@ -54,7 +55,7 @@ SEED = 7
 
 def assert_networks_equal(expected_nets, actual_nets) -> None:
     for k, (enet, anet) in enumerate(zip(expected_nets, actual_nets)):
-        for name in enet.node_names:
+        for name in enet._order:
             a = enet.temperature(name)
             b = anet.temperature(name)
             assert a == b and np.float64(a).tobytes() == np.float64(
@@ -65,7 +66,7 @@ def assert_networks_equal(expected_nets, actual_nets) -> None:
 def mirror_network(net: RCNetwork) -> RCNetwork:
     """A fresh network with ``net``'s nodes, links and powers."""
     twin = RCNetwork()
-    for name in net.node_names:
+    for name in net._order:
         node = net.node(name)
         twin.add_node(ThermalNode(name, node.capacitance, node.temperature))
         twin.set_power(name, net.power(name))
@@ -83,7 +84,7 @@ def heated_packages(kind: str, n: int = 2) -> list:
         packages = [MulticorePackage(n_cores=4, name=f"p{k}") for k in range(n)]
     for k, package in enumerate(packages):
         net = package._net
-        free = [n for n in net.node_names if not net.node(n).is_boundary]
+        free = [n for n in net._order if not net.node(n).is_boundary]
         for j, name in enumerate(free[:-1]):  # all but the sink
             net.set_power(name, 10.0 + 5.0 * k + 3.0 * j)
         net.step(0.05)
@@ -117,13 +118,13 @@ def test_package_batch_traps_public_writes_and_releases() -> None:
 
         step_both(pack, nets, mirrors)
         packages[1]._conv_link.resistance = 0.4
-        mirrors[1].link("p1.conv").resistance = 0.4
+        mirrors[1]._links["p1.conv"].resistance = 0.4
         step_both(pack, nets, mirrors)
         step_both(pack, nets, mirrors)
         assert pack._stacked
 
         for net in (packages[0]._net, mirrors[0]):
-            net.link(f"p0.{frozen}").resistance = 0.2
+            net._links[f"p0.{frozen}"].resistance = 0.2
         step_both(pack, nets, mirrors)
         assert not pack._stacked
         for net in nets:
@@ -193,12 +194,16 @@ def test_package_batch_honours_mid_run_power_writes(kind, node) -> None:
     pack.release()
 
 
+def temperatures(net: RCNetwork) -> dict:
+    return {name: net.temperature(name) for name in net._order}
+
+
 def held_ticks(pack, nets, mirrors, ticks) -> None:
     """Integrate ``ticks`` held ticks with the die powers written into
     the stack's column, and the mirrors stepped by the reference; the
     objects are not written while the inputs are held."""
     powers, _ = pack.columns(0)
-    before = [net.temperatures() for net in nets]
+    before = [temperatures(net) for net in nets]
     for tick in range(ticks):
         watts = [20.0 + 3.0 * tick, 35.0 - 2.0 * tick]
         powers[:] = watts
@@ -206,7 +211,7 @@ def held_ticks(pack, nets, mirrors, ticks) -> None:
             twin.set_power(f"p{k}.die", w)
             reference_rc_step(twin, 0.05)
         assert pack.integrate()
-    assert [net.temperatures() for net in nets] == before
+    assert [temperatures(net) for net in nets] == before
 
 
 def unhold(pack, nets) -> None:
@@ -236,7 +241,7 @@ def test_held_batch_declines_after_a_convective_write_between_gathers() -> None:
     assert_networks_equal(mirrors, nets)
 
     packages[1]._conv_link.resistance = 0.4
-    mirrors[1].link("p1.conv").resistance = 0.4
+    mirrors[1]._links["p1.conv"].resistance = 0.4
     watts = [12.0, 44.0]
     powers, _ = pack.columns(0)
     powers[:] = watts
@@ -334,8 +339,8 @@ def test_batch_executor_counts_groups_and_populates_cache(tmp_path) -> None:
     specs = fig07_specs()
     executor = RunExecutor(cache_dir=tmp_path)
     fresh = executor.map(specs)
-    assert executor.stats.executed == len(specs)
-    assert executor.stats.cache_misses == len(specs)
+    assert stats(executor)["executed"] == len(specs)
+    assert stats(executor)["cache_misses"] == len(specs)
     assert executor.registry.counter("host.exec.batch_groups").value == 1.0
     assert executor.registry.counter("host.exec.batched_specs").value == float(
         len(specs)
@@ -345,7 +350,7 @@ def test_batch_executor_counts_groups_and_populates_cache(tmp_path) -> None:
     warm = RunExecutor(cache_dir=tmp_path)
     for spec, result in zip(specs, fresh):
         assert warm.run(spec).canonical_bytes() == result.canonical_bytes()
-    assert warm.stats.cache_hits == len(specs)
+    assert stats(warm)["cache_hits"] == len(specs)
 
 
 def test_batch_executor_mixed_group_sizes(tmp_path) -> None:
@@ -379,7 +384,7 @@ def test_batch_executor_mixed_group_sizes(tmp_path) -> None:
         grouped_exec.registry.counter("host.exec.batched_specs").value == 5.0
     )
     assert grouped_exec.registry.counter("host.exec.batch_groups").value == 1.0
-    assert grouped_exec.stats.executed == len(mixed)
+    assert stats(grouped_exec)["executed"] == len(mixed)
 
 
 def test_parallel_map_deals_groups_over_the_pool(monkeypatch) -> None:
@@ -463,7 +468,7 @@ def test_lockstep_counters_count_only_what_ran_in_lockstep() -> None:
     snapshot = executor.registry.snapshot()
     assert snapshot.value("host.exec.batched_specs") == 3.0
     assert snapshot.value("host.exec.batch_groups") == 2.0
-    assert executor.stats.executed == 4
+    assert stats(executor)["executed"] == 4
 
 
 def test_fault_specs_never_reach_lockstep(monkeypatch) -> None:
@@ -525,7 +530,7 @@ def write_junction_mid_run(pairs) -> None:
     """Rewrite one node's junction resistance at t = 5 s, through the
     public setter, from a task on its engine."""
     cluster = pairs[1][0]
-    link = cluster.nodes[1].package._net.link("node1.pkg.jhs")
+    link = cluster.nodes[1].package._net._links["node1.pkg.jhs"]
 
     writes = []
 

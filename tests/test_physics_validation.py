@@ -11,7 +11,6 @@ import math
 import pytest
 
 from repro.cluster.node import Node
-from repro.config import NodeConfig
 from repro.thermal.ambient import ConstantAmbient
 from repro.thermal.package import CpuPackage
 from repro.workloads.base import ComputeSegment, RankProgram
@@ -91,11 +90,11 @@ class TestWallPowerAccounting:
             RankProgram([ComputeSegment(2.4e9 * 600)], name="burn")
         )
         run_node(node, 20.0)
-        fan_power = node.fan_aero.power(node.fan_rpm)
+        fan_power = node.fan_aero.power(node.fan_motor._rpm)
         expected = (
-            node.config.baseboard_power + node.cpu_power + fan_power
+            node.config.baseboard_power + node._cpu_power + fan_power
         )
-        assert node.wall_power == pytest.approx(expected, rel=1e-9)
+        assert node._wall_power == pytest.approx(expected, rel=1e-9)
 
     def test_meter_energy_equals_power_integral(self):
         node = Node("n0")
@@ -106,7 +105,7 @@ class TestWallPowerAccounting:
         integral = 0.0
         for i in range(1, int(30.0 / dt) + 1):
             node.step(i * dt, dt)
-            integral += node.wall_power * dt
+            integral += node._wall_power * dt
         assert node.meter.energy_joules == pytest.approx(integral, rel=1e-9)
 
 
@@ -116,9 +115,10 @@ class TestExecutionAccounting:
         the utilization discount)."""
         node = Node("n0")
         cycles = 2.4e9 * 10  # 10 s at full speed
-        node.bind_rank(RankProgram([ComputeSegment(cycles)], name="r"))
+        rank = RankProgram([ComputeSegment(cycles)], name="r")
+        node.bind_rank(rank)
         run_node(node, 15.0)
-        assert node.core.rank_finished
+        assert rank.finished
         # ComputeSegment reports 0.98 utilization; retirement tracks it
         assert node.core.retired_cycles == pytest.approx(
             cycles * 0.98, rel=0.01
@@ -132,17 +132,16 @@ class TestExecutionAccounting:
             node = Node("n0")
             node.dvfs.set_index(index)
             node.dvfs.consume_stall(1.0)
-            node.bind_rank(
-                RankProgram([ComputeSegment(2.4e9 * 30)], name="r")
-            )
+            rank = RankProgram([ComputeSegment(2.4e9 * 30)], name="r")
+            node.bind_rank(rank)
             dt = 0.05
             energy = 0.0
             t = 0.0
-            while not node.core.rank_finished and t < 200.0:
+            while not rank.finished and t < 200.0:
                 t += dt
                 node.step(t, dt)
-                energy += node.cpu_power * dt
-            assert node.core.rank_finished
+                energy += node._cpu_power * dt
+            assert rank.finished
             return energy
 
         assert cpu_energy(3) < cpu_energy(0) * 0.85

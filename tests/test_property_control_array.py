@@ -17,6 +17,8 @@ extra_size = st.integers(min_value=0, max_value=150)
 
 
 def build(pp: int, n_modes: int, extra: int) -> ThermalControlArray:
+    """An array over modes ``0..n_modes-1``: each mode is its own
+    position in the mode set."""
     modes = tuple(range(n_modes))
     size = n_modes + extra
     return ThermalControlArray(modes, Policy(pp=pp), size=max(size, 2))
@@ -26,7 +28,8 @@ def build(pp: int, n_modes: int, extra: int) -> ThermalControlArray:
 @settings(max_examples=200)
 def test_monotone_non_descending(pp, n_modes, extra):
     """Slot values never decrease in effectiveness along the array."""
-    assert build(pp, n_modes, extra).is_monotone()
+    values = build(pp, n_modes, extra).values()
+    assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 @given(pp=pps, n_modes=mode_counts, extra=extra_size)
@@ -69,7 +72,7 @@ def test_smaller_pp_never_less_aggressive(n_modes, extra, pp_lo, pp_hi):
     aggressive = build(lo, n_modes, extra)
     lazy = build(hi, n_modes, extra)
     for slot in range(len(aggressive)):
-        assert aggressive.mode_position(slot) >= lazy.mode_position(slot)
+        assert aggressive[slot] >= lazy[slot]
 
 
 @given(pp=pps, n_modes=mode_counts, extra=extra_size)
@@ -91,4 +94,4 @@ def test_next_distinct_slot_progresses_or_stays(pp, n_modes, extra):
         nxt = arr.next_distinct_slot(slot)
         assert nxt >= slot
         if nxt > slot:
-            assert arr.mode_position(nxt) > arr.mode_position(slot)
+            assert arr[nxt] > arr[slot]

@@ -30,7 +30,7 @@ def test_rc_never_overshoots_steady_state_from_below(p, r, c, amb):
     net.add_node(ThermalNode("amb", None, amb))
     net.add_link(ThermalLink("l", "die", "amb", r))
     net.set_power("die", p)
-    target = net.steady_state()["die"]
+    target = amb + p * r
     previous = amb
     for _ in range(300):
         net.step(0.5)
@@ -48,7 +48,9 @@ def test_rc_steady_state_is_linear_in_power(p, r, amb):
     net.add_node(ThermalNode("amb", None, amb))
     net.add_link(ThermalLink("l", "die", "amb", r))
     net.set_power("die", p)
-    assert np.isclose(net.steady_state()["die"], amb + p * r)
+    for _ in range(200):  # 1000 s: at least 50 time constants
+        net.step(5.0)
+    assert np.isclose(net.temperature("die"), amb + p * r)
 
 
 @given(q1=flows, q2=flows)
@@ -75,7 +77,7 @@ def test_power_monotone_down_the_ladder(u, t):
 def test_power_monotone_in_utilization(u1, u2, t):
     model = CpuPowerModel()
     lo, hi = sorted((u1, u2))
-    top = ATHLON64_4000.fastest
+    top = ATHLON64_4000[0]
     assert model.power(top, lo, t) <= model.power(top, hi, t) + 1e-9
 
 
@@ -86,7 +88,7 @@ def test_motor_converges_to_steady_state(d):
     motor.set_duty(d)
     for i in range(2000):
         motor.step(i * 0.05, 0.05)
-    assert np.isclose(motor.rpm, motor.steady_state_rpm(d), rtol=1e-3, atol=1.0)
+    assert np.isclose(motor._rpm, motor.steady_state_rpm(d), rtol=1e-3, atol=1.0)
 
 
 @given(d1=duties, d2=duties)

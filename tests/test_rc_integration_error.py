@@ -56,7 +56,7 @@ def _heated_network(platform: str):
     package._conv_link.resistance = package.convection.resistance(CFM)
     for name in heated:
         net.set_power(name, WATTS / len(heated))
-    for name in net.node_names:
+    for name in net._order:
         if not net.node(name).is_boundary:
             net.set_temperature(name, START_C)
     return net

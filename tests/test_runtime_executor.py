@@ -35,6 +35,23 @@ def specs_pair():
     ]
 
 
+#: The executor's lifetime counters and the metric each one reads.
+_STATS = {
+    "executed": "host.exec.executed",
+    "cache_hits": "host.cache.hits",
+    "cache_misses": "host.cache.misses",
+    "deduplicated": "host.exec.deduplicated",
+    "jobs_requested": "host.exec.jobs_requested",
+    "jobs_effective": "host.exec.jobs_effective",
+}
+
+
+def stats(executor: RunExecutor) -> dict:
+    """The executor's lifetime counters, from its telemetry snapshot."""
+    snapshot = executor.telemetry_snapshot()
+    return {key: int(snapshot.total(name)) for key, name in _STATS.items()}
+
+
 def test_parallel_results_match_serial_exactly() -> None:
     specs = specs_pair()
     serial = RunExecutor(jobs=1).map(specs)
@@ -55,8 +72,8 @@ def test_duplicate_specs_execute_once() -> None:
     executor = RunExecutor()
     first, second = executor.map([spec, spec])
     assert first is second
-    assert executor.stats.executed == 1
-    assert executor.stats.deduplicated == 1
+    assert stats(executor)["executed"] == 1
+    assert stats(executor)["deduplicated"] == 1
 
 
 def test_many_duplicate_specs_stress() -> None:
@@ -69,8 +86,8 @@ def test_many_duplicate_specs_stress() -> None:
     results = executor.map([spec] * copies)
     assert len(results) == copies
     assert all(r is results[0] for r in results)
-    assert executor.stats.executed == 1
-    assert executor.stats.deduplicated == copies - 1
+    assert stats(executor)["executed"] == 1
+    assert stats(executor)["deduplicated"] == copies - 1
     snapshot = executor.registry.snapshot()
     assert snapshot.value("host.exec.deduplicated") == float(copies - 1)
     assert snapshot.value("host.exec.executed") == 1.0
@@ -88,7 +105,7 @@ def test_stats_track_cache_across_maps(tmp_path) -> None:
     specs = specs_pair()
     executor = RunExecutor(cache_dir=tmp_path)
     executor.map(specs)
-    assert executor.stats.as_dict() == {
+    assert stats(executor) == {
         "executed": 2,
         "cache_hits": 0,
         "cache_misses": 2,
@@ -97,8 +114,8 @@ def test_stats_track_cache_across_maps(tmp_path) -> None:
         "jobs_effective": 1,
     }
     executor.map(specs)
-    assert executor.stats.cache_hits == 2
-    assert executor.stats.executed == 2  # unchanged: nothing re-ran
+    assert stats(executor)["cache_hits"] == 2
+    assert stats(executor)["executed"] == 2  # unchanged: nothing re-ran
 
 
 def test_cached_result_matches_fresh(tmp_path) -> None:
@@ -173,8 +190,8 @@ def test_cache_recovers_from_a_corrupt_entry(tmp_path, make) -> None:
     assert executor.cached(spec) is None
     assert executor.stored(spec.digest()) is None
     assert executor.run(spec).canonical_bytes() == fresh.canonical_bytes()
-    assert executor.stats.cache_misses == 1
-    assert executor.stats.executed == 1
+    assert stats(executor)["cache_misses"] == 1
+    assert stats(executor)["executed"] == 1
     assert not sentinel.exists()
     assert executor.cached(spec) == summary_bytes(spec, fresh)
 
@@ -225,7 +242,7 @@ def test_failed_cache_write_fails_no_run(tmp_path, monkeypatch, break_store) -> 
     break_store(cache, monkeypatch)
     fresh = RunExecutor().run(spec)
     assert executor.run(spec).canonical_bytes() == fresh.canonical_bytes()
-    assert executor.stats.executed == 1
+    assert stats(executor)["executed"] == 1
     assert executor.registry.snapshot().value("host.cache.write_errors") == 1.0
     if cache.is_dir():
         assert list(cache.iterdir()) == []
@@ -236,9 +253,9 @@ def test_failed_cache_write_fails_no_run(tmp_path, monkeypatch, break_store) -> 
 
 def _core_stats(executor: RunExecutor) -> dict:
     """Executor stats minus the configuration-dependent jobs gauges."""
-    stats = executor.stats.as_dict()
-    del stats["jobs_requested"], stats["jobs_effective"]
-    return stats
+    counts = stats(executor)
+    del counts["jobs_requested"], counts["jobs_effective"]
+    return counts
 
 
 def usable_cpus() -> int:
@@ -253,15 +270,15 @@ def test_jobs_clamped_to_cpu_count() -> None:
     cpus = usable_cpus()
     executor = RunExecutor(jobs=cpus + 4)
     assert executor.effective_jobs == cpus
-    assert executor.stats.jobs_requested == cpus + 4
-    assert executor.stats.jobs_effective == cpus
-    assert executor.stats.jobs_clamped is True
+    assert stats(executor)["jobs_requested"] == cpus + 4
+    assert stats(executor)["jobs_effective"] == cpus
+    assert executor.effective_jobs < executor.jobs
 
 
 def test_jobs_within_cpu_count_not_clamped() -> None:
     executor = RunExecutor(jobs=1)
     assert executor.effective_jobs == 1
-    assert executor.stats.jobs_clamped is False
+    assert executor.effective_jobs == executor.jobs
 
 
 def test_jobs_clamped_to_the_affinity_set(monkeypatch) -> None:
@@ -270,7 +287,7 @@ def test_jobs_clamped_to_the_affinity_set(monkeypatch) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     executor = RunExecutor(jobs=2)
     assert executor.effective_jobs == 1
-    assert executor.stats.jobs_clamped is True
+    assert executor.effective_jobs < executor.jobs
 
 
 def test_clamped_serial_fallback_matches_serial(monkeypatch) -> None:
@@ -285,7 +302,7 @@ def test_clamped_serial_fallback_matches_serial(monkeypatch) -> None:
     specs = specs_pair()
     clamped = RunExecutor(jobs=4)
     assert clamped.effective_jobs == 1
-    assert clamped.stats.jobs_clamped is True
+    assert clamped.effective_jobs < clamped.jobs
     serial_results = RunExecutor(jobs=1).map(specs)
     clamped_results = clamped.map(specs)
     for s, c in zip(serial_results, clamped_results):
@@ -476,11 +493,16 @@ def test_shared_registry_keeps_executor_stats_independent() -> None:
     second = RunExecutor(jobs=3, registry=registry)
     # The second executor's construction must not overwrite the first's
     # jobs gauges (the historical bug: last writer won).
-    assert first.stats.jobs_requested == 1
-    assert second.stats.jobs_requested == 3
+    def by_executor(name: str) -> list:
+        """``name``'s values, first executor first (ordinals ascend)."""
+        samples = [s for s in registry.snapshot() if s.name == name]
+        samples.sort(key=lambda s: int(s.label_dict()["executor"]))
+        return [s.value for s in samples]
+
+    assert by_executor("host.exec.jobs_requested") == [1, 3]
     first.map(specs_pair())
-    assert first.stats.executed == 2
-    assert second.stats.executed == 0  # untouched by the other's work
+    # the second is untouched by the other's work
+    assert by_executor("host.exec.executed") == [2, 0]
 
 
 def test_solo_executor_keeps_unlabeled_metrics() -> None:

@@ -26,6 +26,7 @@ from repro.runtime import (
     RunSpec,
     freeze_params,
 )
+from tests.test_runtime_executor import stats
 
 
 def cheap_spec(**overrides) -> RunSpec:
@@ -217,16 +218,16 @@ def test_cache_miss_then_hit_then_version_invalidation(
 
     first = RunExecutor(cache_dir=tmp_path)
     result = first.run(spec)
-    assert first.stats.executed == 1
-    assert first.stats.cache_misses == 1
-    assert first.stats.cache_hits == 0
+    assert stats(first)["executed"] == 1
+    assert stats(first)["cache_misses"] == 1
+    assert stats(first)["cache_hits"] == 0
     entry = tmp_path / f"{spec.digest()}.result"
     assert entry.is_file()
 
     second = RunExecutor(cache_dir=tmp_path)
     cached = second.run(spec)
-    assert second.stats.executed == 0
-    assert second.stats.cache_hits == 1
+    assert stats(second)["executed"] == 0
+    assert stats(second)["cache_hits"] == 1
     temp = cached.traces["node0.temp"]
     fresh = result.traces["node0.temp"]
     assert (temp.times == fresh.times).all()
@@ -237,8 +238,8 @@ def test_cache_miss_then_hit_then_version_invalidation(
     assert not (tmp_path / f"{spec.digest()}.result").exists()
     bumped = RunExecutor(cache_dir=tmp_path)
     bumped.run(spec)
-    assert bumped.stats.executed == 1, "version bump must invalidate"
-    assert bumped.stats.cache_hits == 0
+    assert stats(bumped)["executed"] == 1, "version bump must invalidate"
+    assert stats(bumped)["cache_hits"] == 0
 
 
 def test_corrupt_cache_entry_is_a_miss(tmp_path) -> None:
@@ -247,8 +248,8 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path) -> None:
     entry.write_bytes(b"not a pickle")
     executor = RunExecutor(cache_dir=tmp_path)
     executor.run(spec)
-    assert executor.stats.executed == 1
-    assert executor.stats.cache_hits == 0
+    assert stats(executor)["executed"] == 1
+    assert stats(executor)["cache_hits"] == 0
 
 
 def test_freeze_params_rejects_mixed_type_sets() -> None:

@@ -37,7 +37,7 @@ from repro.serve import (
     summary_bytes,
 )
 from repro.serve.payloads import canonical_json_bytes
-from tests.test_runtime_executor import flip
+from tests.test_runtime_executor import flip, stats
 from tests.test_runtime_spec import HOSTILE_RUN_PAYLOADS
 from tests.test_telemetry_exporters import check_prometheus_text
 
@@ -85,7 +85,7 @@ async def poll_until_terminal(
     for _ in range(int(timeout / 0.02)):
         response = await client.request("GET", f"/v1/runs/{digest}")
         assert response.status == 200, response.body
-        envelope = response.json_body()
+        envelope = json.loads(response.body)
         if envelope["status"] in ("done", "failed"):
             return envelope
         await asyncio.sleep(0.02)
@@ -162,7 +162,7 @@ def test_healthz_and_unknown_routes() -> None:
     async def scenario(server, client):
         health = await client.request("GET", "/healthz")
         assert health.status == 200
-        assert health.json_body()["status"] == "ok"
+        assert json.loads(health.body)["status"] == "ok"
 
         missing = await client.request("GET", "/no/such/route")
         assert missing.status == 404
@@ -173,7 +173,7 @@ def test_healthz_and_unknown_routes() -> None:
 
         unknown = await client.request("GET", "/v1/runs/deadbeef")
         assert unknown.status == 404
-        assert "deadbeef" in unknown.json_body()["error"]
+        assert "deadbeef" in json.loads(unknown.body)["error"]
 
     run_with_server(ServeConfig(port=0), scenario)
 
@@ -198,11 +198,11 @@ def test_malformed_specs_are_400_with_clear_errors() -> None:
         for body in bodies:
             response = await client.request("POST", "/v1/runs", body)
             assert response.status == 400, body
-            assert "error" in response.json_body(), body
+            assert "error" in json.loads(response.body), body
         for body, needle in hostile:
             response = await client.request("POST", "/v1/runs", body)
             assert response.status == 400, (body[:80], response.body)
-            assert needle in response.json_body()["error"], body[:80]
+            assert needle in json.loads(response.body)["error"], body[:80]
         snapshot = server.registry.snapshot()
         assert snapshot.value("serve.runs.submitted") == 0
         assert snapshot.total("host.exec.executed") == 0
@@ -231,7 +231,7 @@ def test_unknown_registry_names_are_400_naming_the_kind(kind, overrides) -> None
         for path in ("/v1/runs", "/v1/runs?wait=1"):
             response = await client.request("POST", path, body)
             assert response.status == 400, response.body
-            error = response.json_body()["error"]
+            error = json.loads(response.body)["error"]
             assert f"unknown {kind} " in error, error
         snapshot = server.registry.snapshot()
         assert snapshot.value("serve.runs.submitted") == 0
@@ -253,7 +253,7 @@ def test_cold_run_result_bytes_match_local_execution() -> None:
     async def scenario(server, client):
         posted = await client.request("POST", "/v1/runs", post_body(spec))
         assert posted.status == 202, posted.body
-        envelope = posted.json_body()
+        envelope = json.loads(posted.body)
         assert envelope["status"] == "queued"
         digest = envelope["digest"]
 
@@ -261,7 +261,7 @@ def test_cold_run_result_bytes_match_local_execution() -> None:
         assert final["status"] == "done"
         # The done job left the ledger; the poll reads the store.
         assert final["source"] == "cache"
-        assert server.executor.stats.executed == 1
+        assert stats(server.executor)["executed"] == 1
         assert final["result"]["digest"] == digest
 
         result = await client.request("GET", f"/v1/runs/{digest}/result")
@@ -289,7 +289,7 @@ def test_hot_cache_path_is_byte_identical(tmp_path) -> None:
         for body in bodies:
             posted = await client.request("POST", "/v1/runs", body)
             assert posted.status in expect, posted.body
-            envelopes.append(posted.json_body())
+            envelopes.append(json.loads(posted.body))
         return envelopes
 
     async def cold(server, client):
@@ -357,11 +357,11 @@ def test_stored_summary_answers_warm_repeat_and_get(tmp_path, monkeypatch) -> No
         for _warm_then_repeat in range(2):
             posted = await client.request("POST", "/v1/runs", post_body(spec))
             assert posted.status == 200, posted.body
-            assert posted.json_body()["disposition"] == "cache"
-            answers.append(canonical_json_bytes(posted.json_body()["result"]))
+            assert json.loads(posted.body)["disposition"] == "cache"
+            answers.append(canonical_json_bytes(json.loads(posted.body)["result"]))
         got = await client.request("GET", f"/v1/runs/{spec.digest()}/result")
         assert got.status == 200, got.body
-        assert server.executor.stats.executed == 0
+        assert stats(server.executor)["executed"] == 0
         return answers + [got.body]
 
     config = ServeConfig(port=0, cache_dir=str(tmp_path))
@@ -385,9 +385,9 @@ def test_a_damaged_entry_is_never_served(tmp_path, where) -> None:
         missing = await client.request("GET", f"/v1/runs/{spec.digest()}/result")
         assert missing.status == 404, missing.body
         posted = await client.request("POST", "/v1/runs?wait=1", post_body(spec))
-        assert posted.json_body()["disposition"] == "queued"
+        assert json.loads(posted.body)["disposition"] == "queued"
         got = await client.request("GET", f"/v1/runs/{spec.digest()}/result")
-        assert server.executor.stats.executed == 1
+        assert stats(server.executor)["executed"] == 1
         return got.body
 
     config = ServeConfig(port=0, cache_dir=str(tmp_path))
@@ -448,9 +448,9 @@ def test_idle_server_dispatches_on_arrival() -> None:
     async def scenario(server, client, gate):
         posted = await client.request("POST", "/v1/runs", post_body(spec))
         assert posted.status == 202, posted.body
-        job = server.jobs.get(posted.json_body()["digest"])
+        job = server.jobs.get(json.loads(posted.body)["digest"])
         await yield_until(lambda: job.state == "running")
-        assert server.jobs.queued_count == 0
+        assert server.registry.snapshot().value("serve.queue.depth") == 0
 
     run_gated(ServeConfig(port=0), scenario)
 
@@ -470,8 +470,8 @@ def test_specs_queued_behind_a_running_window_run_as_one_map() -> None:
         for spec in rest:
             posted = await client.request("POST", "/v1/runs", post_body(spec))
             assert posted.status == 202, posted.body
-            assert posted.json_body()["status"] == "queued"
-        assert server.jobs.queued_count == len(rest)
+            assert json.loads(posted.body)["status"] == "queued"
+        assert server.registry.snapshot().value("serve.queue.depth") == len(rest)
         gate.open()
         served = await served_results(
             client, [spec.digest() for spec in [first, *rest]]
@@ -503,19 +503,19 @@ def test_admission_control_sheds_with_429() -> None:
 
         waiting = await client.request("POST", "/v1/runs", post_body(queued))
         assert waiting.status == 202, waiting.body
-        assert waiting.json_body()["status"] == "queued"
+        assert json.loads(waiting.body)["status"] == "queued"
 
         shed = await client.request("POST", "/v1/runs", post_body(overflow))
         assert shed.status == 429, shed.body
         assert shed.headers["retry-after"] == "1"
-        assert shed.json_body()["retry_after"] == 1
+        assert json.loads(shed.body)["retry_after"] == 1
 
         # Duplicates of the running and the queued spec attach as
         # followers — they occupy no queue slot, so they are NOT shed.
         for spec in (running, queued):
             follower = await client.request("POST", "/v1/runs", post_body(spec))
             assert follower.status == 202, follower.body
-            assert follower.json_body()["disposition"] == "follower"
+            assert json.loads(follower.body)["disposition"] == "follower"
 
         snapshot = server.registry.snapshot()
         assert snapshot.value("serve.runs.rejected") == 1
@@ -535,7 +535,7 @@ def test_inflight_duplicates_execute_once() -> None:
         for _ in range(copies):
             posted = await client.request("POST", "/v1/runs", post_body(spec))
             assert posted.status == 202, posted.body
-            envelope = posted.json_body()
+            envelope = json.loads(posted.body)
             dispositions.append(envelope["disposition"])
             digest = envelope["digest"]
         # The gate holds the leader running while its copies arrive.
@@ -550,7 +550,7 @@ def test_inflight_duplicates_execute_once() -> None:
             bodies.add(result.body)
         assert len(bodies) == 1
 
-        assert server.executor.stats.executed == 1
+        assert stats(server.executor)["executed"] == 1
         snapshot = server.registry.snapshot()
         assert snapshot.value("serve.runs.dedup_followers") == copies - 1
         assert snapshot.value("serve.runs.submitted") == 1
@@ -568,7 +568,7 @@ def test_wait_flag_blocks_until_done() -> None:
             "POST", "/v1/runs?wait=1", post_body(spec)
         )
         assert posted.status == 200, posted.body
-        envelope = posted.json_body()
+        envelope = json.loads(posted.body)
         assert envelope["status"] == "done"
         assert envelope["result"]["digest"] == envelope["digest"]
 
@@ -587,11 +587,11 @@ def test_result_endpoint_409_while_open() -> None:
 
     async def scenario(server, client, gate):
         posted = await client.request("POST", "/v1/runs", post_body(spec))
-        digest = posted.json_body()["digest"]
+        digest = json.loads(posted.body)["digest"]
         # The gate holds the job open while we probe.
         early = await client.request("GET", f"/v1/runs/{digest}/result")
         assert early.status == 409
-        assert digest in early.json_body()["error"]
+        assert digest in json.loads(early.body)["error"]
 
     run_gated(ServeConfig(port=0), scenario)
 
@@ -627,12 +627,12 @@ def test_ledger_holds_only_open_and_failed_jobs() -> None:
         for spec in specs:
             posted = await client.request("POST", "/v1/runs?wait=1", post_body(spec))
             assert posted.status == 200, posted.body
-            assert posted.json_body()["source"] == "executed"
+            assert json.loads(posted.body)["source"] == "executed"
             check_bound()
         assert jobs._jobs == {}
         assert max(peak) == 1
         served = await served_results(client, [spec.digest() for spec in specs])
-        assert server.executor.stats.executed == len(specs)
+        assert stats(server.executor)["executed"] == len(specs)
         return served
 
     served = run_with_server(ServeConfig(port=0), scenario)
@@ -654,16 +654,16 @@ def test_failed_jobs_stay_in_a_fifo_bounded_by_queue_depth() -> None:
         for spec in specs:
             posted = await client.request("POST", "/v1/runs?wait=1", post_body(spec))
             assert posted.status == 200, posted.body
-            assert posted.json_body()["status"] == "failed"
+            assert json.loads(posted.body)["status"] == "failed"
         assert len(server.jobs._jobs) == 2
         evicted = await client.request("GET", f"/v1/runs/{specs[0].digest()}")
         assert evicted.status == 404
         for spec in specs[1:]:
             kept = await client.request("GET", f"/v1/runs/{spec.digest()}")
             assert kept.status == 200
-            assert kept.json_body()["error"] == "RuntimeError: boom"
+            assert json.loads(kept.body)["error"] == "RuntimeError: boom"
         repeat = await client.request("POST", "/v1/runs", post_body(specs[2]))
-        assert repeat.json_body()["disposition"] == "failed"
+        assert json.loads(repeat.body)["disposition"] == "failed"
 
     run_with_server(ServeConfig(port=0, queue_depth=2), scenario)
 
@@ -677,7 +677,7 @@ def test_server_without_cache_dir_uses_a_temporary_store() -> None:
         root = server.executor.cache_dir
         for disposition in ("queued", "cache"):
             posted = await client.request("POST", "/v1/runs?wait=1", post_body(spec))
-            assert posted.json_body()["disposition"] == disposition
+            assert json.loads(posted.body)["disposition"] == disposition
         assert [p.name for p in root.iterdir()] == [f"{spec.digest()}.result"]
         return root
 
@@ -692,7 +692,7 @@ def test_stop_waits_for_the_running_window() -> None:
 
     async def scenario(server, client, gate):
         posted = await client.request("POST", "/v1/runs", post_body(spec))
-        job = server.jobs.get(posted.json_body()["digest"])
+        job = server.jobs.get(json.loads(posted.body)["digest"])
         await yield_until(lambda: job.state == "running")
         stopping = asyncio.ensure_future(server.stop())
         for _ in range(20):
@@ -700,7 +700,7 @@ def test_stop_waits_for_the_running_window() -> None:
         assert not stopping.done()
         gate.open()
         await stopping
-        assert server.executor.stats.executed == 1
+        assert stats(server.executor)["executed"] == 1
         assert not server.executor.cache_dir.exists()
 
     run_gated(ServeConfig(port=0), scenario)

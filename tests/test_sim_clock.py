@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.sim.clock import PeriodicTask, SimClock
+from repro.sim.engine import SimulationEngine
 
 
 class TestSimClock:
@@ -50,48 +51,34 @@ class TestSimClock:
             SimClock(0.1).ticks_for(-1.0)
 
 
+def fired(dt: float, period: float, ticks: int, phase: float = 0.0):
+    """Firing times and the task, over ``ticks`` ticks of an engine."""
+    engine = SimulationEngine(dt=dt)
+    times = []
+    task = engine.every(period, times.append, phase=phase)
+    engine.run(max_ticks=ticks)
+    return times, task
+
+
 class TestPeriodicTask:
     def test_fires_at_period_multiples(self):
-        clock = SimClock(0.05)
-        fired = []
-        task = PeriodicTask(period=0.25, callback=fired.append)
-        task.bind(clock)
-        for _ in range(20):
-            clock.advance()
-            task.maybe_fire(clock)
-        assert fired == pytest.approx([0.25, 0.5, 0.75, 1.0])
+        times, _ = fired(0.05, 0.25, 20)
+        assert times == pytest.approx([0.25, 0.5, 0.75, 1.0])
 
     def test_fire_count(self):
-        clock = SimClock(0.1)
-        task = PeriodicTask(period=0.2, callback=lambda t: None)
-        task.bind(clock)
-        for _ in range(10):
-            clock.advance()
-            task.maybe_fire(clock)
+        _, task = fired(0.1, 0.2, 10)
         assert task.fire_count == 5
 
     def test_phase_offsets_first_fire(self):
-        clock = SimClock(0.05)
-        fired = []
-        task = PeriodicTask(period=0.25, callback=fired.append, phase=0.1)
-        task.bind(clock)
-        for _ in range(20):
-            clock.advance()
-            task.maybe_fire(clock)
+        times, _ = fired(0.05, 0.25, 20, phase=0.1)
         # first fire at the phase offset itself, then every period
-        assert fired[:3] == pytest.approx([0.1, 0.35, 0.6])
+        assert times[:3] == pytest.approx([0.1, 0.35, 0.6])
 
     def test_non_multiple_period_rejected(self):
         clock = SimClock(0.3)
         task = PeriodicTask(period=0.25, callback=lambda t: None)
         with pytest.raises(ConfigurationError):
             task.bind(clock)
-
-    def test_unbound_fire_is_error(self):
-        clock = SimClock(0.05)
-        task = PeriodicTask(period=0.25, callback=lambda t: None)
-        with pytest.raises(SimulationError):
-            task.maybe_fire(clock)
 
     def test_zero_period_rejected(self):
         clock = SimClock(0.05)
@@ -100,21 +87,11 @@ class TestPeriodicTask:
             task.bind(clock)
 
     def test_period_equal_to_dt_fires_every_tick(self):
-        clock = SimClock(0.05)
-        task = PeriodicTask(period=0.05, callback=lambda t: None)
-        task.bind(clock)
-        for _ in range(7):
-            clock.advance()
-            task.maybe_fire(clock)
+        _, task = fired(0.05, 0.05, 7)
         assert task.fire_count == 7
 
     def test_long_run_exactness(self):
         # A 4 Hz sensor on a 0.05 s clock fires exactly 4 times/second
         # over an hour, never drifting.
-        clock = SimClock(0.05)
-        task = PeriodicTask(period=0.25, callback=lambda t: None)
-        task.bind(clock)
-        for _ in range(clock.ticks_for(3600.0)):
-            clock.advance()
-            task.maybe_fire(clock)
+        _, task = fired(0.05, 0.25, SimClock(0.05).ticks_for(3600.0))
         assert task.fire_count == 4 * 3600

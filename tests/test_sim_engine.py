@@ -42,7 +42,8 @@ class TestRegistration:
             def step(self, t, dt):
                 order.append(self.name)
 
-        engine.add_components([Probe("a"), Probe("b"), Probe("c")])
+        for name in ("a", "b", "c"):
+            engine.add_component(Probe(name))
         engine.step()
         assert order == ["a", "b", "c"]
 

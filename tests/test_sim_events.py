@@ -68,13 +68,6 @@ class TestEventLog:
         assert log.count("dvfs.change") == 2
         assert log.count("dvfs.change", source="node1") == 1
 
-    def test_first_time(self):
-        log = self._log()
-        assert log.first_time("fan") == 3.0
-
-    def test_first_time_missing(self):
-        assert self._log().first_time("nothing") is None
-
     def test_iteration_order(self):
         times = [e.time for e in self._log()]
         assert times == [1.0, 2.0, 3.0, 4.0]

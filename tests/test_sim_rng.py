@@ -38,16 +38,6 @@ class TestRngStreams:
         got = streams.stream("a").normal(size=5)
         assert np.allclose(ref, got)
 
-    def test_fork_deterministic(self):
-        a = RngStreams(7).fork(3).stream("s").normal(size=4)
-        b = RngStreams(7).fork(3).stream("s").normal(size=4)
-        assert np.allclose(a, b)
-
-    def test_fork_differs_by_salt(self):
-        a = RngStreams(7).fork(1).stream("s").normal(size=4)
-        b = RngStreams(7).fork(2).stream("s").normal(size=4)
-        assert not np.allclose(a, b)
-
     def test_seed_property(self):
         assert RngStreams(99).seed == 99
 

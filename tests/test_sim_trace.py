@@ -14,7 +14,7 @@ class TestTraceBasics:
         trace = Trace("t")
         assert len(trace) == 0
         assert np.isnan(trace.mean())
-        assert np.isnan(trace.last())
+        assert np.isnan(trace.min())
 
     def test_append_and_read(self):
         trace = Trace("t")
@@ -69,7 +69,7 @@ class TestTraceStats:
         trace = self._ramp()
         assert trace.min() == 0.0
         assert trace.max() == 10.0
-        assert trace.last() == 10.0
+        assert trace.values[-1] == 10.0
 
     def test_integrate_ramp(self):
         # Integral of t over [0, 10] = 50.
@@ -79,23 +79,6 @@ class TestTraceStats:
         trace = Trace("t")
         trace.append(0.0, 5.0)
         assert trace.integrate() == 0.0
-
-    def test_time_weighted_mean_even_sampling(self):
-        trace = self._ramp()
-        assert trace.time_weighted_mean() == pytest.approx(trace.mean())
-
-    def test_time_weighted_mean_uneven(self):
-        trace = Trace("t")
-        trace.append(0.0, 0.0)   # holds 9 s
-        trace.append(9.0, 10.0)  # holds 1 s
-        trace.append(10.0, 10.0)
-        tw = trace.time_weighted_mean()
-        assert tw < trace.mean()  # the long-held 0.0 dominates
-
-    def test_time_weighted_mean_singleton(self):
-        trace = Trace("t")
-        trace.append(0.0, 7.0)
-        assert trace.time_weighted_mean() == 7.0
 
 
 class TestTraceWindowing:
@@ -110,22 +93,6 @@ class TestTraceWindowing:
         trace = Trace("t")
         with pytest.raises(ConfigurationError):
             trace.window(5.0, 3.0)
-
-    def test_resample_block_average(self):
-        trace = Trace("t")
-        for i in range(8):
-            trace.append(i * 0.25, float(i))
-        out = trace.resample(1.0)
-        assert len(out) == 2
-        assert out.values[0] == pytest.approx(np.mean([0, 1, 2, 3]))
-        assert out.values[1] == pytest.approx(np.mean([4, 5, 6, 7]))
-
-    def test_resample_rejects_bad_period(self):
-        with pytest.raises(ConfigurationError):
-            Trace("t").resample(0.0)
-
-    def test_resample_empty(self):
-        assert len(Trace("t").resample(1.0)) == 0
 
     def test_iteration(self):
         trace = Trace("t")

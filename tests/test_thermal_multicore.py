@@ -12,6 +12,17 @@ def settle(pkg: MulticorePackage, seconds=3000.0, dt=0.1):
         pkg.step(i * dt, dt)
 
 
+def set_powers(pkg: MulticorePackage, watts) -> None:
+    for core, w in enumerate(watts):
+        pkg.set_core_power(core, w)
+
+
+def spread(pkg: MulticorePackage) -> float:
+    """Hottest minus coolest core, K: the on-chip gradient."""
+    temps = pkg.core_temperatures()
+    return max(temps) - min(temps)
+
+
 class TestConstruction:
     def test_needs_two_cores(self):
         with pytest.raises(ConfigurationError):
@@ -26,51 +37,46 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             pkg.set_core_power(4, 10.0)
         with pytest.raises(ConfigurationError):
-            pkg.core_temperature(-1)
-
-    def test_set_powers_arity(self):
-        pkg = MulticorePackage(n_cores=4)
-        with pytest.raises(ConfigurationError):
-            pkg.set_powers([10.0, 10.0])
+            pkg.set_core_power(-1, 10.0)
 
 
 class TestPhysics:
     def test_uniform_load_uniform_temps(self):
         pkg = MulticorePackage(n_cores=4)
-        pkg.set_powers([12.0] * 4)
+        set_powers(pkg, [12.0] * 4)
         pkg.set_airflow(20.0)
         settle(pkg)
-        assert pkg.hotspot_spread < 0.01
+        assert spread(pkg) < 0.01
 
     def test_single_hot_core_creates_hotspot(self):
         pkg = MulticorePackage(n_cores=4)
-        pkg.set_powers([40.0, 2.0, 2.0, 2.0])
+        set_powers(pkg, [40.0, 2.0, 2.0, 2.0])
         pkg.set_airflow(20.0)
         settle(pkg)
         temps = pkg.core_temperatures()
         assert temps[0] == max(temps)
-        assert pkg.hotspot_spread > 3.0
+        assert spread(pkg) > 3.0
 
     def test_lateral_conduction_spreads_heat(self):
         tight = MulticorePackage(n_cores=4, r_core_core=0.3)
         loose = MulticorePackage(n_cores=4, r_core_core=5.0)
         for pkg in (tight, loose):
-            pkg.set_powers([40.0, 2.0, 2.0, 2.0])
+            set_powers(pkg, [40.0, 2.0, 2.0, 2.0])
             pkg.set_airflow(20.0)
             settle(pkg)
-        assert tight.hotspot_spread < loose.hotspot_spread
+        assert spread(tight) < spread(loose)
 
     def test_die_temperature_is_hottest_core(self):
         pkg = MulticorePackage(n_cores=4)
-        pkg.set_powers([5.0, 30.0, 5.0, 5.0])
+        set_powers(pkg, [5.0, 30.0, 5.0, 5.0])
         pkg.set_airflow(15.0)
         settle(pkg)
-        assert pkg.die_temperature == pytest.approx(pkg.core_temperature(1))
+        assert pkg.die_temperature == pytest.approx(pkg.core_temperatures()[1])
 
     def test_airflow_cools_all_cores(self):
         def end_temps(q):
             pkg = MulticorePackage(n_cores=4)
-            pkg.set_powers([15.0] * 4)
+            set_powers(pkg, [15.0] * 4)
             pkg.set_airflow(q)
             settle(pkg)
             return pkg.core_temperatures()
@@ -81,16 +87,17 @@ class TestPhysics:
 
     def test_dynamics_converge_to_steady_state(self):
         pkg = MulticorePackage(n_cores=3)
-        pkg.set_powers([20.0, 10.0, 5.0])
+        set_powers(pkg, [20.0, 10.0, 5.0])
         pkg.set_airflow(15.0)
-        target = pkg.steady_state()
         settle(pkg)
-        assert pkg.core_temperatures() == pytest.approx(target, abs=0.1)
+        settled = pkg.core_temperatures()
+        settle(pkg, seconds=1000.0)  # a fixed point: nothing moves
+        assert pkg.core_temperatures() == pytest.approx(settled, abs=1e-6)
 
     def test_total_power_conservation_at_equilibrium(self):
         """At steady state, sink-to-ambient flux equals total power."""
         pkg = MulticorePackage(n_cores=4)
-        pkg.set_powers([10.0, 20.0, 5.0, 15.0])
+        set_powers(pkg, [10.0, 20.0, 5.0, 15.0])
         pkg.set_airflow(18.0)
         settle(pkg, seconds=6000.0)
         r_conv = pkg.convection.resistance(18.0)
@@ -101,7 +108,7 @@ class TestPhysics:
 class TestSensorIntegration:
     def test_drops_into_thermal_sensor(self):
         pkg = MulticorePackage(n_cores=4)
-        pkg.set_powers([30.0, 2.0, 2.0, 2.0])
+        set_powers(pkg, [30.0, 2.0, 2.0, 2.0])
         pkg.set_airflow(15.0)
         settle(pkg, seconds=200.0)
         sensor = ThermalSensor(

@@ -9,6 +9,12 @@ from repro.thermal.package import CpuPackage, PackageParams
 from .conftest import settle_package
 
 
+def steady_die(pkg: CpuPackage, ambient: float, power: float, airflow: float) -> float:
+    """The analytic equilibrium ``T_amb + P·(R_jhs + R_conv(Q))``."""
+    r_total = pkg.params.r_junction_sink + pkg.convection.resistance(airflow)
+    return ambient + power * r_total
+
+
 class TestValidation:
     def test_default_params(self):
         pkg = CpuPackage()
@@ -36,15 +42,13 @@ class TestEquilibria:
         pkg = CpuPackage()
         final = settle_package(pkg, power=55.0, airflow=15.0)
         assert final == pytest.approx(
-            pkg.steady_state_die_temperature(), abs=0.05
+            steady_die(pkg, pkg.ambient.temperature(0.0), 55.0, 15.0), abs=0.05
         )
 
     def test_steady_state_formula(self):
         pkg = CpuPackage(ambient=ConstantAmbient(28.0))
-        expected = 28.0 + 50.0 * (
-            pkg.params.r_junction_sink + pkg.convection.resistance(20.0)
-        )
-        assert pkg.steady_state_die_temperature(50.0, 20.0) == pytest.approx(expected)
+        final = settle_package(pkg, power=50.0, airflow=20.0)
+        assert final == pytest.approx(steady_die(pkg, 28.0, 50.0, 20.0), abs=0.05)
 
     def test_more_airflow_cooler(self):
         t_low = settle_package(CpuPackage(), power=55.0, airflow=8.0)
@@ -112,9 +116,11 @@ class TestCoupling:
                 return 28.0 + 0.01 * t
 
         pkg = CpuPackage(ambient=Ramp())
-        settle_package(pkg, power=40.0, airflow=15.0, seconds=1000.0)
+        flat = CpuPackage(ambient=ConstantAmbient(28.0))
+        for package in (pkg, flat):
+            settle_package(package, power=40.0, airflow=15.0, seconds=1000.0)
         # ambient rose by ~10 K during the settle; die tracks it.
-        assert pkg.ambient_temperature > 35.0
+        assert pkg.die_temperature > flat.die_temperature + 8.0
 
     def test_reset(self):
         pkg = CpuPackage()
@@ -129,9 +135,9 @@ class TestCoupling:
         assert pkg.die_temperature == 55.0
 
     def test_convective_resistance_tracks_airflow(self):
-        pkg = CpuPackage()
-        pkg.set_airflow(25.0)
-        pkg.step(0.05, 0.05)
-        assert pkg.convective_resistance == pytest.approx(
-            pkg.convection.resistance(25.0)
+        """At equilibrium the sink sits ``P · R_conv(Q)`` above ambient."""
+        pkg = CpuPackage(ambient=ConstantAmbient(28.0))
+        settle_package(pkg, power=40.0, airflow=25.0)
+        assert pkg.sink_temperature == pytest.approx(
+            28.0 + 40.0 * pkg.convection.resistance(25.0), abs=0.05
         )

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
 from repro.thermal.sensor import SensorParams, ThermalSensor
 
 
@@ -94,21 +93,3 @@ class TestOffsetAndLag:
         sensor.sample(0.0)
         source.die_temperature = 60.0
         assert sensor.sample(0.25) == pytest.approx(60.0)
-
-
-class TestBookkeeping:
-    def test_last_sample_before_first_raises(self):
-        sensor = ThermalSensor(FakeSource())
-        with pytest.raises(SimulationError):
-            _ = sensor.last_sample
-
-    def test_last_sample(self):
-        sensor = ThermalSensor(FakeSource(42.0), SensorParams(quantum=0.0, noise_sigma=0.0))
-        sensor.sample(0.0)
-        assert sensor.last_sample == pytest.approx(42.0)
-
-    def test_sample_count(self):
-        sensor = ThermalSensor(FakeSource())
-        for i in range(7):
-            sensor.sample(i * 0.25)
-        assert sensor.sample_count == 7

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.workloads.base import Job
-from repro.workloads.cpuburn import CpuBurn, cpu_burn_session
+from repro.workloads.cpuburn import cpu_burn_session
 from repro.workloads.npb import NpbJob, NpbParams, bt_b_4, lu_a_4
 from repro.workloads.synthetic import (
     gradual_profile,
@@ -31,28 +31,32 @@ def drive(job: Job, dt=0.05, freq=FREQ, limit=100_000):
     return t
 
 
+def one_burn(seconds: float, rng=None) -> Job:
+    """A single burn with no warmup; jitter only with an ``rng``."""
+    return cpu_burn_session(instances=1, burn_duration=seconds, rng=rng, warmup=0.0)
+
+
 class TestCpuBurn:
     def test_duration_at_reference_frequency(self):
-        job = Job([CpuBurn(duration=2.0, jitter_rate=0.0).rank()])
+        job = one_burn(2.0)
         elapsed = drive(job)
         assert elapsed == pytest.approx(2.0, abs=0.1)
 
     def test_scales_with_frequency(self):
-        job = Job([CpuBurn(duration=2.0, jitter_rate=0.0).rank()])
+        job = one_burn(2.0)
         elapsed = drive(job, freq=FREQ / 2)
         assert elapsed == pytest.approx(4.0, abs=0.2)
 
     def test_full_utilization(self):
-        rank = CpuBurn(duration=1.0, jitter_rate=0.0).rank()
+        (rank,) = one_burn(1.0).ranks
         util = rank.advance(0.5, FREQ)
         assert util == pytest.approx(1.0)
 
     def test_jitter_adds_dropouts(self, rng):
-        burner = CpuBurn(duration=10.0, jitter_rate=1.0, rng=rng)
-        job = Job([burner.rank()])
+        job = one_burn(10.0, rng=rng)
         elapsed = drive(job)
-        # ~10 dropouts x 0.35 s each extend the nominal 10 s burn
-        assert elapsed > 12.0
+        # 4 dropouts (0.4 per second) x 0.35 s extend the nominal 10 s burn
+        assert elapsed > 11.0
 
     def test_session_structure(self, rng):
         job = cpu_burn_session(
@@ -80,23 +84,6 @@ class TestNpbParams:
                 comm_seconds=0.1,
                 intensity_schedule=((0.5, 0.9, 1.0),),
             )
-
-    def test_nominal_runtime(self):
-        params = NpbParams(
-            name="x", n_ranks=4, iterations=100, compute_seconds=0.8, comm_seconds=0.2
-        )
-        assert params.nominal_runtime() == pytest.approx(100.0)
-
-    def test_nominal_runtime_with_schedule(self):
-        params = NpbParams(
-            name="x",
-            n_ranks=2,
-            iterations=100,
-            compute_seconds=1.0,
-            comm_seconds=0.0,
-            intensity_schedule=((0.5, 0.9, 1.0), (0.5, 0.5, 0.5)),
-        )
-        assert params.nominal_runtime() == pytest.approx(75.0)
 
 
 class TestNpbJob:

@@ -1,8 +1,6 @@
 """The extended NPB-like suite: CG, EP, MG — distinct governor-relevant
 signatures."""
 
-import pytest
-
 from repro.cluster.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.governors.cpuspeed import CpuSpeed

@@ -26,6 +26,7 @@ Exit status 0 when every check passes, 1 otherwise.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import subprocess
 import sys
@@ -76,22 +77,23 @@ async def drive(port: int) -> None:
     try:
         health = await client.request("GET", "/healthz")
         assert health.status == 200, health.body
-        assert health.json_body()["status"] == "ok"
+        assert json.loads(health.body)["status"] == "ok"
         print("healthz: ok")
 
         body = spec.to_json().encode("utf-8")
         posted = await client.request("POST", "/v1/runs", body)
         assert posted.status == 202, posted.body
-        digest = posted.json_body()["digest"]
-        print(f"posted: {digest} ({posted.json_body()['disposition']})")
+        receipt = json.loads(posted.body)
+        digest = receipt["digest"]
+        print(f"posted: {digest} ({receipt['disposition']})")
 
         for _ in range(1200):
             envelope = await client.request("GET", f"/v1/runs/{digest}")
             assert envelope.status == 200, envelope.body
-            if envelope.json_body()["status"] in ("done", "failed"):
+            if json.loads(envelope.body)["status"] in ("done", "failed"):
                 break
             await asyncio.sleep(0.05)
-        assert envelope.json_body()["status"] == "done", envelope.body
+        assert json.loads(envelope.body)["status"] == "done", envelope.body
         print("run: done")
 
         result = await client.request("GET", f"/v1/runs/{digest}/result")
@@ -104,7 +106,7 @@ async def drive(port: int) -> None:
 
         duplicate = await client.request("POST", "/v1/runs", body)
         assert duplicate.status == 200, duplicate.body
-        assert duplicate.json_body()["status"] == "done"
+        assert json.loads(duplicate.body)["status"] == "done"
         print("duplicate POST: answered terminal, no re-run")
 
         scrape = await client.request("GET", "/metrics")
@@ -123,7 +125,7 @@ async def drive(port: int) -> None:
         hostile = b'{"workload": "bt_b_4", "timeout": NaN}'
         refused = await client.request("POST", "/v1/runs", hostile)
         assert refused.status == 400, refused.body
-        assert "timeout" in refused.json_body()["error"], refused.body
+        assert "timeout" in json.loads(refused.body)["error"], refused.body
         health = await client.request("GET", "/healthz")
         assert health.status == 200, health.body
         print("hostile body: 400 naming 'timeout', server still healthy")
