@@ -365,8 +365,8 @@ class Cluster:
 
         Creates the standard per-node traces up front (in the order a
         first sampling round would create them) and binds one
-        :class:`~repro.fastpath.recording.TraceBlockWriter` appender per
-        trace, so the per-sample cost is list appends instead of
+        :class:`~repro.fastpath.recording.TraceBlockWriter` appender
+        pair per trace, so the per-sample cost is list appends instead of
         f-string keys, dict lookups and numpy scalar writes.  Sample
         values are read from the same state the public node properties
         expose.  Buffers flush into the traces around every engine run.
@@ -387,8 +387,8 @@ class Cluster:
                     node.fan_motor,
                     node.dvfs,
                     node.core,
-                    tuple(w.add for w in writers),
                     tuple(self._governors[node.name]),
+                    *(add for w in writers for add in w.bind()),
                 )
             )
         plans = tuple(plans)
@@ -396,14 +396,24 @@ class Cluster:
         def sample_and_record(t: float) -> None:
             sensor_rounds.inc()
             sensor_samples.inc(n_nodes)
-            for node, sample, motor, dvfs, core, recs, governors in plans:
+            for (
+                node, sample, motor, dvfs, core, governors,
+                temp_t, temp_v, duty_t, duty_v, rpm_t, rpm_v,
+                freq_t, freq_v, power_t, power_v, util_t, util_v,
+            ) in plans:
                 temp = sample(t)
-                recs[0](t, temp)
-                recs[1](t, motor._duty)
-                recs[2](t, motor._rpm)
-                recs[3](t, dvfs.pstate.frequency_ghz)
-                recs[4](t, node._wall_power)
-                recs[5](t, core._utilization)
+                temp_t(t)
+                temp_v(temp)
+                duty_t(t)
+                duty_v(motor._duty)
+                rpm_t(t)
+                rpm_v(motor._rpm)
+                freq_t(t)
+                freq_v(dvfs.pstate.frequency_ghz)
+                power_t(t)
+                power_v(node._wall_power)
+                util_t(t)
+                util_v(core._utilization)
                 for governor in governors:
                     governor.on_sample(t, temp)
 

@@ -117,7 +117,10 @@ class MulticoreNode(Node):
 
         Per class, ``io`` takes the P-state terms once and loops over
         that class's cores in floorplan order, so the writes and the
-        index-order sum are those of one ``power`` call per core."""
+        index-order sum are those of one ``power`` call per core.
+
+        ``io`` uses the core temperatures ``diode()`` read on the same
+        tick (nothing writes one between the two), so each is read once."""
         package = self.package
         set_core_power = package.set_core_power
         core_powers = package._powers
@@ -127,11 +130,10 @@ class MulticoreNode(Node):
         core_keys = package._cores
         core_nodes = tuple(package._net._nodes[key] for key in core_keys)
         temperature_of = attrgetter("temperature")
+        temperatures = [node.temperature for node in core_nodes]
         members = [[] for _ in self.domains]
-        for i, (k, node, key) in enumerate(
-            zip(self._core_class, core_nodes, core_keys)
-        ):
-            members[k].append((i, node, key))
+        for i, (k, key) in enumerate(zip(self._core_class, core_keys)):
+            members[k].append((i, key))
         classes = tuple(
             (
                 domain,
@@ -148,7 +150,8 @@ class MulticoreNode(Node):
 
         @hotpath
         def diode() -> float:
-            return max(map(temperature_of, core_nodes))
+            temperatures[:] = map(temperature_of, core_nodes)
+            return max(temperatures)
 
         @hotpath
         def io(on: bool) -> None:
@@ -161,8 +164,8 @@ class MulticoreNode(Node):
             utilization = core._utilization
             for domain, terms, scale, t_ref, floor, cores in classes:
                 dynamic, leak = terms(domain.pstate, utilization)
-                for i, node, key in cores:
-                    power = dynamic + leak * exp(scale * (node.temperature - t_ref))
+                for i, key in cores:
+                    power = dynamic + leak * exp(scale * (temperatures[i] - t_ref))
                     if floor > power:
                         power = floor
                     if not (power >= 0.0):

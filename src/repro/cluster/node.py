@@ -250,6 +250,14 @@ class Node(Component):
         a tick whose diode reading crosses one of its thresholds; on
         every other tick its state machine has nothing to do.
 
+        **Work on change.**  Actuator state moves at control events (a
+        PWM1 write, a P-state switch), not every tick, so the halves
+        push it only when it changed: the motor's duty is set when the
+        chip's PWM1 byte differs from the last byte pushed (the first
+        tick always pushes), the core consumes DVFS stall only while a
+        switch left some pending, and the fan chip runs its automatic
+        curve only in auto mode (in manual mode it stores the reading).
+
         **The guard rule.**  The device methods the halves call
         (:meth:`ADT7467.update <repro.fan.adt7467.ADT7467.update>`,
         :meth:`FanMotor.step <repro.fan.motor.FanMotor.step>`,
@@ -274,6 +282,10 @@ class Node(Component):
         diode, package_io = self._package_io()
         fan_chip = self.fan_chip
         chip_update = fan_chip.update
+        duty_register = fan_chip._r_duty
+        # The PWM1 byte last pushed to the motor; -1 pushes on the
+        # first tick.
+        pushed = -1
         motor = self.fan_motor
         motor_set_duty = motor.set_duty
         motor_step = motor.step
@@ -298,6 +310,7 @@ class Node(Component):
 
         @hotpath
         def pre(t: float, dt: float) -> None:
+            nonlocal pushed
             die = diode()
             if protect and not self._shutdown and (
                 die >= shutdown_temp
@@ -315,9 +328,12 @@ class Node(Component):
                 core_step(t, dt)
             package_io(on)
             # the fan chip ingests the diode reading; auto mode updates
-            # its PWM, and the rotor tracks it
+            # its PWM, and the rotor tracks a changed PWM1 byte
             chip_update(die)
-            motor_set_duty(fan_chip.commanded_duty)
+            duty_byte = duty_register.value
+            if duty_byte != pushed:
+                pushed = duty_byte
+                motor_set_duty(duty_byte / 255.0)
             motor_step(t, dt)
             airflow = aero_airflow(motor._rpm)
             # the package's remaining inputs for this tick's integration

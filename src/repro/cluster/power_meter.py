@@ -2,8 +2,8 @@
 
 The paper measures system power with an inline Watts up? Pro meter.
 :class:`PowerMeter` integrates instantaneous wall power into energy and
-keeps a running average — the quantity in Table 1's "Ave Power" column
-— plus windowed queries for phase-level analysis.
+keeps a running average — the quantity in Table 1's "Ave Power"
+column.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ class PowerMeter:
         self.name = name
         self._energy = 0.0
         self._elapsed = 0.0
-        self._last_power = 0.0
-        self._peak = 0.0
 
     @hotpath
     def record(self, power_watts: float, dt: float) -> None:
@@ -38,8 +36,6 @@ class PowerMeter:
             reject(require_positive, dt, "dt")
         self._energy += power_watts * dt
         self._elapsed += dt
-        self._last_power = power_watts
-        self._peak = max(self._peak, power_watts)
 
     @property
     def energy_joules(self) -> float:
@@ -68,4 +64,3 @@ class PowerMeter:
         """Zero the accumulators (start of a measured run)."""
         self._energy = 0.0
         self._elapsed = 0.0
-        self._peak = 0.0

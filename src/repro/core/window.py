@@ -96,7 +96,6 @@ class TwoLevelWindow:
         self.l2_size = l2_size
         self._l1: List[float] = []
         self._l2: Deque[float] = deque(maxlen=l2_size)
-        self._rounds = 0
         self._samples = 0
 
     @property
@@ -133,7 +132,6 @@ class TwoLevelWindow:
         l2_average = sum(self._l2) / len(self._l2)
 
         self._l1.clear()
-        self._rounds += 1
         return WindowUpdate(
             t=t,
             average=average,

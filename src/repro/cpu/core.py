@@ -74,7 +74,6 @@ class CpuCore:
         self._rank: RankInterface = _IdleRank()
         self._utilization = 0.0
         self._busy_seconds = 0.0
-        self._elapsed = 0.0
         self._retired_cycles = 0.0
 
     def bind_rank(self, rank: RankInterface) -> None:
@@ -117,15 +116,20 @@ class CpuCore:
 
     @hotpath
     def step(self, t: float, dt: float) -> None:
-        """Advance one tick: consume DVFS stall, then run the rank."""
+        """Advance one tick: consume any pending DVFS stall, then run
+        the rank.  With no stall pending the whole tick is work time
+        (``consume_stall`` would return 0.0, and ``dt - 0.0 == dt``)."""
         if dt <= 0:
             self._reject_dt(dt)
         dvfs = self.dvfs
         rank = self._rank
         frequency = dvfs.frequency
-        dvfs.note_time(t)
-        stall = dvfs.consume_stall(dt)
-        dt_work = dt - stall
+        if dvfs._stall_remaining:
+            stall = dvfs.consume_stall(dt)
+            dt_work = dt - stall
+        else:
+            stall = 0.0
+            dt_work = dt
         util_work = 0.0
         if dt_work > 0 and not rank.finished:
             util_work = rank.advance(dt_work, frequency)
@@ -137,5 +141,4 @@ class CpuCore:
         busy = util_work * dt_work + stall
         self._utilization = busy / dt
         self._busy_seconds += busy
-        self._elapsed += dt
         self._retired_cycles += util_work * dt_work * frequency

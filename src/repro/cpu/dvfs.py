@@ -9,7 +9,7 @@ evaluation leans on:
   stall no work retires, so pathological governors that flap between
   states (CPUSPEED in Table 1 flaps 101–139 times) pay a real, if
   small, performance tax.
-* **Change accounting** — every transition is counted and logged;
+* **Change accounting** — every transition is logged as an event;
   Table 1's "# freq changes" column and the trigger-time analysis of
   Figure 10 come straight from this log.
 """
@@ -57,9 +57,7 @@ class Dvfs:
         self.name = name
         self._index = 0
         self._pstate = table[0]
-        self._change_count = 0
         self._stall_remaining = 0.0
-        self._now = 0.0
 
     # -- state -----------------------------------------------------------
 
@@ -80,8 +78,8 @@ class Dvfs:
 
     # -- actuation ------------------------------------------------------------
 
-    def set_index(self, index: int, t: Optional[float] = None) -> bool:
-        """Switch to P-state ``index``; returns True if a change occurred.
+    def set_index(self, index: int, t: float) -> bool:
+        """Switch to P-state ``index`` at ``t``; True if it changed.
 
         The only writer of the current index, and of the operating
         point :attr:`pstate` reads.
@@ -100,12 +98,10 @@ class Dvfs:
         old = self._pstate
         self._index = index
         self._pstate = self.table[index]
-        self._change_count += 1
         self._stall_remaining += self.transition_latency
-        when = self._now if t is None else t
         if self._events is not None:
             self._events.emit(
-                when,
+                t,
                 "dvfs.change",
                 self.name,
                 old_ghz=old.frequency_ghz,
@@ -115,21 +111,13 @@ class Dvfs:
             )
         return True
 
-    def step_down(self, t: Optional[float] = None) -> bool:
+    def step_down(self, t: float) -> bool:
         """Move one P-state slower, if possible; returns True on change."""
         if self._index + 1 < len(self.table):
             return self.set_index(self._index + 1, t)
         return False
 
     # -- time ------------------------------------------------------------
-
-    def note_time(self, t: float) -> None:
-        """Inform the actuator of the current simulation time.
-
-        Lets governors call :meth:`set_index` without threading time
-        through every call site.
-        """
-        self._now = t
 
     def consume_stall(self, dt: float) -> float:
         """Consume up to ``dt`` seconds of pending transition stall.
@@ -177,7 +165,7 @@ class GangedDvfs(Dvfs):
         )
         self.followers = tuple(followers)
 
-    def set_index(self, index: int, t: Optional[float] = None) -> bool:
+    def set_index(self, index: int, t: float) -> bool:
         changed = super().set_index(index, t)
         if changed:
             span = len(self.table) - 1
@@ -185,8 +173,3 @@ class GangedDvfs(Dvfs):
                 mapped = round(self._index * (len(follower.table) - 1) / span)
                 follower.set_index(int(mapped), t)
         return changed
-
-    def note_time(self, t: float) -> None:
-        super().note_time(t)
-        for follower in self.followers:
-            follower.note_time(t)

@@ -152,9 +152,10 @@ class ADT7467(I2cDevice):
 
         # The register handles: the device-model side reads and writes
         # ``reg.value`` directly, so the bus and the model share state.
-        self._r_remote = self.define(
-            REG_REMOTE1_TEMP, "remote1_temp", value=_temp_to_byte(25.0)
-        )
+        # REMOTE1 is the exception: the chip keeps the last diode
+        # reading in °C and encodes it when the register is read.
+        self._remote_celsius = 25.0
+        self.define(REG_REMOTE1_TEMP, "remote1_temp", value=_temp_to_byte(25.0))
         self._r_duty = self.define(
             REG_PWM1_DUTY,
             "pwm1_duty",
@@ -205,6 +206,20 @@ class ADT7467(I2cDevice):
             )
         super().write_register(register, value)
 
+    def read_register(self, register: int) -> int:
+        """SMBus read-byte-data; REMOTE1 encodes the last diode reading
+        (clamped to ``[-128, 127]`` °C, rounded, two's complement)."""
+        if register == REG_REMOTE1_TEMP:
+            return _temp_to_byte(self._remote_celsius)
+        return super().read_register(register)
+
+    def poke(self, register: int, value: int) -> None:
+        """Model-side register write; a REMOTE1 byte becomes the stored
+        reading, so a read returns it unchanged."""
+        super().poke(register, value)
+        if register == REG_REMOTE1_TEMP:
+            self._remote_celsius = _byte_to_temp(value)
+
     # -- device-model side -----------------------------------------------
 
     @property
@@ -233,18 +248,19 @@ class ADT7467(I2cDevice):
     def update(self, remote_temp: float) -> None:
         """Feed one thermal-diode reading into the chip.
 
-        Called by the node wiring every chip sample period.  Updates the
-        remote temperature register and, in auto mode, recomputes the
-        PWM1 duty from the automatic curve.  Each register write keeps
-        :meth:`poke`'s byte-range check as an inline guard; the failing
-        branch raises through :meth:`poke` itself
+        Called by the node wiring every tick.  The chip stores the
+        reading; a bus read of REMOTE1 encodes it
+        (:meth:`read_register`).  In auto mode it also encodes the
+        reading to the register byte and recomputes the PWM1 duty from
+        the automatic curve at that byte's temperature; in manual mode
+        the duty is the host's, and there is nothing else to do.  The
+        duty write keeps :meth:`poke`'s byte-range check as an inline
+        guard; the failing branch raises through :meth:`poke` itself
         (:func:`~repro.sim.marker.reject`).
         """
-        remote = int(round(max(-128.0, min(127.0, remote_temp)))) & 0xFF
-        if not (0 <= remote <= 0xFF):
-            reject(self.poke, REG_REMOTE1_TEMP, remote)
-        self._r_remote.value = remote
+        self._remote_celsius = remote_temp
         if self._r_config.value == CONFIG_AUTO_REMOTE1:
+            remote = int(round(max(-128.0, min(127.0, remote_temp)))) & 0xFF
             duty = self.auto_curve_duty(_byte_to_temp(remote))
             # Auto mode never exceeds the PWM1 max register.
             duty = min(duty, self._r_max.value / 255.0)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Callable, List, Tuple
 
 from ..sim.trace import Trace
-from ..sim.marker import hotpath
 
 __all__ = ["TraceBlockWriter"]
 
@@ -37,15 +36,6 @@ class TraceBlockWriter:
     def bind(self) -> Tuple[Callable[[float], None], Callable[[float], None]]:
         """The two bound appenders ``(add_time, add_value)`` for hot code."""
         return self._t.append, self._v.append
-
-    @hotpath
-    def add(self, t: float, value: float) -> None:
-        """Buffer one sample."""
-        self._t.append(t)
-        self._v.append(value)
-
-    def __len__(self) -> int:
-        return len(self._t)
 
     def flush(self) -> None:
         """Append all buffered samples to the trace and clear the buffer."""

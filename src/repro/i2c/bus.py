@@ -22,7 +22,6 @@ class I2cBus:
     def __init__(self, name: str = "i2c-0") -> None:
         self.name = name
         self._devices: Dict[int, I2cDevice] = {}
-        self._transaction_count: Dict[int, int] = {}
 
     def attach(self, device: I2cDevice) -> I2cDevice:
         """Attach a device; its address must be free on this segment."""
@@ -32,7 +31,6 @@ class I2cBus:
                 f"use by {self._devices[device.address].name!r}"
             )
         self._devices[device.address] = device
-        self._transaction_count[device.address] = 0
         return device
 
     def _device(self, address: int) -> I2cDevice:
@@ -41,7 +39,6 @@ class I2cBus:
             raise BusError(
                 f"{self.name}: no device acknowledges address {address:#04x}"
             )
-        self._transaction_count[address] = self._transaction_count.get(address, 0) + 1
         return dev
 
     def read_byte_data(self, address: int, register: int) -> int:

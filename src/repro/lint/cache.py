@@ -109,8 +109,6 @@ class LintCache:
         self.directory = directory
         self.key = key
         self.path = directory / "cache.json"
-        self.hits = 0
-        self.misses = 0
         self._entries: Dict[str, dict] = {}
         self._dirty = False
         self._load()
@@ -132,15 +130,11 @@ class LintCache:
         """Cached analysis for ``display`` at content ``sha``, if valid."""
         entry = self._entries.get(display)
         if entry is None or entry.get("sha") != sha:
-            self.misses += 1
             return None
         try:
-            analysis = FileAnalysis.from_json(entry["analysis"])
+            return FileAnalysis.from_json(entry["analysis"])
         except (KeyError, TypeError, ValueError):
-            self.misses += 1
             return None
-        self.hits += 1
-        return analysis
 
     def put(self, display: str, sha: str, analysis: FileAnalysis) -> None:
         self._entries[display] = {"sha": sha, "analysis": analysis.to_json()}

@@ -103,8 +103,6 @@ class PeriodicTask:
     phase: float = 0.0
     _period_ticks: int = field(default=0, init=False, repr=False)
     _phase_ticks: int = field(default=0, init=False, repr=False)
-    _bound: bool = field(default=False, init=False, repr=False)
-    fire_count: int = field(default=0, init=False)
 
     def bind(self, clock: SimClock) -> None:
         """Resolve the period into ticks of ``clock``.
@@ -124,4 +122,3 @@ class PeriodicTask:
             )
         self._period_ticks = ticks
         self._phase_ticks = round(self.phase / clock.dt)
-        self._bound = True

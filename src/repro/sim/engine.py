@@ -38,9 +38,9 @@ resolves, and the microticks between task boundaries run back to back
 with no task scan — tasks fire at ≥ 1 s periods while physics runs at
 dt = 0.05 s.  ``until`` and ``stop`` are still evaluated after
 **every** tick, and the deadline / ``max_ticks`` checks keep the
-one-tick-at-a-time order and error, so tick counts, task
-``fire_count`` values and the clock state come out exactly as a
-tick-by-tick loop leaves them.
+one-tick-at-a-time order and error, so tick counts, task firings
+and the clock state come out exactly as a tick-by-tick loop leaves
+them.
 """
 
 from __future__ import annotations
@@ -197,7 +197,6 @@ def run_fused(
                             if efires[i] == ticks:
                                 task = tasks[i]
                                 task.callback(t)
-                                task.fire_count += 1
                                 efires[i] = ticks + periods[e][i]
                 for e in engine_range:
                     until = untils[e]

@@ -27,10 +27,6 @@ between steps (the fan changes the convective resistance every tick):
 each link reports a resistance write to its network, and only the
 matrix rows of that link's free endpoints are rebuilt.  Temperatures,
 injected powers and boundary temperatures are read live every step.
-
-The class also provides :meth:`RCNetwork.steady_state`, a direct linear
-solve for the equilibrium temperatures under constant powers — used by
-calibration code and extensively by the test suite as an oracle.
 """
 
 from __future__ import annotations
@@ -163,9 +159,9 @@ class RCNetwork:
         "_C",
         "_C_list",
         "_T",
-        "_b",
         "_Gt",
-        "_dT",
+        "_temps",
+        "_b",
     )
 
     def __init__(self) -> None:
@@ -335,9 +331,9 @@ class RCNetwork:
         self._C = np.array([nodes[n].capacitance for n in free], dtype=np.float64)
         self._C_list = [float(nodes[n].capacitance) for n in free]
         self._T = np.empty(m, dtype=np.float64)
-        self._b = np.empty(m, dtype=np.float64)
         self._Gt = np.empty(m, dtype=np.float64)
-        self._dT = np.empty(m, dtype=np.float64)
+        self._temps = [0.0] * m
+        self._b = [0.0] * m
         self._dirty.update(range(len(links)))
         self._stale = False
 
@@ -414,8 +410,10 @@ class RCNetwork:
         Forward Euler ``T += h · (b - G T) / C`` over ``n_sub`` sub-steps
         of ``h = dt / n_sub``, the sub-step being half the stability
         limit ``min_i C_i / G_ii``, so the integration is stable for
-        any (positive-resistance) network.  The ufuncs write into
-        preallocated buffers, which does not change the computed bits.
+        any (positive-resistance) network.  ``G T`` is one ``np.matmul``
+        per sub-step into a preallocated buffer; the elementwise tail
+        ``t + ((b - gt) / c) * h`` runs on Python floats in the ufuncs'
+        operation order, and each IEEE operation gives the ufunc's bits.
         """
         if dt != self._cached_dt:
             self._refresh(dt)
@@ -427,34 +425,30 @@ class RCNetwork:
         free_nodes = self._free_nodes
         free_names = self._free_names
         powers = self._powers
-        T = self._T
+        temps = self._temps
         b = self._b
         for i in range(m):
-            T[i] = free_nodes[i].temperature
+            temps[i] = free_nodes[i].temperature
             b[i] = powers[free_names[i]]
         g = self._g
         for i, slot, bnode in self._bterms:
             b[i] += g[slot] * bnode.temperature
         G = self._G
-        C = self._C
+        T = self._T
         Gt = self._Gt
-        dT = self._dT
+        C = self._C_list
         h = self._h
         matmul = np.matmul
-        subtract = np.subtract
-        divide = np.divide
-        multiply = np.multiply
-        add = np.add
+        rows = range(m)
         for _ in range(self._n_sub):
+            T[:] = temps
             matmul(G, T, out=Gt)
-            subtract(b, Gt, out=dT)
-            divide(dT, C, out=dT)
-            multiply(dT, h, out=dT)
-            add(T, dT, out=T)
-        item = T.item
+            gt = Gt.tolist()
+            for i in rows:
+                temps[i] = temps[i] + ((b[i] - gt[i]) / C[i]) * h
         isfinite = math.isfinite
-        for i in range(m):
-            if not isfinite(item(i)):
+        for i in rows:
+            if not isfinite(temps[i]):
                 _raise_diverged()
-        for i in range(m):
-            free_nodes[i].temperature = item(i)
+        for i in rows:
+            free_nodes[i].temperature = temps[i]

@@ -88,9 +88,7 @@ class ThermalSensor:
         self.params = params if params is not None else SensorParams()
         self._rng = rng
         self._filtered: Optional[float] = None
-        self._last_sample: Optional[float] = None
         self._last_time: Optional[float] = None
-        self._count = 0
 
     def sample(self, t: float) -> float:
         """Take one reading at simulation time ``t`` and return it (°C)."""
@@ -113,7 +111,5 @@ class ThermalSensor:
         if self.params.quantum > 0.0:
             value = round(value / self.params.quantum) * self.params.quantum
 
-        self._last_sample = value
         self._last_time = t
-        self._count += 1
         return value

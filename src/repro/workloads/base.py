@@ -178,9 +178,10 @@ class RankProgram:
         self.name = name
         self._current: Optional[Segment] = None
         self._finished = False
+        #: Jobs counting this rank among their unfinished ranks.
+        self._jobs: List["Job"] = []
         self._elapsed = 0.0
         self._busy = 0.0
-        self.finish_time: Optional[float] = None
 
     def _next_segment(self) -> bool:
         """Load the next segment; returns False when the program is over."""
@@ -190,6 +191,8 @@ class RankProgram:
         except StopIteration:
             self._current = None
             self._finished = True
+            for job in self._jobs:
+                job._open -= 1
             return False
 
     def advance(self, dt: float, frequency: float) -> float:
@@ -223,10 +226,6 @@ class RankProgram:
         used = dt - remaining
         self._elapsed += dt
         self._busy += busy_total
-        if self._finished and self.finish_time is None:
-            # Completion is stamped by the job (which knows sim time);
-            # _elapsed is a per-rank fallback.
-            self.finish_time = self._elapsed
         return min(1.0, busy_total / dt) if dt > 0 else 0.0
 
     @property
@@ -261,6 +260,13 @@ class Job:
             raise ConfigurationError("a job needs at least one rank")
         self.ranks = list(ranks)
         self.name = name
+        # Unfinished ranks; each decrements it as it finishes (once per
+        # listing, so a rank listed twice counts twice).
+        self._open = 0
+        for rank in self.ranks:
+            if not rank.finished:
+                self._open += 1
+                rank._jobs.append(self)
 
     @property
     def n_ranks(self) -> int:
@@ -270,4 +276,4 @@ class Job:
     @property
     def finished(self) -> bool:
         """True when every rank has completed."""
-        return all(r.finished for r in self.ranks)
+        return not self._open

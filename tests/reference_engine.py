@@ -167,7 +167,8 @@ def reference_auto_curve_duty(chip: ADT7467, celsius: float) -> float:
 
 
 def reference_chip_update(chip: ADT7467, remote_temp: float) -> None:
-    """``ADT7467.update``: every register write through ``poke``."""
+    """``ADT7467.update``: every register write through ``poke``, the
+    REMOTE1 byte on every call and in either mode."""
     chip.poke(REG_REMOTE1_TEMP, _temp_to_byte(remote_temp))
     if chip.read_register(REG_PWM1_CONFIG) == CONFIG_AUTO_REMOTE1:
         duty = reference_auto_curve_duty(
@@ -204,10 +205,10 @@ def reference_frequency(dvfs: Dvfs) -> float:
 
 
 def reference_core_step(core: CpuCore, t: float, dt: float) -> None:
-    """``CpuCore.step``: the frequency read at each use."""
+    """``CpuCore.step``: the frequency read at each use, the DVFS stall
+    consumed every tick."""
     if dt <= 0:
         raise SimulationError(f"core {core.name!r}: non-positive dt {dt!r}")
-    core.dvfs.note_time(t)
     stall = core.dvfs.consume_stall(dt)
     dt_work = dt - stall
     util_work = 0.0
@@ -223,7 +224,6 @@ def reference_core_step(core: CpuCore, t: float, dt: float) -> None:
     busy = util_work * dt_work + stall
     core._utilization = busy / dt
     core._busy_seconds += busy
-    core._elapsed += dt
     core._retired_cycles += util_work * dt_work * reference_frequency(core.dvfs)
 
 
@@ -269,8 +269,6 @@ def reference_meter_record(meter: PowerMeter, power_watts: float, dt: float) -> 
     require_positive(dt, "dt")
     meter._energy += power_watts * dt
     meter._elapsed += dt
-    meter._last_power = power_watts
-    meter._peak = max(meter._peak, power_watts)
 
 
 # ---------------------------------------------------------------- node tick
@@ -293,7 +291,7 @@ def _reference_fan_package_meter(node: Node, t: float, dt: float) -> None:
     motor = node.fan_motor
     # the fan chip ingests the diode reading; auto mode updates its PWM
     reference_chip_update(node.fan_chip, package.die_temperature)
-    # the rotor tracks the chip's PWM output
+    # the rotor tracks the chip's PWM output, pushed every tick
     reference_motor_set_duty(motor, reference_commanded_duty(node.fan_chip))
     reference_motor_step(motor, t, dt)
     airflow = reference_airflow(node.fan_aero, motor._rpm)
@@ -428,7 +426,6 @@ def reference_run(
                 offset = clock.ticks - phase
                 if offset >= 0 and offset % period == 0:
                     task.callback(clock.now)
-                    task.fire_count += 1
             ticks_done += 1
             if engine._stop_requested:
                 break

@@ -71,7 +71,7 @@ class TestDvfsPath:
     def test_lower_frequency_lowers_power(self):
         def power_at(index):
             node = Node("n0")
-            node.dvfs.set_index(index)
+            node.dvfs.set_index(index, 0.0)
             node.bind_rank(
                 RankProgram([ComputeSegment(2.4e9 * 600)], name="burn")
             )

@@ -62,7 +62,7 @@ class TestDvfsModeActuator:
 
     def test_current_mode(self):
         dvfs = Dvfs(ATHLON64_4000)
-        dvfs.set_index(2)
+        dvfs.set_index(2, 0.0)
         assert DvfsModeActuator(dvfs).current_mode() == 2
 
 

@@ -60,7 +60,7 @@ class TestExecution:
     def test_lower_frequency_slows_completion(self):
         def run_at(index):
             core = make_core()
-            core.dvfs.set_index(index)
+            core.dvfs.set_index(index, 0.0)
             core.dvfs.consume_stall(1.0)  # discard the switch stall
             rank = RankProgram([ComputeSegment(2.4e9)], name="r")
             core.bind_rank(rank)
@@ -90,8 +90,8 @@ class TestStallInteraction:
         core = make_core()
         core.bind_rank(RankProgram([ComputeSegment(2.4e9)], name="r"))
         # Switch frequencies right before the step: stall = 1e-4 s.
-        core.dvfs.set_index(1)
-        core.dvfs.set_index(0)
+        core.dvfs.set_index(1, 0.0)
+        core.dvfs.set_index(0, 0.0)
         core.step(0.05, 0.05)
         # Utilization includes the stall time (pipeline busy).
         assert core.utilization == pytest.approx(

@@ -67,7 +67,7 @@ class TestParams:
 class TestUtilizationGoverning:
     def test_busy_snaps_to_max(self):
         gov, core, dvfs = make([1.0] * 1000)
-        dvfs.set_index(3)
+        dvfs.set_index(3, 0.0)
         dvfs.consume_stall(1.0)
         run(gov, core, 2.0)
         assert dvfs.index == 0

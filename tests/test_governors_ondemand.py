@@ -60,7 +60,7 @@ class TestParams:
 class TestBehaviour:
     def test_busy_snaps_to_max(self):
         gov, core, dvfs = make([1.0] * 100000)
-        dvfs.set_index(4)
+        dvfs.set_index(4, 0.0)
         dvfs.consume_stall(1.0)
         run(gov, core, 0.5)
         assert dvfs.index == 0

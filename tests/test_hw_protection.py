@@ -106,7 +106,7 @@ class TestProchot:
         node.bind_rank(burn_rank())
         run_node(node, 200.0)
         if node._prochot:
-            node.dvfs.set_index(0)  # a governor trying to snap to max
+            node.dvfs.set_index(0, 0.0)  # a governor trying to snap to max
             node.step(200.05, 0.05)
             assert node.dvfs.index == len(node.dvfs.table) - 1
 
@@ -186,7 +186,7 @@ class TestRetiredCycles:
         run_node(fast, 10.0)
 
         slow = Node("n1")
-        slow.dvfs.set_index(4)  # 1.0 GHz
+        slow.dvfs.set_index(4, 0.0)  # 1.0 GHz
         slow.dvfs.consume_stall(1.0)
         slow.bind_rank(burn_rank())
         run_node(slow, 10.0)

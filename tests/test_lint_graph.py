@@ -359,9 +359,26 @@ def write_tree(tmp_path: Path) -> Path:
     return tmp_path / "repro"
 
 
-def make_cache(tmp_path: Path, config: LintConfig) -> LintCache:
+class CountingCache(LintCache):
+    """A lint cache that counts its lookups: a hit returns an analysis."""
+
+    def __init__(self, directory: Path, key: str) -> None:
+        super().__init__(directory, key)
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, display, sha):
+        analysis = super().get(display, sha)
+        if analysis is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return analysis
+
+
+def make_cache(tmp_path: Path, config: LintConfig) -> CountingCache:
     key = cache_key(config.digest(), sorted(RULES_BY_CODE))
-    return LintCache(tmp_path / ".cache", key)
+    return CountingCache(tmp_path / ".cache", key)
 
 
 def test_cache_warm_run_hits_and_matches(tmp_path: Path, monkeypatch) -> None:

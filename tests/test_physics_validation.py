@@ -130,7 +130,7 @@ class TestExecutionAccounting:
 
         def cpu_energy(index):
             node = Node("n0")
-            node.dvfs.set_index(index)
+            node.dvfs.set_index(index, 0.0)
             node.dvfs.consume_stall(1.0)
             rank = RankProgram([ComputeSegment(2.4e9 * 30)], name="r")
             node.bind_rank(rank)

@@ -154,12 +154,12 @@ def test_ganged_dvfs_maps_ladders_proportionally() -> None:
     follower = Dvfs(ladder([(2.0e9, 0.85), (1.6e9, 0.80), (0.8e9, 0.65)]))
     gang = GangedDvfs(lead_table, followers=[follower])
     for i in range(8):
-        gang.set_index(i)
+        gang.set_index(i, 0.0)
         assert follower.index == round(i * 2 / 7)
     # Endpoints: fastest -> fastest, slowest -> slowest.
-    gang.set_index(0)
+    gang.set_index(0, 0.0)
     assert follower.index == 0
-    gang.set_index(7)
+    gang.set_index(7, 0.0)
     assert follower.index == len(follower.table) - 1
 
 
@@ -167,9 +167,9 @@ def test_ganged_dvfs_propagates_only_real_changes() -> None:
     events = EventLog()
     follower = Dvfs(ladder([(2.0e9, 0.85), (0.8e9, 0.65)]), events=events)
     gang = GangedDvfs(ladder([(2.4e9, 1.5), (1.0e9, 1.1)]), followers=[follower])
-    assert gang.set_index(1) is True
+    assert gang.set_index(1, 0.0) is True
     count = events.count("dvfs.change")
-    assert gang.set_index(1) is False  # no-op must not re-actuate
+    assert gang.set_index(1, 0.0) is False  # no-op must not re-actuate
     assert events.count("dvfs.change") == count
 
 

@@ -30,12 +30,20 @@ through the import records of :func:`repro.lint.graph.summarize_module`
   (name-based), when a tracer string names ``C.m`` or ``C+.m``, when
   ``m`` is a dunder, when ``C`` is lint plugin API
   (``repro.lint.base.__all__``), or when a stdlib base dispatches ``m``
-  by name (``visit_*`` on an ``ast.NodeVisitor``).  Class-body fields
-  and instance attributes are not checked.
+  by name (``visit_*`` on an ``ast.NodeVisitor``).
+* **Attributes.** Every attribute a used method of a used class stores
+  on ``self`` (``self.x = …``, ``self.x += …``, ``self.x[k] = …``),
+  and every ``field(init=False)`` of a used dataclass (state the class
+  keeps for itself), must be loaded as ``.x`` by used code.  A load on
+  ``self`` counts only inside the class, its bases and its subclasses
+  (by name), and not inside a statement that stores ``self.x`` itself
+  (``self.peak = max(self.peak, w)`` reads only to write); a load on
+  any other receiver counts by name, and so does a string given to
+  ``getattr``, ``hasattr`` or ``attrgetter``.
 * **Checked.** Every module, every public top-level function and class
-  of a used module, and every public method and property of a used
-  class.  Constants are part of their module's top-level code and are
-  not checked by name.
+  of a used module, every public method and property of a used class,
+  and the attributes above.  Constants are part of their module's
+  top-level code and are not checked by name.
 * **Imports.** Separately, every import binding in ``src/repro``,
   ``tests/``, ``examples/`` and ``tools/`` must be loaded as a name
   somewhere in its module (``__future__`` imports, package
@@ -111,13 +119,23 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+def _is_self(node: ast.expr) -> bool:
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+#: Calls whose string arguments name attributes they load.
+_ATTR_READERS = ("getattr", "hasattr", "attrgetter")
+
+
 class _Loads(ast.NodeVisitor):
     """Collect loaded dotted chains (``("mod", "f")`` for ``mod.f``),
-    attribute names and string constants."""
+    attribute names, attribute names loaded on a receiver other than
+    ``self``, and string constants."""
 
     def __init__(self) -> None:
         self.chains: List[Tuple[str, ...]] = []
         self.attrs: Set[str] = set()
+        self.loaded: Set[str] = set()
         self.strings: List[str] = []
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
@@ -125,6 +143,10 @@ class _Loads(ast.NodeVisitor):
         cur: ast.expr = node
         while isinstance(cur, ast.Attribute):
             parts.append(cur.attr)
+            if (cur is not node or isinstance(node.ctx, ast.Load)) and not _is_self(
+                cur.value
+            ):
+                self.loaded.add(cur.attr)
             cur = cur.value
         self.attrs.update(parts)
         if isinstance(cur, ast.Name):
@@ -139,6 +161,78 @@ class _Loads(ast.NodeVisitor):
     def visit_Constant(self, node: ast.Constant) -> None:
         if isinstance(node.value, str):
             self.strings.append(node.value)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name in _ATTR_READERS:
+            for arg in node.args:
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                    self.loaded.update(arg.value.split("."))
+        self.generic_visit(node)
+
+
+def _stored_on_self(target: ast.expr) -> Optional[str]:
+    """``x`` when ``target`` stores ``self.x`` or into it (``self.x[k]``,
+    ``self.x.y``)."""
+    cur = target
+    while isinstance(cur, (ast.Attribute, ast.Subscript)):
+        if isinstance(cur, ast.Attribute) and _is_self(cur.value):
+            return cur.attr
+        cur = cur.value
+    return None
+
+
+def _own_field(stmt: ast.stmt) -> Optional[str]:
+    """The name of a ``x: T = field(..., init=False, ...)`` field."""
+    if not (
+        isinstance(stmt, ast.AnnAssign)
+        and isinstance(stmt.target, ast.Name)
+        and isinstance(stmt.value, ast.Call)
+    ):
+        return None
+    for keyword in stmt.value.keywords:
+        if (
+            keyword.arg == "init"
+            and isinstance(keyword.value, ast.Constant)
+            and keyword.value.value is False
+        ):
+            return stmt.target.id
+    return None
+
+
+def _self_attributes(methods: List[ast.AST]) -> Tuple[Set[str], Set[str]]:
+    """``(stored, loaded)`` attribute names on ``self`` in ``methods``; a
+    load inside a statement that stores the same ``self.x`` is not a
+    load."""
+    stored: Set[str] = set()
+    skip: Set[int] = set()
+    for method in methods:
+        for node in ast.walk(method):
+            if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {_stored_on_self(t) for t in targets} - {None}
+            stored |= names
+            for part in (*targets, node.value):
+                for sub in ast.walk(part) if part is not None else ():
+                    if (
+                        isinstance(sub, ast.Attribute)
+                        and _is_self(sub.value)
+                        and sub.attr in names
+                        and sub not in targets
+                    ):
+                        skip.add(id(sub))
+    loaded = {
+        node.attr
+        for method in methods
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and _is_self(node.value)
+        and id(node) not in skip
+    }
+    return stored, loaded
 
 
 class _Source:
@@ -195,6 +289,9 @@ class Reachability:
         self.used_defs: Set[Tuple[str, str]] = set()
         #: attribute names used code loads (the member rule is by name).
         self.used_attrs: Set[str] = set()
+        #: attribute names used code loads on a receiver other than
+        #: ``self`` (or names to ``getattr``).
+        self.loaded_attrs: Set[str] = set()
         #: ``(module, class node)`` of every used class.
         self.used_classes: List[Tuple[str, ast.ClassDef]] = []
         self._queue: List[Tuple[_Source, List[ast.AST]]] = []
@@ -344,6 +441,7 @@ class Reachability:
         while self._queue:
             source, nodes = self._queue.pop()
             loads = source.loads(nodes)
+            self.loaded_attrs |= loads.loaded
             for attr in sorted(loads.attrs):
                 self._use_attr(attr)
             for chain in loads.chains:
@@ -375,6 +473,51 @@ class Reachability:
             and stmt.name not in self.used_attrs
             and not self.member_exempt(module, node, stmt.name)
         }
+
+    def _used_methods(self, module: str, node: ast.ClassDef) -> List[ast.AST]:
+        return [
+            stmt
+            for stmt in node.body
+            if isinstance(stmt, _Methods)
+            and (
+                stmt.name in self.used_attrs
+                or self.member_exempt(module, node, stmt.name)
+            )
+        ]
+
+    def write_only_attributes(self) -> List[str]:
+        """``module:Class.x`` for each attribute a used class keeps
+        (stored on ``self``, or an ``init=False`` field) that no used
+        code loads."""
+        bases = {
+            node.name: {ast.unparse(b).rpartition(".")[2] for b in node.bases}
+            for _, node in self.used_classes
+        }
+
+        def ancestors(name: str) -> Set[str]:
+            seen: Set[str] = set()
+            todo = [name]
+            while todo:
+                cur = todo.pop()
+                if cur not in seen:
+                    seen.add(cur)
+                    todo.extend(bases.get(cur, ()))
+            return seen
+
+        scans = {}
+        for module, node in self.used_classes:
+            stored, loaded = _self_attributes(self._used_methods(module, node))
+            stored |= {_own_field(stmt) for stmt in node.body} - {None}
+            scans[(module, node.name)] = (node.name, stored, loaded)
+        found = []
+        for (module, name), (_, stored, _) in sorted(scans.items()):
+            family = ancestors(name) | {c for c in bases if name in ancestors(c)}
+            loaded = set(self.loaded_attrs)
+            for cls, _, own in scans.values():
+                if cls in family:
+                    loaded |= own
+            found.extend(f"{module}:{name}.{x}" for x in sorted(stored - loaded))
+        return found
 
     def unused_members(self) -> List[str]:
         return sorted(
@@ -454,6 +597,11 @@ def test_every_public_member_is_reached(reach: Reachability) -> None:
     assert not unused, "no entry point reaches:\n" + "\n".join(unused)
 
 
+def test_every_kept_attribute_is_loaded(reach: Reachability) -> None:
+    unread = reach.write_only_attributes()
+    assert not unread, "stored, never loaded:\n" + "\n".join(unread)
+
+
 def test_kept_names_are_few_and_still_unreached(reach: Reachability) -> None:
     assert len(KEPT) <= 3
     for (module, name), reason in KEPT.items():
@@ -501,6 +649,49 @@ def test_member_rule_on_inline_source(tmp_path: Path) -> None:
         (tmp_path / name).write_text(text)
     inline = Reachability(tmp_path)
     assert inline.unused_members() == ["repro.parts:Part.dead"]
+
+
+def test_attribute_rule_on_inline_source(tmp_path: Path) -> None:
+    files = {
+        "src/repro/__init__.py": "",
+        "src/repro/cli.py": (
+            "from dataclasses import dataclass, field\n"
+            "from operator import attrgetter\n"
+            "class Base:\n"
+            "    def __init__(self):\n"
+            "        self.inherited = 0\n"
+            "        self.peak = 0.0\n"
+            "        self.counts = {}\n"
+            "        self.named = 1\n"
+            "        self.dotted = 2\n"
+            "    def record(self, w):\n"
+            "        self.peak = max(self.peak, w)\n"
+            "        self.counts[w] = self.counts.get(w, 0) + 1\n"
+            "class Child(Base):\n"
+            "    def get(self):\n"
+            "        return self.inherited + getattr(self, 'named')\n"
+            "@dataclass\n"
+            "class Task:\n"
+            "    period: float\n"
+            "    fires: int = field(default=0, init=False)\n"
+            "    ticks: int = field(default=0, init=False)\n"
+            "def main():\n"
+            "    c = Child()\n"
+            "    c.record(1.0)\n"
+            "    task = Task(1.0)\n"
+            "    task.fires += 1\n"
+            "    return c.get(), task.ticks, attrgetter('x.dotted')\n"
+        ),
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    (tmp_path / "perfbench").mkdir()
+    assert Reachability(tmp_path).write_only_attributes() == [
+        "repro.cli:Base.counts",
+        "repro.cli:Base.peak",
+        "repro.cli:Task.fires",
+    ]
 
 
 @pytest.mark.parametrize(
